@@ -9,6 +9,7 @@ weights.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,15 +52,21 @@ class FormatError(ValueError):
 
 
 def read_exact(f, n: int, what: str) -> bytes:
-    """Read exactly n bytes or raise FormatError at the current offset."""
+    """Read exactly n bytes or raise FormatError at the current offset.
+
+    f must be seekable. n is checked against the bytes left in the stream
+    before anything is read, so a size declared by a corrupt header ends
+    as FormatError, not as a huge allocation.
+    """
     pos = f.tell()
-    buf = f.read(n)
-    if len(buf) != n:
+    left = f.seek(0, os.SEEK_END) - pos
+    f.seek(pos)
+    if n > left:
         raise FormatError(
-            f"truncated file while reading {what}: wanted {n} bytes, got {len(buf)}",
+            f"truncated file while reading {what}: wanted {n} bytes, {left} left",
             offset=pos,
         )
-    return buf
+    return f.read(n)
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:

@@ -97,22 +97,24 @@ def inspect_vectors(path, element_kind: str | None = None) -> VectorFile:
     return VectorFile(path=str(path), element_kind=kind, dim=dim, count=size // rec)
 
 
-def _check_headers(headers: np.ndarray, dim: int, first_record: int, record_size: int, path) -> None:
-    bad = np.flatnonzero(headers != dim)
+def _decode(rows: np.ndarray, meta: VectorFile, record_ids) -> np.ndarray:
+    """Payloads of whole records gathered as (n, record_size) uint8 rows.
+
+    Checks every row's header (its first 4 bytes as <i4) against meta.dim;
+    record_ids[i] is the file record of row i, named in the error. float32
+    and int32 payloads come back as dtype views of `rows`; uint8 widens to
+    a fresh float32 array.
+    """
+    headers = rows[:, :4].view("<i4")[:, 0]
+    bad = np.flatnonzero(headers != meta.dim)
     if bad.size:
-        rec_no = first_record + int(bad[0])
+        rec_no = int(record_ids[int(bad[0])])
         raise FormatError(
-            f"{path}: record {rec_no} declares {int(headers[bad[0]])} components, expected {dim}",
-            offset=rec_no * record_size,
+            f"{meta.path}: record {rec_no} declares {int(headers[bad[0]])} components, expected {meta.dim}",
+            offset=rec_no * meta.record_size,
         )
-
-
-def _payload(recs: np.ndarray, kind: str) -> np.ndarray:
-    data = recs["data"]
-    if kind == "int32":
-        return data.astype(np.int32)
-    # descriptor kinds widen to the float32 storage dtype
-    return data.astype(np.float32)
+    payload = rows[:, 4:].view(_KINDS[meta.element_kind][0])
+    return payload.astype(np.int32 if meta.element_kind == "int32" else np.float32, copy=False)
 
 
 def read_vectors(path, start: int = 0, count: int | None = None, element_kind: str | None = None) -> np.ndarray:
@@ -128,15 +130,15 @@ def read_vectors(path, start: int = 0, count: int | None = None, element_kind: s
         count = meta.count - start
     if count < 0 or start + count > meta.count:
         raise ValueError(f"range [{start}, {start + count}) exceeds {meta.count} records")
-    dt = _record_dtype(meta.element_kind, meta.dim)
     if count == 0:
         return np.empty((0, meta.dim), dtype=np.int32 if meta.element_kind == "int32" else np.float32)
     with open(path, "rb") as f:
         f.seek(start * meta.record_size)
         buf = read_exact(f, count * meta.record_size, "vector records")
-    recs = np.frombuffer(buf, dtype=dt)
-    _check_headers(recs["dim"], meta.dim, start, meta.record_size, path)
-    return _payload(recs, meta.element_kind)
+    rows = np.frombuffer(buf, dtype=np.uint8).reshape(count, meta.record_size)
+    out = _decode(rows, meta, range(start, start + count))
+    # views into the read-only bytes become a fresh, writable, C-ordered array
+    return out if out.flags.writeable else out.copy()
 
 
 def write_vectors(path, vectors, element_kind: str | None = None) -> VectorFile:
@@ -171,14 +173,17 @@ def write_vectors(path, vectors, element_kind: str | None = None) -> VectorFile:
 class VectorReader:
     """Random access over a vector file without loading it fully.
 
-    Rows are memory-mapped; take() validates the headers of the rows it
-    touches and returns float32 (descriptor kinds) or int32 payloads, so a
-    reader can stand in for an in-memory base array during search.
+    The file is memory-mapped as a (count, record_size) uint8 array. take()
+    gathers the whole records it is asked for in one copy, validates their
+    headers, and returns the payload as a dtype view of that copy: float32
+    for .fvecs, int32 for .ivecs; only .bvecs widens uint8 to a new float32
+    array. A reader can stand in for an in-memory base array during search.
     """
 
     def __init__(self, path, element_kind: str | None = None):
         self.meta = inspect_vectors(path, element_kind)
-        self._mm = np.memmap(path, dtype=_record_dtype(self.meta.element_kind, self.meta.dim), mode="r")
+        shape = (self.meta.count, self.meta.record_size)
+        self._mm = np.asarray(np.memmap(path, dtype=np.uint8, mode="r", shape=shape))
 
     @property
     def dim(self) -> int:
@@ -200,9 +205,8 @@ class VectorReader:
         if idx.size and (idx.min() < 0 or idx.max() >= self.meta.count):
             bad = idx[(idx < 0) | (idx >= self.meta.count)][0]
             raise LookupError(f"vector id {int(bad)} outside file with {self.meta.count} records")
-        recs = self._mm[idx]
-        _check_headers(np.asarray(recs["dim"]), self.meta.dim, 0, self.meta.record_size, self.meta.path)
-        return _payload(recs, self.meta.element_kind)
+        # np.take copies whole rows faster than fancy indexing does
+        return _decode(np.take(self._mm, idx, axis=0), self.meta, idx)
 
     def read(self, start: int, count: int) -> np.ndarray:
         if start < 0 or count < 0 or start + count > self.meta.count:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Metric, as_matrix, pairwise_sq_distances
+from .index import _topk
 
 __all__ = [
     "brute_force_gt",
@@ -44,6 +45,7 @@ def brute_force_gt(base, queries, k: int, metric: Metric = Metric.EUCLIDEAN) -> 
         if (norms == 0.0).any():
             raise ValueError("cosine ground truth is undefined for zero-norm base vectors")
     out = np.empty((Q.shape[0], k), dtype=np.int64)
+    positions = np.arange(B.shape[0], dtype=np.int64)
     chunk = max(1, (1 << 23) // B.shape[0])
     for s in range(0, Q.shape[0], chunk):
         if metric is Metric.EUCLIDEAN:
@@ -54,8 +56,9 @@ def brute_force_gt(base, queries, k: int, metric: Metric = Metric.EUCLIDEAN) -> 
             if (qn == 0.0).any():
                 raise ValueError("cosine ground truth is undefined for zero-norm queries")
             scores = -(Q64 @ B64.T) / (qn[:, None] * norms[None, :])
-        # stable argsort on (possibly negated) scores: ties keep ascending id
-        out[s : s + chunk] = np.argsort(scores, axis=1, kind="stable")[:, :k]
+        # smallest (possibly negated) scores first, ties by ascending position
+        for r, row in enumerate(scores):
+            out[s + r] = _topk(row, positions, k)
     return out
 
 

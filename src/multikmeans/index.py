@@ -128,15 +128,15 @@ def build_index(codes, ids, spec: EncoderSpec, quantizer) -> SearchIndex:
     return SearchIndex(packed, ids_arr, length, spec, quantizer)
 
 
-def _top_by_hamming(ham: np.ndarray, ids: np.ndarray, limit: int) -> np.ndarray:
-    """ids of the `limit` smallest Hamming distances, ties by ascending id."""
-    if limit == ham.shape[0]:
-        order = np.lexsort((ids, ham))
-        return ids[order]
-    cut = np.partition(ham, limit - 1)[limit - 1]
-    cand = np.flatnonzero(ham <= cut)
-    order = np.lexsort((ids[cand], ham[cand]))
-    return ids[cand[order[:limit]]]
+def _topk(keys: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k smallest keys, ties by ascending id; the same as
+    np.lexsort((ids, keys))[:k] for 1 <= k <= len(keys), but only keys up to
+    the k-th are sorted."""
+    cut = np.partition(keys, k - 1)[k - 1]
+    # `not >` rather than `<=` keeps every key when the cut is NaN, so NaN
+    # keys still sort last as they do in a full lexsort
+    cand = np.flatnonzero(~(keys > cut))
+    return cand[np.lexsort((ids[cand], keys[cand]))[:k]]
 
 
 def shortlist(index: SearchIndex, code: HashCode, limit: int) -> np.ndarray:
@@ -149,7 +149,7 @@ def shortlist(index: SearchIndex, code: HashCode, limit: int) -> np.ndarray:
     if not (1 <= limit <= index.size):
         raise ValueError(f"shortlist size {limit} outside [1, {index.size}]")
     ham = hamming_distances(index.codes, code.words)
-    return _top_by_hamming(ham, index.ids, limit)
+    return index.ids[_topk(ham, index.ids, limit)]
 
 
 def _gather(base_vectors, ids: np.ndarray) -> np.ndarray:
@@ -176,13 +176,16 @@ def _gather(base_vectors, ids: np.ndarray) -> np.ndarray:
 
 def _rerank_arrays(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int, metric: Metric):
     """Exact top ids and scores among the candidates, ties by ascending id."""
-    vecs = np.asarray(_gather(base_vectors, cand_ids), dtype=np.float64)
+    vecs = _gather(base_vectors, cand_ids)
     if vecs.ndim != 2 or vecs.shape[0] != cand_ids.shape[0] or vecs.shape[1] != q64.shape[0]:
         raise ValueError(f"base store returned shape {vecs.shape} for {cand_ids.shape[0]} ids")
     if metric is Metric.EUCLIDEAN:
+        # pairwise_sq_distances checks the rows in their stored dtype and
+        # widens them to float64 itself
         scores = np.sqrt(pairwise_sq_distances(q64[None, :], vecs)[0])
-        order = np.lexsort((cand_ids, scores))
+        keep = _topk(scores, cand_ids, top)
     else:
+        vecs = np.asarray(vecs, dtype=np.float64)
         qn = np.linalg.norm(q64)
         norms = np.linalg.norm(vecs, axis=1)
         if qn == 0.0:
@@ -191,8 +194,7 @@ def _rerank_arrays(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int
             bad = cand_ids[norms == 0.0][0]
             raise ValueError(f"cosine re-rank is undefined for zero-norm base vector id {bad}")
         scores = np.clip((vecs @ q64) / (norms * qn), -1.0, 1.0)
-        order = np.lexsort((cand_ids, -scores))
-    keep = order[:top]
+        keep = _topk(-scores, cand_ids, top)
     return cand_ids[keep], scores[keep]
 
 
@@ -245,7 +247,7 @@ def search_many(
 
     def one(i: int) -> SearchResult:
         ham = hamming_distances(index.codes, codes[i])
-        cand = _top_by_hamming(ham, index.ids, shortlist_size)
+        cand = index.ids[_topk(ham, index.ids, shortlist_size)]
         ranked = _rerank(Q64[i], cand, base_vectors, top, metric)
         return SearchResult(ranked=ranked, metric=metric, shortlist_size=shortlist_size)
 
@@ -281,7 +283,7 @@ def search_ids(
 
     def one(i: int) -> None:
         ham = hamming_distances(index.codes, codes[i])
-        cand = _top_by_hamming(ham, index.ids, shortlist_size)
+        cand = index.ids[_topk(ham, index.ids, shortlist_size)]
         out[i], _ = _rerank_arrays(Q64[i], cand, base_vectors, top, metric)
 
     if threads > 1:

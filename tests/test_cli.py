@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -405,6 +406,35 @@ class TestErrorExits:
                 "query", "--index", str(bad),
                 "--base", str(workdir / "base.fvecs"),
                 "--query-file", str(workdir / "queries.fvecs"),
+            ]
+        )
+        assert code == 3
+
+    def test_index_count_beyond_file_exits_3(self, workdir, tmp_path):
+        # a header declaring 2**40 codes must not turn into a 2**43-byte read
+        blob = bytearray((workdir / "t.mkmi").read_bytes())
+        blob[12:20] = struct.pack("<Q", 2**40)
+        bad = tmp_path / "huge.mkmi"
+        bad.write_bytes(bytes(blob))
+        code = main(
+            [
+                "query", "--index", str(bad),
+                "--base", str(workdir / "base.fvecs"),
+                "--query-file", str(workdir / "queries.fvecs"),
+            ]
+        )
+        assert code == 3
+
+    def test_codebook_shape_beyond_file_exits_3(self, workdir, tmp_path):
+        # k = dim = 2**31 declares a 2**64-byte centroid payload
+        blob = bytearray((workdir / "cb.mkmc").read_bytes())
+        blob[8:16] = struct.pack("<II", 2**31, 2**31)
+        bad = tmp_path / "huge.mkmc"
+        bad.write_bytes(bytes(blob))
+        code = main(
+            [
+                "index", "--codebook", str(bad), "--base", str(workdir / "base.fvecs"),
+                "--variant", "t", "--out", str(tmp_path / "x.mkmi"),
             ]
         )
         assert code == 3
