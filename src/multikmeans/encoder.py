@@ -45,9 +45,6 @@ __all__ = [
     "threshold_delta",
     "encode",
     "encode_many",
-    "encode_t",
-    "encode_n",
-    "encode_dual",
     "split_training",
     "train_dual_codebook",
     "code_length",
@@ -228,24 +225,6 @@ def encode(x, quantizer, spec: EncoderSpec) -> HashCode:
     v = as_vector(x)
     words = encode_many(v[None, :], quantizer, spec)[0]
     return HashCode(words, code_length(spec, quantizer))
-
-
-def encode_t(x, codebook: Codebook, mean_kind: MeanKind = MeanKind.ARITHMETIC) -> HashCode:
-    """Set every bit whose centroid distance is <= the chosen mean."""
-    return encode(x, codebook, EncoderSpec(Variant.T, mean_kind=MeanKind(mean_kind)))
-
-
-def encode_n(x, codebook: Codebook, n: int) -> HashCode:
-    """Set exactly the bits of the n nearest centroids (ties to lower index)."""
-    return encode(x, codebook, EncoderSpec(Variant.N, n_nearest=n))
-
-
-def encode_dual(x, dual: DualCodebook, spec: EncoderSpec) -> HashCode:
-    """Concatenate codes from both sub-codebooks per a t2/n2 spec."""
-    spec = spec if isinstance(spec, EncoderSpec) else EncoderSpec(*spec)
-    if spec.variant not in (Variant.T2, Variant.N2):
-        raise ValueError(f"encode_dual needs a t2/n2 spec, got {spec.variant.value}")
-    return encode(x, dual, spec)
 
 
 def split_training(data, seed: int = 0):

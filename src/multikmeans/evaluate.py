@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,17 +134,9 @@ def label_relevance(query_label, result_ids, labels) -> np.ndarray:
     ids = np.asarray(result_ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ValueError("result_ids must be 1-D")
-    if isinstance(labels, Mapping):
-        flags = np.empty(ids.shape[0], dtype=np.int8)
-        for idx, i in enumerate(ids):
-            try:
-                flags[idx] = 1 if labels[int(i)] == query_label else 0
-            except KeyError as exc:
-                raise LookupError(f"no label for id {int(i)}") from exc
-        return flags
     lab = np.asarray(labels)
     if lab.ndim != 1:
-        raise ValueError("labels must be a 1-D array or a mapping")
+        raise ValueError("labels must be a 1-D array indexed by id")
     if ids.size and (ids.min() < 0 or ids.max() >= lab.shape[0]):
         bad = ids[(ids < 0) | (ids >= lab.shape[0])][0]
         raise LookupError(f"no label for id {int(bad)}")

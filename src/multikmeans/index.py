@@ -31,7 +31,6 @@ from .encoder import (
     EncoderSpec,
     Variant,
     code_length,
-    encode,
     encode_many,
     read_dual_record,
     read_spec_record,
@@ -88,29 +87,16 @@ class SearchResult:
 
 
 def build_index(codes, ids, spec: EncoderSpec, quantizer) -> SearchIndex:
-    """Assemble and validate an index from codes aligned with ids.
+    """Assemble and validate an index from packed codes aligned with ids.
 
-    codes may be a packed uint64 array shaped (N, words) or a sequence of
-    HashCode values; either way every code must have the length the
-    spec/quantizer pair produces, with canonical zero padding.
+    codes is a packed uint64 array shaped (N, words); every code must have
+    the length the spec/quantizer pair produces, with canonical zero padding.
     """
     length = code_length(spec, quantizer)
     width = words_for(length)
-    if isinstance(codes, np.ndarray):
-        packed = np.ascontiguousarray(codes, dtype=np.uint64)
-        if packed.ndim != 2 or packed.shape[1] != width:
-            raise ValueError(f"expected packed codes shaped (N, {width}), got {packed.shape}")
-        packed = packed.copy()
-    else:
-        rows = list(codes)
-        for c in rows:
-            if not isinstance(c, HashCode):
-                raise TypeError("codes must be HashCode values or a packed uint64 array")
-            if c.length != length:
-                raise ValueError(f"code length {c.length} does not match encoder length {length}")
-        if not rows:
-            raise ValueError("an index needs at least one code")
-        packed = np.stack([c.words for c in rows])
+    packed = np.array(codes, dtype=np.uint64, order="C")
+    if packed.ndim != 2 or packed.shape[1] != width:
+        raise ValueError(f"expected packed codes shaped (N, {width}), got {packed.shape}")
     if packed.shape[0] == 0:
         raise ValueError("an index needs at least one code")
     tail = length % WORD_BITS
@@ -139,6 +125,13 @@ def _topk(keys: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return cand[np.lexsort((ids[cand], keys[cand]))[:k]]
 
 
+def _nearest_codes(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndarray:
+    """Ids of the `limit` codes Hamming-nearest to one packed query row,
+    ordered by (distance, id); the caller has checked 1 <= limit <= size."""
+    ham = hamming_distances(index.codes, words)
+    return index.ids[_topk(ham, index.ids, limit)]
+
+
 def shortlist(index: SearchIndex, code: HashCode, limit: int) -> np.ndarray:
     """The `limit` index entries Hamming-nearest to `code`, ordered by
     (distance, id). Requires 1 <= limit <= index.size."""
@@ -148,13 +141,12 @@ def shortlist(index: SearchIndex, code: HashCode, limit: int) -> np.ndarray:
         raise ValueError(f"code length {code.length} does not match index {index.code_length}")
     if not (1 <= limit <= index.size):
         raise ValueError(f"shortlist size {limit} outside [1, {index.size}]")
-    ham = hamming_distances(index.codes, code.words)
-    return index.ids[_topk(ham, index.ids, limit)]
+    return _nearest_codes(index, code.words, limit)
 
 
 def _gather(base_vectors, ids: np.ndarray) -> np.ndarray:
-    """Fetch descriptors for ids from an array, a reader with take(), or a
-    mapping. A missing id means the index and the store disagree."""
+    """Fetch descriptors for ids from a 2-D array or a store with take(ids).
+    A missing id means the index and the store disagree."""
     if isinstance(base_vectors, np.ndarray):
         if base_vectors.ndim != 2:
             raise ValueError("base vectors array must be 2-D")
@@ -163,15 +155,9 @@ def _gather(base_vectors, ids: np.ndarray) -> np.ndarray:
             raise LookupError(f"base store has no vector for id {bad}")
         return base_vectors[ids]
     take = getattr(base_vectors, "take", None)
-    if callable(take):
-        return np.asarray(take(ids))
-    rows = []
-    for i in ids:
-        try:
-            rows.append(base_vectors[int(i)])
-        except (KeyError, IndexError) as exc:
-            raise LookupError(f"base store has no vector for id {int(i)}") from exc
-    return np.asarray(rows)
+    if not callable(take):
+        raise TypeError("base store must be a 2-D array or an object with take(ids)")
+    return np.asarray(take(ids))
 
 
 def _rerank_arrays(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int, metric: Metric):
@@ -190,6 +176,9 @@ def _rerank_arrays(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int
         norms = np.linalg.norm(vecs, axis=1)
         if qn == 0.0:
             raise ValueError("cosine re-rank is undefined for a zero-norm query")
+        if not np.isfinite(norms).all():
+            bad = cand_ids[~np.isfinite(norms)][0]
+            raise ValueError(f"cosine re-rank is undefined for non-finite base vector id {bad}")
         if (norms == 0.0).any():
             bad = cand_ids[norms == 0.0][0]
             raise ValueError(f"cosine re-rank is undefined for zero-norm base vector id {bad}")
@@ -198,9 +187,31 @@ def _rerank_arrays(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int
     return cand_ids[keep], scores[keep]
 
 
-def _rerank(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int, metric: Metric):
-    ids, scores = _rerank_arrays(q64, cand_ids, base_vectors, top, metric)
-    return tuple((int(i), float(s)) for i, s in zip(ids, scores))
+def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top: int, metric, threads: int):
+    """The query path for a block of queries: encode, Hamming shortlist,
+    exact re-rank. Returns (ids, scores), each shaped (len(Q), top)."""
+    metric = Metric(metric)
+    if not (1 <= top <= shortlist_size):
+        raise ValueError(f"top={top} outside [1, shortlist={shortlist_size}]")
+    if not (1 <= shortlist_size <= index.size):
+        raise ValueError(f"shortlist size {shortlist_size} outside [1, {index.size}]")
+    Q = as_matrix(Q, "queries")
+    codes = encode_many(Q, index.quantizer, index.spec)
+    Q64 = np.asarray(Q, dtype=np.float64)
+    ids = np.empty((Q.shape[0], top), dtype=np.int64)
+    scores = np.empty((Q.shape[0], top), dtype=np.float64)
+
+    def one(i: int) -> None:
+        cand = _nearest_codes(index, codes[i], shortlist_size)
+        ids[i], scores[i] = _rerank_arrays(Q64[i], cand, base_vectors, top, metric)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(one, range(Q.shape[0])))
+    else:
+        for i in range(Q.shape[0]):
+            one(i)
+    return ids, scores
 
 
 def search(
@@ -214,16 +225,11 @@ def search(
     """Hash the query, shortlist by Hamming distance, re-rank exactly.
 
     Scores are Euclidean distances (ascending) or cosine similarities
-    (descending); ties in either stage break by ascending id.
+    (descending); ties in either stage break by ascending id. base_vectors
+    is a 2-D array indexed by id, or any store with a take(ids) method.
     """
-    metric = Metric(metric)
-    if not (1 <= top <= shortlist_size):
-        raise ValueError(f"top={top} outside [1, shortlist={shortlist_size}]")
     v = as_vector(query, "query")
-    code = encode(v, index.quantizer, index.spec)
-    cand = shortlist(index, code, shortlist_size)
-    ranked = _rerank(np.asarray(v, dtype=np.float64), cand, base_vectors, top, metric)
-    return SearchResult(ranked=ranked, metric=metric, shortlist_size=shortlist_size)
+    return search_many(index, base_vectors, v[None, :], shortlist_size, top, metric)[0]
 
 
 def search_many(
@@ -237,24 +243,11 @@ def search_many(
 ) -> list[SearchResult]:
     """search() over a stack of queries; optionally fanned out over threads."""
     metric = Metric(metric)
-    if not (1 <= top <= shortlist_size):
-        raise ValueError(f"top={top} outside [1, shortlist={shortlist_size}]")
-    if not (1 <= shortlist_size <= index.size):
-        raise ValueError(f"shortlist size {shortlist_size} outside [1, {index.size}]")
-    Q = as_matrix(queries, "queries")
-    codes = encode_many(Q, index.quantizer, index.spec)
-    Q64 = np.asarray(Q, dtype=np.float64)
-
-    def one(i: int) -> SearchResult:
-        ham = hamming_distances(index.codes, codes[i])
-        cand = index.ids[_topk(ham, index.ids, shortlist_size)]
-        ranked = _rerank(Q64[i], cand, base_vectors, top, metric)
-        return SearchResult(ranked=ranked, metric=metric, shortlist_size=shortlist_size)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(Q.shape[0])))
-    return [one(i) for i in range(Q.shape[0])]
+    ids, scores = _search_block(index, base_vectors, queries, shortlist_size, top, metric, threads)
+    return [
+        SearchResult(ranked=tuple(zip(i.tolist(), s.tolist())), metric=metric, shortlist_size=shortlist_size)
+        for i, s in zip(ids, scores)
+    ]
 
 
 def search_ids(
@@ -271,28 +264,7 @@ def search_ids(
     Same ordering rules as search(); meant for metric sweeps where holding
     per-query score tuples would be wasteful.
     """
-    metric = Metric(metric)
-    if not (1 <= top <= shortlist_size):
-        raise ValueError(f"top={top} outside [1, shortlist={shortlist_size}]")
-    if not (1 <= shortlist_size <= index.size):
-        raise ValueError(f"shortlist size {shortlist_size} outside [1, {index.size}]")
-    Q = as_matrix(queries, "queries")
-    codes = encode_many(Q, index.quantizer, index.spec)
-    Q64 = np.asarray(Q, dtype=np.float64)
-    out = np.empty((Q.shape[0], top), dtype=np.int64)
-
-    def one(i: int) -> None:
-        ham = hamming_distances(index.codes, codes[i])
-        cand = index.ids[_topk(ham, index.ids, shortlist_size)]
-        out[i], _ = _rerank_arrays(Q64[i], cand, base_vectors, top, metric)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(Q.shape[0])))
-    else:
-        for i in range(Q.shape[0]):
-            one(i)
-    return out
+    return _search_block(index, base_vectors, queries, shortlist_size, top, metric, threads)[0]
 
 
 def save_index(index: SearchIndex, path) -> None:

@@ -11,10 +11,7 @@ from multikmeans.encoder import (
     MeanKind,
     Variant,
     encode,
-    encode_dual,
     encode_many,
-    encode_n,
-    encode_t,
     load_dual_codebook,
     load_quantizer,
     read_spec_record,
@@ -105,7 +102,7 @@ class TestEncodeT:
             k, dim = int(rng.integers(2, 12)), int(rng.integers(2, 8))
             cb = random_codebook(rng, k, dim)
             x = rng.standard_normal(dim).astype(np.float32)
-            got = encode_t(x, cb).to_bits().astype(int).tolist()
+            got = encode(x, cb, EncoderSpec(Variant.T)).to_bits().astype(int).tolist()
             assert got == naive_code_bits(x, cb.centroids, "t", mean="arith")
 
     def test_matches_naive_geom(self):
@@ -114,7 +111,7 @@ class TestEncodeT:
             k, dim = int(rng.integers(2, 12)), int(rng.integers(2, 8))
             cb = random_codebook(rng, k, dim)
             x = rng.standard_normal(dim).astype(np.float32)
-            got = encode_t(x, cb, MeanKind.GEOMETRIC).to_bits().astype(int).tolist()
+            got = encode(x, cb, EncoderSpec(Variant.T, MeanKind.GEOMETRIC)).to_bits().astype(int).tolist()
             assert got == naive_code_bits(x, cb.centroids, "t", mean="geom")
 
     def test_boundary_is_inclusive(self):
@@ -125,7 +122,7 @@ class TestEncodeT:
         )
         x = np.zeros(2, dtype=np.float32)
         for kind in MeanKind:
-            code = encode_t(x, cb, kind)
+            code = encode(x, cb, EncoderSpec(Variant.T, kind))
             assert code.popcount() == 4
 
     def test_mean_kinds_can_differ(self):
@@ -133,8 +130,8 @@ class TestEncodeT:
         # mean ~3.9 keeps one
         cb = Codebook.from_centroids(np.array([[1.0], [5.0], [12.0]], dtype=np.float32))
         x = np.zeros(1, dtype=np.float32)
-        arith = encode_t(x, cb, MeanKind.ARITHMETIC).to_bits().astype(int).tolist()
-        geom = encode_t(x, cb, MeanKind.GEOMETRIC).to_bits().astype(int).tolist()
+        arith = encode(x, cb, EncoderSpec(Variant.T, MeanKind.ARITHMETIC)).to_bits().astype(int).tolist()
+        geom = encode(x, cb, EncoderSpec(Variant.T, MeanKind.GEOMETRIC)).to_bits().astype(int).tolist()
         assert arith == [1, 1, 0]
         assert geom == [1, 0, 0]
 
@@ -143,13 +140,13 @@ class TestEncodeT:
         # only exact-zero bits survive
         cents = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]], dtype=np.float32)
         cb = Codebook.from_centroids(cents)
-        code = encode_t(cents[0], cb, MeanKind.GEOMETRIC)
+        code = encode(cents[0], cb, EncoderSpec(Variant.T, MeanKind.GEOMETRIC))
         assert code.to_bits().astype(int).tolist() == [1, 0, 0]
 
     def test_code_length_is_k(self):
         rng = np.random.default_rng(42)
         cb = random_codebook(rng, 9, 4)
-        assert encode_t(rng.standard_normal(4), cb).length == 9
+        assert encode(rng.standard_normal(4), cb, EncoderSpec(Variant.T)).length == 9
 
     def test_at_least_one_bit_set(self):
         # the nearest centroid is never above either mean
@@ -158,7 +155,7 @@ class TestEncodeT:
             cb = random_codebook(rng, int(rng.integers(2, 20)), 3)
             x = rng.standard_normal(3).astype(np.float32)
             for kind in MeanKind:
-                assert encode_t(x, cb, kind).popcount() >= 1
+                assert encode(x, cb, EncoderSpec(Variant.T, kind)).popcount() >= 1
 
 
 class TestEncodeN:
@@ -169,7 +166,7 @@ class TestEncodeN:
             n = int(rng.integers(1, k + 1))
             cb = random_codebook(rng, k, dim)
             x = rng.standard_normal(dim).astype(np.float32)
-            got = encode_n(x, cb, n).to_bits().astype(int).tolist()
+            got = encode(x, cb, EncoderSpec(Variant.N, n_nearest=n)).to_bits().astype(int).tolist()
             assert got == naive_code_bits(x, cb.centroids, "n", n=n)
 
     def test_popcount_is_exactly_n(self):
@@ -177,7 +174,7 @@ class TestEncodeN:
         cb = random_codebook(rng, 16, 5)
         x = rng.standard_normal(5).astype(np.float32)
         for n in range(1, 17):
-            assert encode_n(x, cb, n).popcount() == n
+            assert encode(x, cb, EncoderSpec(Variant.N, n_nearest=n)).popcount() == n
 
     def test_nested_in_n(self):
         rng = np.random.default_rng(46)
@@ -185,7 +182,7 @@ class TestEncodeN:
         x = rng.standard_normal(4).astype(np.float32)
         prev = np.zeros(12, dtype=bool)
         for n in range(1, 13):
-            bits = encode_n(x, cb, n).to_bits()
+            bits = encode(x, cb, EncoderSpec(Variant.N, n_nearest=n)).to_bits()
             assert (bits | prev).tolist() == bits.tolist()  # superset of previous
             prev = bits
 
@@ -193,7 +190,7 @@ class TestEncodeN:
         cb = Codebook.from_centroids(
             np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=np.float32)
         )
-        code = encode_n(np.zeros(2, dtype=np.float32), cb, 2)
+        code = encode(np.zeros(2, dtype=np.float32), cb, EncoderSpec(Variant.N, n_nearest=2))
         assert code.to_bits().astype(int).tolist() == [1, 1, 0, 0]
 
     def test_n_bounds(self):
@@ -201,9 +198,9 @@ class TestEncodeN:
         cb = random_codebook(rng, 4, 3)
         x = rng.standard_normal(3)
         with pytest.raises(ValueError):
-            encode_n(x, cb, 0)
+            encode(x, cb, EncoderSpec(Variant.N, n_nearest=0))
         with pytest.raises(ValueError):
-            encode_n(x, cb, 5)
+            encode(x, cb, EncoderSpec(Variant.N, n_nearest=5))
 
 
 class TestEncodeBatch:
@@ -291,7 +288,7 @@ class TestDualCodebook:
         second = random_codebook(rng, 6, 4)
         dual = DualCodebook(first, second)
         x = rng.standard_normal(4).astype(np.float32)
-        code = encode_dual(x, dual, EncoderSpec(Variant.T2, MeanKind.ARITHMETIC))
+        code = encode(x, dual, EncoderSpec(Variant.T2, MeanKind.ARITHMETIC))
         assert code.length == 12
         want = naive_code_bits(x, first.centroids, "t") + naive_code_bits(
             x, second.centroids, "t"
@@ -302,15 +299,9 @@ class TestDualCodebook:
         rng = np.random.default_rng(57)
         dual = DualCodebook(random_codebook(rng, 8, 3), random_codebook(rng, 8, 3))
         x = rng.standard_normal(3).astype(np.float32)
-        code = encode_dual(x, dual, EncoderSpec(Variant.N2, n_nearest=3))
+        code = encode(x, dual, EncoderSpec(Variant.N2, n_nearest=3))
         bits = code.to_bits()
         assert bits[:8].sum() == 3 and bits[8:].sum() == 3
-
-    def test_encode_dual_rejects_single_variants(self):
-        rng = np.random.default_rng(58)
-        dual = DualCodebook(random_codebook(rng, 4, 3), random_codebook(rng, 4, 3))
-        with pytest.raises(ValueError):
-            encode_dual(np.zeros(3), dual, EncoderSpec(Variant.T))
 
 
 class TestSerialization:

@@ -183,15 +183,10 @@ class TestLabelRelevance:
         rel = label_relevance(3, np.array([0, 1, 2, 4]), labels)
         assert rel.tolist() == [1, 0, 1, 1]
 
-    def test_with_mapping(self):
-        labels = {10: 1, 20: 2, 30: 1}
-        rel = label_relevance(1, np.array([30, 20, 10]), labels)
-        assert rel.tolist() == [1, 0, 1]
-
     def test_missing_id(self):
         with pytest.raises(LookupError):
             label_relevance(1, np.array([0, 5]), np.array([1, 2]))
-        with pytest.raises(LookupError):
+        with pytest.raises(ValueError):
             label_relevance(0, np.array([7]), {1: 0})
 
 

@@ -59,12 +59,6 @@ class TestBuildIndex:
         assert index.size == len(base)
         assert index.code_length == cb.k
 
-    def test_from_hashcode_list(self):
-        rng, base, cb, spec, index = make_fixture(n=20)
-        codes = [encode(x, cb, spec) for x in base]
-        other = build_index(codes, np.arange(20), spec, cb)
-        np.testing.assert_array_equal(other.codes, index.codes)
-
     def test_rejects_duplicate_ids(self):
         _, base, cb, spec, index = make_fixture(n=10)
         ids = np.zeros(10, dtype=np.int64)
@@ -197,19 +191,25 @@ class TestSearch:
             search(index, base, base[0], shortlist_size=8, top=100)
 
     def test_base_as_mapping(self):
+        # a store is a 2-D array or has take(ids); a dict is neither
         rng, base, cb, spec, index = make_fixture(n=25)
         lookup = {int(i): base[i] for i in range(25)}
-        res_map = search(index, lookup, base[3], shortlist_size=10, top=5)
-        res_arr = search(index, base, base[3], shortlist_size=10, top=5)
-        assert res_map.ids() == res_arr.ids()
+        with pytest.raises(TypeError):
+            search(index, lookup, base[3], shortlist_size=10, top=5)
 
     def test_missing_vector_raises(self):
         rng, base, cb, spec, index = make_fixture(n=25)
-        lookup = {int(i): base[i] for i in range(24)}  # id 24 missing
-        with pytest.raises(LookupError):
-            search(index, lookup, base[3], shortlist_size=25, top=5)
-        with pytest.raises(LookupError):
+        with pytest.raises(LookupError):  # id 24 missing
             search(index, base[:24], base[3], shortlist_size=25, top=5)
+
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.COSINE])
+    def test_nonfinite_base_row_rejected(self, metric):
+        # the index is built from finite rows; the store's row 2 holds an inf
+        rng, base, cb, spec, index = make_fixture(n=5, dim=3, k=4)
+        store = base.copy()
+        store[2, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            search(index, store, base[0], shortlist_size=5, top=5, metric=metric)
 
     def test_zero_norm_cosine_rejected(self):
         rng, base, cb, spec, index = make_fixture(n=10)

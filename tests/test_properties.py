@@ -1,6 +1,7 @@
 """Property tests: the partitioned top-k selector, the search path over a
-memory-mapped VectorReader, and VectorReader.take, each against a naive
-full-sort or whole-file reference on inputs full of ties and duplicates."""
+memory-mapped VectorReader (single query, batched and threaded), and
+VectorReader.take, each against a naive full-sort or whole-file reference
+on inputs full of ties and duplicates."""
 
 import os
 import tempfile
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from multikmeans.core import Metric, hamming_distances, pairwise_sq_distances
 from multikmeans.dataio import VectorReader, read_vectors, write_vectors
 from multikmeans.encoder import EncoderSpec, Variant, encode, encode_many
-from multikmeans.index import _topk, build_index, search, search_ids, shortlist
+from multikmeans.index import _topk, build_index, search, search_ids, search_many, shortlist
 from multikmeans.kmeans import Codebook
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -81,28 +82,31 @@ def stores(draw):
     top = draw(st.integers(1, limit))
     metric = draw(st.sampled_from([Metric.EUCLIDEAN, Metric.COSINE]))
     suffix = draw(st.sampled_from([".fvecs", ".bvecs"]))
-    return base, Codebook.from_centroids(cents.astype(np.float32)), spec, order, queries, limit, top, metric, suffix
+    threads = draw(st.sampled_from([1, 2]))
+    cb = Codebook.from_centroids(cents.astype(np.float32))
+    return base, cb, spec, order, queries, limit, top, metric, suffix, threads
 
 
 @SETTINGS
 @given(stores())
 def test_search_over_reader_matches_full_sort(case):
-    base, cb, spec, order, queries, limit, top, metric, suffix = case
+    base, cb, spec, order, queries, limit, top, metric, suffix, threads = case
     codes = encode_many(base.astype(np.float32), cb, spec)
     index = build_index(codes[order], order, spec, cb)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "base" + suffix)
         write_vectors(path, base)
         with VectorReader(path) as reader:
-            got_ids = search_ids(index, reader, queries, limit, top, metric)
+            got_ids = search_ids(index, reader, queries, limit, top, metric, threads)
+            many = search_many(index, reader, queries, limit, top, metric, threads)
             for qi, q in enumerate(queries):
                 code = encode(q, cb, spec)
                 cand = shortlist(index, code, limit)
                 np.testing.assert_array_equal(cand, naive_shortlist(index, code.words, limit))
                 want_ids, want_scores = naive_search(base, cand, q, top, metric)
-                res = search(index, reader, q, limit, top, metric)
-                np.testing.assert_array_equal([i for i, _ in res.ranked], want_ids)
-                np.testing.assert_array_equal([s for _, s in res.ranked], want_scores)
+                for res in (search(index, reader, q, limit, top, metric), many[qi]):
+                    np.testing.assert_array_equal([i for i, _ in res.ranked], want_ids)
+                    np.testing.assert_array_equal([s for _, s in res.ranked], want_scores)
                 np.testing.assert_array_equal(got_ids[qi], want_ids)
 
 
