@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import FormatError, Metric, derive_seed
+from .core import FormatError, Metric, atomic_write, derive_seed
 from .dataio import (
     SyntheticSpec,
     VectorReader,
@@ -586,7 +586,7 @@ def cmd_eval(args) -> int:
     print(f"evaluated {len(seeds)} run(s) in {dt:.2f}s", file=sys.stderr)
     text = report.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with atomic_write(args.out, "w", encoding="utf-8") as f:
             f.write(text)
         print(f"report -> {args.out}", file=sys.stderr)
     else:

@@ -9,6 +9,7 @@ weights.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -69,6 +70,32 @@ def read_exact(f, n: int, what: str) -> bytes:
     return f.read(n)
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Open `path + ".tmp"` for writing and move it over path with os.replace
+    once the block ends, so path holds either its old bytes or all the new
+    ones. If the block raises, the temp file is removed.
+
+    A symlink is followed (the file it points at is replaced); a target
+    that exists but is not a regular file, such as /dev/null or a pipe, is
+    written in place, because replacing it would swap the device for a file.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, mode, **open_kwargs) as f:
+            yield f
+        return
+    tmp = target + ".tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Validate a single descriptor: nonempty 1-D, numeric, finite."""
     arr = np.asarray(x)
@@ -81,13 +108,19 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def as_matrix(x, name: str = "data") -> np.ndarray:
-    """Validate a stack of descriptors: nonempty 2-D, numeric, finite."""
+def _numeric_matrix(x, name: str) -> np.ndarray:
+    """as_matrix without the element-wise finiteness check."""
     arr = np.asarray(x)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError(f"{name} must be a nonempty 2-D array, got shape {arr.shape}")
     if not (np.issubdtype(arr.dtype, np.floating) or np.issubdtype(arr.dtype, np.integer)):
         raise ValueError(f"{name} must be numeric, got dtype {arr.dtype}")
+    return arr
+
+
+def as_matrix(x, name: str = "data") -> np.ndarray:
+    """Validate a stack of descriptors: nonempty 2-D, numeric, finite."""
+    arr = _numeric_matrix(x, name)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
@@ -103,11 +136,16 @@ def pairwise_sq_distances(a, b, chunk_rows: int | None = None) -> np.ndarray:
     inputs. Returns shape (len(a), len(b)).
     """
     A = as_matrix(a, "a")
-    B = as_matrix(b, "b")
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    B = _numeric_matrix(b, "b")
     B64 = np.asarray(B, dtype=np.float64)
     b_sq = np.einsum("md,md->m", B64, B64)
+    # a row holding inf or nan has a non-finite squared norm, so this O(len(b))
+    # test stands in for as_matrix's element-wise one; as_matrix runs only
+    # when it fails, and passes rows that are finite but whose squares overflow
+    if not np.isfinite(b_sq).all():
+        as_matrix(B, "b")
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     n, m = A.shape[0], B64.shape[0]
     out = np.empty((n, m), dtype=np.float64)
     if chunk_rows is None:
@@ -236,12 +274,23 @@ def hamming_distance(a: HashCode, b: HashCode) -> int:
 
 
 def hamming_distances(codes: np.ndarray, query_words: np.ndarray) -> np.ndarray:
-    """Hamming distance from one packed query row to many packed code rows."""
+    """Hamming distance from one packed query row to many packed code rows.
+
+    Returns uint16, or uint32 when the codes hold more than 65535 bits, so
+    no distance wraps. Narrow keys are what make the shortlist's partition
+    and sort fast; uint8 is never used, because numpy's partition has no
+    fast path for 8-bit keys.
+    """
     c = np.asarray(codes, dtype=np.uint64)
     q = np.asarray(query_words, dtype=np.uint64)
     if c.ndim != 2 or q.ndim != 1 or c.shape[1] != q.shape[0]:
         raise ValueError(f"shape mismatch: codes {c.shape} vs query words {q.shape}")
-    return np.bitwise_count(np.bitwise_xor(c, q[None, :])).sum(axis=1, dtype=np.int64)
+    out = np.zeros(c.shape[0], dtype=np.uint16 if c.shape[1] * WORD_BITS <= 0xFFFF else np.uint32)
+    # one word column at a time: a sum over axis 1 of a (N, words) array is
+    # several times slower once there are two or more words
+    for j in range(c.shape[1]):
+        out += np.bitwise_count(np.bitwise_xor(c[:, j], q[j]))
+    return out
 
 
 def derive_seed(seed: int, tag: int) -> int:

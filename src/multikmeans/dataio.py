@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FormatError, as_matrix, derive_seed, read_exact
+from .core import FormatError, as_matrix, atomic_write, derive_seed, read_exact
 from .evaluate import brute_force_gt
 
 __all__ = [
@@ -165,7 +165,7 @@ def write_vectors(path, vectors, element_kind: str | None = None) -> VectorFile:
     recs = np.empty(n, dtype=_record_dtype(kind, dim))
     recs["dim"] = dim
     recs["data"] = cast
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(recs.tobytes())
     return VectorFile(path=str(path), element_kind=kind, dim=dim, count=n)
 
@@ -235,7 +235,7 @@ def write_labels(path, labels) -> None:
         if not (np.asarray(arr) == np.floor(arr)).all():
             raise ValueError("labels must be integers")
         arr = arr.astype(np.int64)
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, "w", encoding="utf-8") as f:
         f.write("\n".join(str(int(v)) for v in arr) + "\n")
 
 

@@ -22,6 +22,7 @@ from .core import (
     HashCode,
     as_matrix,
     as_vector,
+    atomic_write,
     derive_seed,
     pack_bits,
     pairwise_sq_distances,
@@ -282,7 +283,7 @@ def read_dual_record(f) -> DualCodebook:
 
 
 def save_dual_codebook(dual: DualCodebook, path) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         write_dual_record(f, dual)
 
 

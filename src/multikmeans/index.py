@@ -21,6 +21,7 @@ from .core import (
     WORD_BITS,
     as_matrix,
     as_vector,
+    atomic_write,
     hamming_distances,
     pairwise_sq_distances,
     read_exact,
@@ -168,7 +169,15 @@ def _rerank_arrays(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int
     if metric is Metric.EUCLIDEAN:
         # pairwise_sq_distances checks the rows in their stored dtype and
         # widens them to float64 itself
-        scores = np.sqrt(pairwise_sq_distances(q64[None, :], vecs)[0])
+        try:
+            scores = np.sqrt(pairwise_sq_distances(q64[None, :], vecs)[0])
+        except ValueError:
+            # only the error path looks for the id, so the hot path keeps its
+            # O(L) check
+            bad = cand_ids[~np.isfinite(vecs).all(axis=1)] if vecs.dtype.kind == "f" else ()
+            if len(bad):
+                raise ValueError(f"euclidean re-rank is undefined for non-finite base vector id {bad[0]}") from None
+            raise
         keep = _topk(scores, cand_ids, top)
     else:
         vecs = np.asarray(vecs, dtype=np.float64)
@@ -268,7 +277,7 @@ def search_ids(
 
 
 def save_index(index: SearchIndex, path) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(INDEX_MAGIC)
         f.write(_INDEX_HEADER.pack(INDEX_VERSION, index.code_length, index.size))
         write_spec_record(f, index.spec)

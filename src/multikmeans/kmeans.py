@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FormatError, as_matrix, as_vector, pairwise_sq_distances, read_exact
+from .core import FormatError, as_matrix, as_vector, atomic_write, pairwise_sq_distances, read_exact
 
 __all__ = [
     "TrainParams",
@@ -236,7 +236,7 @@ def read_codebook_record(f) -> Codebook:
 
 
 def save_codebook(codebook: Codebook, path) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         write_codebook_record(f, codebook)
 
 

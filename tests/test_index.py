@@ -208,7 +208,7 @@ class TestSearch:
         rng, base, cb, spec, index = make_fixture(n=5, dim=3, k=4)
         store = base.copy()
         store[2, 1] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite base vector id 2$"):
             search(index, store, base[0], shortlist_size=5, top=5, metric=metric)
 
     def test_zero_norm_cosine_rejected(self):

@@ -1,16 +1,18 @@
-"""Property tests: the partitioned top-k selector, the search path over a
+"""Property tests: the partitioned top-k selector, the narrow Hamming keys
+and the shortlist over multi-word codes, pairwise_sq_distances against the
+element-wise finiteness check it replaced, the search path over a
 memory-mapped VectorReader (single query, batched and threaded), and
-VectorReader.take, each against a naive full-sort or whole-file reference
-on inputs full of ties and duplicates."""
+VectorReader.take, each against a naive full-sort, popcount or whole-file
+reference on inputs full of ties and duplicates."""
 
 import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multikmeans.core import Metric, hamming_distances, pairwise_sq_distances
+from multikmeans.core import HashCode, Metric, as_matrix, hamming_distances, pack_bits, pairwise_sq_distances
 from multikmeans.dataio import VectorReader, read_vectors, write_vectors
 from multikmeans.encoder import EncoderSpec, Variant, encode, encode_many
 from multikmeans.index import _topk, build_index, search, search_ids, search_many, shortlist
@@ -43,9 +45,125 @@ def test_topk_equals_full_lexsort(case):
         np.testing.assert_array_equal(_topk(keys, ids, k), full[:k])
 
 
+def popcount_reference(codes, words):
+    return np.array([sum(bin(int(c) ^ int(w)).count("1") for c, w in zip(row, words)) for row in codes], dtype=np.int64)
+
+
 def naive_shortlist(index, words, limit):
-    ham = hamming_distances(index.codes, words)
+    ham = popcount_reference(index.codes, words)
     return np.array([i for _, i in sorted(zip(ham.tolist(), index.ids.tolist()))[:limit]])
+
+
+@st.composite
+def multiword_codes(draw):
+    """Packed codes of 1-4 words or of 5 words (a code longer than 255 bits,
+    so distances above 255 occur), with duplicated rows and a query that may
+    be all ones."""
+    length = draw(st.one_of(st.integers(1, 4 * 64), st.integers(256, 5 * 64)))
+    n_unique = draw(st.integers(1, 6))
+    n = draw(st.integers(n_unique, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unique = rng.random((n_unique, length)) < draw(st.sampled_from([0.05, 0.5, 0.95]))
+    bits = unique[rng.integers(0, n_unique, size=n)]
+    query = np.ones(length, dtype=bool) if draw(st.booleans()) else rng.random(length) < 0.5
+    return length, pack_bits(bits), pack_bits(query)
+
+
+@SETTINGS
+@given(multiword_codes())
+def test_hamming_distances_are_narrow_and_exact(case):
+    length, codes, words = case
+    ham = hamming_distances(codes, words)
+    assert ham.dtype.kind == "u" and ham.dtype.itemsize >= 2
+    np.testing.assert_array_equal(ham.astype(np.int64), popcount_reference(codes, words))
+
+
+def test_hamming_distances_widen_past_16_bits():
+    codes = np.full((2, 1025), np.uint64(2**64 - 1))
+    ham = hamming_distances(codes, np.zeros(1025, dtype=np.uint64))
+    assert ham.dtype == np.uint32
+    np.testing.assert_array_equal(ham, [1025 * 64, 1025 * 64])
+
+
+@SETTINGS
+@given(multiword_codes(), st.data())
+def test_shortlist_on_multiword_codes_matches_naive(case, data):
+    length, codes, words = case
+    assume(length >= 2)  # a codebook, one centroid per bit, needs two centroids
+    n = codes.shape[0]
+    cb = Codebook.from_centroids(np.arange(2 * length, dtype=np.float32).reshape(length, 2))
+    ids = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)), dtype=np.int64)
+    index = build_index(codes, ids, EncoderSpec(Variant.T), cb)
+    limit = data.draw(st.integers(1, n))
+    np.testing.assert_array_equal(shortlist(index, HashCode(words, length), limit), naive_shortlist(index, words, limit))
+
+
+def parent_pairwise_sq_distances(a, b, chunk_rows=None):
+    """pairwise_sq_distances as it was with the element-wise check of b."""
+    A = as_matrix(a, "a")
+    B = as_matrix(b, "b")
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    B64 = np.asarray(B, dtype=np.float64)
+    b_sq = np.einsum("md,md->m", B64, B64)
+    n, m = A.shape[0], B64.shape[0]
+    out = np.empty((n, m), dtype=np.float64)
+    if chunk_rows is None:
+        chunk_rows = max(1, (1 << 23) // m)
+    for s in range(0, n, chunk_rows):
+        blk = np.asarray(A[s : s + chunk_rows], dtype=np.float64)
+        a_sq = np.einsum("nd,nd->n", blk, blk)
+        scale = a_sq[:, None] + b_sq[None, :]
+        chunk = scale - 2.0 * (blk @ B64.T)
+        tiny = chunk <= 1e-8 * scale
+        if tiny.any():
+            ii, jj = np.nonzero(tiny)
+            diffs = blk[ii] - B64[jj]
+            chunk[ii, jj] = np.einsum("nd,nd->n", diffs, diffs)
+        out[s : s + chunk_rows] = chunk
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+@st.composite
+def distance_inputs(draw):
+    """a and b with inf, -inf, nan or a square-overflowing 1e200 planted at
+    random positions (in b mostly, sometimes in a), duplicated rows so exact
+    zeros occur, and now and then a dimension mismatch."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m, d = draw(st.integers(1, 5)), draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    b_dtype = draw(st.sampled_from([np.float32, np.float64]))
+    a = rng.standard_normal((n, d))
+    b = rng.standard_normal((m, d if draw(st.integers(0, 9)) else d + 1)).astype(b_dtype)
+    b[rng.integers(0, m, size=m // 2)] = a[0, : b.shape[1]] if b.shape[1] == d else 0.0
+    plants = st.sampled_from([np.inf, -np.inf, np.nan] + ([1e200] if b_dtype is np.float64 else []))
+    for _ in range(draw(st.integers(0, 3))):
+        b[rng.integers(0, m), rng.integers(0, b.shape[1])] = draw(plants)
+    if draw(st.integers(0, 9)) == 0:
+        a[rng.integers(0, n), rng.integers(0, d)] = draw(st.sampled_from([np.inf, np.nan, 1e200]))
+    chunk_rows = draw(st.sampled_from([None, 1, 2]))
+    return a, b, chunk_rows
+
+
+def outcome(fn, *args):
+    with np.errstate(all="ignore"):
+        try:
+            return fn(*args)
+        except Exception as exc:  # the type and message are compared
+            return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(distance_inputs())
+def test_pairwise_sq_distances_matches_elementwise_check(case):
+    a, b, chunk_rows = case
+    got = outcome(pairwise_sq_distances, a, b, chunk_rows)
+    want = outcome(parent_pairwise_sq_distances, a, b, chunk_rows)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def naive_search(base, cand, q, top, metric):
