@@ -146,14 +146,23 @@ def pairwise_sq_distances(a, b, chunk_rows: int | None = None) -> np.ndarray:
         as_matrix(B, "b")
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    return _sq_distances(A, B64, b_sq, chunk_rows)
+
+
+def _sq_distances(A, B64, b_sq, chunk_rows=None, a_sq=None) -> np.ndarray:
+    """pairwise_sq_distances after its checks: A's rows are finite and as
+    wide as B64's, and b_sq holds B64's squared norms. a_sq, if given, holds
+    the squared norms of A, which must then be float64; the einsum gives a
+    row the same norm whatever rows share the call, so this skips a pass
+    without changing a bit of the output."""
     n, m = A.shape[0], B64.shape[0]
     out = np.empty((n, m), dtype=np.float64)
     if chunk_rows is None:
         chunk_rows = max(1, (1 << 23) // m)
     for s in range(0, n, chunk_rows):
         blk = np.asarray(A[s : s + chunk_rows], dtype=np.float64)
-        a_sq = np.einsum("nd,nd->n", blk, blk)
-        scale = a_sq[:, None] + b_sq[None, :]
+        blk_sq = np.einsum("nd,nd->n", blk, blk) if a_sq is None else a_sq[s : s + chunk_rows]
+        scale = blk_sq[:, None] + b_sq[None, :]
         chunk = scale - 2.0 * (blk @ B64.T)
         tiny = chunk <= 1e-8 * scale
         if tiny.any():

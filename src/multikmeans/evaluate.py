@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Metric, as_matrix, pairwise_sq_distances
-from .index import _topk
+from .core import Metric, as_matrix
+from .index import _euclidean_screen, _euclidean_topk, _topk
 
 __all__ = [
     "brute_force_gt",
@@ -38,24 +38,29 @@ def brute_force_gt(base, queries, k: int, metric: Metric = Metric.EUCLIDEAN) -> 
     if not (1 <= k <= B.shape[0]):
         raise ValueError(f"k={k} outside [1, {B.shape[0]}]")
     metric = Metric(metric)
-    B64 = np.asarray(B, dtype=np.float64)
-    if metric is Metric.COSINE:
-        norms = np.linalg.norm(B64, axis=1)
-        if (norms == 0.0).any():
-            raise ValueError("cosine ground truth is undefined for zero-norm base vectors")
     out = np.empty((Q.shape[0], k), dtype=np.int64)
     positions = np.arange(B.shape[0], dtype=np.int64)
     chunk = max(1, (1 << 23) // B.shape[0])
-    for s in range(0, Q.shape[0], chunk):
-        if metric is Metric.EUCLIDEAN:
-            scores = pairwise_sq_distances(Q[s : s + chunk], B64)
-        else:
+    if metric is Metric.EUCLIDEAN:
+        screen = _euclidean_screen(B)
+        for s in range(0, Q.shape[0], chunk):
             Q64 = np.asarray(Q[s : s + chunk], dtype=np.float64)
-            qn = np.linalg.norm(Q64, axis=1)
-            if (qn == 0.0).any():
-                raise ValueError("cosine ground truth is undefined for zero-norm queries")
-            scores = -(Q64 @ B64.T) / (qn[:, None] * norms[None, :])
-        # smallest (possibly negated) scores first, ties by ascending position
+            with np.errstate(over="ignore", invalid="ignore"):
+                dots = Q64.astype(np.float32) @ screen[0].T
+            for r, q64 in enumerate(Q64):
+                out[s + r] = _euclidean_topk(B, q64, positions, k, screen, dots[r])[0]
+        return out
+    B64 = np.asarray(B, dtype=np.float64)
+    norms = np.linalg.norm(B64, axis=1)
+    if (norms == 0.0).any():
+        raise ValueError("cosine ground truth is undefined for zero-norm base vectors")
+    for s in range(0, Q.shape[0], chunk):
+        Q64 = np.asarray(Q[s : s + chunk], dtype=np.float64)
+        qn = np.linalg.norm(Q64, axis=1)
+        if (qn == 0.0).any():
+            raise ValueError("cosine ground truth is undefined for zero-norm queries")
+        scores = -(Q64 @ B64.T) / (qn[:, None] * norms[None, :])
+        # smallest negated similarities first, ties by ascending position
         for r, row in enumerate(scores):
             out[s + r] = _topk(row, positions, k)
     return out

@@ -19,11 +19,11 @@ from .core import (
     HashCode,
     Metric,
     WORD_BITS,
+    _numeric_matrix,
     as_matrix,
     as_vector,
     atomic_write,
     hamming_distances,
-    pairwise_sq_distances,
     read_exact,
     words_for,
 )
@@ -108,7 +108,9 @@ def build_index(codes, ids, spec: EncoderSpec, quantizer) -> SearchIndex:
         raise ValueError(f"ids shape {ids_arr.shape} does not align with {packed.shape[0]} codes")
     if (ids_arr < 0).any():
         raise ValueError("ids must be non-negative")
-    if np.unique(ids_arr).shape[0] != ids_arr.shape[0]:
+    # ascending ids, as `multikmeans index` writes them, pass in O(N); only
+    # other orders pay for a sort
+    if not (np.diff(ids_arr) > 0).all() and not (np.diff(np.sort(ids_arr)) > 0).all():
         raise ValueError("ids must be unique")
     packed.setflags(write=False)
     ids_arr.setflags(write=False)
@@ -124,6 +126,132 @@ def _topk(keys: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     # keys still sort last as they do in a full lexsort
     cand = np.flatnonzero(~(keys > cut))
     return cand[np.lexsort((ids[cand], keys[cand]))[:k]]
+
+
+def _direct_distances(rows, q64: np.ndarray) -> np.ndarray:
+    """Euclidean distances from q64 to each row, by float64 direct differences.
+
+    The one exact kernel of the Euclidean re-rank and ground truth: a row's
+    sum runs over that row alone, so its distance does not depend on which
+    other rows share the call."""
+    diff = np.asarray(rows, dtype=np.float64) - q64
+    return np.sqrt(np.einsum("nd,nd->n", diff, diff))
+
+
+def _gamma(n: int, unit: float) -> float:
+    """Higham's gamma_n: the relative error of n roundings of unit size."""
+    return n * unit / (1.0 - n * unit)
+
+
+_U32 = 2.0**-24  # unit roundoff of float32
+_U64 = 2.0**-53  # unit roundoff of float64
+_UNDERFLOW32 = 2.0**-150  # largest error of a float32 product that underflows
+_TINY64 = 2.0**-500  # above every float64 underflow effect, in distance units
+
+
+def _euclidean_screen(rows):
+    """The query-independent half of the screen in _screen_bounds.
+
+    Returns the rows as float32, their float32 squared norms, and a bound
+    on each row's cast error ||x - x32|| (0.0 when the dtype casts to
+    float32 exactly, so no row has one).
+    """
+    rows32 = np.asarray(rows, dtype=np.float32)
+    cast_err = 0.0
+    if not np.can_cast(rows.dtype, np.float32):
+        h = _gamma(rows.shape[1] + 16, _U64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = np.asarray(rows, dtype=np.float64) - rows32
+            cast_err = np.sqrt(np.einsum("nd,nd->n", diff, diff)) * (1.0 + h) + _TINY64
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("nd,nd->n", rows32, rows32)
+    return rows32, sq, cast_err
+
+
+def _screen_bounds(rows, q64: np.ndarray, screen=None, dots=None):
+    """Bounds L <= _direct_distances(rows, q64) <= U for every row, from a
+    float32 screen that never widens the rows.
+
+    `screen` is _euclidean_screen(rows), and `dots` the float32 products
+    rows32 @ q64.astype(float32), when the caller computed them for many
+    queries at once; both are computed here otherwise. A row whose float32
+    screen is not finite (an inf, a nan or an overflow) gets [-inf, inf].
+
+    The proof. Let x be a row as the finish kernel reads it (float64), q the
+    query, x', q' their float32 roundings, d the dimension, u = 2^-24,
+    v = 2^-53, gamma_n = n u / (1 - n u), and h = gamma_{d+16} in v.
+
+    1. Screen. a = fl32(||x'||^2) and c = fl32(x'.q') are float32 dot
+       products in any summation order, with or without FMA; b = ||q'||^2
+       is summed in float64. The dot-product bound (Higham, Accuracy and
+       Stability of Numerical Algorithms, ch. 3), plus 2^-150 per product
+       for gradual underflow, gives |c - x'.q'| <= gamma_d sum|x'_i q'_i|
+       + d 2^-150 <= gamma_d ||x'|| ||q'|| + d 2^-150, and likewise for a
+       and b. As ||x' - q'||^2 = ||x'||^2 + ||q'||^2 - 2 x'.q' and
+       (||x'|| + ||q'||)^2 <= 2 (||x'||^2 + ||q'||^2),
+           lo = (a + b)(1 - G) - 2c - tau <= ||x' - q'||^2 <= (a + b)(1 + G) - 2c + tau = hi
+       with G = 2 gamma_d / (1 - gamma_d) + h and tau = 4 d 2^-150. The h
+       in G covers the float64 roundings that evaluate lo and hi.
+    2. Cast. By the triangle inequality ||x - q|| lies within
+       e = ||x - x'|| + ||q - q'|| of ||x' - q'||. A term is 0 when its
+       vector is exact in float32; otherwise it is summed in float64 from
+       the exact differences and rounded up by (1 + h) plus 2^-500.
+    3. Finish. The kernel's float64 distance f is within gamma_{d+3} in v
+       of ||x - q||, plus 2^-500 for float64 underflow.
+    Hence f lies in [L, U], L = (sqrt(max(lo, 0)) - e)(1 - h) - 2^-500 and
+    U = (sqrt(hi) + e)(1 + h) + 2^-500, where h covers gamma_{d+3} and the
+    few roundings that evaluate L and U.
+    """
+    n, d = rows.shape
+    g = _gamma(d, _U32)
+    h = _gamma(d + 16, _U64)
+    G = 2.0 * g / (1.0 - g) + h
+    if not G < 0.5:  # d of ~2.8 million or more, where gamma_d is no longer small
+        return np.full(n, -np.inf), np.full(n, np.inf)
+    rows32, sq, cast_err = _euclidean_screen(rows) if screen is None else screen
+    with np.errstate(over="ignore", invalid="ignore"):
+        q32 = q64.astype(np.float32)
+        if dots is None:
+            dots = np.einsum("nd,d->n", rows32, q32)
+        dq = q64 - q32
+        e = cast_err + (float(np.sqrt(dq @ dq)) * (1.0 + h) + _TINY64 if dq.any() else 0.0)
+        q32_64 = q32.astype(np.float64)
+        s = sq + q32_64 @ q32_64  # float64: a + b
+        mid = s - np.float64(2.0) * dots
+        s *= G
+        s += 4.0 * d * _UNDERFLOW32
+        lo = mid - s
+        mid += s
+        L = (np.sqrt(np.maximum(lo, 0.0)) - e) * (1.0 - h) - _TINY64
+        U = (np.sqrt(mid) + e) * (1.0 + h) + _TINY64
+    bad = ~np.isfinite(lo)
+    L[bad] = -np.inf
+    U[bad] = np.inf
+    return L, U
+
+
+def _euclidean_topk(rows, q64: np.ndarray, ids: np.ndarray, top: int, screen=None, dots=None):
+    """Positions of the `top` rows nearest q64 and their distances: exactly
+    _topk(_direct_distances(rows, q64), ids, top), but the float64 kernel
+    runs only on the rows the screen cannot rule out. `screen` and `dots`
+    are as in _screen_bounds. A row holding inf or nan raises ValueError
+    naming its id.
+
+    With T the top-th smallest upper bound U, a row whose lower bound L
+    exceeds T is farther than `top` rows, so it is not in the top by
+    (distance, id). The kernel scores each row alone, so the top of the
+    rows kept is the top of all rows, ids and float64 distances bit for
+    bit.
+    """
+    L, U = _screen_bounds(rows, q64, screen, dots)
+    keep = np.flatnonzero(~(L > np.partition(U, top - 1)[top - 1]))
+    scores = _direct_distances(rows[keep], q64)
+    if not np.isfinite(scores).all():
+        bad = ~np.isfinite(rows[keep]).all(axis=1)
+        if bad.any():
+            raise ValueError(f"euclidean re-rank is undefined for non-finite base vector id {ids[keep[bad]][0]}")
+    sel = _topk(scores, ids[keep], top)
+    return keep[sel], scores[sel]
 
 
 def _nearest_codes(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndarray:
@@ -167,18 +295,8 @@ def _rerank_arrays(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int
     if vecs.ndim != 2 or vecs.shape[0] != cand_ids.shape[0] or vecs.shape[1] != q64.shape[0]:
         raise ValueError(f"base store returned shape {vecs.shape} for {cand_ids.shape[0]} ids")
     if metric is Metric.EUCLIDEAN:
-        # pairwise_sq_distances checks the rows in their stored dtype and
-        # widens them to float64 itself
-        try:
-            scores = np.sqrt(pairwise_sq_distances(q64[None, :], vecs)[0])
-        except ValueError:
-            # only the error path looks for the id, so the hot path keeps its
-            # O(L) check
-            bad = cand_ids[~np.isfinite(vecs).all(axis=1)] if vecs.dtype.kind == "f" else ()
-            if len(bad):
-                raise ValueError(f"euclidean re-rank is undefined for non-finite base vector id {bad[0]}") from None
-            raise
-        keep = _topk(scores, cand_ids, top)
+        keep, scores = _euclidean_topk(_numeric_matrix(vecs, "base store rows"), q64, cand_ids, top)
+        return cand_ids[keep], scores
     else:
         vecs = np.asarray(vecs, dtype=np.float64)
         qn = np.linalg.norm(q64)

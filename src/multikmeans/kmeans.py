@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FormatError, as_matrix, as_vector, atomic_write, pairwise_sq_distances, read_exact
+from .core import FormatError, _sq_distances, as_matrix, as_vector, atomic_write, pairwise_sq_distances, read_exact
 
 __all__ = [
     "TrainParams",
@@ -107,10 +107,18 @@ def kmeanspp_seed(data, k: int, seed: int = 0) -> np.ndarray:
     if X.shape[0] < k:
         raise ValueError(f"need at least k={k} points, got {X.shape[0]}")
     X64 = np.asarray(X, dtype=np.float64)
+    # what pairwise_sq_distances(X64, one_row) would check and compute on
+    # every pick, done once
+    x_sq = np.einsum("nd,nd->n", X64, X64)
+
+    def sq_distances_to(i: int) -> np.ndarray:
+        row = X64[i][None, :]
+        return _sq_distances(X64, row, np.einsum("md,md->m", row, row), a_sq=x_sq)[:, 0]
+
     rng = np.random.default_rng(int(seed))
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(X.shape[0])
-    d2 = pairwise_sq_distances(X64, X64[chosen[0]][None, :])[:, 0]
+    d2 = sq_distances_to(chosen[0])
     for i in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -119,7 +127,7 @@ def kmeanspp_seed(data, k: int, seed: int = 0) -> np.ndarray:
             remaining = np.setdiff1d(np.arange(X.shape[0]), chosen[:i])
             idx = int(rng.choice(remaining))
         chosen[i] = idx
-        d2 = np.minimum(d2, pairwise_sq_distances(X64, X64[idx][None, :])[:, 0])
+        d2 = np.minimum(d2, sq_distances_to(idx))
     return X[chosen].copy()
 
 

@@ -1,22 +1,39 @@
 """Property tests: the partitioned top-k selector, the narrow Hamming keys
 and the shortlist over multi-word codes, pairwise_sq_distances against the
 element-wise finiteness check it replaced, the search path over a
-memory-mapped VectorReader (single query, batched and threaded), and
-VectorReader.take, each against a naive full-sort, popcount or whole-file
-reference on inputs full of ties and duplicates."""
+memory-mapped VectorReader (single query, batched and threaded),
+VectorReader.take, the float32-screened Euclidean top-k against its float64
+kernel run over every row, that kernel's independence from the rows scored
+with it, k-means++ seeding against its one-call-per-pick form, and the id
+check of build_index, each against a naive full-sort, popcount, whole-file
+or inline reference on inputs full of ties and duplicates."""
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import multikmeans.kmeans as km
 from multikmeans.core import HashCode, Metric, as_matrix, hamming_distances, pack_bits, pairwise_sq_distances
 from multikmeans.dataio import VectorReader, read_vectors, write_vectors
 from multikmeans.encoder import EncoderSpec, Variant, encode, encode_many
-from multikmeans.index import _topk, build_index, search, search_ids, search_many, shortlist
-from multikmeans.kmeans import Codebook
+from multikmeans.evaluate import brute_force_gt
+from multikmeans.index import (
+    _direct_distances,
+    _euclidean_topk,
+    _screen_bounds,
+    _topk,
+    build_index,
+    search,
+    search_ids,
+    search_many,
+    shortlist,
+)
+from multikmeans.kmeans import Codebook, TrainParams
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -172,7 +189,7 @@ def naive_search(base, cand, q, top, metric):
     vecs = base[cand].astype(np.float64)
     q64 = q.astype(np.float64)
     if metric is Metric.EUCLIDEAN:
-        scores = np.sqrt(pairwise_sq_distances(q64[None, :], vecs)[0])
+        scores = np.sqrt(np.einsum("nd,nd->n", vecs - q64, vecs - q64))
         key = scores
     else:
         scores = np.clip((vecs @ q64) / (np.linalg.norm(vecs, axis=1) * np.linalg.norm(q64)), -1.0, 1.0)
@@ -253,3 +270,205 @@ def test_take_matches_read_vectors(suffix, n, dim, seed, data):
         assert got.shape == (ids.shape[0], dim)
         np.testing.assert_array_equal(got, whole[ids])
         np.testing.assert_array_equal(whole, rows)
+
+
+def exhaustive_topk(rows, q64, ids, top):
+    """The finish kernel of the Euclidean re-rank over every row, then a full
+    sort by (distance, id): positions and distances."""
+    with np.errstate(over="ignore"):
+        diff = np.asarray(rows, dtype=np.float64) - q64
+        scores = np.sqrt(np.einsum("nd,nd->n", diff, diff))
+    order = np.lexsort((ids, scores))[:top]
+    return order, scores[order]
+
+
+def _nudge(rows, rng, count):
+    """Copy `count` random rows onto others, each with one component moved by
+    one unit in the last place of the rows' dtype: near-ties an ulp apart."""
+    n, d = rows.shape
+    for _ in range(count):
+        src, dst, j = rng.integers(0, n), rng.integers(0, n), rng.integers(0, d)
+        rows[dst] = rows[src]
+        rows[dst, j] = np.nextafter(rows[src, j], np.inf if rng.random() < 0.5 else -np.inf)
+
+
+@st.composite
+def screen_cases(draw):
+    """Rows around a query, built to stress the float32 screen: a spread
+    that is tiny next to the norms (heavy cancellation in ||x||^2 + ||q||^2 -
+    2 x.q), norms whose float32 squares underflow or overflow, duplicate
+    rows and near-ties one ulp apart, float64 rows that are not exact in
+    float32 or lie beyond its range, queries that are not exact in float32,
+    rows served by .fvecs/.bvecs VectorReader stores, and top up to L."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.one_of(st.integers(1, 4), st.integers(5, 40), st.just(128)))
+    n = draw(st.integers(1, 60))
+    store = draw(st.sampled_from(["float32", "float64", "fvecs", "bvecs"]))
+    if store == "bvecs":
+        rows = rng.integers(100, 103, size=(n, d)).astype(np.float64)
+        q = rows[rng.integers(0, n)] + rng.standard_normal(d) * draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    else:
+        scale = draw(st.sampled_from([1.0, 1e-21, 1e6, 1e15, 1e20]))
+        spread = draw(st.sampled_from([1.0, 2.0**-11, 2.0**-16, 2.0**-22, 0.0]))
+        center = rng.standard_normal(d) * scale
+        rows = center + rng.standard_normal((n, d)) * (scale * spread)
+        q = center + rng.standard_normal(d) * (scale * spread * draw(st.sampled_from([0.0, 0.5, 1.0])))
+        if store == "float64" and draw(st.booleans()):
+            rows[rng.integers(0, n, size=max(1, n // 4))] = rng.standard_normal(d) * draw(st.sampled_from([1e39, 1e300]))
+    if draw(st.booleans()):
+        rows[rng.integers(0, n, size=n // 2)] = rows[rng.integers(0, n)]
+    if store != "float64":
+        with np.errstate(over="ignore"):
+            rows = rows.astype(np.float32)
+    _nudge(rows, rng, draw(st.integers(0, n)))
+    if draw(st.booleans()):
+        with np.errstate(over="ignore"):
+            q = q.astype(np.float32).astype(np.float64)
+    assume(np.isfinite(q).all() and np.isfinite(rows).all())
+    ids = rng.permutation(10 * n)[:n].astype(np.int64)
+    top = draw(st.one_of(st.just(n), st.integers(1, n)))
+    if store in ("fvecs", "bvecs"):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rows." + store)
+            write_vectors(path, rows.astype(np.uint8) if store == "bvecs" else rows)
+            with VectorReader(path) as reader:
+                rows = np.array(reader.take(np.arange(n)))
+    return rows, q, ids, top
+
+
+@settings(max_examples=400, deadline=None)
+@given(screen_cases())
+def test_screened_topk_equals_the_kernel_over_every_row(case):
+    rows, q, ids, top = case
+    with np.errstate(over="ignore"):
+        lower, upper = _screen_bounds(rows, q)
+        got_pos, got_scores = _euclidean_topk(rows, q, ids, top)
+    want_pos, want_scores = exhaustive_topk(rows, q, ids, top)
+    every = exhaustive_topk(rows, q, ids, rows.shape[0])
+    exact = np.empty(rows.shape[0])
+    exact[every[0]] = every[1]
+    assert (lower <= exact).all() and (exact <= upper).all()
+    np.testing.assert_array_equal(got_pos, want_pos)
+    assert got_scores.tobytes() == want_scores.tobytes()
+    # brute_force_gt screens with one float32 matrix product for all queries
+    with np.errstate(over="ignore"):
+        gt = brute_force_gt(rows, q[None, :], top)
+    np.testing.assert_array_equal(gt[0], exhaustive_topk(rows, q, np.arange(rows.shape[0]), top)[0])
+
+
+@SETTINGS
+@given(screen_cases(), st.data())
+def test_screened_topk_names_the_first_nonfinite_row(case, data):
+    rows, q, ids, top = case
+    rows = rows.astype(np.float64 if rows.dtype == np.float64 else np.float32)
+    n, d = rows.shape
+    bad = sorted(set(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))))
+    for r in bad:
+        rows[r, data.draw(st.integers(0, d - 1))] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    with pytest.raises(ValueError, match=f"non-finite base vector id {ids[bad[0]]}$"), np.errstate(all="ignore"):
+        _euclidean_topk(rows, q, ids, top)
+
+
+@SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.integers(1, 40), st.integers(100, 300)),
+    st.integers(1, 40),
+    st.sampled_from([np.float32, np.float64]),
+    st.data(),
+)
+def test_direct_distances_do_not_depend_on_the_other_rows(seed, d, n, dtype, data):
+    rng = np.random.default_rng(seed)
+    rows = (rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+    q = rng.standard_normal(d)
+    full = _direct_distances(rows, q)
+    sel = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)), dtype=np.int64)
+    assert _direct_distances(rows[sel], q).tobytes() == full[sel].tobytes()
+    assert _direct_distances(rows[::-1], q).tobytes() == full[::-1].tobytes()
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(4, 40), st.data())
+def test_one_query_id_pair_gets_one_distance(seed, dim, n, data):
+    """search at two shortlist lengths, and brute_force_gt, agree on every
+    (query, id) pair, on a base full of near-ties an ulp apart."""
+    rng = np.random.default_rng(seed)
+    base = (rng.standard_normal((n, dim)) * 100.0).astype(np.float32)
+    _nudge(base, rng, n)
+    cb = Codebook.from_centroids(rng.standard_normal((4, dim)).astype(np.float32) * 100.0)
+    spec = EncoderSpec(Variant.T)
+    index = build_index(encode_many(base, cb, spec), np.arange(n), spec, cb)
+    q = base[rng.integers(0, n)].astype(np.float64) + rng.standard_normal(dim) * data.draw(st.sampled_from([0.0, 1e-6, 1.0]))
+    short = data.draw(st.integers(1, n))
+    top = data.draw(st.integers(1, short))
+    full = search(index, base, q, n, n)
+    part = search(index, base, q, short, top)
+    scores = dict(full.ranked)
+    for i, s in part.ranked:
+        assert np.float64(s).tobytes() == np.float64(scores[i]).tobytes()
+    np.testing.assert_array_equal(brute_force_gt(base, q[None, :], n)[0], full.ids())
+    np.testing.assert_array_equal([s for _, s in full.ranked], _direct_distances(base[full.ids()], q))
+
+
+def parent_kmeanspp_seed(data, k, seed=0):
+    """kmeanspp_seed as it was, with one checked pairwise_sq_distances call
+    per pick."""
+    X = as_matrix(data)
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    if X.shape[0] < k:
+        raise ValueError(f"need at least k={k} points, got {X.shape[0]}")
+    X64 = np.asarray(X, dtype=np.float64)
+    rng = np.random.default_rng(int(seed))
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = rng.integers(X.shape[0])
+    d2 = pairwise_sq_distances(X64, X64[chosen[0]][None, :])[:, 0]
+    for i in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            idx = int(rng.choice(X.shape[0], p=d2 / total))
+        else:
+            remaining = np.setdiff1d(np.arange(X.shape[0]), chosen[:i])
+            idx = int(rng.choice(remaining))
+        chosen[i] = idx
+        d2 = np.minimum(d2, pairwise_sq_distances(X64, X64[idx][None, :])[:, 0])
+    return X[chosen].copy()
+
+
+@SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.integers(2, 8),
+    st.integers(1, 40),
+    st.sampled_from([np.float32, np.float64]),
+)
+def test_kmeanspp_seed_and_train_match_one_call_per_pick(seed, data_seed, dim, k, extra, dtype):
+    """Same seeds, centroid bytes and objective history as the seeding that
+    re-checked the data and recomputed its norms on every pick, also with
+    fewer distinct points than k (the zero-mass branch)."""
+    rng = np.random.default_rng(data_seed)
+    n = k + extra
+    distinct = rng.standard_normal((int(rng.integers(1, n + 1)), dim)) * 10.0 ** rng.integers(-2, 3)
+    X = distinct[rng.integers(0, distinct.shape[0], size=n)].astype(dtype)
+    np.testing.assert_array_equal(km.kmeanspp_seed(X, k, seed), parent_kmeanspp_seed(X, k, seed))
+    params = TrainParams(max_iters=6, seed=seed)
+    got = km.train(X, k, params)
+    with mock.patch.object(km, "kmeanspp_seed", parent_kmeanspp_seed):
+        want = km.train(X, k, params)
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.train_meta == want.train_meta
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=30), st.booleans())
+def test_build_index_id_check_matches_unique(ids, ascending):
+    ids = np.array(sorted(ids) if ascending else ids, dtype=np.int64)
+    cb = Codebook.from_centroids(np.arange(4, dtype=np.float32).reshape(2, 2))
+    codes = np.zeros((ids.shape[0], 1), dtype=np.uint64)
+    if np.unique(ids).shape[0] == ids.shape[0]:
+        np.testing.assert_array_equal(build_index(codes, ids, EncoderSpec(Variant.T), cb).ids, ids)
+    else:
+        with pytest.raises(ValueError, match="^ids must be unique$"):
+            build_index(codes, ids, EncoderSpec(Variant.T), cb)
