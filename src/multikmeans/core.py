@@ -149,28 +149,43 @@ def pairwise_sq_distances(a, b, chunk_rows: int | None = None) -> np.ndarray:
     return _sq_distances(A, B64, b_sq, chunk_rows)
 
 
-def _sq_distances(A, B64, b_sq, chunk_rows=None, a_sq=None) -> np.ndarray:
+def _sq_distances(A, B64, b_sq, chunk_rows=None, a_sq=None, out=None) -> np.ndarray:
     """pairwise_sq_distances after its checks: A's rows are finite and as
     wide as B64's, and b_sq holds B64's squared norms. a_sq, if given, holds
     the squared norms of A, which must then be float64; the einsum gives a
     row the same norm whatever rows share the call, so this skips a pass
-    without changing a bit of the output."""
+    without changing a bit of the output. out, if given, is the
+    (len(A), len(B64)) float64 array the result goes into.
+
+    Rows of A reach the matrix product in blocks of chunk_rows, as its bits
+    depend on how many rows share it. The element-wise passes after it run
+    in place on slices of ~256 KB, which stay in cache and change no value.
+    """
     n, m = A.shape[0], B64.shape[0]
-    out = np.empty((n, m), dtype=np.float64)
+    if out is None:
+        out = np.empty((n, m), dtype=np.float64)
     if chunk_rows is None:
         chunk_rows = max(1, (1 << 23) // m)
+    step = max(1, (1 << 15) // m)
+    scale_buf = np.empty((min(n, step), m), dtype=np.float64)
+    tiny_buf = np.empty((min(n, step), m), dtype=bool)
     for s in range(0, n, chunk_rows):
         blk = np.asarray(A[s : s + chunk_rows], dtype=np.float64)
         blk_sq = np.einsum("nd,nd->n", blk, blk) if a_sq is None else a_sq[s : s + chunk_rows]
-        scale = blk_sq[:, None] + b_sq[None, :]
-        chunk = scale - 2.0 * (blk @ B64.T)
-        tiny = chunk <= 1e-8 * scale
-        if tiny.any():
-            ii, jj = np.nonzero(tiny)
-            diffs = blk[ii] - B64[jj]
-            chunk[ii, jj] = np.einsum("nd,nd->n", diffs, diffs)
-        out[s : s + chunk_rows] = chunk
-    np.maximum(out, 0.0, out=out)
+        np.matmul(blk, B64.T, out=out[s : s + blk.shape[0]])
+        for t in range(0, blk.shape[0], step):
+            chunk = out[s + t : s + min(t + step, blk.shape[0])]
+            scale, tiny = scale_buf[: chunk.shape[0]], tiny_buf[: chunk.shape[0]]
+            np.add(blk_sq[t : t + step, None], b_sq[None, :], out=scale)
+            chunk *= 2.0
+            np.subtract(scale, chunk, out=chunk)
+            scale *= 1e-8
+            np.less_equal(chunk, scale, out=tiny)
+            if tiny.any():
+                ii, jj = np.nonzero(tiny)
+                diffs = blk[ii + t] - B64[jj]
+                chunk[ii, jj] = np.einsum("nd,nd->n", diffs, diffs)
+            np.maximum(chunk, 0.0, out=chunk)
     return out
 
 

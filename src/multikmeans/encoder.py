@@ -20,12 +20,12 @@ import numpy as np
 from .core import (
     FormatError,
     HashCode,
+    _sq_distances,
     as_matrix,
     as_vector,
     atomic_write,
     derive_seed,
     pack_bits,
-    pairwise_sq_distances,
     read_exact,
     words_for,
 )
@@ -189,35 +189,38 @@ def code_length(spec: EncoderSpec, quantizer) -> int:
     return quantizer.code_length
 
 
-def _encode_bits(block: np.ndarray, quantizer, spec: EncoderSpec) -> np.ndarray:
-    if spec.variant in (Variant.T, Variant.N):
-        d = np.sqrt(pairwise_sq_distances(block, quantizer.centroids))
-        if spec.variant is Variant.T:
-            return _bits_threshold(d, spec.mean_kind)
-        return _bits_nearest(d, spec.n_nearest)
+def _encode_bits(block: np.ndarray, centroids, spec: EncoderSpec) -> np.ndarray:
+    """Code bits of a checked block; centroids holds one (C64, c_sq) pair,
+    the widened centroids and their squared norms, per codebook."""
     parts = []
-    for cb in (quantizer.first, quantizer.second):
-        d = np.sqrt(pairwise_sq_distances(block, cb.centroids))
-        if spec.variant is Variant.T2:
+    for C64, c_sq in centroids:
+        d = _sq_distances(block, C64, c_sq)
+        np.sqrt(d, out=d)
+        if spec.variant in (Variant.T, Variant.T2):
             parts.append(_bits_threshold(d, spec.mean_kind))
         else:
             parts.append(_bits_nearest(d, spec.n_nearest))
-    return np.concatenate(parts, axis=1)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def encode_many(vectors, quantizer, spec: EncoderSpec, chunk_rows: int = 65536) -> np.ndarray:
     """Encode a stack of descriptors; returns packed codes shaped (N, words).
 
     Rows are processed in chunks so the float64 distance temporaries stay
-    bounded on large batches.
+    bounded on large batches. The block is checked once, and the centroids
+    widened and squared once, for all chunks.
     """
     X = as_matrix(vectors, "vectors")
     length = code_length(spec, quantizer)
     if X.shape[1] != quantizer.dim:
         raise ValueError(f"dimension mismatch: vectors {X.shape[1]} vs codebook {quantizer.dim}")
+    centroids = []
+    for cb in (quantizer,) if isinstance(quantizer, Codebook) else (quantizer.first, quantizer.second):
+        C64 = np.asarray(cb.centroids, dtype=np.float64)
+        centroids.append((C64, np.einsum("md,md->m", C64, C64)))
     out = np.empty((X.shape[0], words_for(length)), dtype=np.uint64)
     for s in range(0, X.shape[0], chunk_rows):
-        out[s : s + chunk_rows] = pack_bits(_encode_bits(X[s : s + chunk_rows], quantizer, spec))
+        out[s : s + chunk_rows] = pack_bits(_encode_bits(X[s : s + chunk_rows], centroids, spec))
     return out
 
 

@@ -282,7 +282,7 @@ def _gather(base_vectors, ids: np.ndarray) -> np.ndarray:
         if ids.size and (ids.min() < 0 or ids.max() >= base_vectors.shape[0]):
             bad = ids[(ids < 0) | (ids >= base_vectors.shape[0])][0]
             raise LookupError(f"base store has no vector for id {bad}")
-        return base_vectors[ids]
+        return np.take(base_vectors, ids, axis=0)
     take = getattr(base_vectors, "take", None)
     if not callable(take):
         raise TypeError("base store must be a 2-D array or an object with take(ids)")

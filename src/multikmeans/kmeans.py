@@ -93,6 +93,13 @@ class Codebook:
         return f"Codebook(k={self.k}, dim={self.dim})"
 
 
+def _check_seeding(X: np.ndarray, k: int) -> None:
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    if X.shape[0] < k:
+        raise ValueError(f"need at least k={k} points, got {X.shape[0]}")
+
+
 def kmeanspp_seed(data, k: int, seed: int = 0) -> np.ndarray:
     """Pick k starting centroids from data by D-squared sampling.
 
@@ -102,33 +109,35 @@ def kmeanspp_seed(data, k: int, seed: int = 0) -> np.ndarray:
     next pick is uniform over indices not selected yet.
     """
     X = as_matrix(data)
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if X.shape[0] < k:
-        raise ValueError(f"need at least k={k} points, got {X.shape[0]}")
+    _check_seeding(X, k)
     X64 = np.asarray(X, dtype=np.float64)
-    # what pairwise_sq_distances(X64, one_row) would check and compute on
-    # every pick, done once
-    x_sq = np.einsum("nd,nd->n", X64, X64)
+    return _kmeanspp_seed(X, X64, np.einsum("nd,nd->n", X64, X64), k, seed)
+
+
+def _kmeanspp_seed(X: np.ndarray, X64: np.ndarray, x_sq: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """kmeanspp_seed after its checks: X64 is X widened to float64 and x_sq
+    its squared norms, computed once for all k picks."""
+    n = X.shape[0]
+    col = np.empty((n, 1), dtype=np.float64)
 
     def sq_distances_to(i: int) -> np.ndarray:
         row = X64[i][None, :]
-        return _sq_distances(X64, row, np.einsum("md,md->m", row, row), a_sq=x_sq)[:, 0]
+        return _sq_distances(X64, row, np.einsum("md,md->m", row, row), a_sq=x_sq, out=col)[:, 0]
 
     rng = np.random.default_rng(int(seed))
     chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = rng.integers(X.shape[0])
-    d2 = sq_distances_to(chosen[0])
+    chosen[0] = rng.integers(n)
+    d2 = sq_distances_to(chosen[0]).copy()
     for i in range(1, k):
         total = d2.sum()
         if total > 0.0:
-            idx = int(rng.choice(X.shape[0], p=d2 / total))
+            idx = int(rng.choice(n, p=d2 / total))
         else:
-            remaining = np.setdiff1d(np.arange(X.shape[0]), chosen[:i])
+            remaining = np.setdiff1d(np.arange(n), chosen[:i])
             idx = int(rng.choice(remaining))
         chosen[i] = idx
-        d2 = np.minimum(d2, sq_distances_to(idx))
-    return X[chosen].copy()
+        np.minimum(d2, sq_distances_to(idx), out=d2)
+    return X[chosen]
 
 
 def assign_nearest(data, centroids, chunk_rows: int | None = None):
@@ -140,16 +149,42 @@ def assign_nearest(data, centroids, chunk_rows: int | None = None):
     C = as_matrix(centroids, "centroids")
     if X.shape[1] != C.shape[1]:
         raise ValueError(f"dimension mismatch: data {X.shape[1]} vs centroids {C.shape[1]}")
-    n = X.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    d2min = np.empty(n, dtype=np.float64)
+    C64 = np.asarray(C, dtype=np.float64)
+    return _assign(X, C64, np.einsum("md,md->m", C64, C64), chunk_rows)
+
+
+def _assign_work(n: int, k: int, chunk_rows: int | None = None):
+    """The arrays _assign fills for n points and k centroids: distances of
+    one block of points, labels and nearest squared distances."""
     if chunk_rows is None:
-        chunk_rows = max(1, (1 << 23) // C.shape[0])
+        chunk_rows = max(1, (1 << 23) // k)
+    return (
+        np.empty((min(n, chunk_rows), k), dtype=np.float64),
+        np.empty(n, dtype=np.int64),
+        np.empty(n, dtype=np.float64),
+    )
+
+
+def _assign(X, C64, c_sq, chunk_rows=None, x_sq=None, work=None):
+    """assign_nearest after its checks: X's rows are finite and as wide as
+    C64's, c_sq holds C64's squared norms, and x_sq, if given, X's (X then
+    float64). work, from _assign_work with the same chunk_rows, is reused
+    across calls; the labels and distances returned live in it.
+
+    Blocks of chunk_rows points go to _sq_distances, which splits them
+    again by its own row limit, exactly as one pairwise_sq_distances call
+    per block did."""
+    n, k = X.shape[0], C64.shape[0]
+    if chunk_rows is None:
+        chunk_rows = max(1, (1 << 23) // k)
+    d2, labels, d2min = _assign_work(n, k, chunk_rows) if work is None else work
     for s in range(0, n, chunk_rows):
-        d2 = pairwise_sq_distances(X[s : s + chunk_rows], C)
-        lab = np.argmin(d2, axis=1)
-        labels[s : s + chunk_rows] = lab
-        d2min[s : s + chunk_rows] = np.take_along_axis(d2, lab[:, None], axis=1)[:, 0]
+        blk = X[s : s + chunk_rows]
+        a_sq = None if x_sq is None else x_sq[s : s + chunk_rows]
+        dist = _sq_distances(blk, C64, c_sq, a_sq=a_sq, out=d2[: blk.shape[0]])
+        lab = labels[s : s + chunk_rows]
+        np.argmin(dist, axis=1, out=lab)
+        d2min[s : s + chunk_rows] = np.take_along_axis(dist, lab[:, None], axis=1)[:, 0]
     return labels, d2min
 
 
@@ -159,16 +194,6 @@ def objective(data, centroids) -> float:
     return float(d2min.sum())
 
 
-def _segment_sums(X64: np.ndarray, labels: np.ndarray, k: int):
-    """Per-label row sums and counts, summed in sorted-label order."""
-    counts = np.bincount(labels, minlength=k)
-    order = np.argsort(labels, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(counts)))[:-1]
-    nz = np.flatnonzero(counts)
-    sums = np.add.reduceat(X64[order], bounds[nz], axis=0)
-    return sums, counts, nz
-
-
 def train(data, k: int, params: TrainParams = TrainParams()) -> "Codebook":
     """Train a k-centroid codebook: D-squared seeding plus Lloyd sweeps.
 
@@ -176,31 +201,65 @@ def train(data, k: int, params: TrainParams = TrainParams()) -> "Codebook":
     params.rel_tol (or the objective hits zero), else after max_iters
     sweeps. A cluster left empty by an update is reseeded to the point
     farthest from its currently assigned centroid, so k never shrinks.
+
+    The data is checked, widened and squared once, and each sweep reuses
+    buffers allocated here. A new centroid is the mean of its cluster's
+    points summed in data order by np.add.reduceat, one component at a
+    time over a contiguous row of the transposed data: the first point
+    plus numpy's pairwise sum of the rest, bit for bit what reduceat over
+    the label-sorted rows gives. A slice sum over axis 0, or np.bincount
+    with weights, adds in sequence and differs in the last bits.
     """
     X = as_matrix(data)
-    seeds = kmeanspp_seed(X, k, params.seed)
-    C = np.asarray(seeds, dtype=np.float64).copy()
+    _check_seeding(X, k)
     X64 = np.asarray(X, dtype=np.float64)
+    x_sq = np.einsum("nd,nd->n", X64, X64)
+    C = np.array(_kmeanspp_seed(X, X64, x_sq, k, params.seed), dtype=np.float64)
+    n, d = X.shape
+    work = _assign_work(n, k)
+    # gathered in X's own dtype, then widened: the same values as a gather
+    # of X64, from half the bytes when X is float32
+    XT = np.ascontiguousarray(X.T)
+    gathered = np.empty(n, dtype=X.dtype)
+    column = gathered if X.dtype == np.float64 else np.empty(n, dtype=np.float64)
+    sumsT = np.empty((d, k), dtype=np.float64)
+
+    def assign():
+        c_sq = np.einsum("md,md->m", C, C)
+        # what assign_nearest's check of the centroids would catch: a sum
+        # that overflowed; O(k), as a non-finite row has a non-finite norm
+        if not np.isfinite(c_sq).all():
+            as_matrix(C, "centroids")
+        return _assign(X64, C, c_sq, x_sq=x_sq, work=work)
+
     history: list[float] = []
     prev = None
     iterations = 0
     for _ in range(params.max_iters):
-        labels, d2min = assign_nearest(X64, C)
+        labels, d2min = assign()
         obj = float(d2min.sum())
         history.append(obj)
         if obj == 0.0 or (prev is not None and prev - obj < params.rel_tol * prev):
             break
         prev = obj
-        sums, counts, nz = _segment_sums(X64, labels, k)
-        C = C.copy()
-        C[nz] = sums / counts[nz][:, None]
+        counts = np.bincount(labels, minlength=k)
+        order = np.argsort(labels, kind="stable")
+        nz = np.flatnonzero(counts)
+        starts = (np.cumsum(counts) - counts)[nz]
+        sums = sumsT[:, : nz.size]
+        for j in range(d):
+            np.take(XT[j], order, out=gathered)
+            if column is not gathered:
+                column[:] = gathered
+            np.add.reduceat(column, starts, out=sums[j])
+        C[nz] = sums.T / counts[nz][:, None]
         empties = np.flatnonzero(counts == 0)
         if empties.size:
             farthest = np.argsort(-d2min, kind="stable")[: empties.size]
             C[empties] = X64[farthest]
         iterations += 1
     else:
-        _, d2min = assign_nearest(X64, C)
+        _, d2min = assign()
         history.append(float(d2min.sum()))
     meta = TrainMeta(
         iterations=iterations,

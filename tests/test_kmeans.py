@@ -157,7 +157,7 @@ class TestTrain:
         # and keep the objective trajectory non-increasing
         data = np.array([[0.0], [0.2], [1.8], [2.0], [2.2]], dtype=np.float32)
         forced = np.array([[0.0], [2.0], [5.0]], dtype=np.float32)
-        monkeypatch.setattr(km, "kmeanspp_seed", lambda X, k, seed=0: forced.copy())
+        monkeypatch.setattr(km, "_kmeanspp_seed", lambda X, X64, x_sq, k, seed: forced.copy())
         cb = train(data, 3, TrainParams(seed=0))
         h = cb.train_meta.history
         assert cb.k == 3

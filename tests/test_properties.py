@@ -3,10 +3,12 @@ and the shortlist over multi-word codes, pairwise_sq_distances against the
 element-wise finiteness check it replaced, the search path over a
 memory-mapped VectorReader (single query, batched and threaded),
 VectorReader.take, the float32-screened Euclidean top-k against its float64
-kernel run over every row, that kernel's independence from the rows scored
-with it, k-means++ seeding against its one-call-per-pick form, and the id
-check of build_index, each against a naive full-sort, popcount, whole-file
-or inline reference on inputs full of ties and duplicates."""
+kernel run over every row, its keep rule at the cutoff, that kernel's
+independence from the rows scored with it, k-means++ seeding, Lloyd
+training, assign_nearest and encode_many against inline copies of their
+earlier forms, and the id check of build_index, each against a naive
+full-sort, popcount, whole-file or inline reference on inputs full of ties
+and duplicates."""
 
 import os
 import tempfile
@@ -17,10 +19,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import multikmeans.index as index_mod
 import multikmeans.kmeans as km
 from multikmeans.core import HashCode, Metric, as_matrix, hamming_distances, pack_bits, pairwise_sq_distances
 from multikmeans.dataio import VectorReader, read_vectors, write_vectors
-from multikmeans.encoder import EncoderSpec, Variant, encode, encode_many
+from multikmeans.encoder import (
+    DualCodebook,
+    EncoderSpec,
+    Variant,
+    _bits_nearest,
+    _bits_threshold,
+    encode,
+    encode_many,
+)
 from multikmeans.evaluate import brute_force_gt
 from multikmeans.index import (
     _direct_distances,
@@ -33,7 +44,7 @@ from multikmeans.index import (
     search_many,
     shortlist,
 )
-from multikmeans.kmeans import Codebook, TrainParams
+from multikmeans.kmeans import Codebook, TrainMeta, TrainParams
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -146,19 +157,26 @@ def parent_pairwise_sq_distances(a, b, chunk_rows=None):
 def distance_inputs(draw):
     """a and b with inf, -inf, nan or a square-overflowing 1e200 planted at
     random positions (in b mostly, sometimes in a), duplicated rows so exact
-    zeros occur, and now and then a dimension mismatch."""
+    zeros occur, and now and then a dimension mismatch. A wide b with more
+    rows of a splits each block into several element-wise slices, and rows
+    of a copied from b put exact zeros in the later ones."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, m, d = draw(st.integers(1, 5)), draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    wide = draw(st.booleans())
+    n = draw(st.integers(30, 90) if wide else st.integers(1, 5))
+    m = draw(st.integers(500, 1500) if wide else st.integers(1, 8))
+    d = draw(st.integers(1, 6))
     b_dtype = draw(st.sampled_from([np.float32, np.float64]))
     a = rng.standard_normal((n, d))
     b = rng.standard_normal((m, d if draw(st.integers(0, 9)) else d + 1)).astype(b_dtype)
     b[rng.integers(0, m, size=m // 2)] = a[0, : b.shape[1]] if b.shape[1] == d else 0.0
+    if b.shape[1] == d:
+        a[rng.integers(0, n, size=n // 2)] = b[rng.integers(0, m, size=n // 2)]
     plants = st.sampled_from([np.inf, -np.inf, np.nan] + ([1e200] if b_dtype is np.float64 else []))
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 1 if wide else 3))):
         b[rng.integers(0, m), rng.integers(0, b.shape[1])] = draw(plants)
     if draw(st.integers(0, 9)) == 0:
         a[rng.integers(0, n), rng.integers(0, d)] = draw(st.sampled_from([np.inf, np.nan, 1e200]))
-    chunk_rows = draw(st.sampled_from([None, 1, 2]))
+    chunk_rows = draw(st.sampled_from([None, 40] if wide else [None, 1, 2]))
     return a, b, chunk_rows
 
 
@@ -422,7 +440,7 @@ def parent_kmeanspp_seed(data, k, seed=0):
     rng = np.random.default_rng(int(seed))
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(X.shape[0])
-    d2 = pairwise_sq_distances(X64, X64[chosen[0]][None, :])[:, 0]
+    d2 = parent_pairwise_sq_distances(X64, X64[chosen[0]][None, :])[:, 0]
     for i in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -431,8 +449,68 @@ def parent_kmeanspp_seed(data, k, seed=0):
             remaining = np.setdiff1d(np.arange(X.shape[0]), chosen[:i])
             idx = int(rng.choice(remaining))
         chosen[i] = idx
-        d2 = np.minimum(d2, pairwise_sq_distances(X64, X64[idx][None, :])[:, 0])
+        d2 = np.minimum(d2, parent_pairwise_sq_distances(X64, X64[idx][None, :])[:, 0])
     return X[chosen].copy()
+
+
+def parent_assign_nearest(data, centroids, chunk_rows=None):
+    """assign_nearest as it was: one checked distance call per block."""
+    X = as_matrix(data)
+    C = as_matrix(centroids, "centroids")
+    n = X.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    d2min = np.empty(n, dtype=np.float64)
+    if chunk_rows is None:
+        chunk_rows = max(1, (1 << 23) // C.shape[0])
+    for s in range(0, n, chunk_rows):
+        d2 = parent_pairwise_sq_distances(X[s : s + chunk_rows], C)
+        lab = np.argmin(d2, axis=1)
+        labels[s : s + chunk_rows] = lab
+        d2min[s : s + chunk_rows] = np.take_along_axis(d2, lab[:, None], axis=1)[:, 0]
+    return labels, d2min
+
+
+def parent_train(data, k, params, seeds=None):
+    """train as it was: re-checked data and re-squared norms on every sweep,
+    and the centroid sums from one axis-0 np.add.reduceat over the
+    label-sorted rows. seeds, if given, replaces the seeding. Returns
+    (centroids, meta, clusters reseeded)."""
+    X = as_matrix(data)
+    if seeds is None:
+        seeds = parent_kmeanspp_seed(X, k, params.seed)
+    C = np.asarray(seeds, dtype=np.float64).copy()
+    X64 = np.asarray(X, dtype=np.float64)
+    history, prev, iterations, reseeded = [], None, 0, 0
+    for _ in range(params.max_iters):
+        labels, d2min = parent_assign_nearest(X64, C)
+        obj = float(d2min.sum())
+        history.append(obj)
+        if obj == 0.0 or (prev is not None and prev - obj < params.rel_tol * prev):
+            break
+        prev = obj
+        counts = np.bincount(labels, minlength=k)
+        order = np.argsort(labels, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(counts)))[:-1]
+        nz = np.flatnonzero(counts)
+        C = C.copy()
+        C[nz] = np.add.reduceat(X64[order], bounds[nz], axis=0) / counts[nz][:, None]
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
+            C[empties] = X64[np.argsort(-d2min, kind="stable")[: empties.size]]
+            reseeded += empties.size
+        iterations += 1
+    else:
+        history.append(float(parent_assign_nearest(X64, C)[1].sum()))
+    meta = TrainMeta(iterations=iterations, objective=history[-1], seed=params.seed, history=tuple(history))
+    return C.astype(np.float32), meta, reseeded
+
+
+def assert_same_training(got, want):
+    """Centroid bytes and the whole TrainMeta, history compared bit for bit."""
+    centroids, meta, _ = want
+    assert got.centroids.tobytes() == centroids.tobytes()
+    assert got.train_meta == meta
+    assert np.array(got.train_meta.history).tobytes() == np.array(meta.history).tobytes()
 
 
 @SETTINGS
@@ -454,11 +532,135 @@ def test_kmeanspp_seed_and_train_match_one_call_per_pick(seed, data_seed, dim, k
     X = distinct[rng.integers(0, distinct.shape[0], size=n)].astype(dtype)
     np.testing.assert_array_equal(km.kmeanspp_seed(X, k, seed), parent_kmeanspp_seed(X, k, seed))
     params = TrainParams(max_iters=6, seed=seed)
-    got = km.train(X, k, params)
-    with mock.patch.object(km, "kmeanspp_seed", parent_kmeanspp_seed):
-        want = km.train(X, k, params)
-    assert got.centroids.tobytes() == want.centroids.tobytes()
-    assert got.train_meta == want.train_meta
+    assert_same_training(km.train(X, k, params), parent_train(X, k, params))
+
+
+@st.composite
+def training_sets(draw):
+    """Learning sets where the summation order shows: float64 values not
+    exact in float32 (or float32, or small integers), clusters of up to a
+    few hundred points, columns that are -0.0 throughout, and repeated
+    points, also fewer distinct ones than k."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 9))
+    k = draw(st.integers(2, 6))
+    n = k + draw(st.integers(0, 400))
+    dtype = draw(st.sampled_from([np.float64, np.float64, np.float32, np.int16]))
+    if draw(st.booleans()):
+        rows = rng.standard_normal((n, d)) * 10.0 ** draw(st.integers(-3, 5))
+    else:
+        distinct = rng.standard_normal((draw(st.integers(1, 2 * k)), d)) * 100.0
+        rows = distinct[rng.integers(0, distinct.shape[0], size=n)]
+        rows[rng.integers(0, n, size=n // 3)] += rng.standard_normal((n // 3, d)) * 1e-9
+    X = rows.astype(dtype)
+    if dtype != np.int16:
+        X[:, rng.random(d) < 0.3] = -0.0
+    params = TrainParams(
+        max_iters=draw(st.integers(1, 8)),
+        rel_tol=draw(st.sampled_from([0.0, 1e-4])),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return X, k, params
+
+
+@settings(max_examples=80, deadline=None)
+@given(training_sets())
+def test_train_matches_the_trainer_it_replaced(case):
+    X, k, params = case
+    assert_same_training(km.train(X, k, params), parent_train(X, k, params))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_train_reseeds_empty_clusters_like_the_trainer_it_replaced(seed):
+    """A forced seeding with a repeated centroid and one far from every
+    point: neither owns a point after the first assignment, and the sweep
+    reseeds both to the points farthest from their centroids."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((60, 4)) * 10.0
+    forced = np.vstack([X[:3], X[:1], np.full((1, 4), 1e3)])
+    params = TrainParams(max_iters=5, rel_tol=0.0, seed=seed)
+    want = parent_train(X, 5, params, forced)
+    assert want[2] >= 2
+    with mock.patch.object(km, "_kmeanspp_seed", lambda X, X64, x_sq, k, seed: forced.copy()):
+        got = km.train(X, 5, params)
+    assert_same_training(got, want)
+
+
+@SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 120),
+    st.integers(2, 12),
+    st.integers(2, 9),
+    st.sampled_from([np.float32, np.float64, np.int16]),
+    st.sampled_from([None, 1, 2, 3, 7, 33, 1000]),
+)
+def test_assign_nearest_matches_one_checked_call_per_block(seed, n, d, k, dtype, chunk_rows):
+    """Labels and distances bit for bit, whatever the block size; the
+    matrix product's bits depend on how many rows share it, so a change in
+    the blocking shows."""
+    rng = np.random.default_rng(seed)
+    X = (rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 4)).astype(dtype)
+    C = X[rng.integers(0, n, size=k)].astype(np.float64) + rng.standard_normal((k, d)) * rng.choice([0.0, 1.0])
+    got = km.assign_nearest(X, C, chunk_rows=chunk_rows)
+    want = parent_assign_nearest(X, C, chunk_rows=chunk_rows)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+@SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 90),
+    st.integers(1, 12),
+    st.sampled_from([Variant.T, Variant.N, Variant.T2, Variant.N2]),
+    st.sampled_from([1, 7, 65536]),
+)
+def test_encode_many_matches_one_checked_call_per_chunk(seed, n, d, variant, chunk_rows):
+    """Codes bit for bit against the bit rules applied to the checked
+    distance call that encode_many made per chunk and per codebook."""
+    rng = np.random.default_rng(seed)
+    X = (rng.standard_normal((n, d)) * 10.0).astype(np.float32)
+    books = [
+        Codebook.from_centroids(X[rng.integers(0, n, size=4)] + rng.standard_normal((4, d)).astype(np.float32))
+        for _ in range(2)
+    ]
+    quantizer = books[0] if variant in (Variant.T, Variant.N) else DualCodebook(*books)
+    spec = EncoderSpec(variant, n_nearest=2)
+    want = []
+    for s in range(0, n, chunk_rows):
+        parts = []
+        for cb in books[: 1 if quantizer is books[0] else 2]:
+            dist = np.sqrt(parent_pairwise_sq_distances(X[s : s + chunk_rows], cb.centroids))
+            if variant in (Variant.T, Variant.T2):
+                parts.append(_bits_threshold(dist, spec.mean_kind))
+            else:
+                parts.append(_bits_nearest(dist, 2))
+        want.append(pack_bits(np.concatenate(parts, axis=1)))
+    assert encode_many(X, quantizer, spec, chunk_rows=chunk_rows).tobytes() == np.vstack(want).tobytes()
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 40), st.data())
+def test_screened_topk_keeps_rows_tied_at_the_cutoff(seed, d, n, data):
+    """With exact bounds, L = U = the kernel's distance, a row whose lower
+    bound equals the top-th upper bound can still be in the top (it is the
+    top-th row itself, or tied with it), so the keep rule must keep it."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-2, 3, size=(int(rng.integers(1, n + 1)), d)).astype(np.float32)
+    rows = rows[rng.integers(0, rows.shape[0], size=n)]
+    q = rng.integers(-2, 3, size=d).astype(np.float64)
+    ids = rng.permutation(10 * n)[:n].astype(np.int64)
+    top = data.draw(st.integers(1, n))
+
+    def exact_bounds(rows, q64, screen=None, dots=None):
+        f = _direct_distances(rows, q64)
+        return f, f.copy()
+
+    with mock.patch.object(index_mod, "_screen_bounds", exact_bounds):
+        got_pos, got_scores = _euclidean_topk(rows, q, ids, top)
+    want_pos, want_scores = exhaustive_topk(rows, q, ids, top)
+    np.testing.assert_array_equal(got_pos, want_pos)
+    assert got_scores.tobytes() == want_scores.tobytes()
 
 
 @SETTINGS
