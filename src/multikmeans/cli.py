@@ -378,17 +378,34 @@ def cmd_index(args) -> int:
     return 0
 
 
+def _open_base(path: str, idx):
+    """Open the base file behind idx; its dimension and count must fit the index."""
+    reader = VectorReader(path)
+    if reader.dim != idx.quantizer.dim:
+        reader.close()
+        raise ValueError(
+            f"base file dimension {reader.dim} does not match index dimension {idx.quantizer.dim}"
+        )
+    if reader.count < idx.size:
+        reader.close()
+        raise ValueError(f"base file holds {reader.count} vectors but index expects {idx.size}")
+    return reader
+
+
+def _clamp_shortlist(requested: int, idx) -> int:
+    size = min(requested, idx.size)
+    if size < requested:
+        print(f"note: shortlist clamped to index size {idx.size}", file=sys.stderr)
+    return size
+
+
 def cmd_query(args) -> int:
     _positive(args.top, "--top")
     _positive(args.shortlist, "--shortlist")
     idx = load_index(args.index)
-    with VectorReader(args.base) as reader:
-        if reader.count < idx.size:
-            raise ValueError(f"base file holds {reader.count} vectors but index expects {idx.size}")
+    with _open_base(args.base, idx) as reader:
         qvec = read_vectors(args.query_file, start=args.query_row, count=1)[0]
-        shortlist_size = min(args.shortlist, idx.size)
-        if shortlist_size < args.shortlist:
-            print(f"note: shortlist clamped to index size {idx.size}", file=sys.stderr)
+        shortlist_size = _clamp_shortlist(args.shortlist, idx)
         top = min(args.top, shortlist_size)
         if top < args.top:
             print(f"note: top clamped to shortlist size {shortlist_size}", file=sys.stderr)
@@ -424,29 +441,78 @@ def _sample_rows(n: int, rng: np.random.Generator, sample: int | None, labels=No
     return np.sort(np.concatenate(picks))
 
 
-def _recall_run(idx, reader, queries, gt, sel, recall_rs, shortlist_size, metric, threads):
-    """Hit counts per recall depth for one run, accumulated block-wise."""
-    top = max(recall_rs)
-    hits = {r: 0 for r in recall_rs}
-    for s in range(0, sel.shape[0], _EVAL_BLOCK):
-        rows = sel[s : s + _EVAL_BLOCK]
-        ids = search_ids(idx, reader, queries[rows], shortlist_size, top, metric, threads)
+def _recall_mode(args, reader, queries, shortlist_size, config):
+    """Check recall inputs; return the depth, sampling labels, block score and run record."""
+    if not args.gt:
+        raise ConfigError("recall mode needs --gt")
+    gt = read_vectors(args.gt)
+    if not np.issubdtype(gt.dtype, np.integer):
+        raise ValueError(f"{args.gt} does not hold integer neighbor ids")
+    if gt.shape[0] != queries.shape[0]:
+        raise ValueError(f"{gt.shape[0]} ground-truth rows for {queries.shape[0]} queries")
+    requested_rs = sorted(set(_ints_csv(args.recall_at, "--recall-at")))
+    if any(r < 1 for r in requested_rs):
+        raise ConfigError("--recall-at depths must be at least 1")
+    recall_rs = [r for r in requested_rs if r <= shortlist_size]
+    if not recall_rs:
+        raise ConfigError(
+            f"no --recall-at depth fits the shortlist size {shortlist_size}"
+        )
+    if len(recall_rs) < len(requested_rs):
+        dropped = [r for r in requested_rs if r > shortlist_size]
+        print(
+            f"note: recall depths {dropped} exceed the shortlist ({shortlist_size}); skipped",
+            file=sys.stderr,
+        )
+    config["gt"] = args.gt
+    config["recall_at_requested"] = requested_rs
+    config["recall_at"] = recall_rs
+
+    def score(rows, ids):  # one hit flag per query and recall depth
         truth = gt[rows, 0][:, None]
-        for r in recall_rs:
-            hits[r] += int((ids[:, :r] == truth).any(axis=1).sum())
-    return hits
+        return np.stack([(ids[:, :r] == truth).any(axis=1) for r in recall_rs], axis=1)
+
+    def run_record(hits):
+        counts = hits.sum(axis=0)
+        return {"recall_at": {str(r): int(c) / hits.shape[0] for r, c in zip(recall_rs, counts)}}
+
+    return max(recall_rs), None, score, run_record
 
 
-def _map_run(idx, reader, queries, base_labels, query_labels, sel, depth, shortlist_size, metric, threads):
-    """Per-query average precisions for one run."""
-    aps = []
-    for s in range(0, sel.shape[0], _EVAL_BLOCK):
-        rows = sel[s : s + _EVAL_BLOCK]
-        ids = search_ids(idx, reader, queries[rows], shortlist_size, depth, metric, threads)
+def _map_mode(args, reader, queries, shortlist_size, config):
+    """Check MAP inputs; return the depth, sampling labels, block score and run record."""
+    if not args.base_labels or not args.query_labels:
+        raise ConfigError("map mode needs --base-labels and --query-labels")
+    base_labels = read_labels(args.base_labels)
+    query_labels = read_labels(args.query_labels)
+    if base_labels.shape[0] != reader.count:
+        raise ValueError(
+            f"{base_labels.shape[0]} base labels for {reader.count} base vectors"
+        )
+    if query_labels.shape[0] != queries.shape[0]:
+        raise ValueError(
+            f"{query_labels.shape[0]} query labels for {queries.shape[0]} queries"
+        )
+    _positive(args.map_depth, "--map-depth")
+    depth = min(args.map_depth, shortlist_size)
+    if depth < args.map_depth:
+        print(f"note: map depth clamped to shortlist size {shortlist_size}", file=sys.stderr)
+    config["base_labels"] = args.base_labels
+    config["query_labels"] = args.query_labels
+    config["map_depth_requested"] = args.map_depth
+    config["map_depth"] = depth
+
+    def score(rows, ids):  # one average precision per query
+        aps = []
         for row, ranked in zip(rows, ids):
             rel = label_relevance(query_labels[row], ranked, base_labels)
             aps.append(average_precision(rel, int(rel.sum())))
-    return aps
+        return np.asarray(aps)
+
+    def run_record(aps):
+        return {"map": float(np.mean(aps))}
+
+    return depth, query_labels, score, run_record
 
 
 def cmd_eval(args) -> int:
@@ -457,15 +523,9 @@ def cmd_eval(args) -> int:
         _positive(args.query_sample, "--query-sample")
     metric = _metric(args)
     idx = load_index(args.index)
-    shortlist_size = min(args.shortlist, idx.size)
-    if shortlist_size < args.shortlist:
-        print(f"note: shortlist clamped to index size {idx.size}", file=sys.stderr)
+    shortlist_size = _clamp_shortlist(args.shortlist, idx)
 
-    with VectorReader(args.base) as reader:
-        if reader.dim != idx.quantizer.dim:
-            raise ValueError(
-                f"base file dimension {reader.dim} does not match index dimension {idx.quantizer.dim}"
-            )
+    with _open_base(args.base, idx) as reader:
         queries = read_vectors(args.queries)
         config = {
             "command": "eval",
@@ -486,100 +546,21 @@ def cmd_eval(args) -> int:
             "threads": args.threads,
         }
         t0 = time.perf_counter()
-        if args.mode == "recall":
-            if not args.gt:
-                raise ConfigError("recall mode needs --gt")
-            gt = read_vectors(args.gt)
-            if not np.issubdtype(gt.dtype, np.integer):
-                raise ValueError(f"{args.gt} does not hold integer neighbor ids")
-            if gt.shape[0] != queries.shape[0]:
-                raise ValueError(f"{gt.shape[0]} ground-truth rows for {queries.shape[0]} queries")
-            requested_rs = sorted(set(_ints_csv(args.recall_at, "--recall-at")))
-            if any(r < 1 for r in requested_rs):
-                raise ConfigError("--recall-at depths must be at least 1")
-            recall_rs = [r for r in requested_rs if r <= shortlist_size]
-            if not recall_rs:
-                raise ConfigError(
-                    f"no --recall-at depth fits the shortlist size {shortlist_size}"
-                )
-            if len(recall_rs) < len(requested_rs):
-                dropped = [r for r in requested_rs if r > shortlist_size]
-                print(
-                    f"note: recall depths {dropped} exceed the shortlist ({shortlist_size}); skipped",
-                    file=sys.stderr,
-                )
-            config["gt"] = args.gt
-            config["recall_at_requested"] = requested_rs
-            config["recall_at"] = recall_rs
-            per_run = []
-            series = {r: [] for r in recall_rs}
-            for seed in seeds:
-                rng = np.random.default_rng(derive_seed(seed, _QUERY_SAMPLE_STREAM))
-                sel = _sample_rows(queries.shape[0], rng, args.query_sample)
-                hits = _recall_run(
-                    idx, reader, queries, gt, sel, recall_rs, shortlist_size, metric, args.threads
-                )
-                rates = {r: hits[r] / sel.shape[0] for r in recall_rs}
-                for r in recall_rs:
-                    series[r].append(rates[r])
-                per_run.append(
-                    {
-                        "seed": seed,
-                        "query_count": int(sel.shape[0]),
-                        "recall_at": {str(r): rates[r] for r in recall_rs},
-                    }
-                )
-            report = EvalReport(
-                mode="recall",
-                config=config,
-                runs_averaged=len(seeds),
-                recall_at={r: float(np.mean(series[r])) for r in recall_rs},
-                recall_at_std={r: float(np.std(series[r])) for r in recall_rs},
-                per_run=per_run,
+        setup = _recall_mode if args.mode == "recall" else _map_mode
+        depth, labels, score, run_record = setup(args, reader, queries, shortlist_size, config)
+        per_run = []
+        for seed in seeds:
+            rng = np.random.default_rng(derive_seed(seed, _QUERY_SAMPLE_STREAM))
+            sel = _sample_rows(queries.shape[0], rng, args.query_sample, labels)
+            scores = []
+            for s in range(0, sel.shape[0], _EVAL_BLOCK):
+                rows = sel[s : s + _EVAL_BLOCK]
+                ids = search_ids(idx, reader, queries[rows], shortlist_size, depth, metric, args.threads)
+                scores.append(score(rows, ids))
+            per_run.append(
+                {"seed": seed, "query_count": int(sel.shape[0]), **run_record(np.concatenate(scores))}
             )
-        else:
-            if not args.base_labels or not args.query_labels:
-                raise ConfigError("map mode needs --base-labels and --query-labels")
-            base_labels = read_labels(args.base_labels)
-            query_labels = read_labels(args.query_labels)
-            if base_labels.shape[0] != reader.count:
-                raise ValueError(
-                    f"{base_labels.shape[0]} base labels for {reader.count} base vectors"
-                )
-            if query_labels.shape[0] != queries.shape[0]:
-                raise ValueError(
-                    f"{query_labels.shape[0]} query labels for {queries.shape[0]} queries"
-                )
-            _positive(args.map_depth, "--map-depth")
-            depth = min(args.map_depth, shortlist_size)
-            if depth < args.map_depth:
-                print(f"note: map depth clamped to shortlist size {shortlist_size}", file=sys.stderr)
-            config["base_labels"] = args.base_labels
-            config["query_labels"] = args.query_labels
-            config["map_depth_requested"] = args.map_depth
-            config["map_depth"] = depth
-            per_run = []
-            values = []
-            for seed in seeds:
-                rng = np.random.default_rng(derive_seed(seed, _QUERY_SAMPLE_STREAM))
-                sel = _sample_rows(queries.shape[0], rng, args.query_sample, labels=query_labels)
-                aps = _map_run(
-                    idx, reader, queries, base_labels, query_labels, sel, depth,
-                    shortlist_size, metric, args.threads,
-                )
-                run_map = float(np.mean(aps))
-                values.append(run_map)
-                per_run.append(
-                    {"seed": seed, "query_count": int(sel.shape[0]), "map": run_map}
-                )
-            report = EvalReport(
-                mode="map",
-                config=config,
-                runs_averaged=len(seeds),
-                map_value=float(np.mean(values)),
-                map_std=float(np.std(values)),
-                per_run=per_run,
-            )
+        report = _eval_report(config, per_run)
         dt = time.perf_counter() - t0
 
     _print_report(report)
@@ -592,6 +573,20 @@ def cmd_eval(args) -> int:
     else:
         print(text, end="")
     return 0
+
+
+def _eval_report(config: dict, per_run: list) -> EvalReport:
+    """Mean and spread over the runs of each per-run score."""
+    if config["mode"] == "recall":
+        series = {r: [run["recall_at"][str(r)] for run in per_run] for r in config["recall_at"]}
+        fields = {
+            "recall_at": {r: float(np.mean(v)) for r, v in series.items()},
+            "recall_at_std": {r: float(np.std(v)) for r, v in series.items()},
+        }
+    else:
+        values = [run["map"] for run in per_run]
+        fields = {"map_value": float(np.mean(values)), "map_std": float(np.std(values))}
+    return EvalReport(config["mode"], config, len(per_run), per_run=per_run, **fields)
 
 
 def _print_report(report: EvalReport) -> None:

@@ -232,8 +232,9 @@ def write_labels(path, labels) -> None:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("labels must be a nonempty 1-D sequence")
     if not np.issubdtype(arr.dtype, np.integer):
-        if not (np.asarray(arr) == np.floor(arr)).all():
-            raise ValueError("labels must be integers")
+        # NaN fails every comparison; inf and values past int64 fail the range
+        if not ((arr == np.floor(arr)) & (arr >= -(2.0**63)) & (arr < 2.0**63)).all():
+            raise ValueError("labels must be integers within the int64 range")
         arr = arr.astype(np.int64)
     with atomic_write(path, "w", encoding="utf-8") as f:
         f.write("\n".join(str(int(v)) for v in arr) + "\n")

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from multikmeans import __version__
-from multikmeans.cli import main
-from multikmeans.dataio import read_vectors
+from multikmeans.cli import _sample_rows, main
+from multikmeans.core import Metric, derive_seed
+from multikmeans.dataio import read_labels, read_vectors, write_vectors
+from multikmeans.evaluate import label_relevance, mean_average_precision, recall_at_r
+from multikmeans.index import load_index, search_ids
 
 
 def run_ok(argv):
@@ -239,6 +242,157 @@ class TestEvalMap:
         assert main(argv) == 2
 
 
+def eval_argv(workdir, *extra, index="t.mkmi"):
+    return [
+        "eval", "--index", str(workdir / index),
+        "--base", str(workdir / "base.fvecs"),
+        "--queries", str(workdir / "queries.fvecs"), *extra,
+    ]
+
+
+def query_argv(workdir, *extra):
+    return [
+        "query", "--index", str(workdir / "t.mkmi"),
+        "--base", str(workdir / "base.fvecs"),
+        "--query-file", str(workdir / "queries.fvecs"), *extra,
+    ]
+
+
+class TestEvalErrors:
+    @pytest.mark.parametrize(
+        "tokens, code, message",
+        [
+            (("@eval", "@gt", "--query-sample", "25"), 2, "--query-sample 25 exceeds query count 24"),
+            (("@eval", "@map", "--query-labels", "@odd", "--query-sample", "4"), 2,
+             "queries of class 7, file has 1"),
+            (("@eval", "@map", "--base-labels", "@qlabels"), 3, "24 base labels for 240 base vectors"),
+            (("@eval", "@gt", "--recall-at", "0"), 2, "--recall-at depths must be at least 1"),
+            (("@eval", "@gt", "--recall-at", "50", "--shortlist", "20"), 2, "no --recall-at depth fits"),
+            (("@eval", "@map", "--map-depth", "0"), 2, "--map-depth must be at least 1"),
+            (("@eval", "@map", "--map-depth", "300"), 0, "note: map depth clamped to shortlist size 240"),
+            # flag checks come before the first file read; the later --index wins
+            (("@eval", "--index", "@missing", "--shortlist", "0"), 2, "--shortlist must be at least 1"),
+            (("@query", "--index", "@missing", "--shortlist", "0"), 2, "--shortlist must be at least 1"),
+        ],
+        ids=[
+            "sample-above-count", "class-too-small", "base-label-count", "recall-at-0",
+            "no-depth-fits", "map-depth-0", "map-depth-clamped", "eval-check-order",
+            "query-check-order",
+        ],
+    )
+    def test_exit_code_and_message(self, workdir, tmp_path, capsys, tokens, code, message):
+        odd = tmp_path / "odd_labels.txt"
+        odd.write_text("7\n" + "0\n" * 23)  # one query of class 7
+        expand = {
+            "@eval": eval_argv(workdir),
+            "@query": query_argv(workdir),
+            "@gt": ["--gt", str(workdir / "groundtruth.ivecs")],
+            "@map": [
+                "--mode", "map", "--base-labels", str(workdir / "base_labels.txt"),
+                "--query-labels", str(workdir / "query_labels.txt"),
+            ],
+            "@odd": [str(odd)],
+            "@qlabels": [str(workdir / "query_labels.txt")],
+            "@missing": [str(tmp_path / "missing.mkmi")],
+        }
+        argv = [arg for tok in tokens for arg in expand.get(tok, [tok])]
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def noisy(tmp_path_factory):
+    """Overlapping clusters under an n2 index, so recall and MAP both fall below 1."""
+    root = tmp_path_factory.mktemp("noisy")
+    run_ok(
+        [
+            "gen", "--out-dir", str(root), "--clusters", "6", "--per-cluster", "40",
+            "--dim", "16", "--spread", "0.5", "--queries", "30", "--learning", "64",
+            "--gt-depth", "20", "--seed", "9",
+        ]
+    )
+    run_ok(
+        [
+            "train", "--learning", str(root / "learning.fvecs"), "--variant", "n2",
+            "--k", "16", "--seed", "9", "--out", str(root / "cb.mkm2"),
+        ]
+    )
+    run_ok(
+        [
+            "index", "--codebook", str(root / "cb.mkm2"), "--base", str(root / "base.fvecs"),
+            "--variant", "n2", "--n", "4", "--out", str(root / "n2.mkmi"),
+        ]
+    )
+    run_ok(
+        [
+            "gt", "--base", str(root / "base.fvecs"), "--queries", str(root / "queries.fvecs"),
+            "--out", str(root / "gt_cos.ivecs"), "--depth", "20", "--metric", "cosine",
+        ]
+    )
+    return root
+
+
+class TestEvalScores:
+    """Each per-run value equals the library metric on an independently drawn sample."""
+
+    def map_argv(self, noisy, *extra):
+        return eval_argv(
+            noisy, "--mode", "map", "--base-labels", str(noisy / "base_labels.txt"),
+            "--query-labels", str(noisy / "query_labels.txt"), "--map-depth", "40",
+            "--shortlist", "120", "--seeds", "3,4", "--query-sample", "12", *extra, index="n2.mkmi",
+        )
+
+    def test_recall_matches_recall_at_r(self, noisy, capsys):
+        run_ok(
+            eval_argv(
+                noisy, "--gt", str(noisy / "gt_cos.ivecs"), "--metric", "cosine",
+                "--recall-at", "1,5,10", "--shortlist", "40", "--seeds", "1,2",
+                "--query-sample", "20", index="n2.mkmi",
+            )
+        )
+        report = json.loads(capsys.readouterr().out)
+        idx = load_index(noisy / "n2.mkmi")
+        base = read_vectors(noisy / "base.fvecs")
+        queries = read_vectors(noisy / "queries.fvecs")
+        gt = read_vectors(noisy / "gt_cos.ivecs")
+        assert [run["seed"] for run in report["per_run"]] == [1, 2]
+        for run in report["per_run"]:
+            rng = np.random.default_rng(derive_seed(run["seed"], 20))
+            sel = _sample_rows(queries.shape[0], rng, 20, None)
+            ids = search_ids(idx, base, queries[sel], 40, 10, Metric.COSINE)
+            for r in (1, 5, 10):
+                assert run["recall_at"][str(r)] == recall_at_r(ids, gt[sel], r)
+        rates = [run["recall_at"]["1"] for run in report["per_run"]]
+        assert 0 < report["recall_at"]["1"] < 1
+        assert report["recall_at"]["1"] == float(np.mean(rates))
+
+    def test_map_matches_mean_average_precision(self, noisy, capsys):
+        run_ok(self.map_argv(noisy))
+        report = json.loads(capsys.readouterr().out)
+        idx = load_index(noisy / "n2.mkmi")
+        base = read_vectors(noisy / "base.fvecs")
+        queries = read_vectors(noisy / "queries.fvecs")
+        base_labels = read_labels(noisy / "base_labels.txt")
+        query_labels = read_labels(noisy / "query_labels.txt")
+        assert [run["seed"] for run in report["per_run"]] == [3, 4]
+        for run in report["per_run"]:
+            rng = np.random.default_rng(derive_seed(run["seed"], 20))
+            sel = _sample_rows(queries.shape[0], rng, 12, query_labels)
+            ids = search_ids(idx, base, queries[sel], 120, 40, Metric.EUCLIDEAN)
+            rels = [label_relevance(query_labels[q], row, base_labels) for q, row in zip(sel, ids)]
+            assert run["query_count"] == 12
+            assert run["map"] == mean_average_precision(rels)
+        values = [run["map"] for run in report["per_run"]]
+        assert 0 < report["map_value"] < 1
+        assert report["map_value"] == float(np.mean(values))
+
+    def test_map_report_is_byte_deterministic(self, noisy, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        run_ok(self.map_argv(noisy, "--out", str(a)))
+        run_ok(self.map_argv(noisy, "--out", str(b)))
+        assert a.read_bytes() == b.read_bytes()
+
+
 class TestVariantPaths:
     def test_nearest_variant(self, workdir, tmp_path, capsys):
         idx = tmp_path / "n.mkmi"
@@ -455,6 +609,22 @@ class TestErrorExits:
             ]
         )
         assert code == 3
+
+
+    @pytest.mark.parametrize("command", ["eval", "query"])
+    def test_base_file_must_fit_index(self, workdir, tmp_path, capsys, command):
+        base = read_vectors(workdir / "base.fvecs")
+        if command == "eval":  # 100 rows for a 240-vector index
+            write_vectors(tmp_path / "bad.fvecs", base[:100])
+            want = "base file holds 100 vectors but index expects 240"
+            argv = eval_argv(workdir, "--gt", str(workdir / "groundtruth.ivecs"))
+        else:  # dimension 8 for a dimension-16 index
+            write_vectors(tmp_path / "bad.fvecs", base[:, :8])
+            want = "base file dimension 8 does not match index dimension 16"
+            argv = query_argv(workdir)
+        argv[argv.index("--base") + 1] = str(tmp_path / "bad.fvecs")
+        assert main(argv) == 3
+        assert want in capsys.readouterr().err
 
 
 class TestConfigFile:

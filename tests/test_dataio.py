@@ -249,8 +249,13 @@ class TestLabels:
             read_labels(path)
 
     def test_write_rejects_fractional(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_labels(tmp_path / "labels.txt", [1.5])
+        # non-finite and out-of-int64 floats used to wrap to -2**63 silently
+        for labels in ([1.5], [1.0, np.inf], [np.nan], [-np.inf], [1e19], [-1e19], [2.0**63]):
+            with pytest.raises(ValueError):
+                write_labels(tmp_path / "labels.txt", labels)
+        assert not (tmp_path / "labels.txt").exists()
+        write_labels(tmp_path / "labels.txt", [-(2.0**63), 2.0**62])
+        assert read_labels(tmp_path / "labels.txt").tolist() == [-(2**63), 2**62]
 
 
 class TestSyntheticSpec:
