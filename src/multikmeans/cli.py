@@ -37,12 +37,12 @@ from .encoder import (
     Variant,
     encode_many,
     load_quantizer,
-    save_dual_codebook,
+    save_quantizer,
     train_dual_codebook,
 )
 from .evaluate import EvalReport, average_precision, brute_force_gt, label_relevance
 from .index import build_index, load_index, save_index, search, search_ids
-from .kmeans import TrainParams, save_codebook, train
+from .kmeans import TrainParams, train
 
 __all__ = ["main", "build_parser", "ConfigError"]
 
@@ -298,11 +298,11 @@ def cmd_train(args) -> int:
     data = read_vectors(args.learning)
     params = TrainParams(max_iters=args.max_iters, rel_tol=args.tol, seed=args.seed)
     t0 = time.perf_counter()
+    quantizer = train_dual_codebook(data, args.k // 2, params) if dual else train(data, args.k, params)
+    save_quantizer(quantizer, args.out)
+    dt = time.perf_counter() - t0
     if dual:
-        dcb = train_dual_codebook(data, args.k // 2, params)
-        save_dual_codebook(dcb, args.out)
-        dt = time.perf_counter() - t0
-        for name, cb in (("first", dcb.first), ("second", dcb.second)):
+        for name, cb in (("first", quantizer.first), ("second", quantizer.second)):
             m = cb.train_meta
             print(
                 f"{name} codebook: k={cb.k} dim={cb.dim} iterations={m.iterations} "
@@ -310,12 +310,9 @@ def cmd_train(args) -> int:
             )
         print(f"trained dual codebook ({args.k} bits total) in {dt:.2f}s -> {args.out}")
     else:
-        cb = train(data, args.k, params)
-        save_codebook(cb, args.out)
-        dt = time.perf_counter() - t0
-        m = cb.train_meta
+        m = quantizer.train_meta
         print(
-            f"trained codebook: k={cb.k} dim={cb.dim} iterations={m.iterations} "
+            f"trained codebook: k={quantizer.k} dim={quantizer.dim} iterations={m.iterations} "
             f"objective={m.objective:.6f} in {dt:.2f}s -> {args.out}"
         )
     return 0
@@ -506,7 +503,8 @@ def _map_mode(args, reader, queries, shortlist_size, config):
         aps = []
         for row, ranked in zip(rows, ids):
             rel = label_relevance(query_labels[row], ranked, base_labels)
-            aps.append(average_precision(rel, int(rel.sum())))
+            found = int(rel.sum())  # no hit within the depth scores 0
+            aps.append(average_precision(rel, found) if found else 0.0)
         return np.asarray(aps)
 
     def run_record(aps):

@@ -248,9 +248,12 @@ def read_labels(path) -> np.ndarray:
         if not line:
             continue
         try:
-            values.append(int(line))
+            value = int(line)
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno} is not an integer label: {line!r}") from exc
+        if not -(2**63) <= value < 2**63:
+            raise ValueError(f"{path}: line {lineno} label {line!r} is outside the int64 range")
+        values.append(value)
     if not values:
         raise ValueError(f"{path}: no labels found")
     return np.asarray(values, dtype=np.int64)

@@ -32,7 +32,6 @@ from .core import (
 from .kmeans import (
     Codebook,
     TrainParams,
-    load_codebook,
     read_codebook_record,
     train,
     write_codebook_record,
@@ -49,11 +48,10 @@ __all__ = [
     "split_training",
     "train_dual_codebook",
     "code_length",
-    "save_dual_codebook",
-    "load_dual_codebook",
+    "save_quantizer",
     "load_quantizer",
-    "write_dual_record",
-    "read_dual_record",
+    "write_quantizer_record",
+    "read_quantizer_record",
     "write_spec_record",
     "read_spec_record",
 ]
@@ -175,7 +173,8 @@ def _bits_nearest(dists: np.ndarray, n: int) -> np.ndarray:
 
 def code_length(spec: EncoderSpec, quantizer) -> int:
     """Bits per code for this spec/quantizer pair; validates the pairing."""
-    spec = spec if isinstance(spec, EncoderSpec) else EncoderSpec(*spec)
+    if not isinstance(spec, EncoderSpec):
+        raise TypeError(f"spec must be an EncoderSpec, not {type(spec).__name__}")
     if spec.variant in (Variant.T, Variant.N):
         if not isinstance(quantizer, Codebook):
             raise TypeError(f"variant {spec.variant.value} requires a single codebook")
@@ -266,17 +265,22 @@ def read_spec_record(f) -> EncoderSpec:
     return EncoderSpec(variant, _TAG_MEANS[mtag], n_nearest)
 
 
-def write_dual_record(f, dual: DualCodebook) -> None:
-    f.write(DUAL_MAGIC)
-    write_codebook_record(f, dual.first)
-    write_codebook_record(f, dual.second)
+def write_quantizer_record(f, quantizer) -> None:
+    """One codebook record, or the dual magic followed by two of them."""
+    if isinstance(quantizer, DualCodebook):
+        f.write(DUAL_MAGIC)
+        write_codebook_record(f, quantizer.first)
+        write_codebook_record(f, quantizer.second)
+    else:
+        write_codebook_record(f, quantizer)
 
 
-def read_dual_record(f) -> DualCodebook:
+def read_quantizer_record(f):
+    """Read what write_quantizer_record wrote; the leading magic picks the kind."""
     start = f.tell()
-    magic = read_exact(f, 4, "dual codebook magic")
-    if magic != DUAL_MAGIC:
-        raise FormatError(f"bad dual codebook magic {magic!r}", offset=start)
+    if read_exact(f, 4, "codebook magic") != DUAL_MAGIC:
+        f.seek(start)
+        return read_codebook_record(f)
     first = read_codebook_record(f)
     second = read_codebook_record(f)
     try:
@@ -285,23 +289,16 @@ def read_dual_record(f) -> DualCodebook:
         raise FormatError(f"inconsistent dual codebook: {exc}", offset=start) from exc
 
 
-def save_dual_codebook(dual: DualCodebook, path) -> None:
+def save_quantizer(quantizer, path) -> None:
+    """Write a Codebook (.mkmc) or a DualCodebook (.mkm2) file."""
     with atomic_write(path) as f:
-        write_dual_record(f, dual)
-
-
-def load_dual_codebook(path) -> DualCodebook:
-    with open(path, "rb") as f:
-        dual = read_dual_record(f)
-        if f.read(1):
-            raise FormatError("trailing bytes after dual codebook record", offset=f.tell() - 1)
-    return dual
+        write_quantizer_record(f, quantizer)
 
 
 def load_quantizer(path):
-    """Load either codebook flavor by sniffing the leading magic."""
+    """Load a Codebook or a DualCodebook file, whichever it holds."""
     with open(path, "rb") as f:
-        magic = read_exact(f, 4, "codebook magic")
-    if magic == DUAL_MAGIC:
-        return load_dual_codebook(path)
-    return load_codebook(path)
+        quantizer = read_quantizer_record(f)
+        if f.read(1):
+            raise FormatError("trailing bytes after codebook record", offset=f.tell() - 1)
+    return quantizer

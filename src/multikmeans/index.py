@@ -30,15 +30,14 @@ from .core import (
 from .encoder import (
     DualCodebook,
     EncoderSpec,
-    Variant,
     code_length,
     encode_many,
-    read_dual_record,
+    read_quantizer_record,
     read_spec_record,
-    write_dual_record,
+    write_quantizer_record,
     write_spec_record,
 )
-from .kmeans import Codebook, read_codebook_record, write_codebook_record
+from .kmeans import Codebook
 
 __all__ = [
     "SearchIndex",
@@ -399,10 +398,7 @@ def save_index(index: SearchIndex, path) -> None:
         f.write(INDEX_MAGIC)
         f.write(_INDEX_HEADER.pack(INDEX_VERSION, index.code_length, index.size))
         write_spec_record(f, index.spec)
-        if isinstance(index.quantizer, DualCodebook):
-            write_dual_record(f, index.quantizer)
-        else:
-            write_codebook_record(f, index.quantizer)
+        write_quantizer_record(f, index.quantizer)
         f.write(np.ascontiguousarray(index.codes, dtype="<u8").tobytes())
         f.write(index.ids.astype("<u8").tobytes())
 
@@ -421,15 +417,14 @@ def load_index(path) -> SearchIndex:
         if length < 1 or count < 1:
             raise FormatError(f"invalid index header: code_length={length} count={count}", offset=start + 8)
         spec = read_spec_record(f)
-        if spec.variant in (Variant.T2, Variant.N2):
-            quantizer = read_dual_record(f)
-        else:
-            quantizer = read_codebook_record(f)
-        if code_length(spec, quantizer) != length:
-            raise FormatError(
-                f"header code_length {length} does not match codebook ({code_length(spec, quantizer)})",
-                offset=start + 8,
-            )
+        quantizer_at = f.tell()
+        quantizer = read_quantizer_record(f)
+        try:
+            expected = code_length(spec, quantizer)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"encoder spec does not fit its codebook: {exc}", offset=quantizer_at) from exc
+        if expected != length:
+            raise FormatError(f"header code_length {length} does not match codebook ({expected})", offset=start + 8)
         width = words_for(length)
         codes = np.frombuffer(
             read_exact(f, count * width * 8, "packed codes"), dtype="<u8"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FormatError, _sq_distances, as_matrix, as_vector, atomic_write, pairwise_sq_distances, read_exact
+from .core import FormatError, _sq_distances, as_matrix, as_vector, pairwise_sq_distances, read_exact
 
 __all__ = [
     "TrainParams",
@@ -24,8 +24,6 @@ __all__ = [
     "objective",
     "train",
     "distances_to_centroids",
-    "save_codebook",
-    "load_codebook",
     "write_codebook_record",
     "read_codebook_record",
 ]
@@ -300,17 +298,3 @@ def read_codebook_record(f) -> Codebook:
     if not np.isfinite(cents).all():
         raise FormatError("codebook contains non-finite centroids", offset=start + 4 + _HEADER.size)
     return Codebook(cents, TrainMeta(iterations=None, objective=None, seed=seed))
-
-
-def save_codebook(codebook: Codebook, path) -> None:
-    with atomic_write(path) as f:
-        write_codebook_record(f, codebook)
-
-
-def load_codebook(path) -> Codebook:
-    with open(path, "rb") as f:
-        cb = read_codebook_record(f)
-        trailing = f.read(1)
-        if trailing:
-            raise FormatError("trailing bytes after codebook record", offset=f.tell() - 1)
-    return cb

@@ -24,8 +24,8 @@ from multikmeans.encoder import (
     MeanKind,
     Variant,
     encode_many,
-    load_dual_codebook,
-    save_dual_codebook,
+    load_quantizer,
+    save_quantizer,
     train_dual_codebook,
 )
 from multikmeans.evaluate import (
@@ -42,7 +42,7 @@ from multikmeans.index import (
     search,
     search_ids,
 )
-from multikmeans.kmeans import Codebook, TrainParams, load_codebook, save_codebook, train
+from multikmeans.kmeans import Codebook, TrainParams, train
 
 
 def check(name, ok, detail=""):
@@ -245,12 +245,12 @@ def test_format_fidelity(tmp_path):
 
     data = rng.standard_normal((300, 12)).astype(np.float32)
     cb = train(data, 16, TrainParams(seed=9))
-    save_codebook(cb, tmp_path / "cb.mkmc")
-    cb_ok = load_codebook(tmp_path / "cb.mkmc").centroids.tobytes() == cb.centroids.tobytes()
+    save_quantizer(cb, tmp_path / "cb.mkmc")
+    cb_ok = load_quantizer(tmp_path / "cb.mkmc").centroids.tobytes() == cb.centroids.tobytes()
 
     dual = train_dual_codebook(data, 8, TrainParams(seed=9))
-    save_dual_codebook(dual, tmp_path / "cb.mkm2")
-    back = load_dual_codebook(tmp_path / "cb.mkm2")
+    save_quantizer(dual, tmp_path / "cb.mkm2")
+    back = load_quantizer(tmp_path / "cb.mkm2")
     dual_ok = (
         back.first.centroids.tobytes() == dual.first.centroids.tobytes()
         and back.second.centroids.tobytes() == dual.second.centroids.tobytes()

@@ -2,6 +2,7 @@ import json
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,52 @@ class TestEvalMap:
         assert report["mode"] == "map"
         assert report["map_value"] >= 0.9
         assert report["runs_averaged"] == 2
+
+    def test_label_outside_int64_exits_3(self, workdir, tmp_path, capsys):
+        labels = tmp_path / "query_labels.txt"
+        labels.write_text("99999999999999999999\n" + "0\n" * 23)
+        argv = eval_argv(
+            workdir, "--mode", "map", "--base-labels", str(workdir / "base_labels.txt"),
+            "--query-labels", str(labels),
+        )
+        assert main(argv) == 3
+        assert "line 1 label '99999999999999999999' is outside the int64 range" in capsys.readouterr().err
+
+    def test_query_without_hit_scores_zero_without_warning(self, tmp_path):
+        # tight clusters, cosine, a depth of 1: some queries rank a row of
+        # another class first
+        run_ok(
+            [
+                "gen", "--out-dir", str(tmp_path), "--clusters", "16", "--per-cluster", "15",
+                "--dim", "16", "--spread", "0.15", "--queries", "32", "--learning", "64",
+                "--gt-depth", "5", "--seed", "9",
+            ]
+        )
+        cb, idx_path, out = tmp_path / "cb.mkm2", tmp_path / "n2.mkmi", tmp_path / "map.json"
+        run_ok(["train", "--learning", str(tmp_path / "learning.fvecs"), "--variant", "n2",
+                "--k", "16", "--seed", "9", "--out", str(cb)])
+        run_ok(["index", "--codebook", str(cb), "--base", str(tmp_path / "base.fvecs"),
+                "--variant", "n2", "--n", "4", "--out", str(idx_path)])
+        argv = eval_argv(
+            tmp_path, "--mode", "map", "--base-labels", str(tmp_path / "base_labels.txt"),
+            "--query-labels", str(tmp_path / "query_labels.txt"), "--map-depth", "1",
+            "--shortlist", "30", "--metric", "cosine", "--out", str(out), index="n2.mkmi",
+        )
+        # a subprocess, so a warning reaches stderr instead of pytest's recorder
+        proc = subprocess.run([sys.executable, "-m", "multikmeans", *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        report = json.loads(out.read_text())
+        base_labels = read_labels(tmp_path / "base_labels.txt")
+        query_labels = read_labels(tmp_path / "query_labels.txt")
+        ids = search_ids(load_index(idx_path), read_vectors(tmp_path / "base.fvecs"),
+                         read_vectors(tmp_path / "queries.fvecs"), 30, 1, Metric.COSINE)
+        rels = [label_relevance(label, row, base_labels) for label, row in zip(query_labels, ids)]
+        assert any(not rel.any() for rel in rels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            want = mean_average_precision(rels)
+        assert report["per_run"][0]["map"] == report["map_value"] == want < 1
 
     def test_missing_labels_exit_2(self, workdir):
         argv = [

@@ -242,6 +242,15 @@ class TestLabels:
         with pytest.raises(ValueError):
             read_labels(path)
 
+    def test_label_outside_int64_names_path_and_line(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        for bad in ("99999999999999999999", str(2**63), str(-(2**63) - 1)):
+            path.write_text(f"1\n\n{bad}\n")
+            with pytest.raises(ValueError, match=f"{path}: line 3 label '{bad}' is outside the int64 range"):
+                read_labels(path)
+        path.write_text(f"{2**63 - 1}\n{-(2**63)}\n")
+        assert read_labels(path).tolist() == [2**63 - 1, -(2**63)]
+
     def test_no_labels(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("\n")

@@ -12,16 +12,15 @@ from multikmeans.encoder import (
     Variant,
     encode,
     encode_many,
-    load_dual_codebook,
     load_quantizer,
     read_spec_record,
-    save_dual_codebook,
+    save_quantizer,
     split_training,
     threshold_delta,
     train_dual_codebook,
     write_spec_record,
 )
-from multikmeans.kmeans import Codebook, TrainParams, save_codebook
+from multikmeans.kmeans import Codebook, TrainParams
 
 
 def naive_code_bits(x, centroids, variant, mean="arith", n=0):
@@ -334,8 +333,8 @@ class TestSerialization:
         data = rng.standard_normal((60, 3)).astype(np.float32)
         dual = train_dual_codebook(data, 4, TrainParams(seed=2))
         path = tmp_path / "dual.mkm2"
-        save_dual_codebook(dual, path)
-        loaded = load_dual_codebook(path)
+        save_quantizer(dual, path)
+        loaded = load_quantizer(path)
         np.testing.assert_array_equal(loaded.first.centroids, dual.first.centroids)
         np.testing.assert_array_equal(loaded.second.centroids, dual.second.centroids)
 
@@ -343,8 +342,8 @@ class TestSerialization:
         rng = np.random.default_rng(60)
         cb = random_codebook(rng, 4, 3)
         dual = DualCodebook(random_codebook(rng, 4, 3), random_codebook(rng, 4, 3))
-        save_codebook(cb, tmp_path / "one.mkmc")
-        save_dual_codebook(dual, tmp_path / "two.mkm2")
+        save_quantizer(cb, tmp_path / "one.mkmc")
+        save_quantizer(dual, tmp_path / "two.mkm2")
         assert isinstance(load_quantizer(tmp_path / "one.mkmc"), Codebook)
         assert isinstance(load_quantizer(tmp_path / "two.mkm2"), DualCodebook)
 
@@ -360,4 +359,4 @@ class TestSerialization:
             write_codebook_record(f, a)
             write_codebook_record(f, b)
         with pytest.raises(FormatError):
-            load_dual_codebook(path)
+            load_quantizer(path)

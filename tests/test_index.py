@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
+from multikmeans.cli import main
 from multikmeans.core import HashCode, Metric, FormatError, pack_bits
-from multikmeans.encoder import EncoderSpec, MeanKind, Variant, encode, encode_many
+from multikmeans.dataio import write_vectors
+from multikmeans.encoder import DualCodebook, EncoderSpec, MeanKind, Variant, encode, encode_many
 from multikmeans.evaluate import brute_force_gt
 from multikmeans.index import (
     build_index,
@@ -88,6 +92,13 @@ class TestBuildIndex:
         wide = np.hstack([index.codes, index.codes])
         with pytest.raises(ValueError):
             build_index(wide, np.arange(10), spec, cb)
+
+    def test_rejects_tuple_spec(self):
+        _, base, cb, spec, index = make_fixture(n=20)
+        with pytest.raises(TypeError, match="EncoderSpec"):
+            build_index(index.codes, index.ids, ("t",), cb)
+        with pytest.raises(TypeError, match="EncoderSpec"):
+            encode_many(base, cb, ("t",))
 
     def test_arrays_are_read_only(self):
         _, _, _, _, index = make_fixture(n=10)
@@ -301,3 +312,31 @@ class TestIndexIO:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load_index(path)
+
+    @pytest.mark.parametrize(
+        "stored, tag, n_nearest, message",
+        [
+            ("single", 2, 0, "variant t2 requires a dual codebook"),
+            ("dual", 0, 0, "variant t requires a single codebook"),
+            ("single", 1, 13, "n_nearest=13 exceeds k=12"),
+        ],
+        ids=["t2-spec-over-single", "t-spec-over-dual", "n-spec-beyond-k"],
+    )
+    def test_spec_that_does_not_fit_its_codebook(self, tmp_path, capsys, stored, tag, n_nearest, message):
+        _, base, cb, spec, index = make_fixture(n=20)
+        if stored == "dual":
+            dual = DualCodebook(cb, Codebook.from_centroids(cb.centroids[::-1]))
+            spec = EncoderSpec(Variant.T2)
+            index = build_index(encode_many(base, dual, spec), index.ids, spec, dual)
+        path = tmp_path / "idx.mkmi"
+        save_index(index, path)
+        blob = bytearray(path.read_bytes())
+        blob[20:26] = struct.pack("<BBI", tag, 0, n_nearest)  # the spec record follows the header
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"encoder spec does not fit its codebook: {message}"):
+            load_index(path)
+        write_vectors(tmp_path / "base.fvecs", base)
+        argv = ["query", "--index", str(path), "--base", str(tmp_path / "base.fvecs"),
+                "--query-file", str(tmp_path / "base.fvecs")]
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err

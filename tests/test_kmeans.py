@@ -5,14 +5,13 @@ import pytest
 
 import multikmeans.kmeans as km
 from multikmeans.core import FormatError
+from multikmeans.encoder import load_quantizer, save_quantizer
 from multikmeans.kmeans import (
     Codebook,
     TrainParams,
     distances_to_centroids,
     kmeanspp_seed,
-    load_codebook,
     objective,
-    save_codebook,
     train,
 )
 
@@ -207,8 +206,8 @@ class TestCodebookIO:
         data = rng.standard_normal((80, 5)).astype(np.float32)
         cb = train(data, 4, TrainParams(seed=77))
         path = tmp_path / "cb.mkmc"
-        save_codebook(cb, path)
-        loaded = load_codebook(path)
+        save_quantizer(cb, path)
+        loaded = load_quantizer(path)
         np.testing.assert_array_equal(loaded.centroids, cb.centroids)
         assert loaded.k == cb.k and loaded.dim == cb.dim
         assert loaded.train_meta.seed == 77
@@ -219,36 +218,36 @@ class TestCodebookIO:
         path = tmp_path / "bad.mkmc"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(FormatError):
-            load_codebook(path)
+            load_quantizer(path)
 
     def test_truncated_payload_reports_offset(self, tmp_path):
         rng = np.random.default_rng(32)
         cb = Codebook.from_centroids(rng.standard_normal((3, 4)).astype(np.float32))
         path = tmp_path / "cb.mkmc"
-        save_codebook(cb, path)
+        save_quantizer(cb, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
         with pytest.raises(FormatError) as err:
-            load_codebook(path)
+            load_quantizer(path)
         assert err.value.offset is not None
 
     def test_trailing_bytes_rejected(self, tmp_path):
         rng = np.random.default_rng(33)
         cb = Codebook.from_centroids(rng.standard_normal((3, 4)).astype(np.float32))
         path = tmp_path / "cb.mkmc"
-        save_codebook(cb, path)
+        save_quantizer(cb, path)
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FormatError):
-            load_codebook(path)
+            load_quantizer(path)
 
     def test_unsupported_version(self, tmp_path):
         rng = np.random.default_rng(34)
-        save_codebook(Codebook.from_centroids(rng.standard_normal((2, 2)).astype(np.float32)), tmp_path / "v.mkmc")
+        save_quantizer(Codebook.from_centroids(rng.standard_normal((2, 2)).astype(np.float32)), tmp_path / "v.mkmc")
         blob = bytearray((tmp_path / "v.mkmc").read_bytes())
         blob[4:8] = struct.pack("<I", 99)
         (tmp_path / "v.mkmc").write_bytes(bytes(blob))
         with pytest.raises(FormatError):
-            load_codebook(tmp_path / "v.mkmc")
+            load_quantizer(tmp_path / "v.mkmc")
 
     def test_non_finite_centroids_rejected(self, tmp_path):
         path = tmp_path / "nan.mkmc"
@@ -256,4 +255,4 @@ class TestCodebookIO:
         payload = np.array([[0, 0], [np.nan, 0]], dtype="<f4").tobytes()
         path.write_bytes(header + payload)
         with pytest.raises(FormatError):
-            load_codebook(path)
+            load_quantizer(path)

@@ -20,14 +20,13 @@ from multikmeans.encoder import (
     EncoderSpec,
     Variant,
     encode_many,
-    load_dual_codebook,
     load_quantizer,
-    save_dual_codebook,
+    save_quantizer,
     train_dual_codebook,
 )
 from multikmeans.evaluate import brute_force_gt
 from multikmeans.index import build_index, load_index, save_index
-from multikmeans.kmeans import TrainParams, load_codebook, save_codebook, train
+from multikmeans.kmeans import TrainParams, train
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +42,8 @@ def files(tmp_path_factory):
     write_vectors(root / "bytes.bvecs", rng.integers(0, 256, size=(12, 4)))
     params = TrainParams(max_iters=5, seed=3)
     cb = train(base, 8, params)
-    save_codebook(cb, root / "cb.mkmc")
-    save_dual_codebook(train_dual_codebook(base, 4, params), root / "cb.mkm2")
+    save_quantizer(cb, root / "cb.mkmc")
+    save_quantizer(train_dual_codebook(base, 4, params), root / "cb.mkm2")
     spec = EncoderSpec(Variant.T)
     index = build_index(encode_many(base, cb, spec), np.arange(40), spec, cb)
     save_index(index, root / "t.mkmi")
@@ -56,11 +55,7 @@ def load(path):
     suffix = path.suffix
     if suffix == ".mkmi":
         load_index(path)
-    elif suffix == ".mkmc":
-        load_codebook(path)
-        load_quantizer(path)
-    elif suffix == ".mkm2":
-        load_dual_codebook(path)
+    elif suffix in (".mkmc", ".mkm2"):
         load_quantizer(path)
     else:
         read_vectors(path)
@@ -136,11 +131,11 @@ class TestAtomicWrite:
         before = path.read_bytes()
         index = load_index(path)
 
-        def half_record(f, codebook):
+        def half_record(f, quantizer):
             f.write(b"MKMC\x01")
             raise RuntimeError("crash mid-record")
 
-        monkeypatch.setattr(multikmeans.index, "write_codebook_record", half_record)
+        monkeypatch.setattr(multikmeans.index, "write_quantizer_record", half_record)
         with pytest.raises(RuntimeError):
             save_index(index, path)
         assert path.read_bytes() == before
@@ -150,8 +145,8 @@ class TestAtomicWrite:
         "save_index": lambda files, p: save_index(load_index(files / "t.mkmi"), p),
         "write_vectors": lambda files, p: write_vectors(p, np.ones((2, 3), dtype=np.float32)),
         "write_labels": lambda files, p: write_labels(p, [1, 2, 3]),
-        "save_codebook": lambda files, p: save_codebook(load_codebook(files / "cb.mkmc"), p),
-        "save_dual_codebook": lambda files, p: save_dual_codebook(load_dual_codebook(files / "cb.mkm2"), p),
+        "save_quantizer_mkmc": lambda files, p: save_quantizer(load_quantizer(files / "cb.mkmc"), p),
+        "save_quantizer_mkm2": lambda files, p: save_quantizer(load_quantizer(files / "cb.mkm2"), p),
         "eval_out": lambda files, p: main(
             ["eval", "--index", str(files / "t.mkmi"), "--base", str(files / "base.fvecs"),
              "--queries", str(files / "queries.fvecs"), "--gt", str(files / "gt.ivecs"),
