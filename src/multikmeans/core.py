@@ -10,6 +10,7 @@ weights.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -52,12 +53,12 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-def read_exact(f, n: int, what: str) -> bytes:
-    """Read exactly n bytes or raise FormatError at the current offset.
+def _require(f, n: int, what: str) -> None:
+    """Raise FormatError at the current offset unless n more bytes are left.
 
-    f must be seekable. n is checked against the bytes left in the stream
-    before anything is read, so a size declared by a corrupt header ends
-    as FormatError, not as a huge allocation.
+    f must be seekable. Readers check a size declared by a header here
+    before they allocate it, so a corrupt header ends as FormatError, not
+    as a huge allocation.
     """
     pos = f.tell()
     left = f.seek(0, os.SEEK_END) - pos
@@ -67,7 +68,24 @@ def read_exact(f, n: int, what: str) -> bytes:
             f"truncated file while reading {what}: wanted {n} bytes, {left} left",
             offset=pos,
         )
+
+
+def read_exact(f, n: int, what: str) -> bytes:
+    """Read exactly n bytes or raise FormatError at the current offset."""
+    _require(f, n, what)
     return f.read(n)
+
+
+def read_array(f, dtype, shape: tuple, what: str) -> np.ndarray:
+    """read_exact straight into a new array of the given dtype and shape,
+    with no bytes object in between; the caller owns the array."""
+    dt = np.dtype(dtype)
+    n = math.prod(shape) * dt.itemsize
+    _require(f, n, what)
+    out = np.empty(shape, dtype=dt)
+    if f.readinto(memoryview(out).cast("B")) != n:
+        raise FormatError(f"truncated file while reading {what}", offset=f.tell())
+    return out
 
 
 @contextlib.contextmanager
@@ -301,19 +319,30 @@ def hamming_distances(codes: np.ndarray, query_words: np.ndarray) -> np.ndarray:
     """Hamming distance from one packed query row to many packed code rows.
 
     Returns uint16, or uint32 when the codes hold more than 65535 bits, so
-    no distance wraps. Narrow keys are what make the shortlist's partition
-    and sort fast; uint8 is never used, because numpy's partition has no
-    fast path for 8-bit keys.
+    no distance wraps.
     """
     c = np.asarray(codes, dtype=np.uint64)
     q = np.asarray(query_words, dtype=np.uint64)
     if c.ndim != 2 or q.ndim != 1 or c.shape[1] != q.shape[0]:
         raise ValueError(f"shape mismatch: codes {c.shape} vs query words {q.shape}")
-    out = np.zeros(c.shape[0], dtype=np.uint16 if c.shape[1] * WORD_BITS <= 0xFFFF else np.uint32)
-    # one word column at a time: a sum over axis 1 of a (N, words) array is
-    # several times slower once there are two or more words
-    for j in range(c.shape[1]):
-        out += np.bitwise_count(np.bitwise_xor(c[:, j], q[j]))
+    dtype = np.uint16 if c.shape[1] * WORD_BITS <= 0xFFFF else np.uint32
+    if c.shape[1] == 0:
+        return np.zeros(c.shape[0], dtype=dtype)
+    return _shifted_hamming(c, q, 0, dtype)
+
+
+def _shifted_hamming(c: np.ndarray, q: np.ndarray, shift: int, dtype) -> np.ndarray:
+    """The one XOR/popcount scan: each code's Hamming distance to q, shifted
+    left by `shift` bits, as `dtype`, which must hold the shifted sum.
+
+    hamming_distances scans with shift 0; the shortlist shifts distances
+    above an id rank to build its packed keys. It runs one word column at
+    a time: a sum over axis 1 of a (N, words) array is several times
+    slower once there are two or more words.
+    """
+    out = np.left_shift(np.bitwise_count(np.bitwise_xor(c[:, 0], q[0])), shift, dtype=dtype)
+    for j in range(1, c.shape[1]):
+        out += np.left_shift(np.bitwise_count(np.bitwise_xor(c[:, j], q[j])), shift, dtype=dtype)
     return out
 
 

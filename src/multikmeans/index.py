@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,10 +20,11 @@ from .core import (
     Metric,
     WORD_BITS,
     _numeric_matrix,
+    _shifted_hamming,
     as_matrix,
     as_vector,
     atomic_write,
-    hamming_distances,
+    read_array,
     read_exact,
     words_for,
 )
@@ -65,6 +66,10 @@ class SearchIndex:
     code_length: int
     spec: EncoderSpec
     quantizer: Codebook | DualCodebook
+    # the shortlist's tie-break, derived by build_index: each code's position
+    # in ascending-id order (in the packed-key dtype), and the ids in that order
+    _ranks: np.ndarray = field(repr=False)
+    _ids_by_rank: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -91,10 +96,26 @@ def build_index(codes, ids, spec: EncoderSpec, quantizer) -> SearchIndex:
 
     codes is a packed uint64 array shaped (N, words); every code must have
     the length the spec/quantizer pair produces, with canonical zero padding.
+    ids are unique non-negative integers; the index keeps its own copies.
     """
+    ids_arr = np.asarray(ids)
+    if ids_arr.dtype.kind not in "iu":
+        raise ValueError(f"ids must be integers, got dtype {ids_arr.dtype}")
+    return _own_index(np.array(codes, dtype=np.uint64, order="C"), np.array(ids_arr, dtype=np.int64), spec, quantizer)
+
+
+def _key_dtype(count: int, length: int):
+    """The dtype of the shortlist's packed keys, distance << bitlen(count - 1)
+    | id rank: uint32 while both parts fit 32 bits, else uint64, which holds
+    any index that fits in memory."""
+    return np.uint32 if (count - 1).bit_length() + length.bit_length() <= 32 else np.uint64
+
+
+def _own_index(packed: np.ndarray, ids_arr: np.ndarray, spec: EncoderSpec, quantizer) -> SearchIndex:
+    """build_index on arrays the index may keep as they are: a C-ordered
+    uint64 code array and an int64 id array that no caller holds."""
     length = code_length(spec, quantizer)
     width = words_for(length)
-    packed = np.array(codes, dtype=np.uint64, order="C")
     if packed.ndim != 2 or packed.shape[1] != width:
         raise ValueError(f"expected packed codes shaped (N, {width}), got {packed.shape}")
     if packed.shape[0] == 0:
@@ -102,18 +123,26 @@ def build_index(codes, ids, spec: EncoderSpec, quantizer) -> SearchIndex:
     tail = length % WORD_BITS
     if tail and (packed[:, -1] >> np.uint64(tail)).any():
         raise ValueError("non-canonical padding: bits set past the code length")
-    ids_arr = np.asarray(ids, dtype=np.int64).copy()
     if ids_arr.ndim != 1 or ids_arr.shape[0] != packed.shape[0]:
         raise ValueError(f"ids shape {ids_arr.shape} does not align with {packed.shape[0]} codes")
     if (ids_arr < 0).any():
         raise ValueError("ids must be non-negative")
-    # ascending ids, as `multikmeans index` writes them, pass in O(N); only
-    # other orders pay for a sort
-    if not (np.diff(ids_arr) > 0).all() and not (np.diff(np.sort(ids_arr)) > 0).all():
-        raise ValueError("ids must be unique")
-    packed.setflags(write=False)
-    ids_arr.setflags(write=False)
-    return SearchIndex(packed, ids_arr, length, spec, quantizer)
+    count = ids_arr.shape[0]
+    kd = _key_dtype(count, length)
+    # ascending ids, as `multikmeans index` writes them, are their own ranks
+    # and pass in O(N); only other orders pay for a sort
+    if (np.diff(ids_arr) > 0).all():
+        ranks, by_rank = np.arange(count, dtype=kd), ids_arr
+    else:
+        order = np.argsort(ids_arr)
+        by_rank = ids_arr[order]
+        if not (np.diff(by_rank) > 0).all():
+            raise ValueError("ids must be unique")
+        ranks = np.empty(count, dtype=kd)
+        ranks[order] = np.arange(count, dtype=kd)
+    for arr in (packed, ids_arr, ranks, by_rank):
+        arr.setflags(write=False)
+    return SearchIndex(packed, ids_arr, length, spec, quantizer, ranks, by_rank)
 
 
 def _topk(keys: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
@@ -255,9 +284,18 @@ def _euclidean_topk(rows, q64: np.ndarray, ids: np.ndarray, top: int, screen=Non
 
 def _nearest_codes(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndarray:
     """Ids of the `limit` codes Hamming-nearest to one packed query row,
-    ordered by (distance, id); the caller has checked 1 <= limit <= size."""
-    ham = hamming_distances(index.codes, words)
-    return index.ids[_topk(ham, index.ids, limit)]
+    ordered by (distance, id); the caller has checked 1 <= limit <= size.
+
+    Each code's key is its distance shifted above its id rank, so keys are
+    unique and sort in (distance, id) order: one partition and a sort of
+    `limit` keys select the shortlist, with no tie set to break."""
+    shift = (index.size - 1).bit_length()
+    keys = _shifted_hamming(index.codes, words, shift, index._ranks.dtype)
+    keys |= index._ranks
+    keys.partition(limit - 1)
+    nearest = np.sort(keys[:limit])
+    nearest &= (1 << shift) - 1
+    return index._ids_by_rank[nearest]
 
 
 def shortlist(index: SearchIndex, code: HashCode, limit: int) -> np.ndarray:
@@ -317,6 +355,8 @@ def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top:
     """The query path for a block of queries: encode, Hamming shortlist,
     exact re-rank. Returns (ids, scores), each shaped (len(Q), top)."""
     metric = Metric(metric)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if not (1 <= top <= shortlist_size):
         raise ValueError(f"top={top} outside [1, shortlist={shortlist_size}]")
     if not (1 <= shortlist_size <= index.size):
@@ -425,16 +465,14 @@ def load_index(path) -> SearchIndex:
             raise FormatError(f"encoder spec does not fit its codebook: {exc}", offset=quantizer_at) from exc
         if expected != length:
             raise FormatError(f"header code_length {length} does not match codebook ({expected})", offset=start + 8)
-        width = words_for(length)
-        codes = np.frombuffer(
-            read_exact(f, count * width * 8, "packed codes"), dtype="<u8"
-        ).reshape(count, width)
-        raw_ids = np.frombuffer(read_exact(f, count * 8, "ids"), dtype="<u8")
+        codes = read_array(f, "<u8", (count, words_for(length)), "packed codes")
+        ids = read_array(f, "<i8", (count,), "ids")
         if f.read(1):
             raise FormatError("trailing bytes after index payload", offset=f.tell() - 1)
-    if (raw_ids >= np.uint64(2**63)).any():
+    # ids are stored as uint64; one at or past 2**63 reads back negative
+    if (ids < 0).any():
         raise FormatError("id does not fit a signed 64-bit integer")
     try:
-        return build_index(codes, raw_ids.astype(np.int64), spec, quantizer)
+        return _own_index(codes, ids, spec, quantizer)
     except ValueError as exc:
         raise FormatError(f"inconsistent index payload: {exc}") from exc

@@ -75,6 +75,12 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             build_index(index.codes, ids, spec, cb)
 
+    @pytest.mark.parametrize("ids", [np.arange(10) + 0.9, np.arange(10) % 2 == 0, np.arange(10).astype(object)])
+    def test_rejects_non_integer_ids(self, ids):
+        _, base, cb, spec, index = make_fixture(n=10)
+        with pytest.raises(ValueError, match="ids must be integers"):
+            build_index(index.codes, ids, spec, cb)
+
     def test_rejects_length_mismatch(self):
         _, base, cb, spec, index = make_fixture(n=10)
         with pytest.raises(ValueError):
@@ -251,6 +257,14 @@ class TestSearchMany:
         four = search_many(index, base, queries, shortlist_size=30, top=6, threads=4)
         for a, b in zip(one, four):
             assert a.ranked == b.ranked
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_threads_below_one(self, threads):
+        rng, base, cb, spec, index = make_fixture()
+        queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
+        for run in (search_many, search_ids):
+            with pytest.raises(ValueError, match="threads must be at least 1"):
+                run(index, base, queries, shortlist_size=30, top=6, threads=threads)
 
     def test_search_ids_agrees(self):
         rng, base, cb, spec, index = make_fixture()

@@ -1,5 +1,5 @@
-"""Property tests: the partitioned top-k selector, the narrow Hamming keys
-and the shortlist over multi-word codes, pairwise_sq_distances against the
+"""Property tests: the partitioned top-k selector, the narrow Hamming keys,
+the packed-key shortlist over multi-word codes and its key width rule, pairwise_sq_distances against the
 element-wise finiteness check it replaced, the search path over a
 memory-mapped VectorReader (single query, batched and threaded),
 VectorReader.take, the float32-screened Euclidean top-k against its float64
@@ -10,6 +10,7 @@ earlier forms, and the id check of build_index, each against a naive
 full-sort, popcount, whole-file or inline reference on inputs full of ties
 and duplicates."""
 
+import contextlib
 import os
 import tempfile
 from unittest import mock
@@ -21,7 +22,15 @@ from hypothesis import strategies as st
 
 import multikmeans.index as index_mod
 import multikmeans.kmeans as km
-from multikmeans.core import HashCode, Metric, as_matrix, hamming_distances, pack_bits, pairwise_sq_distances
+from multikmeans.core import (
+    HashCode,
+    Metric,
+    _shifted_hamming,
+    as_matrix,
+    hamming_distances,
+    pack_bits,
+    pairwise_sq_distances,
+)
 from multikmeans.dataio import VectorReader, read_vectors, write_vectors
 from multikmeans.encoder import (
     DualCodebook,
@@ -85,11 +94,11 @@ def naive_shortlist(index, words, limit):
 @st.composite
 def multiword_codes(draw):
     """Packed codes of 1-4 words or of 5 words (a code longer than 255 bits,
-    so distances above 255 occur), with duplicated rows and a query that may
-    be all ones."""
+    so distances above 255 occur), a single code or many with duplicated
+    rows, and a query that may be all ones."""
     length = draw(st.one_of(st.integers(1, 4 * 64), st.integers(256, 5 * 64)))
-    n_unique = draw(st.integers(1, 6))
-    n = draw(st.integers(n_unique, 40))
+    n = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    n_unique = draw(st.integers(1, min(6, n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     unique = rng.random((n_unique, length)) < draw(st.sampled_from([0.05, 0.5, 0.95]))
     bits = unique[rng.integers(0, n_unique, size=n)]
@@ -113,17 +122,53 @@ def test_hamming_distances_widen_past_16_bits():
     np.testing.assert_array_equal(ham, [1025 * 64, 1025 * 64])
 
 
+@st.composite
+def unique_ids(draw, n):
+    """n unique ids: 0..n-1, or drawn up to 2**63 - 1 and then ascending or
+    shuffled."""
+    kind = draw(st.sampled_from(["arange", "ascending", "shuffled"]))
+    if kind == "arange":
+        return np.arange(n, dtype=np.int64)
+    ids = draw(st.lists(st.integers(0, draw(st.sampled_from([2 * n, 2**63 - 1]))), min_size=n, max_size=n, unique=True))
+    return np.array(sorted(ids) if kind == "ascending" else ids, dtype=np.int64)
+
+
 @SETTINGS
-@given(multiword_codes(), st.data())
-def test_shortlist_on_multiword_codes_matches_naive(case, data):
+@given(multiword_codes(), st.booleans(), st.data())
+def test_shortlist_on_multiword_codes_matches_naive(case, wide, data):
+    """The packed (distance, id-rank) key select against a full sort of
+    (distance, id) pairs, in uint32 keys and, with the width rule forced,
+    in uint64 keys."""
     length, codes, words = case
     assume(length >= 2)  # a codebook, one centroid per bit, needs two centroids
     n = codes.shape[0]
     cb = Codebook.from_centroids(np.arange(2 * length, dtype=np.float32).reshape(length, 2))
-    ids = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)), dtype=np.int64)
-    index = build_index(codes, ids, EncoderSpec(Variant.T), cb)
-    limit = data.draw(st.integers(1, n))
+    ids = data.draw(unique_ids(n))
+    limit = data.draw(st.one_of(st.sampled_from([1, n]), st.integers(1, n)))
+    forced = mock.patch.object(index_mod, "_key_dtype", lambda count, length: np.uint64)
+    with forced if wide else contextlib.nullcontext():
+        index = build_index(codes, ids, EncoderSpec(Variant.T), cb)
+    assert index._ranks.dtype == (np.uint64 if wide else np.uint32)
+    np.testing.assert_array_equal(index.ids, ids)
     np.testing.assert_array_equal(shortlist(index, HashCode(words, length), limit), naive_shortlist(index, words, limit))
+
+
+def test_key_width_rule_at_the_32_bit_boundary():
+    """Rank bits bitlen(count - 1) plus distance bits bitlen(length): 26 + 6
+    fits uint32, one more bit on either side does not."""
+    assert index_mod._key_dtype(2**26, 63) is np.uint32
+    assert index_mod._key_dtype(2**26, 64) is np.uint64
+    assert index_mod._key_dtype(2**26 + 1, 63) is np.uint64
+    assert index_mod._key_dtype(1, 2**32 - 1) is np.uint32
+    assert index_mod._key_dtype(1, 2**32) is np.uint64
+
+
+def test_shifted_hamming_keeps_the_top_key_bit():
+    """At the boundary the largest distance fills the key's top bits."""
+    codes = np.array([[2**63 - 1], [1], [0]], dtype=np.uint64)
+    keys = _shifted_hamming(codes, np.zeros(1, dtype=np.uint64), 26, np.uint32)
+    assert keys.dtype == np.uint32
+    np.testing.assert_array_equal(keys, [63 << 26, 1 << 26, 0])
 
 
 def parent_pairwise_sq_distances(a, b, chunk_rows=None):
