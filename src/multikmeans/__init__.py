@@ -11,10 +11,7 @@ from .core import (
     FormatError,
     HashCode,
     Metric,
-    cosine_similarity,
     derive_seed,
-    euclidean_distance,
-    hamming_distance,
     pack_bits,
     unpack_bits,
 )
@@ -40,7 +37,6 @@ from .encoder import (
     load_quantizer,
     save_quantizer,
     split_training,
-    threshold_delta,
     train_dual_codebook,
 )
 from .evaluate import (
@@ -66,9 +62,7 @@ from .kmeans import (
     Codebook,
     TrainMeta,
     TrainParams,
-    distances_to_centroids,
     kmeanspp_seed,
-    objective,
     train,
 )
 
@@ -77,18 +71,13 @@ __all__ = [
     "FormatError",
     "HashCode",
     "Metric",
-    "cosine_similarity",
     "derive_seed",
-    "euclidean_distance",
-    "hamming_distance",
     "pack_bits",
     "unpack_bits",
     "Codebook",
     "TrainMeta",
     "TrainParams",
-    "distances_to_centroids",
     "kmeanspp_seed",
-    "objective",
     "train",
     "DualCodebook",
     "EncoderSpec",
@@ -99,7 +88,6 @@ __all__ = [
     "load_quantizer",
     "save_quantizer",
     "split_training",
-    "threshold_delta",
     "train_dual_codebook",
     "SearchIndex",
     "SearchResult",

@@ -289,7 +289,7 @@ def cmd_train(args) -> int:
     if args.k < 2:
         raise ConfigError(f"--k must be at least 2, got {args.k}")
     _positive(args.max_iters, "--max-iters")
-    if args.tol < 0:
+    if not args.tol >= 0:
         raise ConfigError(f"--tol must be non-negative, got {args.tol}")
     _seed_ok(args.seed)
     dual = variant in (Variant.T2, Variant.N2)
@@ -624,7 +624,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, OSError, ValueError, LookupError) as exc:
+    except (FormatError, OSError, ValueError, LookupError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -24,11 +24,7 @@ __all__ = [
     "Metric",
     "FormatError",
     "HashCode",
-    "euclidean_distance",
-    "cosine_similarity",
-    "hamming_distance",
     "hamming_distances",
-    "pairwise_sq_distances",
     "pack_bits",
     "unpack_bits",
     "words_for",
@@ -144,32 +140,16 @@ def as_matrix(x, name: str = "data") -> np.ndarray:
     return arr
 
 
-def pairwise_sq_distances(a, b, chunk_rows: int | None = None) -> np.ndarray:
-    """Squared Euclidean distances between rows of a and rows of b.
+def _sq_distances(A, B64, b_sq, chunk_rows=None, a_sq=None, out=None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A and of B64, shape
+    (len(A), len(B64)); the seeding, the assign step and encode_many score
+    with it.
 
     Computes ||x||^2 + ||y||^2 - 2 x.y in float64. Entries small enough to
     be dominated by cancellation error are recomputed with the exact
-    difference form, so bitwise-equal rows get exactly 0. Rows of a are
-    processed in chunks so the float64 temporaries stay bounded for large
-    inputs. Returns shape (len(a), len(b)).
-    """
-    A = as_matrix(a, "a")
-    B = _numeric_matrix(b, "b")
-    B64 = np.asarray(B, dtype=np.float64)
-    b_sq = np.einsum("md,md->m", B64, B64)
-    # a row holding inf or nan has a non-finite squared norm, so this O(len(b))
-    # test stands in for as_matrix's element-wise one; as_matrix runs only
-    # when it fails, and passes rows that are finite but whose squares overflow
-    if not np.isfinite(b_sq).all():
-        as_matrix(B, "b")
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    return _sq_distances(A, B64, b_sq, chunk_rows)
-
-
-def _sq_distances(A, B64, b_sq, chunk_rows=None, a_sq=None, out=None) -> np.ndarray:
-    """pairwise_sq_distances after its checks: A's rows are finite and as
-    wide as B64's, and b_sq holds B64's squared norms. a_sq, if given, holds
+    difference form, so bitwise-equal rows get exactly 0. The caller has
+    checked that A's rows are finite and as wide as B64's (float64), and
+    b_sq holds B64's squared norms. a_sq, if given, holds
     the squared norms of A, which must then be float64; the einsum gives a
     row the same norm whatever rows share the call, so this skips a pass
     without changing a bit of the output. out, if given, is the
@@ -205,27 +185,6 @@ def _sq_distances(A, B64, b_sq, chunk_rows=None, a_sq=None, out=None) -> np.ndar
                 chunk[ii, jj] = np.einsum("nd,nd->n", diffs, diffs)
             np.maximum(chunk, 0.0, out=chunk)
     return out
-
-
-def euclidean_distance(a, b) -> float:
-    va = as_vector(a, "a")
-    vb = as_vector(b, "b")
-    if va.shape[0] != vb.shape[0]:
-        raise ValueError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    return float(np.sqrt(pairwise_sq_distances(va[None, :], vb[None, :])[0, 0]))
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between a and b, clipped into [-1, 1]."""
-    va = np.asarray(as_vector(a, "a"), dtype=np.float64)
-    vb = np.asarray(as_vector(b, "b"), dtype=np.float64)
-    if va.shape[0] != vb.shape[0]:
-        raise ValueError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity is undefined for zero-norm vectors")
-    return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
 
 
 def words_for(length: int) -> int:
@@ -305,14 +264,6 @@ class HashCode:
 
     def __repr__(self) -> str:
         return f"HashCode(length={self.length}, popcount={self.popcount()})"
-
-
-def hamming_distance(a: HashCode, b: HashCode) -> int:
-    if not isinstance(a, HashCode) or not isinstance(b, HashCode):
-        raise TypeError("hamming_distance expects two HashCode values")
-    if a.length != b.length:
-        raise ValueError(f"code length mismatch: {a.length} vs {b.length}")
-    return int(np.bitwise_count(np.bitwise_xor(a.words, b.words)).sum())
 
 
 def hamming_distances(codes: np.ndarray, query_words: np.ndarray) -> np.ndarray:

@@ -42,7 +42,6 @@ __all__ = [
     "MeanKind",
     "EncoderSpec",
     "DualCodebook",
-    "threshold_delta",
     "encode",
     "encode_many",
     "split_training",
@@ -145,18 +144,6 @@ def _threshold_rows(dists: np.ndarray, mean_kind: MeanKind) -> np.ndarray:
     safe = np.where(dists > 0.0, dists, 1.0)
     means = np.exp(np.log(safe).mean(axis=1))
     return np.where(zero, 0.0, means)
-
-
-def threshold_delta(dists, mean_kind: MeanKind = MeanKind.ARITHMETIC) -> float:
-    """Mean of a distance profile: arithmetic or geometric per mean_kind."""
-    d = np.asarray(dists, dtype=np.float64)
-    if d.ndim != 1 or d.size == 0:
-        raise ValueError("dists must be a nonempty 1-D sequence")
-    if d.size < 2:
-        raise ValueError("a distance profile covers at least 2 centroids")
-    if (d < 0).any() or not np.isfinite(d).all():
-        raise ValueError("distances must be finite and non-negative")
-    return float(_threshold_rows(d[None, :], MeanKind(mean_kind))[0])
 
 
 def _bits_threshold(dists: np.ndarray, mean_kind: MeanKind) -> np.ndarray:

@@ -13,17 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FormatError, _sq_distances, as_matrix, as_vector, pairwise_sq_distances, read_exact
+from .core import FormatError, _sq_distances, as_matrix, read_exact
 
 __all__ = [
     "TrainParams",
     "TrainMeta",
     "Codebook",
     "kmeanspp_seed",
-    "assign_nearest",
-    "objective",
     "train",
-    "distances_to_centroids",
     "write_codebook_record",
     "read_codebook_record",
 ]
@@ -138,19 +135,6 @@ def _kmeanspp_seed(X: np.ndarray, X64: np.ndarray, x_sq: np.ndarray, k: int, see
     return X[chosen]
 
 
-def assign_nearest(data, centroids, chunk_rows: int | None = None):
-    """Nearest-centroid labels and squared distances, ties to the lowest index.
-
-    Returns (labels int64, sq_dist float64), both shaped (len(data),).
-    """
-    X = as_matrix(data)
-    C = as_matrix(centroids, "centroids")
-    if X.shape[1] != C.shape[1]:
-        raise ValueError(f"dimension mismatch: data {X.shape[1]} vs centroids {C.shape[1]}")
-    C64 = np.asarray(C, dtype=np.float64)
-    return _assign(X, C64, np.einsum("md,md->m", C64, C64), chunk_rows)
-
-
 def _assign_work(n: int, k: int, chunk_rows: int | None = None):
     """The arrays _assign fills for n points and k centroids: distances of
     one block of points, labels and nearest squared distances."""
@@ -164,14 +148,14 @@ def _assign_work(n: int, k: int, chunk_rows: int | None = None):
 
 
 def _assign(X, C64, c_sq, chunk_rows=None, x_sq=None, work=None):
-    """assign_nearest after its checks: X's rows are finite and as wide as
-    C64's, c_sq holds C64's squared norms, and x_sq, if given, X's (X then
-    float64). work, from _assign_work with the same chunk_rows, is reused
-    across calls; the labels and distances returned live in it.
+    """Nearest-centroid labels (int64) and squared distances (float64) of
+    the rows of X, ties to the lowest index. X's rows are finite and as
+    wide as C64's, c_sq holds C64's squared norms, and x_sq, if given, X's
+    (X then float64). work, from _assign_work with the same chunk_rows, is
+    reused across calls; the labels and distances returned live in it.
 
     Blocks of chunk_rows points go to _sq_distances, which splits them
-    again by its own row limit, exactly as one pairwise_sq_distances call
-    per block did."""
+    again by its own row limit."""
     n, k = X.shape[0], C64.shape[0]
     if chunk_rows is None:
         chunk_rows = max(1, (1 << 23) // k)
@@ -184,12 +168,6 @@ def _assign(X, C64, c_sq, chunk_rows=None, x_sq=None, work=None):
         np.argmin(dist, axis=1, out=lab)
         d2min[s : s + chunk_rows] = np.take_along_axis(dist, lab[:, None], axis=1)[:, 0]
     return labels, d2min
-
-
-def objective(data, centroids) -> float:
-    """Sum over points of squared distance to the nearest centroid."""
-    _, d2min = assign_nearest(data, centroids)
-    return float(d2min.sum())
 
 
 def train(data, k: int, params: TrainParams = TrainParams()) -> "Codebook":
@@ -224,8 +202,8 @@ def train(data, k: int, params: TrainParams = TrainParams()) -> "Codebook":
 
     def assign():
         c_sq = np.einsum("md,md->m", C, C)
-        # what assign_nearest's check of the centroids would catch: a sum
-        # that overflowed; O(k), as a non-finite row has a non-finite norm
+        # a centroid sum that overflowed; O(k), as a non-finite row has a
+        # non-finite norm
         if not np.isfinite(c_sq).all():
             as_matrix(C, "centroids")
         return _assign(X64, C, c_sq, x_sq=x_sq, work=work)
@@ -266,14 +244,6 @@ def train(data, k: int, params: TrainParams = TrainParams()) -> "Codebook":
         history=tuple(history),
     )
     return Codebook(C.astype(np.float32), meta)
-
-
-def distances_to_centroids(x, codebook: Codebook) -> np.ndarray:
-    """Euclidean distance from one descriptor to every centroid, shape (k,)."""
-    v = as_vector(x)
-    if v.shape[0] != codebook.dim:
-        raise ValueError(f"dimension mismatch: vector {v.shape[0]} vs codebook {codebook.dim}")
-    return np.sqrt(pairwise_sq_distances(v[None, :], codebook.centroids)[0])
 
 
 def write_codebook_record(f, codebook: Codebook) -> None:

@@ -585,6 +585,18 @@ class TestFlagPairings:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_tol_must_be_non_negative(self, workdir, tmp_path, capsys, tol):
+        code = main(
+            [
+                "train", "--learning", str(workdir / "learning.fvecs"), "--variant", "t",
+                "--k", "8", "--tol", tol, "--out", str(tmp_path / "cb.mkmc"),
+            ]
+        )
+        assert code == 2
+        assert "--tol must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "cb.mkmc").exists()
+
 
 class TestErrorExits:
     def test_missing_required_flag(self, capsys):
@@ -639,6 +651,20 @@ class TestErrorExits:
             ]
         )
         assert code == 3
+
+    def test_unallocatable_dataset_exits_3(self, tmp_path, capsys):
+        # 2e17 points: numpy refuses the 1.39 EiB request at once, beyond
+        # any address space, so nothing is allocated or written
+        out = tmp_path / "huge"
+        code = main(
+            [
+                "gen", "--out-dir", str(out), "--clusters", "2",
+                "--per-cluster", "100000000000000000", "--dim", "2",
+            ]
+        )
+        assert code == 3
+        assert "Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dimension_mismatch(self, workdir, tmp_path):
         other = tmp_path / "narrow"

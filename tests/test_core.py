@@ -1,17 +1,17 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import multikmeans
 from multikmeans.core import (
     HashCode,
+    _sq_distances,
     derive_seed,
-    cosine_similarity,
-    euclidean_distance,
-    hamming_distance,
     hamming_distances,
     pack_bits,
-    pairwise_sq_distances,
     unpack_bits,
     words_for,
 )
@@ -21,48 +21,9 @@ def naive_euclidean(a, b):
     return math.sqrt(sum((float(x) - float(y)) ** 2 for x, y in zip(a, b)))
 
 
-class TestEuclidean:
-    def test_pythagorean(self):
-        assert euclidean_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-
-    def test_identical_is_exactly_zero(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            v = rng.standard_normal(8).astype(np.float32)
-            assert euclidean_distance(v, v) == 0.0
-
-    def test_matches_naive(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            d = int(rng.integers(1, 20))
-            a = rng.standard_normal(d).astype(np.float32)
-            b = rng.standard_normal(d).astype(np.float32)
-            np.testing.assert_allclose(
-                euclidean_distance(a, b), naive_euclidean(a, b), rtol=1e-12
-            )
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            a = rng.standard_normal(6)
-            b = rng.standard_normal(6)
-            assert euclidean_distance(a, b) == euclidean_distance(b, a)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            euclidean_distance([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            euclidean_distance([np.nan, 0.0], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            euclidean_distance([0.0, 0.0], [np.inf, 0.0])
-
-    def test_rejects_empty_and_2d(self):
-        with pytest.raises(ValueError):
-            euclidean_distance([], [])
-        with pytest.raises(ValueError):
-            euclidean_distance([[1.0]], [[1.0]])
+def sq_distances(a, b, chunk_rows=None):
+    B64 = np.asarray(b, dtype=np.float64)
+    return _sq_distances(a, B64, np.einsum("md,md->m", B64, B64), chunk_rows)
 
 
 class TestPairwiseSqDistances:
@@ -70,7 +31,7 @@ class TestPairwiseSqDistances:
         rng = np.random.default_rng(7)
         a = rng.standard_normal((13, 5)).astype(np.float32)
         b = rng.standard_normal((9, 5)).astype(np.float32)
-        got = pairwise_sq_distances(a, b)
+        got = sq_distances(a, b)
         want = np.array(
             [[naive_euclidean(x, y) ** 2 for y in b] for x in a], dtype=np.float64
         )
@@ -79,7 +40,7 @@ class TestPairwiseSqDistances:
     def test_self_diagonal_exact_zero(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((30, 12)).astype(np.float32)
-        d = pairwise_sq_distances(a, a)
+        d = sq_distances(a, a)
         assert (np.diag(d) == 0.0).all()
         assert (d >= 0.0).all()
 
@@ -88,44 +49,10 @@ class TestPairwiseSqDistances:
         a = rng.standard_normal((41, 7))
         b = rng.standard_normal((17, 7))
         np.testing.assert_allclose(
-            pairwise_sq_distances(a, b, chunk_rows=5),
-            pairwise_sq_distances(a, b),
+            sq_distances(a, b, chunk_rows=5),
+            sq_distances(a, b),
             rtol=1e-12,
         )
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            pairwise_sq_distances(np.ones((2, 3)), np.ones((2, 4)))
-
-
-class TestCosine:
-    def test_parallel_antiparallel_orthogonal(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine_similarity(v, 2.5 * v) == pytest.approx(1.0, abs=1e-12)
-        assert cosine_similarity(v, -v) == pytest.approx(-1.0, abs=1e-12)
-        assert cosine_similarity([1.0, 0.0], [0.0, 5.0]) == 0.0
-
-    def test_range_clipped(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            a = rng.standard_normal(4)
-            b = rng.standard_normal(4)
-            s = cosine_similarity(a, b)
-            assert -1.0 <= s <= 1.0
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal(10)
-        b = rng.standard_normal(10)
-        np.testing.assert_allclose(
-            cosine_similarity(a, 1000.0 * b), cosine_similarity(a, b), rtol=1e-12
-        )
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_similarity([0.0, 0.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            cosine_similarity([1.0, 2.0], [0.0, 0.0])
 
 
 class TestPacking:
@@ -192,11 +119,15 @@ class TestHashCode:
             code.words[0] = 0
 
 
+def hamming(a: HashCode, b: HashCode) -> int:
+    return int(hamming_distances(a.words[None, :], b.words)[0])
+
+
 class TestHamming:
     def test_known_value(self):
         a = HashCode.from_bits([1, 0, 1, 1, 0])
         b = HashCode.from_bits([0, 0, 1, 1, 1])
-        assert hamming_distance(a, b) == 2
+        assert hamming(a, b) == 2
 
     def test_self_zero_and_symmetry(self):
         rng = np.random.default_rng(14)
@@ -204,8 +135,8 @@ class TestHamming:
             length = int(rng.integers(1, 130))
             a = HashCode.from_bits(rng.integers(0, 2, length))
             b = HashCode.from_bits(rng.integers(0, 2, length))
-            assert hamming_distance(a, a) == 0
-            assert hamming_distance(a, b) == hamming_distance(b, a)
+            assert hamming(a, a) == 0
+            assert hamming(a, b) == hamming(b, a)
 
     def test_equals_bit_count(self):
         rng = np.random.default_rng(15)
@@ -214,18 +145,18 @@ class TestHamming:
             abits = rng.integers(0, 2, length)
             bbits = rng.integers(0, 2, length)
             want = int(np.sum(abits != bbits))
-            assert hamming_distance(HashCode.from_bits(abits), HashCode.from_bits(bbits)) == want
+            assert hamming(HashCode.from_bits(abits), HashCode.from_bits(bbits)) == want
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(16)
         for _ in range(30):
             bits = rng.integers(0, 2, size=(3, 48))
             a, b, c = (HashCode.from_bits(row) for row in bits)
-            assert hamming_distance(a, c) <= hamming_distance(a, b) + hamming_distance(b, c)
+            assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            hamming_distance(HashCode.from_bits([1, 0]), HashCode.from_bits([1, 0, 1]))
+            hamming_distances(np.zeros((3, 2), dtype=np.uint64), np.zeros(1, dtype=np.uint64))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(17)
@@ -234,7 +165,7 @@ class TestHamming:
         q = HashCode.from_bits(rng.integers(0, 2, length))
         packed = np.stack([c.words for c in codes])
         got = hamming_distances(packed, q.words)
-        want = [hamming_distance(c, q) for c in codes]
+        want = [np.sum(c.to_bits() != q.to_bits()) for c in codes]
         np.testing.assert_array_equal(got, want)
 
 
@@ -249,3 +180,20 @@ class TestDeriveSeed:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             derive_seed(-1, 0)
+
+
+def test_public_names_resolve():
+    """Every name in a submodule's __all__ resolves, and every package
+    export but __version__ is one of those, resolving to the same object,
+    with no duplicates: a re-export of a deleted name fails here."""
+    exported = {}
+    for info in pkgutil.iter_modules(multikmeans.__path__):
+        module = importlib.import_module(f"multikmeans.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            exported.setdefault(name, getattr(module, name))
+    top = multikmeans.__all__
+    assert len(top) == len(set(top))
+    for name in top:
+        if name != "__version__":
+            assert name in exported, name
+            assert getattr(multikmeans, name) is exported[name], name

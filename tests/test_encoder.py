@@ -16,7 +16,6 @@ from multikmeans.encoder import (
     read_spec_record,
     save_quantizer,
     split_training,
-    threshold_delta,
     train_dual_codebook,
     write_spec_record,
 )
@@ -45,34 +44,6 @@ def naive_code_bits(x, centroids, variant, mean="arith", n=0):
 
 def random_codebook(rng, k, dim):
     return Codebook.from_centroids(rng.standard_normal((k, dim)).astype(np.float32))
-
-
-class TestThresholdDelta:
-    def test_arithmetic(self):
-        assert threshold_delta([1.0, 2.0, 3.0, 4.0], MeanKind.ARITHMETIC) == 2.5
-
-    def test_geometric(self):
-        np.testing.assert_allclose(
-            threshold_delta([1.0, 2.0, 4.0, 8.0], MeanKind.GEOMETRIC),
-            (1.0 * 2.0 * 4.0 * 8.0) ** 0.25,
-            rtol=1e-12,
-        )
-
-    def test_constant_profile(self):
-        for kind in MeanKind:
-            assert threshold_delta([3.5, 3.5, 3.5], kind) == pytest.approx(3.5, rel=1e-12)
-
-    def test_zero_distance_collapses_geometric(self):
-        assert threshold_delta([0.0, 2.0, 5.0], MeanKind.GEOMETRIC) == 0.0
-        assert threshold_delta([0.0, 2.0, 4.0], MeanKind.ARITHMETIC) == 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            threshold_delta([], MeanKind.ARITHMETIC)
-        with pytest.raises(ValueError):
-            threshold_delta([1.0], MeanKind.ARITHMETIC)
-        with pytest.raises(ValueError):
-            threshold_delta([1.0, -2.0], MeanKind.ARITHMETIC)
 
 
 class TestEncoderSpec:
@@ -202,15 +173,68 @@ class TestEncodeN:
             encode(x, cb, EncoderSpec(Variant.N, n_nearest=5))
 
 
+def rows_at_code_flips(cb, spec, rng, count):
+    """float64 rows on both sides of points where the one-row code flips.
+
+    Bisects the segment between two rows with different codes down to
+    adjacent float64 steps of its parameter, so the distances that decide
+    the flipped bit (one against the threshold, or two at the n-th rank)
+    tie to within a few ulps."""
+    rows = []
+    while len(rows) < 2 * count:
+        a, b = rng.standard_normal((2, cb.dim))
+        lo, hi = 0.0, 1.0
+        first = encode(a, cb, spec)
+        if encode(b, cb, spec) == first:
+            continue
+        while lo < (mid := (lo + hi) / 2) < hi:
+            if encode(a + mid * (b - a), cb, spec) == first:
+                lo = mid
+            else:
+                hi = mid
+        rows += [a + lo * (b - a), a + hi * (b - a)]
+    return np.array(rows)
+
+
+BIT_RULES = (
+    EncoderSpec(Variant.T, MeanKind.ARITHMETIC),
+    EncoderSpec(Variant.T, MeanKind.GEOMETRIC),
+    EncoderSpec(Variant.N, n_nearest=3),
+)
+
+
+def assert_rows_match_one_block(X, cb, spec):
+    packed = encode_many(X, cb, spec)
+    for i, x in enumerate(X):
+        np.testing.assert_array_equal(packed[i], encode(x, cb, spec).words)
+
+
 class TestEncodeBatch:
     def test_encode_many_matches_single(self):
+        """Per-row encode against one encode_many block, on random rows and
+        rows at or near ties: the centroids, where the geometric mean
+        collapses, and midpoints of centroid pairs."""
         rng = np.random.default_rng(48)
-        cb = random_codebook(rng, 10, 6)
-        X = rng.standard_normal((30, 6)).astype(np.float32)
-        spec = EncoderSpec(Variant.T, MeanKind.GEOMETRIC)
-        packed = encode_many(X, cb, spec)
-        for i, x in enumerate(X):
-            np.testing.assert_array_equal(packed[i], encode(x, cb, spec).words)
+        cb = random_codebook(rng, 10, 24)
+        C = cb.centroids
+        ties = np.vstack([C, (C[:-1] + C[1:]) / 2]).astype(np.float32)
+        for spec in BIT_RULES:
+            for X in (rng.standard_normal((30, 24)).astype(np.float32), ties):
+                assert_rows_match_one_block(X, cb, spec)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="encode scores one row with a 1-row matrix product, whose last "
+        "bits differ from those of a many-row block, so a row within a few "
+        "ulps of a flip can take another code",
+    )
+    @pytest.mark.parametrize("spec", BIT_RULES, ids=["t-arith", "t-geom", "n"])
+    def test_encode_many_matches_single_near_code_flips(self, spec):
+        """The same check on rows within a few ulps of a flip of the rule."""
+        rng = np.random.default_rng(48)
+        cb = random_codebook(rng, 10, 24)
+        assert_rows_match_one_block(rows_at_code_flips(cb, spec, rng, 20), cb, spec)
 
     def test_chunking_does_not_change_codes(self):
         rng = np.random.default_rng(49)

@@ -9,9 +9,7 @@ from multikmeans.encoder import load_quantizer, save_quantizer
 from multikmeans.kmeans import (
     Codebook,
     TrainParams,
-    distances_to_centroids,
     kmeanspp_seed,
-    objective,
     train,
 )
 
@@ -87,21 +85,27 @@ class TestSeeding:
             kmeanspp_seed(pts, 5)
 
 
+def assign(data, centroids):
+    """kmeans._assign on checked inputs: (labels, squared distances)."""
+    C64 = np.asarray(centroids, dtype=np.float64)
+    return km._assign(np.asarray(data), C64, np.einsum("md,md->m", C64, C64))
+
+
 class TestObjective:
     def test_matches_naive(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             data = rng.standard_normal((40, 4)).astype(np.float32)
             cents = rng.standard_normal((5, 4)).astype(np.float32)
-            np.testing.assert_allclose(objective(data, cents), naive_objective(data, cents), rtol=1e-12)
+            np.testing.assert_allclose(assign(data, cents)[1].sum(), naive_objective(data, cents), rtol=1e-12)
 
     def test_zero_when_centroids_cover_points(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
-        assert objective(pts, pts) == 0.0
+        assert assign(pts, pts)[1].sum() == 0.0
 
     def test_assignment_ties_take_lowest_index(self):
         cents = np.array([[-1.0, 0.0], [1.0, 0.0]], dtype=np.float32)
-        labels, d2 = km.assign_nearest(np.array([[0.0, 0.0]]), cents)
+        labels, d2 = assign(np.array([[0.0, 0.0]]), cents)
         assert labels[0] == 0
         assert d2[0] == 1.0
 
@@ -124,7 +128,7 @@ class TestTrain:
         cb = train(data, 6, TrainParams(seed=1))
         # final centroids are stored as float32; recomputing on them agrees
         # with the recorded float64 objective to float32 rounding
-        np.testing.assert_allclose(objective(data, cb.centroids), cb.train_meta.objective, rtol=1e-5)
+        np.testing.assert_allclose(naive_objective(data, cb.centroids), cb.train_meta.objective, rtol=1e-5)
 
     def test_perfect_fit_reaches_zero(self):
         rng = np.random.default_rng(26)
@@ -182,22 +186,6 @@ class TestTrain:
         assert cb.centroids.dtype == np.float32
         with pytest.raises(ValueError):
             cb.centroids[0, 0] = 0.0
-
-
-class TestDistancesToCentroids:
-    def test_matches_per_centroid_distance(self):
-        rng = np.random.default_rng(30)
-        cb = Codebook.from_centroids(rng.standard_normal((6, 4)).astype(np.float32))
-        x = rng.standard_normal(4).astype(np.float32)
-        got = distances_to_centroids(x, cb)
-        want = [np.sqrt(np.sum((x.astype(np.float64) - c) ** 2)) for c in cb.centroids]
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-        assert got.shape == (6,)
-
-    def test_dim_mismatch(self):
-        cb = Codebook.from_centroids(np.zeros((2, 3), dtype=np.float32))
-        with pytest.raises(ValueError):
-            distances_to_centroids(np.zeros(4), cb)
 
 
 class TestCodebookIO:

@@ -1,14 +1,15 @@
 """Property tests: the partitioned top-k selector, the narrow Hamming keys,
-the packed-key shortlist over multi-word codes and its key width rule, pairwise_sq_distances against the
-element-wise finiteness check it replaced, the search path over a
-memory-mapped VectorReader (single query, batched and threaded),
-VectorReader.take, the float32-screened Euclidean top-k against its float64
-kernel run over every row, its keep rule at the cutoff, that kernel's
-independence from the rows scored with it, k-means++ seeding, Lloyd
-training, assign_nearest and encode_many against inline copies of their
-earlier forms, and the id check of build_index, each against a naive
-full-sort, popcount, whole-file or inline reference on inputs full of ties
-and duplicates."""
+the packed-key shortlist over multi-word codes and its key width rule, the
+search path over a memory-mapped VectorReader (single query, batched and
+threaded), VectorReader.take, the float32-screened Euclidean top-k against
+its float64 kernel run over every row, its keep rule at the cutoff and its
+query cast-error term, that kernel's independence from the rows scored with
+it, core._sq_distances over wide blocks, k-means++ seeding, Lloyd training,
+the assign step (kmeans._assign) and encode_many against inline copies of
+their earlier forms, which made one checked distance call per block where
+they now reach core._sq_distances directly, and the id check of
+build_index, each against a naive full-sort, popcount, whole-file or inline
+reference on inputs full of ties and duplicates."""
 
 import contextlib
 import os
@@ -26,10 +27,10 @@ from multikmeans.core import (
     HashCode,
     Metric,
     _shifted_hamming,
+    _sq_distances,
     as_matrix,
     hamming_distances,
     pack_bits,
-    pairwise_sq_distances,
 )
 from multikmeans.dataio import VectorReader, read_vectors, write_vectors
 from multikmeans.encoder import (
@@ -171,8 +172,10 @@ def test_shifted_hamming_keeps_the_top_key_bit():
     np.testing.assert_array_equal(keys, [63 << 26, 1 << 26, 0])
 
 
-def parent_pairwise_sq_distances(a, b, chunk_rows=None):
-    """pairwise_sq_distances as it was with the element-wise check of b."""
+def parent_sq_distances(a, b, chunk_rows=None):
+    """The checked squared-distance call, with an element-wise finiteness
+    check of both inputs, that the seeding, the assign step and encode_many
+    made once per block before they reached core._sq_distances directly."""
     A = as_matrix(a, "a")
     B = as_matrix(b, "b")
     if A.shape[1] != B.shape[1]:
@@ -198,52 +201,24 @@ def parent_pairwise_sq_distances(a, b, chunk_rows=None):
     return out
 
 
-@st.composite
-def distance_inputs(draw):
-    """a and b with inf, -inf, nan or a square-overflowing 1e200 planted at
-    random positions (in b mostly, sometimes in a), duplicated rows so exact
-    zeros occur, and now and then a dimension mismatch. A wide b with more
-    rows of a splits each block into several element-wise slices, and rows
-    of a copied from b put exact zeros in the later ones."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    wide = draw(st.booleans())
-    n = draw(st.integers(30, 90) if wide else st.integers(1, 5))
-    m = draw(st.integers(500, 1500) if wide else st.integers(1, 8))
-    d = draw(st.integers(1, 6))
-    b_dtype = draw(st.sampled_from([np.float32, np.float64]))
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([np.float32, np.float64]), st.data())
+def test_sq_distances_match_whole_block_passes(seed, wide, b_dtype, data):
+    """core._sq_distances bit for bit against the element-wise passes run
+    over whole blocks. A wide b splits each block into several slices, and
+    rows of a copied from b put exact zeros in the later ones."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 91) if wide else rng.integers(1, 6))
+    m = int(rng.integers(500, 1501) if wide else rng.integers(1, 9))
+    d = int(rng.integers(1, 7))
     a = rng.standard_normal((n, d))
-    b = rng.standard_normal((m, d if draw(st.integers(0, 9)) else d + 1)).astype(b_dtype)
-    b[rng.integers(0, m, size=m // 2)] = a[0, : b.shape[1]] if b.shape[1] == d else 0.0
-    if b.shape[1] == d:
-        a[rng.integers(0, n, size=n // 2)] = b[rng.integers(0, m, size=n // 2)]
-    plants = st.sampled_from([np.inf, -np.inf, np.nan] + ([1e200] if b_dtype is np.float64 else []))
-    for _ in range(draw(st.integers(0, 1 if wide else 3))):
-        b[rng.integers(0, m), rng.integers(0, b.shape[1])] = draw(plants)
-    if draw(st.integers(0, 9)) == 0:
-        a[rng.integers(0, n), rng.integers(0, d)] = draw(st.sampled_from([np.inf, np.nan, 1e200]))
-    chunk_rows = draw(st.sampled_from([None, 40] if wide else [None, 1, 2]))
-    return a, b, chunk_rows
-
-
-def outcome(fn, *args):
-    with np.errstate(all="ignore"):
-        try:
-            return fn(*args)
-        except Exception as exc:  # the type and message are compared
-            return exc
-
-
-@settings(max_examples=300, deadline=None)
-@given(distance_inputs())
-def test_pairwise_sq_distances_matches_elementwise_check(case):
-    a, b, chunk_rows = case
-    got = outcome(pairwise_sq_distances, a, b, chunk_rows)
-    want = outcome(parent_pairwise_sq_distances, a, b, chunk_rows)
-    if isinstance(want, Exception):
-        assert type(got) is type(want) and str(got) == str(want)
-    else:
-        assert isinstance(got, np.ndarray) and got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    b = rng.standard_normal((m, d)).astype(b_dtype)
+    b[rng.integers(0, m, size=m // 2)] = a[0]
+    a[rng.integers(0, n, size=n // 2)] = b[rng.integers(0, m, size=n // 2)]
+    chunk_rows = data.draw(st.sampled_from([None, 40] if wide else [None, 1, 2]))
+    B64 = b.astype(np.float64)
+    got = _sq_distances(a, B64, np.einsum("md,md->m", B64, B64), chunk_rows)
+    assert got.tobytes() == parent_sq_distances(a, b, chunk_rows).tobytes()
 
 
 def naive_search(base, cand, q, top, metric):
@@ -474,8 +449,7 @@ def test_one_query_id_pair_gets_one_distance(seed, dim, n, data):
 
 
 def parent_kmeanspp_seed(data, k, seed=0):
-    """kmeanspp_seed as it was, with one checked pairwise_sq_distances call
-    per pick."""
+    """kmeanspp_seed as it was, with one checked distance call per pick."""
     X = as_matrix(data)
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -485,7 +459,7 @@ def parent_kmeanspp_seed(data, k, seed=0):
     rng = np.random.default_rng(int(seed))
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(X.shape[0])
-    d2 = parent_pairwise_sq_distances(X64, X64[chosen[0]][None, :])[:, 0]
+    d2 = parent_sq_distances(X64, X64[chosen[0]][None, :])[:, 0]
     for i in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -494,12 +468,13 @@ def parent_kmeanspp_seed(data, k, seed=0):
             remaining = np.setdiff1d(np.arange(X.shape[0]), chosen[:i])
             idx = int(rng.choice(remaining))
         chosen[i] = idx
-        d2 = np.minimum(d2, parent_pairwise_sq_distances(X64, X64[idx][None, :])[:, 0])
+        d2 = np.minimum(d2, parent_sq_distances(X64, X64[idx][None, :])[:, 0])
     return X[chosen].copy()
 
 
 def parent_assign_nearest(data, centroids, chunk_rows=None):
-    """assign_nearest as it was: one checked distance call per block."""
+    """The nearest-centroid assignment as it was: one checked distance call
+    per block."""
     X = as_matrix(data)
     C = as_matrix(centroids, "centroids")
     n = X.shape[0]
@@ -508,7 +483,7 @@ def parent_assign_nearest(data, centroids, chunk_rows=None):
     if chunk_rows is None:
         chunk_rows = max(1, (1 << 23) // C.shape[0])
     for s in range(0, n, chunk_rows):
-        d2 = parent_pairwise_sq_distances(X[s : s + chunk_rows], C)
+        d2 = parent_sq_distances(X[s : s + chunk_rows], C)
         lab = np.argmin(d2, axis=1)
         labels[s : s + chunk_rows] = lab
         d2min[s : s + chunk_rows] = np.take_along_axis(d2, lab[:, None], axis=1)[:, 0]
@@ -647,7 +622,7 @@ def test_assign_nearest_matches_one_checked_call_per_block(seed, n, d, k, dtype,
     rng = np.random.default_rng(seed)
     X = (rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 4)).astype(dtype)
     C = X[rng.integers(0, n, size=k)].astype(np.float64) + rng.standard_normal((k, d)) * rng.choice([0.0, 1.0])
-    got = km.assign_nearest(X, C, chunk_rows=chunk_rows)
+    got = km._assign(X, C, np.einsum("md,md->m", C, C), chunk_rows=chunk_rows)
     want = parent_assign_nearest(X, C, chunk_rows=chunk_rows)
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
@@ -675,7 +650,7 @@ def test_encode_many_matches_one_checked_call_per_chunk(seed, n, d, variant, chu
     for s in range(0, n, chunk_rows):
         parts = []
         for cb in books[: 1 if quantizer is books[0] else 2]:
-            dist = np.sqrt(parent_pairwise_sq_distances(X[s : s + chunk_rows], cb.centroids))
+            dist = np.sqrt(parent_sq_distances(X[s : s + chunk_rows], cb.centroids))
             if variant in (Variant.T, Variant.T2):
                 parts.append(_bits_threshold(dist, spec.mean_kind))
             else:
@@ -706,6 +681,23 @@ def test_screened_topk_keeps_rows_tied_at_the_cutoff(seed, d, n, data):
     want_pos, want_scores = exhaustive_topk(rows, q, ids, top)
     np.testing.assert_array_equal(got_pos, want_pos)
     assert got_scores.tobytes() == want_scores.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_screen_widens_by_the_query_cast_error(seed):
+    """A float64 query that float32 cannot hold widens [L, U] on each side
+    by at least its cast error ||q64 - q32||, over the bounds of the float32
+    query itself; the screen is the same float32 product for both."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((50, 4)).astype(np.float32)
+    q64 = rng.standard_normal(4)
+    q32 = q64.astype(np.float32).astype(np.float64)
+    cast = float(np.linalg.norm(q64 - q32))
+    assert cast > 0.0
+    lower, upper = _screen_bounds(rows, q64)
+    lower32, upper32 = _screen_bounds(rows, q32)
+    assert (lower32 - lower >= (1.0 - 1e-6) * cast).all()
+    assert (upper - upper32 >= (1.0 - 1e-6) * cast).all()
 
 
 @SETTINGS
