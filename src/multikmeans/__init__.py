@@ -55,7 +55,6 @@ from .index import (
     save_index,
     search,
     search_ids,
-    search_many,
     shortlist,
 )
 from .kmeans import (
@@ -96,7 +95,6 @@ __all__ = [
     "save_index",
     "search",
     "search_ids",
-    "search_many",
     "shortlist",
     "EvalReport",
     "average_precision",

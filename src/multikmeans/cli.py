@@ -293,8 +293,8 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--tol must be non-negative, got {args.tol}")
     _seed_ok(args.seed)
     dual = variant in (Variant.T2, Variant.N2)
-    if dual and args.k % 2:
-        raise ConfigError(f"variant {variant.value} needs an even --k, got {args.k}")
+    if dual and (args.k % 2 or args.k < 4):
+        raise ConfigError(f"variant {variant.value} needs an even --k of at least 4 (2 per codebook), got {args.k}")
     data = read_vectors(args.learning)
     params = TrainParams(max_iters=args.max_iters, rel_tol=args.tol, seed=args.seed)
     t0 = time.perf_counter()
@@ -401,7 +401,10 @@ def cmd_query(args) -> int:
     _positive(args.shortlist, "--shortlist")
     idx = load_index(args.index)
     with _open_base(args.base, idx) as reader:
-        qvec = read_vectors(args.query_file, start=args.query_row, count=1)[0]
+        with VectorReader(args.query_file) as queries:
+            if not 0 <= args.query_row < queries.count:
+                raise ConfigError(f"--query-row {args.query_row} outside [0, {queries.count})")
+            qvec = queries[args.query_row]
         shortlist_size = _clamp_shortlist(args.shortlist, idx)
         top = min(args.top, shortlist_size)
         if top < args.top:

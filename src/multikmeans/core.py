@@ -18,6 +18,7 @@ from enum import Enum
 import numpy as np
 
 WORD_BITS = 64
+_BLOCK_ELEMENTS = 1 << 23  # float64 elements per block of _sq_distances and kmeans._assign
 
 __all__ = [
     "WORD_BITS",
@@ -140,7 +141,7 @@ def as_matrix(x, name: str = "data") -> np.ndarray:
     return arr
 
 
-def _sq_distances(A, B64, b_sq, chunk_rows=None, a_sq=None, out=None) -> np.ndarray:
+def _sq_distances(A, B64, b_sq, a_sq=None, out=None) -> np.ndarray:
     """Squared Euclidean distances between the rows of A and of B64, shape
     (len(A), len(B64)); the seeding, the assign step and encode_many score
     with it.
@@ -155,15 +156,15 @@ def _sq_distances(A, B64, b_sq, chunk_rows=None, a_sq=None, out=None) -> np.ndar
     without changing a bit of the output. out, if given, is the
     (len(A), len(B64)) float64 array the result goes into.
 
-    Rows of A reach the matrix product in blocks of chunk_rows, as its bits
-    depend on how many rows share it. The element-wise passes after it run
-    in place on slices of ~256 KB, which stay in cache and change no value.
+    Rows of A reach the matrix product in blocks of _BLOCK_ELEMENTS // m,
+    as its bits depend on how many rows share it. The element-wise passes
+    after it run in place on slices of ~256 KB, which stay in cache and
+    change no value.
     """
     n, m = A.shape[0], B64.shape[0]
     if out is None:
         out = np.empty((n, m), dtype=np.float64)
-    if chunk_rows is None:
-        chunk_rows = max(1, (1 << 23) // m)
+    chunk_rows = max(1, _BLOCK_ELEMENTS // m)
     step = max(1, (1 << 15) // m)
     scale_buf = np.empty((min(n, step), m), dtype=np.float64)
     tiny_buf = np.empty((min(n, step), m), dtype=bool)

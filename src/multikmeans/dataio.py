@@ -118,27 +118,13 @@ def _decode(rows: np.ndarray, meta: VectorFile, record_ids) -> np.ndarray:
 
 
 def read_vectors(path, start: int = 0, count: int | None = None, element_kind: str | None = None) -> np.ndarray:
-    """Load records [start, start+count) as a 2-D array.
+    """Load records [start, start+count) as a 2-D array, through a VectorReader.
 
     Returns float32 for descriptor files (bvecs widen from uint8) and int32
     for id-list files. Validates every record header it touches.
     """
-    meta = inspect_vectors(path, element_kind)
-    if start < 0 or start > meta.count:
-        raise ValueError(f"start={start} outside [0, {meta.count}]")
-    if count is None:
-        count = meta.count - start
-    if count < 0 or start + count > meta.count:
-        raise ValueError(f"range [{start}, {start + count}) exceeds {meta.count} records")
-    if count == 0:
-        return np.empty((0, meta.dim), dtype=np.int32 if meta.element_kind == "int32" else np.float32)
-    with open(path, "rb") as f:
-        f.seek(start * meta.record_size)
-        buf = read_exact(f, count * meta.record_size, "vector records")
-    rows = np.frombuffer(buf, dtype=np.uint8).reshape(count, meta.record_size)
-    out = _decode(rows, meta, range(start, start + count))
-    # views into the read-only bytes become a fresh, writable, C-ordered array
-    return out if out.flags.writeable else out.copy()
+    with VectorReader(path, element_kind) as reader:
+        return reader.read(start, reader.count - start if count is None else count)
 
 
 def write_vectors(path, vectors, element_kind: str | None = None) -> VectorFile:
@@ -177,7 +163,8 @@ class VectorReader:
     gathers the whole records it is asked for in one copy, validates their
     headers, and returns the payload as a dtype view of that copy: float32
     for .fvecs, int32 for .ivecs; only .bvecs widens uint8 to a new float32
-    array. A reader can stand in for an in-memory base array during search.
+    array. read() copies a decoded slice of the map, and read_vectors() reads
+    through it. A reader can stand in for an in-memory base array in search.
     """
 
     def __init__(self, path, element_kind: str | None = None):
@@ -209,9 +196,13 @@ class VectorReader:
         return _decode(np.take(self._mm, idx, axis=0), self.meta, idx)
 
     def read(self, start: int, count: int) -> np.ndarray:
+        """Records [start, start+count) as a fresh, writable, C-ordered array."""
+        if self._mm is None:
+            raise ValueError("reader is closed")
         if start < 0 or count < 0 or start + count > self.meta.count:
             raise ValueError(f"range [{start}, {start + count}) exceeds {self.meta.count} records")
-        return self.take(np.arange(start, start + count))
+        out = _decode(self._mm[start : start + count], self.meta, range(start, start + count))
+        return out if out.flags.writeable else out.copy()
 
     def __getitem__(self, i: int):
         return self.take(np.asarray([int(i)]))[0]

@@ -62,6 +62,8 @@ _SPLIT_STREAM = 1
 _FIRST_STREAM = 2
 _SECOND_STREAM = 3
 
+_ENCODE_ROWS = 65536  # rows per encode_many chunk
+
 
 class Variant(str, Enum):
     T = "t"
@@ -189,12 +191,12 @@ def _encode_bits(block: np.ndarray, centroids, spec: EncoderSpec) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-def encode_many(vectors, quantizer, spec: EncoderSpec, chunk_rows: int = 65536) -> np.ndarray:
+def encode_many(vectors, quantizer, spec: EncoderSpec) -> np.ndarray:
     """Encode a stack of descriptors; returns packed codes shaped (N, words).
 
-    Rows are processed in chunks so the float64 distance temporaries stay
-    bounded on large batches. The block is checked once, and the centroids
-    widened and squared once, for all chunks.
+    Rows are processed in chunks of _ENCODE_ROWS so the float64 distance
+    temporaries stay bounded on large batches. The block is checked once,
+    and the centroids widened and squared once, for all chunks.
     """
     X = as_matrix(vectors, "vectors")
     length = code_length(spec, quantizer)
@@ -205,8 +207,8 @@ def encode_many(vectors, quantizer, spec: EncoderSpec, chunk_rows: int = 65536) 
         C64 = np.asarray(cb.centroids, dtype=np.float64)
         centroids.append((C64, np.einsum("md,md->m", C64, C64)))
     out = np.empty((X.shape[0], words_for(length)), dtype=np.uint64)
-    for s in range(0, X.shape[0], chunk_rows):
-        out[s : s + chunk_rows] = pack_bits(_encode_bits(X[s : s + chunk_rows], centroids, spec))
+    for s in range(0, X.shape[0], _ENCODE_ROWS):
+        out[s : s + _ENCODE_ROWS] = pack_bits(_encode_bits(X[s : s + _ENCODE_ROWS], centroids, spec))
     return out
 
 

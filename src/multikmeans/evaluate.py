@@ -66,15 +66,8 @@ def brute_force_gt(base, queries, k: int, metric: Metric = Metric.EUCLIDEAN) -> 
     return out
 
 
-def _ranked_ids(result) -> np.ndarray:
-    ranked = getattr(result, "ranked", None)
-    if ranked is not None:
-        return np.asarray([i for i, _ in ranked], dtype=np.int64)
-    return np.asarray(result, dtype=np.int64)
-
-
 def recall_at_r(results, ground_truth, r: int) -> float:
-    """Fraction of queries whose true first neighbor shows up in the top r."""
+    """Fraction of queries whose true first neighbor is in the first r of its ranked ids."""
     if r < 1:
         raise ValueError("r must be at least 1")
     gt = np.asarray(ground_truth, dtype=np.int64)
@@ -87,7 +80,7 @@ def recall_at_r(results, ground_truth, r: int) -> float:
         raise ValueError(f"{len(results)} results for {gt.shape[0]} ground-truth rows")
     hits = 0
     for res, row in zip(results, gt):
-        ids = _ranked_ids(res)
+        ids = np.asarray(res, dtype=np.int64)
         if ids.shape[0] < r:
             raise ValueError(f"result holds {ids.shape[0]} ids, cannot score recall@{r}")
         hits += int((ids[:r] == row[0]).any())

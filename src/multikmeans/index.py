@@ -46,7 +46,6 @@ __all__ = [
     "build_index",
     "shortlist",
     "search",
-    "search_many",
     "search_ids",
     "save_index",
     "load_index",
@@ -395,25 +394,10 @@ def search(
     is a 2-D array indexed by id, or any store with a take(ids) method.
     """
     v = as_vector(query, "query")
-    return search_many(index, base_vectors, v[None, :], shortlist_size, top, metric)[0]
-
-
-def search_many(
-    index: SearchIndex,
-    base_vectors,
-    queries,
-    shortlist_size: int,
-    top: int,
-    metric: Metric = Metric.EUCLIDEAN,
-    threads: int = 1,
-) -> list[SearchResult]:
-    """search() over a stack of queries; optionally fanned out over threads."""
     metric = Metric(metric)
-    ids, scores = _search_block(index, base_vectors, queries, shortlist_size, top, metric, threads)
-    return [
-        SearchResult(ranked=tuple(zip(i.tolist(), s.tolist())), metric=metric, shortlist_size=shortlist_size)
-        for i, s in zip(ids, scores)
-    ]
+    ids, scores = _search_block(index, base_vectors, v[None, :], shortlist_size, top, metric, threads=1)
+    ranked = tuple(zip(ids[0].tolist(), scores[0].tolist()))
+    return SearchResult(ranked=ranked, metric=metric, shortlist_size=shortlist_size)
 
 
 def search_ids(
@@ -428,7 +412,8 @@ def search_ids(
     """Bulk search keeping only the ranked ids, shaped (len(queries), top).
 
     Same ordering rules as search(); meant for metric sweeps where holding
-    per-query score tuples would be wasteful.
+    per-query score tuples would be wasteful. threads > 1 fans the queries
+    out over a thread pool, which changes no result.
     """
     return _search_block(index, base_vectors, queries, shortlist_size, top, metric, threads)[0]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FormatError, _sq_distances, as_matrix, read_exact
+from .core import _BLOCK_ELEMENTS, FormatError, _sq_distances, as_matrix, read_exact
 
 __all__ = [
     "TrainParams",
@@ -135,31 +135,28 @@ def _kmeanspp_seed(X: np.ndarray, X64: np.ndarray, x_sq: np.ndarray, k: int, see
     return X[chosen]
 
 
-def _assign_work(n: int, k: int, chunk_rows: int | None = None):
+def _assign_work(n: int, k: int):
     """The arrays _assign fills for n points and k centroids: distances of
     one block of points, labels and nearest squared distances."""
-    if chunk_rows is None:
-        chunk_rows = max(1, (1 << 23) // k)
     return (
-        np.empty((min(n, chunk_rows), k), dtype=np.float64),
+        np.empty((min(n, max(1, _BLOCK_ELEMENTS // k)), k), dtype=np.float64),
         np.empty(n, dtype=np.int64),
         np.empty(n, dtype=np.float64),
     )
 
 
-def _assign(X, C64, c_sq, chunk_rows=None, x_sq=None, work=None):
+def _assign(X, C64, c_sq, x_sq=None, work=None):
     """Nearest-centroid labels (int64) and squared distances (float64) of
     the rows of X, ties to the lowest index. X's rows are finite and as
     wide as C64's, c_sq holds C64's squared norms, and x_sq, if given, X's
-    (X then float64). work, from _assign_work with the same chunk_rows, is
-    reused across calls; the labels and distances returned live in it.
+    (X then float64). work, from _assign_work, is reused across calls; the
+    labels and distances returned live in it.
 
-    Blocks of chunk_rows points go to _sq_distances, which splits them
-    again by its own row limit."""
+    Blocks of _BLOCK_ELEMENTS // k points go to _sq_distances, which splits
+    them again by its own row limit."""
     n, k = X.shape[0], C64.shape[0]
-    if chunk_rows is None:
-        chunk_rows = max(1, (1 << 23) // k)
-    d2, labels, d2min = _assign_work(n, k, chunk_rows) if work is None else work
+    chunk_rows = max(1, _BLOCK_ELEMENTS // k)
+    d2, labels, d2min = _assign_work(n, k) if work is None else work
     for s in range(0, n, chunk_rows):
         blk = X[s : s + chunk_rows]
         a_sq = None if x_sq is None else x_sq[s : s + chunk_rows]

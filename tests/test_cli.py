@@ -320,11 +320,13 @@ class TestEvalErrors:
             # flag checks come before the first file read; the later --index wins
             (("@eval", "--index", "@missing", "--shortlist", "0"), 2, "--shortlist must be at least 1"),
             (("@query", "--index", "@missing", "--shortlist", "0"), 2, "--shortlist must be at least 1"),
+            (("@query", "--query-row", "-1"), 2, "--query-row -1 outside [0, 24)"),
+            (("@query", "--query-row", "24"), 2, "--query-row 24 outside [0, 24)"),
         ],
         ids=[
             "sample-above-count", "class-too-small", "base-label-count", "recall-at-0",
             "no-depth-fits", "map-depth-0", "map-depth-clamped", "eval-check-order",
-            "query-check-order",
+            "query-check-order", "query-row-negative", "query-row-at-count",
         ],
     )
     def test_exit_code_and_message(self, workdir, tmp_path, capsys, tokens, code, message):
@@ -584,6 +586,18 @@ class TestFlagPairings:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("variant", ["t2", "n2"])
+    def test_dual_training_needs_two_centroids_per_codebook(self, workdir, tmp_path, capsys, variant):
+        code = main(
+            [
+                "train", "--learning", str(workdir / "learning.fvecs"),
+                "--variant", variant, "--k", "2", "--out", str(tmp_path / "cb.mkm2"),
+            ]
+        )
+        assert code == 2
+        assert f"variant {variant} needs an even --k of at least 4 (2 per codebook), got 2" in capsys.readouterr().err
+        assert not (tmp_path / "cb.mkm2").exists()
 
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_tol_must_be_non_negative(self, workdir, tmp_path, capsys, tol):

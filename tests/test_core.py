@@ -1,11 +1,13 @@
 import importlib
 import math
 import pkgutil
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import multikmeans
+import multikmeans.core as core_mod
 from multikmeans.core import (
     HashCode,
     _sq_distances,
@@ -21,9 +23,9 @@ def naive_euclidean(a, b):
     return math.sqrt(sum((float(x) - float(y)) ** 2 for x, y in zip(a, b)))
 
 
-def sq_distances(a, b, chunk_rows=None):
+def sq_distances(a, b):
     B64 = np.asarray(b, dtype=np.float64)
-    return _sq_distances(a, B64, np.einsum("md,md->m", B64, B64), chunk_rows)
+    return _sq_distances(a, B64, np.einsum("md,md->m", B64, B64))
 
 
 class TestPairwiseSqDistances:
@@ -48,11 +50,9 @@ class TestPairwiseSqDistances:
         rng = np.random.default_rng(9)
         a = rng.standard_normal((41, 7))
         b = rng.standard_normal((17, 7))
-        np.testing.assert_allclose(
-            sq_distances(a, b, chunk_rows=5),
-            sq_distances(a, b),
-            rtol=1e-12,
-        )
+        with mock.patch.object(core_mod, "_BLOCK_ELEMENTS", 5 * len(b)):  # 5 rows per block
+            chunked = sq_distances(a, b)
+        np.testing.assert_allclose(chunked, sq_distances(a, b), rtol=1e-12)
 
 
 class TestPacking:

@@ -128,6 +128,11 @@ class TestFormatErrors:
         with pytest.raises(FormatError) as exc:
             read_vectors(path, start=1, count=1)
         assert exc.value.offset == 12
+        with VectorReader(path) as reader:
+            reader.read(0, 1)
+            with pytest.raises(FormatError) as exc:
+                reader.read(0, 3)
+        assert exc.value.offset == 12
 
 
 class TestWrite:
@@ -211,8 +216,30 @@ class TestVectorReader:
         path, _ = self.make_file(tmp_path)
         reader = VectorReader(path)
         reader.close()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="reader is closed"):
             reader.take(np.array([0]))
+        with pytest.raises(ValueError, match="reader is closed"):
+            reader.read(0, 1)
+
+    @pytest.mark.parametrize("suffix", [".fvecs", ".bvecs", ".ivecs"])
+    def test_read_paths_agree(self, tmp_path, suffix):
+        # read_vectors, read and take of the same range: equal values and
+        # dtype, each a fresh C-ordered array that a second read does not see
+        data = np.random.default_rng(83).integers(0, 256, size=(12, 4))
+        path = tmp_path / ("a" + suffix)
+        write_vectors(path, data)
+        for start, count in [(0, 12), (3, 5), (12, 0)]:
+            with VectorReader(path) as reader:
+                reads = [read_vectors(path, start, count), reader.read(start, count)]
+                reads.append(reader.take(np.arange(start, start + count)))
+                for got in reads:
+                    assert got.dtype == reads[0].dtype
+                    np.testing.assert_array_equal(got, data[start : start + count])
+                for got in reads[:2]:
+                    assert got.flags.c_contiguous and got.flags.writeable
+                    got += 1
+                np.testing.assert_array_equal(reader.read(start, count), data[start : start + count])
+            np.testing.assert_array_equal(read_vectors(path, start, count), data[start : start + count])
 
     def test_corrupt_header_caught_on_take(self, tmp_path):
         path, data = self.make_file(tmp_path, n=4, dim=3)

@@ -1,9 +1,11 @@
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import multikmeans.encoder as encoder_mod
 from multikmeans.core import FormatError
 from multikmeans.encoder import (
     DualCodebook,
@@ -241,9 +243,9 @@ class TestEncodeBatch:
         cb = random_codebook(rng, 8, 5)
         X = rng.standard_normal((50, 5)).astype(np.float32)
         spec = EncoderSpec(Variant.N, n_nearest=3)
-        np.testing.assert_array_equal(
-            encode_many(X, cb, spec, chunk_rows=7), encode_many(X, cb, spec)
-        )
+        with mock.patch.object(encoder_mod, "_ENCODE_ROWS", 7):
+            chunked = encode_many(X, cb, spec)
+        np.testing.assert_array_equal(chunked, encode_many(X, cb, spec))
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(50)

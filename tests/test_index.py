@@ -9,12 +9,12 @@ from multikmeans.dataio import write_vectors
 from multikmeans.encoder import DualCodebook, EncoderSpec, MeanKind, Variant, encode, encode_many
 from multikmeans.evaluate import brute_force_gt
 from multikmeans.index import (
+    _search_block,
     build_index,
     load_index,
     save_index,
     search,
     search_ids,
-    search_many,
     shortlist,
 )
 from multikmeans.kmeans import Codebook, TrainParams, train
@@ -245,35 +245,26 @@ class TestSearchMany:
     def test_matches_single_query_search(self):
         rng, base, cb, spec, index = make_fixture()
         queries = rng.standard_normal((8, base.shape[1])).astype(np.float32)
-        many = search_many(index, base, queries, shortlist_size=30, top=6)
-        for q, res in zip(queries, many):
-            single = search(index, base, q, shortlist_size=30, top=6)
-            assert res.ids() == single.ids()
+        ids = search_ids(index, base, queries, shortlist_size=30, top=6)
+        assert ids.shape == (8, 6)
+        for q, row in zip(queries, ids):
+            assert row.tolist() == search(index, base, q, shortlist_size=30, top=6).ids()
 
     def test_threads_do_not_change_results(self):
+        # ids and scores of the query block that search and search_ids share
         rng, base, cb, spec, index = make_fixture()
         queries = rng.standard_normal((16, base.shape[1])).astype(np.float32)
-        one = search_many(index, base, queries, shortlist_size=30, top=6, threads=1)
-        four = search_many(index, base, queries, shortlist_size=30, top=6, threads=4)
+        one = _search_block(index, base, queries, 30, 6, Metric.EUCLIDEAN, threads=1)
+        four = _search_block(index, base, queries, 30, 6, Metric.EUCLIDEAN, threads=4)
         for a, b in zip(one, four):
-            assert a.ranked == b.ranked
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_rejects_threads_below_one(self, threads):
         rng, base, cb, spec, index = make_fixture()
         queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
-        for run in (search_many, search_ids):
-            with pytest.raises(ValueError, match="threads must be at least 1"):
-                run(index, base, queries, shortlist_size=30, top=6, threads=threads)
-
-    def test_search_ids_agrees(self):
-        rng, base, cb, spec, index = make_fixture()
-        queries = rng.standard_normal((8, base.shape[1])).astype(np.float32)
-        ids = search_ids(index, base, queries, shortlist_size=30, top=6)
-        assert ids.shape == (8, 6)
-        many = search_many(index, base, queries, shortlist_size=30, top=6)
-        for row, res in zip(ids, many):
-            assert row.tolist() == res.ids()
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            search_ids(index, base, queries, shortlist_size=30, top=6, threads=threads)
 
 
 class TestIndexIO:

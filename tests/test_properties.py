@@ -21,6 +21,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import multikmeans.core as core_mod
+import multikmeans.encoder as encoder_mod
 import multikmeans.index as index_mod
 import multikmeans.kmeans as km
 from multikmeans.core import (
@@ -51,7 +53,6 @@ from multikmeans.index import (
     build_index,
     search,
     search_ids,
-    search_many,
     shortlist,
 )
 from multikmeans.kmeans import Codebook, TrainMeta, TrainParams
@@ -217,7 +218,8 @@ def test_sq_distances_match_whole_block_passes(seed, wide, b_dtype, data):
     a[rng.integers(0, n, size=n // 2)] = b[rng.integers(0, m, size=n // 2)]
     chunk_rows = data.draw(st.sampled_from([None, 40] if wide else [None, 1, 2]))
     B64 = b.astype(np.float64)
-    got = _sq_distances(a, B64, np.einsum("md,md->m", B64, B64), chunk_rows)
+    with mock.patch.object(core_mod, "_BLOCK_ELEMENTS", chunk_rows * m) if chunk_rows else contextlib.nullcontext():
+        got = _sq_distances(a, B64, np.einsum("md,md->m", B64, B64))
     assert got.tobytes() == parent_sq_distances(a, b, chunk_rows).tobytes()
 
 
@@ -271,16 +273,17 @@ def test_search_over_reader_matches_full_sort(case):
         write_vectors(path, base)
         with VectorReader(path) as reader:
             got_ids = search_ids(index, reader, queries, limit, top, metric, threads)
-            many = search_many(index, reader, queries, limit, top, metric, threads)
+            got_scores = index_mod._search_block(index, reader, queries, limit, top, metric, threads)[1]
             for qi, q in enumerate(queries):
                 code = encode(q, cb, spec)
                 cand = shortlist(index, code, limit)
                 np.testing.assert_array_equal(cand, naive_shortlist(index, code.words, limit))
                 want_ids, want_scores = naive_search(base, cand, q, top, metric)
-                for res in (search(index, reader, q, limit, top, metric), many[qi]):
-                    np.testing.assert_array_equal([i for i, _ in res.ranked], want_ids)
-                    np.testing.assert_array_equal([s for _, s in res.ranked], want_scores)
+                res = search(index, reader, q, limit, top, metric)
+                np.testing.assert_array_equal([i for i, _ in res.ranked], want_ids)
+                np.testing.assert_array_equal([s for _, s in res.ranked], want_scores)
                 np.testing.assert_array_equal(got_ids[qi], want_ids)
+                np.testing.assert_array_equal(got_scores[qi], want_scores)
 
 
 @SETTINGS
@@ -622,7 +625,8 @@ def test_assign_nearest_matches_one_checked_call_per_block(seed, n, d, k, dtype,
     rng = np.random.default_rng(seed)
     X = (rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 4)).astype(dtype)
     C = X[rng.integers(0, n, size=k)].astype(np.float64) + rng.standard_normal((k, d)) * rng.choice([0.0, 1.0])
-    got = km._assign(X, C, np.einsum("md,md->m", C, C), chunk_rows=chunk_rows)
+    with mock.patch.object(km, "_BLOCK_ELEMENTS", chunk_rows * k) if chunk_rows else contextlib.nullcontext():
+        got = km._assign(X, C, np.einsum("md,md->m", C, C))
     want = parent_assign_nearest(X, C, chunk_rows=chunk_rows)
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
@@ -656,7 +660,9 @@ def test_encode_many_matches_one_checked_call_per_chunk(seed, n, d, variant, chu
             else:
                 parts.append(_bits_nearest(dist, 2))
         want.append(pack_bits(np.concatenate(parts, axis=1)))
-    assert encode_many(X, quantizer, spec, chunk_rows=chunk_rows).tobytes() == np.vstack(want).tobytes()
+    with mock.patch.object(encoder_mod, "_ENCODE_ROWS", chunk_rows):
+        got = encode_many(X, quantizer, spec)
+    assert got.tobytes() == np.vstack(want).tobytes()
 
 
 @SETTINGS
