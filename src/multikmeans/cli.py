@@ -89,7 +89,7 @@ def _read_config_file(path: str) -> list[tuple[str, str]]:
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     entries = []
     for lineno, raw in enumerate(lines, start=1):

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 WORD_BITS = 64
-_BLOCK_ELEMENTS = 1 << 23  # float64 elements per block of _sq_distances and kmeans._assign
+_BLOCK_ELEMENTS = 1 << 23  # elements per block of _sq_distances, kmeans._assign and brute_force_gt
 
 __all__ = [
     "WORD_BITS",

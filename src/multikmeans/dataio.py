@@ -277,10 +277,10 @@ class SyntheticSpec:
             raise ValueError("need at least 1 point per cluster")
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
-        if not (self.cluster_spread > 0.0):
-            raise ValueError("cluster_spread must be positive")
-        if not (self.center_scale > 0.0):
-            raise ValueError("center_scale must be positive")
+        f32_max = float(np.finfo(np.float32).max)  # the files are float32
+        for name in ("cluster_spread", "center_scale"):
+            if not (0.0 < getattr(self, name) <= f32_max):
+                raise ValueError(f"{name} must be positive and at most {f32_max:.7g}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.n_queries < 1:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Metric, as_matrix
-from .index import _euclidean_screen, _euclidean_topk, _topk
+from .core import _BLOCK_ELEMENTS, Metric, as_matrix
+from .index import _cosine_screen, _cosine_topk, _euclidean_screen, _euclidean_topk
 
 __all__ = [
     "brute_force_gt",
@@ -29,7 +29,7 @@ def brute_force_gt(base, queries, k: int, metric: Metric = Metric.EUCLIDEAN) -> 
     """Exact k-nearest ids (base row positions) for every query, shape (Q, k).
 
     Euclidean ranks ascending distance, cosine descending similarity; equal
-    scores rank the lower id first.
+    scores rank the lower id first, as in the search path's re-rank.
     """
     B = as_matrix(base, "base")
     Q = as_matrix(queries, "queries")
@@ -40,29 +40,17 @@ def brute_force_gt(base, queries, k: int, metric: Metric = Metric.EUCLIDEAN) -> 
     metric = Metric(metric)
     out = np.empty((Q.shape[0], k), dtype=np.int64)
     positions = np.arange(B.shape[0], dtype=np.int64)
-    chunk = max(1, (1 << 23) // B.shape[0])
     if metric is Metric.EUCLIDEAN:
-        screen = _euclidean_screen(B)
-        for s in range(0, Q.shape[0], chunk):
-            Q64 = np.asarray(Q[s : s + chunk], dtype=np.float64)
-            with np.errstate(over="ignore", invalid="ignore"):
-                dots = Q64.astype(np.float32) @ screen[0].T
-            for r, q64 in enumerate(Q64):
-                out[s + r] = _euclidean_topk(B, q64, positions, k, screen, dots[r])[0]
-        return out
-    B64 = np.asarray(B, dtype=np.float64)
-    norms = np.linalg.norm(B64, axis=1)
-    if (norms == 0.0).any():
-        raise ValueError("cosine ground truth is undefined for zero-norm base vectors")
+        topk, screen, dtype = _euclidean_topk, _euclidean_screen(B), np.float32
+    else:
+        topk, screen, dtype = _cosine_topk, _cosine_screen(B, positions), np.float64
+    chunk = max(1, _BLOCK_ELEMENTS // B.shape[0])
     for s in range(0, Q.shape[0], chunk):
         Q64 = np.asarray(Q[s : s + chunk], dtype=np.float64)
-        qn = np.linalg.norm(Q64, axis=1)
-        if (qn == 0.0).any():
-            raise ValueError("cosine ground truth is undefined for zero-norm queries")
-        scores = -(Q64 @ B64.T) / (qn[:, None] * norms[None, :])
-        # smallest negated similarities first, ties by ascending position
-        for r, row in enumerate(scores):
-            out[s + r] = _topk(row, positions, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dots = np.asarray(Q64, dtype=dtype) @ screen[0].T
+        for r, q64 in enumerate(Q64):
+            out[s + r] = topk(B, q64, positions, k, screen, dots[r])[0]
     return out
 
 

@@ -281,6 +281,33 @@ def _euclidean_topk(rows, q64: np.ndarray, ids: np.ndarray, top: int, screen=Non
     return keep[sel], scores[sel]
 
 
+def _cosine_screen(rows, ids: np.ndarray):
+    """The rows as float64 and their norms, the query-independent half of
+    _cosine_topk. A non-finite or zero-norm row raises ValueError naming its id."""
+    rows64 = np.asarray(rows, dtype=np.float64)
+    norms = np.linalg.norm(rows64, axis=1)
+    if not np.isfinite(norms).all():
+        raise ValueError(f"cosine similarity is undefined for non-finite base vector id {ids[~np.isfinite(norms)][0]}")
+    if (norms == 0.0).any():
+        raise ValueError(f"cosine similarity is undefined for zero-norm base vector id {ids[norms == 0.0][0]}")
+    return rows64, norms
+
+
+def _cosine_topk(rows, q64: np.ndarray, ids: np.ndarray, top: int, screen=None, dots=None):
+    """Positions of the `top` rows most similar to q64 and their cosine
+    similarities, clipped to [-1, 1]: the one cosine kernel of the re-rank
+    and ground truth. `screen` is _cosine_screen(rows, ids) and `dots` the
+    products rows64 @ q64; both are computed here when the caller has not."""
+    qn = np.linalg.norm(q64)
+    if qn == 0.0:
+        raise ValueError("cosine similarity is undefined for a zero-norm query")
+    rows64, norms = _cosine_screen(rows, ids) if screen is None else screen
+    dots = rows64 @ q64 if dots is None else dots
+    scores = np.clip(dots / (norms * qn), -1.0, 1.0)
+    sel = _topk(-scores, ids, top)
+    return sel, scores[sel]
+
+
 def _nearest_codes(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndarray:
     """Ids of the `limit` codes Hamming-nearest to one packed query row,
     ordered by (distance, id); the caller has checked 1 <= limit <= size.
@@ -330,24 +357,9 @@ def _rerank_arrays(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int
     vecs = _gather(base_vectors, cand_ids)
     if vecs.ndim != 2 or vecs.shape[0] != cand_ids.shape[0] or vecs.shape[1] != q64.shape[0]:
         raise ValueError(f"base store returned shape {vecs.shape} for {cand_ids.shape[0]} ids")
-    if metric is Metric.EUCLIDEAN:
-        keep, scores = _euclidean_topk(_numeric_matrix(vecs, "base store rows"), q64, cand_ids, top)
-        return cand_ids[keep], scores
-    else:
-        vecs = np.asarray(vecs, dtype=np.float64)
-        qn = np.linalg.norm(q64)
-        norms = np.linalg.norm(vecs, axis=1)
-        if qn == 0.0:
-            raise ValueError("cosine re-rank is undefined for a zero-norm query")
-        if not np.isfinite(norms).all():
-            bad = cand_ids[~np.isfinite(norms)][0]
-            raise ValueError(f"cosine re-rank is undefined for non-finite base vector id {bad}")
-        if (norms == 0.0).any():
-            bad = cand_ids[norms == 0.0][0]
-            raise ValueError(f"cosine re-rank is undefined for zero-norm base vector id {bad}")
-        scores = np.clip((vecs @ q64) / (norms * qn), -1.0, 1.0)
-        keep = _topk(-scores, cand_ids, top)
-    return cand_ids[keep], scores[keep]
+    topk = _euclidean_topk if metric is Metric.EUCLIDEAN else _cosine_topk
+    keep, scores = topk(_numeric_matrix(vecs, "base store rows"), q64, cand_ids, top)
+    return cand_ids[keep], scores
 
 
 def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top: int, metric, threads: int):

@@ -89,6 +89,50 @@ class TestGen:
     def test_bad_spec_exits_2(self, tmp_path):
         assert main(["gen", "--out-dir", str(tmp_path), "--clusters", "1"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--spread", "--center-scale"])
+    @pytest.mark.parametrize("value", ["inf", "1e308", "9e307"])
+    def test_scale_beyond_float32_exits_2(self, tmp_path, capsys, flag, value):
+        argv = ["gen", "--out-dir", str(tmp_path), "--clusters", "2", "--per-cluster", "2", "--dim", "2"]
+        assert main(argv + [f"{flag}={value}"]) == 2
+        assert "must be positive and at most 3.402823e+38" in capsys.readouterr().err
+        assert not (tmp_path / "base.fvecs").exists()
+
+    def test_draw_beyond_float32_exits_3(self, tmp_path, capsys):
+        # each scale fits float32, but a center plus its noise may not
+        argv = ["gen", "--out-dir", str(tmp_path), "--clusters", "2", "--per-cluster", "2", "--dim", "2"]
+        with np.errstate(over="ignore"):
+            assert main(argv + ["--spread=3e38", "--center-scale=3e38"]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    run_ok(["gen", "--out-dir", str(root), "--clusters", "2", "--per-cluster", "2", "--dim", "2", "--queries", "2"])
+    return root
+
+
+class TestFloatFlagSweep:
+    """Every float flag ends in exit 0, 2 or 3 with an error line, never a
+    traceback. Values use --flag=value, as argparse reads -inf as an option."""
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "1e308"])
+    @pytest.mark.parametrize("flag", ["--spread", "--center-scale", "--tol"])
+    def test_no_traceback(self, tiny, tmp_path, capsys, flag, value):
+        if flag == "--tol":
+            argv = [
+                "train", "--learning", str(tiny / "learning.fvecs"), "--variant", "t", "--k", "2",
+                "--max-iters", "3", "--out", str(tmp_path / "cb.mkmc"),
+            ]
+        else:
+            argv = ["gen", "--out-dir", str(tmp_path), "--clusters", "2", "--per-cluster", "2", "--dim", "2"]
+        code = main(argv + [f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: ")
+
 
 class TestGt:
     def test_matches_generated_file(self, workdir, tmp_path):
@@ -754,3 +798,10 @@ class TestConfigFile:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["eval", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 1\n\xff\xfe bad\n")
+        assert main(["gen", "--out-dir", str(tmp_path / "g"), "--config", str(cfg)]) == 2
+        assert f"error: cannot read config file {cfg}" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()

@@ -313,6 +313,17 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError):
             SyntheticSpec(n_clusters=2, points_per_cluster=5, dim=4, n_queries=0)
 
+    @pytest.mark.parametrize("field", ["cluster_spread", "center_scale"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e308, 9e307, 3.5e38, 0.0, -1.0])
+    def test_scales_must_be_positive_and_fit_float32(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and at most 3.402823e\\+38"):
+            SyntheticSpec(n_clusters=2, points_per_cluster=2, dim=2, **{field: value})
+
+    def test_float32_max_scale_is_accepted(self):
+        top = float(np.finfo(np.float32).max)
+        spec = SyntheticSpec(n_clusters=2, points_per_cluster=2, dim=2, cluster_spread=top, center_scale=top)
+        assert spec.center_scale == spec.cluster_spread == top
+
 
 class TestGenerateSynthetic:
     def test_shapes_and_dtypes(self):

@@ -82,10 +82,15 @@ class TestBruteForceGT:
     def test_zero_norm_rejected_for_cosine(self):
         base = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.float32)
         q = np.array([[1.0, 1.0]], dtype=np.float32)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero-norm base vector id 0$"):
             brute_force_gt(base, q, 1, metric=Metric.COSINE)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero-norm query"):
             brute_force_gt(base[1:], np.zeros((1, 2), dtype=np.float32), 1, metric=Metric.COSINE)
+
+    def test_dimension_mismatch(self):
+        base = np.ones((4, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match="dimension mismatch: base 3 vs queries 2"):
+            brute_force_gt(base, np.ones((1, 2), dtype=np.float32), 1)
 
 
 class TestRecallAtR:

@@ -184,12 +184,13 @@ class TestSearch:
             want = naive_search(base, index.ids, cand, q, Metric.COSINE, 10)
             assert res.ids() == [i for i, _ in want]
 
-    def test_full_shortlist_equals_brute_force(self):
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.COSINE])
+    def test_full_shortlist_equals_brute_force(self, metric):
         rng, base, cb, spec, index = make_fixture()
         queries = rng.standard_normal((5, base.shape[1])).astype(np.float32)
-        gt = brute_force_gt(base, queries, 10)
+        gt = brute_force_gt(base, queries, 10, metric=metric)
         for qi, q in enumerate(queries):
-            res = search(index, base, q, shortlist_size=index.size, top=10)
+            res = search(index, base, q, shortlist_size=index.size, top=10, metric=metric)
             assert res.ids() == gt[qi].tolist()
 
     def test_result_metadata(self):
@@ -227,6 +228,31 @@ class TestSearch:
         store[2, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite base vector id 2$"):
             search(index, store, base[0], shortlist_size=5, top=5, metric=metric)
+
+    def test_zero_norm_base_row_rejected_for_cosine(self):
+        # search and ground truth share one check, which names the row's id
+        rng, base, cb, spec, index = make_fixture(n=5, dim=3, k=4)
+        store = base.copy()
+        store[3] = 0.0
+        with pytest.raises(ValueError, match="zero-norm base vector id 3$"):
+            search(index, store, base[0], shortlist_size=5, top=5, metric=Metric.COSINE)
+        with pytest.raises(ValueError, match="zero-norm base vector id 3$"):
+            brute_force_gt(store, base[:2], 2, metric=Metric.COSINE)
+
+    def test_store_returning_wrong_shape_rejected(self):
+        rng, base, cb, spec, index = make_fixture(n=10)
+
+        class Narrow:
+            def take(self, ids):
+                return base[ids, :-1]
+
+        with pytest.raises(ValueError, match=r"base store returned shape \(5, 7\) for 5 ids"):
+            search(index, Narrow(), base[0], shortlist_size=5, top=3)
+
+    def test_base_array_must_be_2d(self):
+        rng, base, cb, spec, index = make_fixture(n=10)
+        with pytest.raises(ValueError, match="base vectors array must be 2-D"):
+            search(index, base.ravel(), base[0], shortlist_size=5, top=3)
 
     def test_zero_norm_cosine_rejected(self):
         rng, base, cb, spec, index = make_fixture(n=10)
