@@ -35,6 +35,7 @@ from .encoder import (
     EncoderSpec,
     MeanKind,
     Variant,
+    _block_rows,
     encode_many,
     load_quantizer,
     save_quantizer,
@@ -185,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="threshold mean for t/t2 (default arith)")
     ix.add_argument("--n", type=int, default=None,
                     help="total bits set per code for n/n2 (n2 splits it across halves)")
-    ix.add_argument("--batch-size", type=int, default=65536)
     _add_config_flag(ix)
     ix.set_defaults(func=cmd_index)
 
@@ -341,7 +341,7 @@ def _encoder_spec(args, quantizer) -> EncoderSpec:
             raise ConfigError(f"variant n2 splits --n across two codebooks; need even --n, got {n}")
         n //= 2
     if n < 1:
-        raise ConfigError(f"--n too small: each codebook must set at least 1 bit")
+        raise ConfigError("--n too small: each codebook must set at least 1 bit")
     k = quantizer.k
     if n > k:
         raise ConfigError(f"--n sets {n} bits per codebook but codebooks have k={k} centroids")
@@ -349,7 +349,6 @@ def _encoder_spec(args, quantizer) -> EncoderSpec:
 
 
 def cmd_index(args) -> int:
-    _positive(args.batch_size, "--batch-size")
     quantizer = load_quantizer(args.codebook)
     spec = _encoder_spec(args, quantizer)
     t0 = time.perf_counter()
@@ -358,11 +357,9 @@ def cmd_index(args) -> int:
             raise ValueError(
                 f"base file dimension {reader.dim} does not match codebook dimension {quantizer.dim}"
             )
-        parts = []
-        for start in range(0, reader.count, args.batch_size):
-            block = reader.read(start, min(args.batch_size, reader.count - start))
-            parts.append(encode_many(block, quantizer, spec))
-        codes = np.vstack(parts)
+        rows = _block_rows(quantizer)  # one encode block per read, so the file is never all in memory
+        starts = range(0, reader.count, rows)
+        codes = np.vstack([encode_many(reader.read(s, min(rows, reader.count - s)), quantizer, spec) for s in starts])
         ids = np.arange(reader.count, dtype=np.int64)
         idx = build_index(codes, ids, spec, quantizer)
     save_index(idx, args.out)

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 WORD_BITS = 64
-_BLOCK_ELEMENTS = 1 << 23  # elements per block of _sq_distances, kmeans._assign and brute_force_gt
+_BLOCK_ELEMENTS = 1 << 23  # elements per block of kmeans._assign, encode_many and brute_force_gt
 
 __all__ = [
     "WORD_BITS",
@@ -141,50 +141,42 @@ def as_matrix(x, name: str = "data") -> np.ndarray:
     return arr
 
 
-def _sq_distances(A, B64, b_sq, a_sq=None, out=None) -> np.ndarray:
-    """Squared Euclidean distances between the rows of A and of B64, shape
-    (len(A), len(B64)); the seeding, the assign step and encode_many score
-    with it.
+def _sq_distances(A64, a_sq, B64, b_sq, out=None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A64 and of B64, shape
+    (len(A64), len(B64)), from one matrix product; the seeding, the assign
+    step and encode_many score with it, each in blocks it cuts from
+    _BLOCK_ELEMENTS, as the product's bits depend on how many rows share it.
 
     Computes ||x||^2 + ||y||^2 - 2 x.y in float64. Entries small enough to
     be dominated by cancellation error are recomputed with the exact
     difference form, so bitwise-equal rows get exactly 0. The caller has
-    checked that A's rows are finite and as wide as B64's (float64), and
-    b_sq holds B64's squared norms. a_sq, if given, holds
-    the squared norms of A, which must then be float64; the einsum gives a
-    row the same norm whatever rows share the call, so this skips a pass
-    without changing a bit of the output. out, if given, is the
-    (len(A), len(B64)) float64 array the result goes into.
+    checked that A64's rows are finite; A64 and B64 are float64 and equally
+    wide, and a_sq and b_sq hold their squared norms. out, if given, is the
+    (len(A64), len(B64)) float64 array the result goes into.
 
-    Rows of A reach the matrix product in blocks of _BLOCK_ELEMENTS // m,
-    as its bits depend on how many rows share it. The element-wise passes
-    after it run in place on slices of ~256 KB, which stay in cache and
-    change no value.
+    The element-wise passes after the product run in place on slices of
+    ~256 KB, which stay in cache and change no value.
     """
-    n, m = A.shape[0], B64.shape[0]
+    n, m = A64.shape[0], B64.shape[0]
     if out is None:
         out = np.empty((n, m), dtype=np.float64)
-    chunk_rows = max(1, _BLOCK_ELEMENTS // m)
+    np.matmul(A64, B64.T, out=out)
     step = max(1, (1 << 15) // m)
     scale_buf = np.empty((min(n, step), m), dtype=np.float64)
     tiny_buf = np.empty((min(n, step), m), dtype=bool)
-    for s in range(0, n, chunk_rows):
-        blk = np.asarray(A[s : s + chunk_rows], dtype=np.float64)
-        blk_sq = np.einsum("nd,nd->n", blk, blk) if a_sq is None else a_sq[s : s + chunk_rows]
-        np.matmul(blk, B64.T, out=out[s : s + blk.shape[0]])
-        for t in range(0, blk.shape[0], step):
-            chunk = out[s + t : s + min(t + step, blk.shape[0])]
-            scale, tiny = scale_buf[: chunk.shape[0]], tiny_buf[: chunk.shape[0]]
-            np.add(blk_sq[t : t + step, None], b_sq[None, :], out=scale)
-            chunk *= 2.0
-            np.subtract(scale, chunk, out=chunk)
-            scale *= 1e-8
-            np.less_equal(chunk, scale, out=tiny)
-            if tiny.any():
-                ii, jj = np.nonzero(tiny)
-                diffs = blk[ii + t] - B64[jj]
-                chunk[ii, jj] = np.einsum("nd,nd->n", diffs, diffs)
-            np.maximum(chunk, 0.0, out=chunk)
+    for t in range(0, n, step):
+        chunk = out[t : t + step]
+        scale, tiny = scale_buf[: chunk.shape[0]], tiny_buf[: chunk.shape[0]]
+        np.add(a_sq[t : t + step, None], b_sq[None, :], out=scale)
+        chunk *= 2.0
+        np.subtract(scale, chunk, out=chunk)
+        scale *= 1e-8
+        np.less_equal(chunk, scale, out=tiny)
+        if tiny.any():
+            ii, jj = np.nonzero(tiny)
+            diffs = A64[ii + t] - B64[jj]
+            chunk[ii, jj] = np.einsum("nd,nd->n", diffs, diffs)
+        np.maximum(chunk, 0.0, out=chunk)
     return out
 
 

@@ -186,9 +186,12 @@ class VectorReader:
     def take(self, ids) -> np.ndarray:
         if self._mm is None:
             raise ValueError("reader is closed")
-        idx = np.asarray(ids, dtype=np.int64)
+        idx = np.asarray(ids)
         if idx.ndim != 1:
             raise ValueError("ids must be 1-D")
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"ids must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         if idx.size and (idx.min() < 0 or idx.max() >= self.meta.count):
             bad = idx[(idx < 0) | (idx >= self.meta.count)][0]
             raise LookupError(f"vector id {int(bad)} outside file with {self.meta.count} records")

@@ -18,8 +18,10 @@ from enum import Enum
 import numpy as np
 
 from .core import (
+    _BLOCK_ELEMENTS,
     FormatError,
     HashCode,
+    _numeric_matrix,
     _sq_distances,
     as_matrix,
     as_vector,
@@ -62,8 +64,6 @@ _SPLIT_STREAM = 1
 _FIRST_STREAM = 2
 _SECOND_STREAM = 3
 
-_ENCODE_ROWS = 65536  # rows per encode_many chunk
-
 
 class Variant(str, Enum):
     T = "t"
@@ -88,9 +88,9 @@ _SPEC_RECORD = struct.Struct("<BBI")  # variant tag, mean tag, n_nearest
 class EncoderSpec:
     """Which bit rule to apply and its parameters.
 
-    mean_kind matters for the threshold variants; n_nearest counts bits per
-    codebook for the nearest-count variants (so an n2 code sets 2*n_nearest
-    bits in total).
+    mean_kind matters for the threshold variants (the nearest-count ones
+    keep ARITHMETIC); n_nearest counts bits per codebook for the
+    nearest-count variants (so an n2 code sets 2*n_nearest bits in total).
     """
 
     variant: Variant
@@ -103,6 +103,7 @@ class EncoderSpec:
         if self.variant in (Variant.N, Variant.N2):
             if self.n_nearest < 1:
                 raise ValueError(f"variant {self.variant.value} needs n_nearest >= 1")
+            object.__setattr__(self, "mean_kind", MeanKind.ARITHMETIC)
         else:
             object.__setattr__(self, "n_nearest", 0)
 
@@ -177,28 +178,21 @@ def code_length(spec: EncoderSpec, quantizer) -> int:
     return quantizer.code_length
 
 
-def _encode_bits(block: np.ndarray, centroids, spec: EncoderSpec) -> np.ndarray:
-    """Code bits of a checked block; centroids holds one (C64, c_sq) pair,
-    the widened centroids and their squared norms, per codebook."""
-    parts = []
-    for C64, c_sq in centroids:
-        d = _sq_distances(block, C64, c_sq)
-        np.sqrt(d, out=d)
-        if spec.variant in (Variant.T, Variant.T2):
-            parts.append(_bits_threshold(d, spec.mean_kind))
-        else:
-            parts.append(_bits_nearest(d, spec.n_nearest))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+def _block_rows(quantizer) -> int:
+    """Rows per encode block: a block's float64 rows and its distances to
+    one codebook each hold at most _BLOCK_ELEMENTS values."""
+    return max(1, _BLOCK_ELEMENTS // max(quantizer.dim, quantizer.k))
 
 
 def encode_many(vectors, quantizer, spec: EncoderSpec) -> np.ndarray:
     """Encode a stack of descriptors; returns packed codes shaped (N, words).
 
-    Rows are processed in chunks of _ENCODE_ROWS so the float64 distance
-    temporaries stay bounded on large batches. The block is checked once,
-    and the centroids widened and squared once, for all chunks.
+    Rows go in blocks of _block_rows(quantizer), so the float64
+    temporaries stay bounded whatever N and d are. Each block is checked,
+    widened and squared once for all codebooks, and the centroids once for
+    all blocks.
     """
-    X = as_matrix(vectors, "vectors")
+    X = _numeric_matrix(vectors, "vectors")
     length = code_length(spec, quantizer)
     if X.shape[1] != quantizer.dim:
         raise ValueError(f"dimension mismatch: vectors {X.shape[1]} vs codebook {quantizer.dim}")
@@ -206,9 +200,19 @@ def encode_many(vectors, quantizer, spec: EncoderSpec) -> np.ndarray:
     for cb in (quantizer,) if isinstance(quantizer, Codebook) else (quantizer.first, quantizer.second):
         C64 = np.asarray(cb.centroids, dtype=np.float64)
         centroids.append((C64, np.einsum("md,md->m", C64, C64)))
+    threshold = spec.variant in (Variant.T, Variant.T2)
+    rows = _block_rows(quantizer)
     out = np.empty((X.shape[0], words_for(length)), dtype=np.uint64)
-    for s in range(0, X.shape[0], _ENCODE_ROWS):
-        out[s : s + _ENCODE_ROWS] = pack_bits(_encode_bits(X[s : s + _ENCODE_ROWS], centroids, spec))
+    for s in range(0, X.shape[0], rows):
+        X64 = np.asarray(as_matrix(X[s : s + rows], "vectors"), dtype=np.float64)
+        x_sq = np.einsum("nd,nd->n", X64, X64)
+        dists = [_sq_distances(X64, x_sq, C64, c_sq) for C64, c_sq in centroids]
+        del X64  # freed before the bit rules allocate theirs
+        parts = []
+        for d in dists:
+            np.sqrt(d, out=d)
+            parts.append(_bits_threshold(d, spec.mean_kind) if threshold else _bits_nearest(d, spec.n_nearest))
+        out[s : s + rows] = pack_bits(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
     return out
 
 

@@ -117,9 +117,12 @@ def mean_average_precision(relevances, totals=None) -> float:
 
 def label_relevance(query_label, result_ids, labels) -> np.ndarray:
     """Binary flags: 1 where a result id carries the query's label."""
-    ids = np.asarray(result_ids, dtype=np.int64)
+    ids = np.asarray(result_ids)
     if ids.ndim != 1:
         raise ValueError("result_ids must be 1-D")
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"result_ids must be integers, got dtype {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
     lab = np.asarray(labels)
     if lab.ndim != 1:
         raise ValueError("labels must be a 1-D array indexed by id")

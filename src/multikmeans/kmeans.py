@@ -117,7 +117,7 @@ def _kmeanspp_seed(X: np.ndarray, X64: np.ndarray, x_sq: np.ndarray, k: int, see
 
     def sq_distances_to(i: int) -> np.ndarray:
         row = X64[i][None, :]
-        return _sq_distances(X64, row, np.einsum("md,md->m", row, row), a_sq=x_sq, out=col)[:, 0]
+        return _sq_distances(X64, x_sq, row, np.einsum("md,md->m", row, row), out=col)[:, 0]
 
     rng = np.random.default_rng(int(seed))
     chosen = np.empty(k, dtype=np.int64)
@@ -145,22 +145,19 @@ def _assign_work(n: int, k: int):
     )
 
 
-def _assign(X, C64, c_sq, x_sq=None, work=None):
+def _assign(X64, x_sq, C64, c_sq, work):
     """Nearest-centroid labels (int64) and squared distances (float64) of
-    the rows of X, ties to the lowest index. X's rows are finite and as
-    wide as C64's, c_sq holds C64's squared norms, and x_sq, if given, X's
-    (X then float64). work, from _assign_work, is reused across calls; the
-    labels and distances returned live in it.
-
-    Blocks of _BLOCK_ELEMENTS // k points go to _sq_distances, which splits
-    them again by its own row limit."""
-    n, k = X.shape[0], C64.shape[0]
+    the rows of X64, ties to the lowest index, in blocks of
+    _BLOCK_ELEMENTS // k points. X64's rows are finite and as wide as
+    C64's, and x_sq and c_sq hold their squared norms. work, from
+    _assign_work, is reused across calls; the labels and distances
+    returned live in it."""
+    n, k = X64.shape[0], C64.shape[0]
     chunk_rows = max(1, _BLOCK_ELEMENTS // k)
-    d2, labels, d2min = _assign_work(n, k) if work is None else work
+    d2, labels, d2min = work
     for s in range(0, n, chunk_rows):
-        blk = X[s : s + chunk_rows]
-        a_sq = None if x_sq is None else x_sq[s : s + chunk_rows]
-        dist = _sq_distances(blk, C64, c_sq, a_sq=a_sq, out=d2[: blk.shape[0]])
+        blk = X64[s : s + chunk_rows]
+        dist = _sq_distances(blk, x_sq[s : s + chunk_rows], C64, c_sq, out=d2[: blk.shape[0]])
         lab = labels[s : s + chunk_rows]
         np.argmin(dist, axis=1, out=lab)
         d2min[s : s + chunk_rows] = np.take_along_axis(dist, lab[:, None], axis=1)[:, 0]
@@ -203,7 +200,7 @@ def train(data, k: int, params: TrainParams = TrainParams()) -> "Codebook":
         # non-finite norm
         if not np.isfinite(c_sq).all():
             as_matrix(C, "centroids")
-        return _assign(X64, C, c_sq, x_sq=x_sq, work=work)
+        return _assign(X64, x_sq, C, c_sq, work)
 
     history: list[float] = []
     prev = None

@@ -1,16 +1,22 @@
 import json
+import re
+import shlex
 import struct
 import subprocess
 import sys
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import multikmeans.encoder as encoder_mod
 from multikmeans import __version__
-from multikmeans.cli import _sample_rows, main
+from multikmeans.cli import _sample_rows, build_parser, main
 from multikmeans.core import Metric, derive_seed
-from multikmeans.dataio import read_labels, read_vectors, write_vectors
+from multikmeans.dataio import VectorReader, read_labels, read_vectors, write_vectors
+from multikmeans.encoder import EncoderSpec, Variant, encode_many, load_quantizer
 from multikmeans.evaluate import label_relevance, mean_average_precision, recall_at_r
 from multikmeans.index import load_index, search_ids
 
@@ -61,6 +67,22 @@ class TestBasics:
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout
+
+
+def readme_commands():
+    """Each `multikmeans ...` line of README.md's ```sh blocks, with its
+    backslash continuations joined and the shell loop's $s set to 1."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    return [line.replace("$s", "1") for line in lines if line.startswith("multikmeans ")]
+
+
+@pytest.mark.parametrize("line", readme_commands(), ids=lambda line: line.split()[1])
+def test_readme_example_parses(line):
+    """A removed or renamed flag cannot linger in the README's examples."""
+    args = build_parser().parse_args(shlex.split(line)[1:])
+    assert args.command == shlex.split(line)[1]
 
 
 class TestGen:
@@ -349,6 +371,33 @@ def query_argv(workdir, *extra):
     ]
 
 
+@pytest.fixture(scope="module")
+def bad_inputs(workdir, tmp_path_factory):
+    """Inputs that each fail one check: a dual codebook, a float ground
+    truth file, a query label file one label short, a config line with no
+    value and a config that sets the removed batch_size."""
+    root = tmp_path_factory.mktemp("bad_inputs")
+    run_ok(
+        [
+            "train", "--learning", str(workdir / "learning.fvecs"), "--variant", "t2",
+            "--k", "8", "--out", str(root / "cb.mkm2"),
+        ]
+    )
+    write_vectors(root / "gt.fvecs", read_vectors(workdir / "groundtruth.ivecs").astype(np.float32))
+    lines = (workdir / "query_labels.txt").read_text().splitlines()
+    (root / "short_labels.txt").write_text("\n".join(lines[:-1]) + "\n")
+    (root / "empty_value.cfg").write_text("seed =\n")
+    (root / "batch.cfg").write_text("batch_size = 64\n")
+    return root
+
+
+def index_argv(workdir, *extra):
+    return [
+        "index", "--codebook", str(workdir / "cb.mkmc"),
+        "--base", str(workdir / "base.fvecs"), *extra,
+    ]
+
+
 class TestEvalErrors:
     @pytest.mark.parametrize(
         "tokens, code, message",
@@ -366,19 +415,43 @@ class TestEvalErrors:
             (("@query", "--index", "@missing", "--shortlist", "0"), 2, "--shortlist must be at least 1"),
             (("@query", "--query-row", "-1"), 2, "--query-row -1 outside [0, 24)"),
             (("@query", "--query-row", "24"), 2, "--query-row 24 outside [0, 24)"),
+            (("@query", "--shortlist", "5", "--top", "10"), 0, "note: top clamped to shortlist size 5"),
+            (("@eval", "@gt", "--seeds=-1"), 2, "--seeds must fit in an unsigned 64-bit integer, got -1"),
+            (("@eval", "@gt", "--seeds", "x"), 2, "--seeds must be a comma-separated list of integers, got 'x'"),
+            (("@eval", "@gt", "--seeds", ","), 2, "--seeds must list at least one integer"),
+            (("@eval", "--gt", "@float_gt"), 3, "does not hold integer neighbor ids"),
+            (("@eval", "@map", "--query-labels", "@short_labels"), 3, "23 query labels for 24 queries"),
+            (("train", "--learning", "@learning", "--variant", "t", "--k", "1", "--out", "@out"), 2,
+             "--k must be at least 2, got 1"),
+            (("@index", "--codebook", "@dual", "--variant", "t", "--out", "@out"), 2,
+             "variant t needs a single codebook file"),
+            (("@index", "--variant", "n", "--n", "0", "--out", "@out"), 2,
+             "--n too small: each codebook must set at least 1 bit"),
+            (("@index", "--variant", "n", "--n", "17", "--out", "@out"), 2,
+             "--n sets 17 bits per codebook but codebooks have k=16 centroids"),
+            (("@index", "--variant", "t", "--batch-size", "64", "--out", "@out"), 2,
+             "unrecognized arguments: --batch-size 64"),
+            (("@index", "--variant", "t", "--config", "@batch_cfg", "--out", "@out"), 2,
+             "unrecognized arguments: --batch-size 64"),
+            (("gen", "--out-dir", "@out", "--config", "@empty_cfg"), 2, "line 1 is not `key = value`: 'seed ='"),
+            (("eval", "--config"), 2, "--config needs a file path"),
         ],
         ids=[
             "sample-above-count", "class-too-small", "base-label-count", "recall-at-0",
             "no-depth-fits", "map-depth-0", "map-depth-clamped", "eval-check-order",
-            "query-check-order", "query-row-negative", "query-row-at-count",
+            "query-check-order", "query-row-negative", "query-row-at-count", "query-top-clamped",
+            "seeds-negative", "seeds-not-int", "seeds-empty", "recall-float-gt", "map-query-label-count",
+            "train-k-1", "index-t-dual-codebook", "index-n-0", "index-n-above-k", "index-batch-size",
+            "index-batch-size-config", "config-empty-value", "config-last-token",
         ],
     )
-    def test_exit_code_and_message(self, workdir, tmp_path, capsys, tokens, code, message):
+    def test_exit_code_and_message(self, workdir, bad_inputs, tmp_path, capsys, tokens, code, message):
         odd = tmp_path / "odd_labels.txt"
         odd.write_text("7\n" + "0\n" * 23)  # one query of class 7
         expand = {
             "@eval": eval_argv(workdir),
             "@query": query_argv(workdir),
+            "@index": index_argv(workdir),
             "@gt": ["--gt", str(workdir / "groundtruth.ivecs")],
             "@map": [
                 "--mode", "map", "--base-labels", str(workdir / "base_labels.txt"),
@@ -387,10 +460,20 @@ class TestEvalErrors:
             "@odd": [str(odd)],
             "@qlabels": [str(workdir / "query_labels.txt")],
             "@missing": [str(tmp_path / "missing.mkmi")],
+            "@learning": [str(workdir / "learning.fvecs")],
+            "@dual": [str(bad_inputs / "cb.mkm2")],
+            "@float_gt": [str(bad_inputs / "gt.fvecs")],
+            "@short_labels": [str(bad_inputs / "short_labels.txt")],
+            "@empty_cfg": [str(bad_inputs / "empty_value.cfg")],
+            "@batch_cfg": [str(bad_inputs / "batch.cfg")],
+            "@out": [str(tmp_path / "out")],
         }
         argv = [arg for tok in tokens for arg in expand.get(tok, [tok])]
         assert main(argv) == code
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -561,6 +644,27 @@ class TestVariantPaths:
         )
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["mean"] == "geom"
+
+
+class TestIndexBlocks:
+    def test_blocked_index_matches_one_encode_many(self, workdir, tmp_path):
+        """index reads the base in encode blocks; with 100 rows per block
+        the 240 rows take three reads, the last one ragged, and the codes
+        are those of one encode_many call over the whole file."""
+        cb = load_quantizer(workdir / "cb.mkmc")
+        reads = []
+        read = VectorReader.read
+
+        def counted(self, start, count):
+            reads.append(count)
+            return read(self, start, count)
+
+        with mock.patch.object(encoder_mod, "_BLOCK_ELEMENTS", 100 * 16):
+            with mock.patch.object(VectorReader, "read", counted):
+                run_ok(index_argv(workdir, "--variant", "t", "--out", str(tmp_path / "t.mkmi")))
+            want = encode_many(read_vectors(workdir / "base.fvecs"), cb, EncoderSpec(Variant.T))
+        assert reads == [100, 100, 40]
+        assert load_index(tmp_path / "t.mkmi").codes.tobytes() == want.tobytes()
 
 
 class TestFlagPairings:
@@ -790,6 +894,12 @@ class TestConfigFile:
         )
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["shortlist"] == 100
+
+    def test_config_equals_form(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("recall_at = 1\n")
+        run_ok(eval_argv(workdir, f"--config={cfg}", "--gt", str(workdir / "groundtruth.ivecs")))
+        assert json.loads(capsys.readouterr().out)["config"]["recall_at"] == [1]
 
     def test_malformed_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -1,13 +1,11 @@
 import importlib
 import math
 import pkgutil
-from unittest import mock
 
 import numpy as np
 import pytest
 
 import multikmeans
-import multikmeans.core as core_mod
 from multikmeans.core import (
     HashCode,
     _sq_distances,
@@ -24,8 +22,8 @@ def naive_euclidean(a, b):
 
 
 def sq_distances(a, b):
-    B64 = np.asarray(b, dtype=np.float64)
-    return _sq_distances(a, B64, np.einsum("md,md->m", B64, B64))
+    A64, B64 = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return _sq_distances(A64, np.einsum("nd,nd->n", A64, A64), B64, np.einsum("md,md->m", B64, B64))
 
 
 class TestPairwiseSqDistances:
@@ -45,14 +43,6 @@ class TestPairwiseSqDistances:
         d = sq_distances(a, a)
         assert (np.diag(d) == 0.0).all()
         assert (d >= 0.0).all()
-
-    def test_chunked_matches_unchunked(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((41, 7))
-        b = rng.standard_normal((17, 7))
-        with mock.patch.object(core_mod, "_BLOCK_ELEMENTS", 5 * len(b)):  # 5 rows per block
-            chunked = sq_distances(a, b)
-        np.testing.assert_allclose(chunked, sq_distances(a, b), rtol=1e-12)
 
 
 class TestPacking:

@@ -212,6 +212,21 @@ class TestVectorReader:
             with pytest.raises(LookupError):
                 reader.take(np.array([-1]))
 
+    @pytest.mark.parametrize(
+        "ids, dtype",
+        [([True, False, True, False], "bool"), ([1.7, 2.2], "float64"), (np.array([1, 2], dtype=object), "object")],
+        ids=["bool-mask", "float", "object"],
+    )
+    def test_take_rejects_non_integer_ids(self, tmp_path, ids, dtype):
+        # a mask or float ids read as positions would return rows 1, 0, 1, 0
+        # or rows 1 and 2
+        path, _ = self.make_file(tmp_path, n=4)
+        with VectorReader(path) as reader:
+            with pytest.raises(ValueError, match=f"ids must be integers, got dtype {dtype}"):
+                reader.take(np.asarray(ids))
+            assert reader.take([]).shape == (0, 5)
+            np.testing.assert_array_equal(reader.take(np.array([3, 1], dtype=np.uint8)), reader.read(0, 4)[[3, 1]])
+
     def test_closed_reader_rejects_reads(self, tmp_path):
         path, _ = self.make_file(tmp_path)
         reader = VectorReader(path)
@@ -312,6 +327,10 @@ class TestSyntheticSpec:
             SyntheticSpec(n_clusters=2, points_per_cluster=5, dim=4, cluster_spread=0.0)
         with pytest.raises(ValueError):
             SyntheticSpec(n_clusters=2, points_per_cluster=5, dim=4, n_queries=0)
+        with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
+            SyntheticSpec(n_clusters=2, points_per_cluster=5, dim=4, seed=-1)
+        with pytest.raises(ValueError, match="need at least 1 learning point"):
+            SyntheticSpec(n_clusters=2, points_per_cluster=5, dim=4, n_learning=0)
 
     @pytest.mark.parametrize("field", ["cluster_spread", "center_scale"])
     @pytest.mark.parametrize("value", [np.inf, np.nan, 1e308, 9e307, 3.5e38, 0.0, -1.0])
@@ -337,6 +356,11 @@ class TestGenerateSynthetic:
         assert ds.base_labels.shape == (60,)
         assert ds.query_labels.tolist() == [0, 1, 2, 3, 4, 0, 1, 2, 3]
         assert ds.ground_truth.shape == (9, 8)
+
+    def test_gt_depth_must_be_positive(self):
+        spec = SyntheticSpec(n_clusters=2, points_per_cluster=3, dim=4, n_queries=2)
+        with pytest.raises(ValueError, match="gt_depth must be at least 1"):
+            generate_synthetic(spec, gt_depth=0)
 
     def test_gt_depth_clamped_to_base_size(self):
         spec = SyntheticSpec(n_clusters=2, points_per_cluster=3, dim=4, n_queries=2)

@@ -56,6 +56,18 @@ class TestEncoderSpec:
     def test_threshold_variants_ignore_n(self):
         assert EncoderSpec(Variant.T, n_nearest=7).n_nearest == 0
 
+    @pytest.mark.parametrize("variant", [Variant.N, Variant.N2])
+    def test_nearest_variants_ignore_mean(self, variant, tmp_path):
+        # the n rule never reads the mean, so the spec, its record and the
+        # report all keep the default
+        spec = EncoderSpec(variant, MeanKind.GEOMETRIC, 4)
+        assert spec == EncoderSpec(variant, n_nearest=4)
+        assert spec.mean_kind is MeanKind.ARITHMETIC
+        path = tmp_path / "spec.bin"
+        path.write_bytes(struct.pack("<BBI", 1 if variant is Variant.N else 3, 1, 4))  # mean tag 1: geom
+        with open(path, "rb") as f:
+            assert read_spec_record(f) == spec
+
     def test_nearest_variants_need_n(self):
         with pytest.raises(ValueError):
             EncoderSpec(Variant.N)
@@ -243,9 +255,30 @@ class TestEncodeBatch:
         cb = random_codebook(rng, 8, 5)
         X = rng.standard_normal((50, 5)).astype(np.float32)
         spec = EncoderSpec(Variant.N, n_nearest=3)
-        with mock.patch.object(encoder_mod, "_ENCODE_ROWS", 7):
+        with mock.patch.object(encoder_mod, "_BLOCK_ELEMENTS", 7 * 8):  # 7 rows per block
             chunked = encode_many(X, cb, spec)
         np.testing.assert_array_equal(chunked, encode_many(X, cb, spec))
+
+    @pytest.mark.parametrize("variant", [Variant.T, Variant.N2])
+    @pytest.mark.parametrize("k, d", [(6, 20), (24, 5)], ids=["d-above-k", "k-above-d"])
+    def test_each_kernel_call_fits_the_budget(self, variant, k, d):
+        """Every block encode_many scores holds at most
+        _BLOCK_ELEMENTS // max(d, k) rows, and the blocks cover each row
+        once per codebook."""
+        rng = np.random.default_rng(51)
+        books = [random_codebook(rng, k, d) for _ in range(2)]
+        quantizer = books[0] if variant is Variant.T else DualCodebook(*books)
+        X = rng.standard_normal((47, d)).astype(np.float32)
+        spec = EncoderSpec(variant, n_nearest=2)
+        budget = 10 * max(d, k) + 3  # 10 rows per block, the last one 7
+        with mock.patch.object(encoder_mod, "_BLOCK_ELEMENTS", budget), mock.patch.object(
+            encoder_mod, "_sq_distances", wraps=encoder_mod._sq_distances
+        ) as kernel:
+            encode_many(X, quantizer, spec)
+        shapes = [(c.args[0].shape[0], c.args[2].shape[0]) for c in kernel.call_args_list]
+        assert all(rows * max(d, m) <= budget for rows, m in shapes)
+        assert sum(rows for rows, _ in shapes) == 47 * (1 if variant is Variant.T else 2)
+        assert [rows for rows, _ in shapes][-1] == 7
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(50)

@@ -188,6 +188,14 @@ class TestLabelRelevance:
         rel = label_relevance(3, np.array([0, 1, 2, 4]), labels)
         assert rel.tolist() == [1, 0, 1, 1]
 
+    @pytest.mark.parametrize("ids", [[True, False, True], [1.0, 0.0]], ids=["bool-mask", "float"])
+    def test_rejects_non_integer_ids(self, ids):
+        # a mask read as positions would score ids 1, 0, 1
+        labels = np.array([1, 2, 1])
+        with pytest.raises(ValueError, match="result_ids must be integers, got dtype"):
+            label_relevance(1, np.asarray(ids), labels)
+        assert label_relevance(1, [], labels).tolist() == []
+
     def test_missing_id(self):
         with pytest.raises(LookupError):
             label_relevance(1, np.array([0, 5]), np.array([1, 2]))

@@ -268,6 +268,11 @@ class TestSearch:
 
 
 class TestSearchMany:
+    def test_shortlist_above_index_size(self):
+        _, base, _, _, index = make_fixture(n=40)
+        with pytest.raises(ValueError, match=r"shortlist size 41 outside \[1, 40\]"):
+            search_ids(index, base, base[:2], shortlist_size=41, top=5)
+
     def test_matches_single_query_search(self):
         rng, base, cb, spec, index = make_fixture()
         queries = rng.standard_normal((8, base.shape[1])).astype(np.float32)

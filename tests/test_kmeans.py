@@ -1,4 +1,5 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -87,8 +88,9 @@ class TestSeeding:
 
 def assign(data, centroids):
     """kmeans._assign on checked inputs: (labels, squared distances)."""
-    C64 = np.asarray(centroids, dtype=np.float64)
-    return km._assign(np.asarray(data), C64, np.einsum("md,md->m", C64, C64))
+    X64, C64 = np.asarray(data, dtype=np.float64), np.asarray(centroids, dtype=np.float64)
+    work = km._assign_work(X64.shape[0], C64.shape[0])
+    return km._assign(X64, np.einsum("nd,nd->n", X64, X64), C64, np.einsum("md,md->m", C64, C64), work)
 
 
 class TestObjective:
@@ -171,6 +173,23 @@ class TestTrain:
         np.testing.assert_allclose(sorted(cb.centroids[:, 0]), [0.1, 1.8, 2.1], atol=1e-6)
         np.testing.assert_allclose(cb.train_meta.objective, 0.04, rtol=1e-5)
         assert len(h) == cb.train_meta.iterations + 1
+
+    def test_each_assign_call_fits_the_budget(self, monkeypatch):
+        """Every block the assign step scores holds at most
+        _BLOCK_ELEMENTS // k points; the seeding scores all points against
+        one pick at a time."""
+        rng = np.random.default_rng(31)
+        data = rng.standard_normal((95, 3)).astype(np.float32)
+        monkeypatch.setattr(km, "_BLOCK_ELEMENTS", 20 * 6 + 5)  # 20 points per block for k = 6
+        kernel = mock.MagicMock(wraps=km._sq_distances)
+        monkeypatch.setattr(km, "_sq_distances", kernel)
+        cb = train(data, 6, TrainParams(max_iters=3, rel_tol=0.0))
+        shapes = [(c.args[0].shape[0], c.args[2].shape[0]) for c in kernel.call_args_list]
+        seeding = [s for s in shapes if s[1] == 1]
+        assign = [s for s in shapes if s[1] != 1]
+        assert seeding == [(95, 1)] * 6
+        assert all(rows * k <= 20 * 6 + 5 and k == 6 for rows, k in assign)
+        assert [rows for rows, _ in assign] == [20, 20, 20, 20, 15] * (cb.train_meta.iterations + 1)
 
     def test_validation(self):
         data = np.zeros((3, 2), dtype=np.float32)

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import multikmeans.core as core_mod
 import multikmeans.encoder as encoder_mod
 import multikmeans.index as index_mod
 import multikmeans.kmeans as km
@@ -218,8 +217,10 @@ def test_sq_distances_match_whole_block_passes(seed, wide, b_dtype, data):
     a[rng.integers(0, n, size=n // 2)] = b[rng.integers(0, m, size=n // 2)]
     chunk_rows = data.draw(st.sampled_from([None, 40] if wide else [None, 1, 2]))
     B64 = b.astype(np.float64)
-    with mock.patch.object(core_mod, "_BLOCK_ELEMENTS", chunk_rows * m) if chunk_rows else contextlib.nullcontext():
-        got = _sq_distances(a, B64, np.einsum("md,md->m", B64, B64))
+    b_sq = np.einsum("md,md->m", B64, B64)
+    step = chunk_rows or n  # one kernel call per block of the reference
+    blocks = [a[s : s + step] for s in range(0, n, step)]
+    got = np.vstack([_sq_distances(blk, np.einsum("nd,nd->n", blk, blk), B64, b_sq) for blk in blocks])
     assert got.tobytes() == parent_sq_distances(a, b, chunk_rows).tobytes()
 
 
@@ -625,8 +626,10 @@ def test_assign_nearest_matches_one_checked_call_per_block(seed, n, d, k, dtype,
     rng = np.random.default_rng(seed)
     X = (rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 4)).astype(dtype)
     C = X[rng.integers(0, n, size=k)].astype(np.float64) + rng.standard_normal((k, d)) * rng.choice([0.0, 1.0])
+    X64 = X.astype(np.float64)
     with mock.patch.object(km, "_BLOCK_ELEMENTS", chunk_rows * k) if chunk_rows else contextlib.nullcontext():
-        got = km._assign(X, C, np.einsum("md,md->m", C, C))
+        work = km._assign_work(n, k)
+        got = km._assign(X64, np.einsum("nd,nd->n", X64, X64), C, np.einsum("md,md->m", C, C), work)
     want = parent_assign_nearest(X, C, chunk_rows=chunk_rows)
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
@@ -660,7 +663,7 @@ def test_encode_many_matches_one_checked_call_per_chunk(seed, n, d, variant, chu
             else:
                 parts.append(_bits_nearest(dist, 2))
         want.append(pack_bits(np.concatenate(parts, axis=1)))
-    with mock.patch.object(encoder_mod, "_ENCODE_ROWS", chunk_rows):
+    with mock.patch.object(encoder_mod, "_BLOCK_ELEMENTS", chunk_rows * max(d, 4)):
         got = encode_many(X, quantizer, spec)
     assert got.tobytes() == np.vstack(want).tobytes()
 
