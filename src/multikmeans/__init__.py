@@ -40,7 +40,6 @@ from .encoder import (
     train_dual_codebook,
 )
 from .evaluate import (
-    EvalReport,
     average_precision,
     brute_force_gt,
     label_relevance,
@@ -96,7 +95,6 @@ __all__ = [
     "search",
     "search_ids",
     "shortlist",
-    "EvalReport",
     "average_precision",
     "brute_force_gt",
     "label_relevance",

@@ -13,6 +13,7 @@ long option names); flags given on the command line win.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -41,7 +42,7 @@ from .encoder import (
     save_quantizer,
     train_dual_codebook,
 )
-from .evaluate import EvalReport, average_precision, brute_force_gt, label_relevance
+from .evaluate import average_precision, brute_force_gt, label_relevance
 from .index import build_index, load_index, save_index, search, search_ids
 from .kmeans import TrainParams, train
 
@@ -254,7 +255,7 @@ def cmd_gen(args) -> int:
     write_vectors(paths["base"], ds.base)
     write_vectors(paths["queries"], ds.queries)
     write_vectors(paths["learning"], ds.learning)
-    write_vectors(paths["gt"], ds.ground_truth.astype(np.int32), element_kind="int32")
+    write_vectors(paths["gt"], ds.ground_truth.astype(np.int32))
     write_labels(paths["base_labels"], ds.base_labels)
     write_labels(paths["query_labels"], ds.query_labels)
     dt = time.perf_counter() - t0
@@ -269,13 +270,16 @@ def cmd_gen(args) -> int:
 
 def cmd_gt(args) -> int:
     _positive(args.depth, "--depth")
+    # the suffix picks the element kind on every read, as in element_kind_for
+    if os.path.splitext(args.out)[1].lower() != ".ivecs":
+        raise ConfigError(f"--out must end in .ivecs, the int32 id format, got {args.out!r}")
     base = read_vectors(args.base)
     queries = read_vectors(args.queries)
     if args.depth > len(base):
         raise ConfigError(f"--depth {args.depth} exceeds base size {len(base)}")
     t0 = time.perf_counter()
     gt = brute_force_gt(base, queries, args.depth, metric=_metric(args))
-    write_vectors(args.out, gt.astype(np.int32), element_kind="int32")
+    write_vectors(args.out, gt.astype(np.int32))
     dt = time.perf_counter() - t0
     print(
         f"wrote exact top-{args.depth} ids for {len(queries)} queries over "
@@ -439,7 +443,8 @@ def _sample_rows(n: int, rng: np.random.Generator, sample: int | None, labels=No
 
 
 def _recall_mode(args, reader, queries, shortlist_size, config):
-    """Check recall inputs; return the depth, sampling labels, block score and run record."""
+    """Check recall inputs; return the depth, sampling labels, block score,
+    run record and summary (report fields plus console lines)."""
     if not args.gt:
         raise ConfigError("recall mode needs --gt")
     gt = read_vectors(args.gt)
@@ -473,11 +478,21 @@ def _recall_mode(args, reader, queries, shortlist_size, config):
         counts = hits.sum(axis=0)
         return {"recall_at": {str(r): int(c) / hits.shape[0] for r, c in zip(recall_rs, counts)}}
 
-    return max(recall_rs), None, score, run_record
+    def summary(per_run):  # mean and spread over the runs at each depth
+        series = {str(r): [run["recall_at"][str(r)] for run in per_run] for r in recall_rs}
+        means = {r: float(np.mean(v)) for r, v in series.items()}
+        stds = {r: float(np.std(v)) for r, v in series.items()}
+        lines = ["".join(f"{'R@' + r:>12}" for r in series), "".join(f"{means[r]:>12.4f}" for r in series)]
+        if len(per_run) > 1:
+            lines.append("".join(f"{stds[r]:>12.4f}" for r in series) + "  (std)")
+        return {"recall_at": means, "recall_at_std": stds}, lines
+
+    return max(recall_rs), None, score, run_record, summary
 
 
 def _map_mode(args, reader, queries, shortlist_size, config):
-    """Check MAP inputs; return the depth, sampling labels, block score and run record."""
+    """Check MAP inputs; return the depth, sampling labels, block score,
+    run record and summary (report fields plus console lines)."""
     if not args.base_labels or not args.query_labels:
         raise ConfigError("map mode needs --base-labels and --query-labels")
     base_labels = read_labels(args.base_labels)
@@ -510,7 +525,13 @@ def _map_mode(args, reader, queries, shortlist_size, config):
     def run_record(aps):
         return {"map": float(np.mean(aps))}
 
-    return depth, query_labels, score, run_record
+    def summary(per_run):  # mean and spread over the runs
+        values = [run["map"] for run in per_run]
+        mean, std = float(np.mean(values)), float(np.std(values))
+        line = f"MAP {mean:.4f}" + (f" +/- {std:.4f}" if len(per_run) > 1 else "")
+        return {"map_value": mean, "map_std": std}, [line + f" over {len(per_run)} run(s)"]
+
+    return depth, query_labels, score, run_record, summary
 
 
 def cmd_eval(args) -> int:
@@ -545,7 +566,7 @@ def cmd_eval(args) -> int:
         }
         t0 = time.perf_counter()
         setup = _recall_mode if args.mode == "recall" else _map_mode
-        depth, labels, score, run_record = setup(args, reader, queries, shortlist_size, config)
+        depth, labels, score, run_record, summary = setup(args, reader, queries, shortlist_size, config)
         per_run = []
         for seed in seeds:
             rng = np.random.default_rng(derive_seed(seed, _QUERY_SAMPLE_STREAM))
@@ -558,12 +579,16 @@ def cmd_eval(args) -> int:
             per_run.append(
                 {"seed": seed, "query_count": int(sel.shape[0]), **run_record(np.concatenate(scores))}
             )
-        report = _eval_report(config, per_run)
+        fields, lines = summary(per_run)
         dt = time.perf_counter() - t0
 
-    _print_report(report)
+    # the other mode's score pair stays null
+    report = {"mode": args.mode, "config": config, "runs_averaged": len(per_run), "per_run": per_run,
+              "recall_at": None, "recall_at_std": None, "map_value": None, "map_std": None, **fields}
+    for line in lines:
+        print(line, file=sys.stderr)
     print(f"evaluated {len(seeds)} run(s) in {dt:.2f}s", file=sys.stderr)
-    text = report.to_json()
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         with atomic_write(args.out, "w", encoding="utf-8") as f:
             f.write(text)
@@ -571,37 +596,6 @@ def cmd_eval(args) -> int:
     else:
         print(text, end="")
     return 0
-
-
-def _eval_report(config: dict, per_run: list) -> EvalReport:
-    """Mean and spread over the runs of each per-run score."""
-    if config["mode"] == "recall":
-        series = {r: [run["recall_at"][str(r)] for run in per_run] for r in config["recall_at"]}
-        fields = {
-            "recall_at": {r: float(np.mean(v)) for r, v in series.items()},
-            "recall_at_std": {r: float(np.std(v)) for r, v in series.items()},
-        }
-    else:
-        values = [run["map"] for run in per_run]
-        fields = {"map_value": float(np.mean(values)), "map_std": float(np.std(values))}
-    return EvalReport(config["mode"], config, len(per_run), per_run=per_run, **fields)
-
-
-def _print_report(report: EvalReport) -> None:
-    if report.mode == "recall":
-        rs = sorted(report.recall_at)
-        header = "".join(f"{'R@' + str(r):>12}" for r in rs)
-        means = "".join(f"{report.recall_at[r]:>12.4f}" for r in rs)
-        print(header, file=sys.stderr)
-        print(means, file=sys.stderr)
-        if report.runs_averaged > 1:
-            stds = "".join(f"{report.recall_at_std[r]:>12.4f}" for r in rs)
-            print(stds + "  (std)", file=sys.stderr)
-    else:
-        line = f"MAP {report.map_value:.4f}"
-        if report.runs_averaged > 1:
-            line += f" +/- {report.map_std:.4f}"
-        print(line + f" over {report.runs_averaged} run(s)", file=sys.stderr)
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,8 @@
 
 The three on-disk formats share one record layout: a little-endian int32
 component count, then that many components. `.fvecs` stores float32
-components, `.bvecs` uint8, `.ivecs` int32 (used for neighbor-id lists).
+components, `.bvecs` uint8, `.ivecs` int32 (used for neighbor-id lists);
+the suffix alone picks the element kind, for reading and writing alike.
 Every record in a file carries the same count, so file size must be an
 exact multiple of the record size; anything else raises FormatError with
 the byte offset of the first inconsistency.
@@ -46,15 +47,11 @@ _QUERIES_STREAM = 12
 _LEARNING_STREAM = 13
 
 
-def element_kind_for(path, element_kind: str | None = None) -> str:
-    """Resolve the element kind from an explicit argument or the file suffix."""
-    if element_kind is not None:
-        if element_kind not in _KINDS:
-            raise ValueError(f"unknown element kind {element_kind!r}")
-        return element_kind
+def element_kind_for(path) -> str:
+    """The element kind that the file suffix names, in any letter case."""
     suffix = os.path.splitext(str(path))[1].lower()
     if suffix not in _SUFFIX_KIND:
-        raise ValueError(f"cannot infer element kind from suffix {suffix!r}; pass element_kind")
+        raise ValueError(f"cannot infer element kind from suffix {suffix!r}; use .fvecs, .bvecs or .ivecs")
     return _SUFFIX_KIND[suffix]
 
 
@@ -77,9 +74,9 @@ class VectorFile:
         return 4 + self.dim * _KINDS[self.element_kind][1]
 
 
-def inspect_vectors(path, element_kind: str | None = None) -> VectorFile:
+def inspect_vectors(path) -> VectorFile:
     """Read the leading header and validate the whole-file size invariant."""
-    kind = element_kind_for(path, element_kind)
+    kind = element_kind_for(path)
     size = os.path.getsize(path)
     if size == 0:
         raise FormatError(f"{path}: empty vector file", offset=0)
@@ -117,23 +114,24 @@ def _decode(rows: np.ndarray, meta: VectorFile, record_ids) -> np.ndarray:
     return payload.astype(np.int32 if meta.element_kind == "int32" else np.float32, copy=False)
 
 
-def read_vectors(path, start: int = 0, count: int | None = None, element_kind: str | None = None) -> np.ndarray:
-    """Load records [start, start+count) as a 2-D array, through a VectorReader.
+def read_vectors(path) -> np.ndarray:
+    """Load the whole file as a 2-D array, through a VectorReader.
 
     Returns float32 for descriptor files (bvecs widen from uint8) and int32
-    for id-list files. Validates every record header it touches.
+    for id-list files. Validates every record header. VectorReader.read
+    reads a range.
     """
-    with VectorReader(path, element_kind) as reader:
-        return reader.read(start, reader.count - start if count is None else count)
+    with VectorReader(path) as reader:
+        return reader.read(0, reader.count)
 
 
-def write_vectors(path, vectors, element_kind: str | None = None) -> VectorFile:
-    """Write a 2-D array in the record format matching the suffix or kind.
+def write_vectors(path, vectors) -> VectorFile:
+    """Write a 2-D array in the record format that the suffix names.
 
     Values must be representable in the element kind: finite for float32,
     integral and in range for uint8/int32.
     """
-    kind = element_kind_for(path, element_kind)
+    kind = element_kind_for(path)
     arr = as_matrix(vectors, "vectors")
     n, dim = arr.shape
     if kind == "float32":
@@ -167,8 +165,8 @@ class VectorReader:
     through it. A reader can stand in for an in-memory base array in search.
     """
 
-    def __init__(self, path, element_kind: str | None = None):
-        self.meta = inspect_vectors(path, element_kind)
+    def __init__(self, path):
+        self.meta = inspect_vectors(path)
         shape = (self.meta.count, self.meta.record_size)
         self._mm = np.asarray(np.memmap(path, dtype=np.uint8, mode="r", shape=shape))
 

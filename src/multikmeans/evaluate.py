@@ -6,9 +6,7 @@ path, so metric computations never depend on sort accidents.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +19,6 @@ __all__ = [
     "average_precision",
     "mean_average_precision",
     "label_relevance",
-    "EvalReport",
 ]
 
 
@@ -131,43 +128,3 @@ def label_relevance(query_label, result_ids, labels) -> np.ndarray:
         raise LookupError(f"no label for id {int(bad)}")
     return (lab[ids] == query_label).astype(np.int8)
 
-
-@dataclass
-class EvalReport:
-    """Aggregated evaluation output plus the configuration that produced it."""
-
-    mode: str
-    config: dict
-    runs_averaged: int
-    recall_at: dict | None = None  # R -> mean rate over runs
-    recall_at_std: dict | None = None
-    map_value: float | None = None
-    map_std: float | None = None
-    per_run: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.mode not in ("recall", "map"):
-            raise ValueError(f"unknown eval mode {self.mode!r}")
-        if self.runs_averaged < 1:
-            raise ValueError("runs_averaged must be at least 1")
-        if self.recall_at:
-            rs = sorted(self.recall_at)
-            vals = [self.recall_at[r] for r in rs]
-            if any(b < a for a, b in zip(vals, vals[1:])):
-                raise ValueError("recall@R must be non-decreasing in R")
-
-    def to_json(self) -> str:
-        """Deterministic JSON: identical reports serialize to identical bytes."""
-        payload = {
-            "mode": self.mode,
-            "config": self.config,
-            "runs_averaged": self.runs_averaged,
-            "recall_at": None if self.recall_at is None else {str(r): v for r, v in self.recall_at.items()},
-            "recall_at_std": None
-            if self.recall_at_std is None
-            else {str(r): v for r, v in self.recall_at_std.items()},
-            "map_value": self.map_value,
-            "map_std": self.map_std,
-            "per_run": self.per_run,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"

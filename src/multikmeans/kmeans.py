@@ -167,10 +167,11 @@ def _assign(X64, x_sq, C64, c_sq, work):
 def train(data, k: int, params: TrainParams = TrainParams()) -> "Codebook":
     """Train a k-centroid codebook: D-squared seeding plus Lloyd sweeps.
 
-    Stops when the relative objective improvement drops below
-    params.rel_tol (or the objective hits zero), else after max_iters
-    sweeps. A cluster left empty by an update is reseeded to the point
-    farthest from its currently assigned centroid, so k never shrinks.
+    Stops when the relative objective improvement is at most
+    params.rel_tol (so rel_tol 0 stops at a fixed point) or the objective
+    hits zero, else after max_iters sweeps. A cluster left empty by an
+    update is reseeded to the point farthest from its currently assigned
+    centroid, so k never shrinks.
 
     The data is checked, widened and squared once, and each sweep reuses
     buffers allocated here. A new centroid is the mean of its cluster's
@@ -209,7 +210,7 @@ def train(data, k: int, params: TrainParams = TrainParams()) -> "Codebook":
         labels, d2min = assign()
         obj = float(d2min.sum())
         history.append(obj)
-        if obj == 0.0 or (prev is not None and prev - obj < params.rel_tol * prev):
+        if obj == 0.0 or (prev is not None and prev - obj <= params.rel_tol * prev):
             break
         prev = obj
         counts = np.bincount(labels, minlength=k)

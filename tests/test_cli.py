@@ -178,6 +178,32 @@ class TestGt:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["truth.bin", "truth.fvecs", "truth.bvecs"])
+    def test_out_must_be_ivecs(self, tmp_path, capsys, name):
+        # every reader picks the element kind from the suffix, so an id file
+        # under another suffix could not be read back by eval --gt; the check
+        # comes before any input is read
+        out = tmp_path / name
+        argv = ["gt", "--base", str(tmp_path / "missing.fvecs"), "--queries", str(tmp_path / "missing.fvecs"),
+                "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--out must end in .ivecs, the int32 id format, got '{out}'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_out_suffix_in_any_case(self, workdir, tmp_path):
+        out = tmp_path / "gt.IVECS"
+        run_ok(
+            [
+                "gt", "--base", str(workdir / "base.fvecs"),
+                "--queries", str(workdir / "queries.fvecs"),
+                "--out", str(out), "--depth", "20",
+            ]
+        )
+        assert out.read_bytes() == (workdir / "groundtruth.ivecs").read_bytes()
+        run_ok(eval_argv(workdir, "--gt", str(out), "--recall-at", "1,10", "--shortlist", "240"))
+
 
 class TestQuery:
     def test_self_query_ranks_itself_first(self, workdir, capsys):
@@ -298,6 +324,25 @@ class TestEvalMap:
         assert report["mode"] == "map"
         assert report["map_value"] >= 0.9
         assert report["runs_averaged"] == 2
+
+    def test_sample_below_class_count_takes_the_first_classes(self, workdir, capsys):
+        # 3 queries over 8 classes: one each from the 3 lowest labels, none
+        # from the rest
+        argv = eval_argv(
+            workdir, "--mode", "map", "--base-labels", str(workdir / "base_labels.txt"),
+            "--query-labels", str(workdir / "query_labels.txt"), "--shortlist", "240",
+            "--seeds", "3,4", "--query-sample", "3",
+        )
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "over 2 run(s)" in captured.err
+        assert "Traceback" not in captured.err
+        report = json.loads(captured.out)
+        assert [run["query_count"] for run in report["per_run"]] == [3, 3]
+        query_labels = read_labels(workdir / "query_labels.txt")
+        for seed in (3, 4):
+            rows = _sample_rows(24, np.random.default_rng(derive_seed(seed, 20)), 3, query_labels)
+            assert sorted(query_labels[rows].tolist()) == [0, 1, 2]
 
     def test_label_outside_int64_exits_3(self, workdir, tmp_path, capsys):
         labels = tmp_path / "query_labels.txt"
@@ -435,6 +480,7 @@ class TestEvalErrors:
              "unrecognized arguments: --batch-size 64"),
             (("gen", "--out-dir", "@out", "--config", "@empty_cfg"), 2, "line 1 is not `key = value`: 'seed ='"),
             (("eval", "--config"), 2, "--config needs a file path"),
+            (("@eval", "@gt", "--mode", "speed"), 2, "argument --mode: invalid choice: 'speed'"),
         ],
         ids=[
             "sample-above-count", "class-too-small", "base-label-count", "recall-at-0",
@@ -442,7 +488,7 @@ class TestEvalErrors:
             "query-check-order", "query-row-negative", "query-row-at-count", "query-top-clamped",
             "seeds-negative", "seeds-not-int", "seeds-empty", "recall-float-gt", "map-query-label-count",
             "train-k-1", "index-t-dual-codebook", "index-n-0", "index-n-above-k", "index-batch-size",
-            "index-batch-size-config", "config-empty-value", "config-last-token",
+            "index-batch-size-config", "config-empty-value", "config-last-token", "eval-mode-speed",
         ],
     )
     def test_exit_code_and_message(self, workdir, bad_inputs, tmp_path, capsys, tokens, code, message):
@@ -567,6 +613,79 @@ class TestEvalScores:
         run_ok(self.map_argv(noisy, "--out", str(a)))
         run_ok(self.map_argv(noisy, "--out", str(b)))
         assert a.read_bytes() == b.read_bytes()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+NINE_SEEDS = "1,2,3,4,5,6,7,8,9"
+
+
+@pytest.fixture(scope="module")
+def spread(tmp_path_factory):
+    """A --spread 0.6 set under an n2 index, so rates differ from run to run."""
+    root = tmp_path_factory.mktemp("spread")
+    run_ok(
+        [
+            "gen", "--out-dir", str(root), "--clusters", "6", "--per-cluster", "40",
+            "--dim", "16", "--spread", "0.6", "--queries", "30", "--learning", "64",
+            "--gt-depth", "20", "--seed", "9",
+        ]
+    )
+    run_ok(
+        [
+            "train", "--learning", str(root / "learning.fvecs"), "--variant", "n2",
+            "--k", "16", "--seed", "9", "--out", str(root / "cb.mkm2"),
+        ]
+    )
+    run_ok(
+        [
+            "index", "--codebook", str(root / "cb.mkm2"), "--base", str(root / "base.fvecs"),
+            "--variant", "n2", "--n", "4", "--out", str(root / "n2.mkmi"),
+        ]
+    )
+    return root
+
+
+class TestEvalGolden:
+    """Fixed-seed eval output, byte for byte, less the timing line.
+
+    Nine runs put each cross-run mean and spread past numpy's 8-way
+    unrolled sum, so summing the runs in another order (an axis-0 mean over
+    a runs x depths array, say) changes the last bits of recall_at_std.
+    Recall ranks by cosine against the Euclidean ground truth so that it
+    grows with R: under one metric the exact re-rank puts a shortlisted
+    true neighbour first, and every depth reads the same. Relative paths
+    keep the report's config free of temporary directories.
+    """
+
+    @pytest.mark.parametrize(
+        "name, extra",
+        [
+            ("recall_9", ("--gt", "groundtruth.ivecs", "--metric", "cosine", "--recall-at", "1,5,10",
+                          "--shortlist", "20", "--seeds", NINE_SEEDS, "--query-sample", "10")),
+            ("recall_1", ("--gt", "groundtruth.ivecs", "--metric", "cosine", "--recall-at", "1,5,10",
+                          "--shortlist", "20")),
+            ("map_9", ("--mode", "map", "--base-labels", "base_labels.txt", "--query-labels", "query_labels.txt",
+                       "--metric", "cosine", "--map-depth", "40", "--shortlist", "120",
+                       "--seeds", NINE_SEEDS, "--query-sample", "12")),
+        ],
+    )
+    def test_report_matches_golden(self, spread, monkeypatch, capsys, name, extra):
+        monkeypatch.chdir(spread)
+        run_ok(["eval", "--index", "n2.mkmi", "--base", "base.fvecs", "--queries", "queries.fvecs", *extra])
+        out, err = capsys.readouterr()
+        err, timings = re.subn(r"^evaluated \d+ run\(s\) in [0-9.]+s\n", "", err, flags=re.M)
+        assert timings == 1
+        assert out == (GOLDEN / f"eval_{name}.json").read_text(encoding="utf-8")
+        assert err == (GOLDEN / f"eval_{name}.stderr").read_text(encoding="utf-8")
+        report = json.loads(out)
+        if report["mode"] == "recall":
+            for rates in [report["recall_at"]] + [run["recall_at"] for run in report["per_run"]]:
+                ordered = [rates[str(r)] for r in report["config"]["recall_at"]]
+                assert ordered == sorted(ordered)  # non-decreasing in R
+            assert report["map_value"] is None and report["map_std"] is None
+            assert ("(std)" in err) == (report["runs_averaged"] > 1)
+        else:
+            assert report["recall_at"] is None and report["recall_at_std"] is None
 
 
 class TestVariantPaths:

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -64,26 +65,29 @@ class TestReadCrafted:
         assert got.dtype == np.int32
         assert got.tolist() == [[5, -7], [2147483647, -2147483648]]
 
-    def test_explicit_kind_overrides_suffix(self, tmp_path):
+    def test_unknown_suffix_is_rejected(self, tmp_path):
+        # the suffix is the only element-kind rule; .IVECS reads as .ivecs
         path = tmp_path / "a.dat"
         path.write_bytes(ivecs_bytes([[9, 9]]))
-        assert read_vectors(path, element_kind="int32").tolist() == [[9, 9]]
-        with pytest.raises(ValueError):
-            read_vectors(path)  # unknown suffix, no kind given
+        message = "cannot infer element kind from suffix '.dat'; use .fvecs, .bvecs or .ivecs"
+        for call in (read_vectors, VectorReader, lambda p: write_vectors(p, [[9, 9]])):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(path)
+        upper = tmp_path / "a.IVECS"
+        upper.write_bytes(path.read_bytes())
+        assert read_vectors(upper).tolist() == [[9, 9]]
 
     def test_range_reads(self, tmp_path):
         path = tmp_path / "a.fvecs"
         rows = [[float(i), float(i + 1)] for i in range(6)]
         path.write_bytes(fvecs_bytes(rows))
-        np.testing.assert_array_equal(
-            read_vectors(path, start=2, count=3),
-            np.array(rows[2:5], dtype=np.float32),
-        )
-        assert read_vectors(path, start=6, count=0).shape == (0, 2)
-        with pytest.raises(ValueError):
-            read_vectors(path, start=5, count=2)
-        with pytest.raises(ValueError):
-            read_vectors(path, start=-1)
+        with VectorReader(path) as reader:
+            np.testing.assert_array_equal(reader.read(2, 3), np.array(rows[2:5], dtype=np.float32))
+            assert reader.read(6, 0).shape == (0, 2)
+            with pytest.raises(ValueError):
+                reader.read(5, 2)
+            with pytest.raises(ValueError):
+                reader.read(-1, 1)
 
 
 class TestFormatErrors:
@@ -124,14 +128,14 @@ class TestFormatErrors:
         blob = bytearray(fvecs_bytes([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         blob[12:16] = struct.pack("<i", 9)
         path.write_bytes(bytes(blob))
-        read_vectors(path, start=0, count=1)  # clean prefix still reads
-        with pytest.raises(FormatError) as exc:
-            read_vectors(path, start=1, count=1)
-        assert exc.value.offset == 12
         with VectorReader(path) as reader:
-            reader.read(0, 1)
-            with pytest.raises(FormatError) as exc:
-                reader.read(0, 3)
+            reader.read(0, 1)  # clean prefix still reads
+            for start, count in [(1, 1), (0, 3)]:
+                with pytest.raises(FormatError) as exc:
+                    reader.read(start, count)
+                assert exc.value.offset == 12
+        with pytest.raises(FormatError) as exc:
+            read_vectors(path)
         assert exc.value.offset == 12
 
 
@@ -204,6 +208,12 @@ class TestVectorReader:
             np.testing.assert_array_equal(reader[11], data[11])
             assert len(reader) == 20
 
+    def test_take_rejects_2d_ids(self, tmp_path):
+        path, _ = self.make_file(tmp_path)
+        with VectorReader(path) as reader:
+            with pytest.raises(ValueError, match="ids must be 1-D"):
+                reader.take(np.array([[0, 1]]))
+
     def test_out_of_bounds_id(self, tmp_path):
         path, _ = self.make_file(tmp_path)
         with VectorReader(path) as reader:
@@ -238,23 +248,25 @@ class TestVectorReader:
 
     @pytest.mark.parametrize("suffix", [".fvecs", ".bvecs", ".ivecs"])
     def test_read_paths_agree(self, tmp_path, suffix):
-        # read_vectors, read and take of the same range: equal values and
-        # dtype, each a fresh C-ordered array that a second read does not see
+        # read and take of the same range, and read_vectors of the whole
+        # file: equal values and dtype; read and read_vectors give fresh
+        # C-ordered arrays that a second read does not see
         data = np.random.default_rng(83).integers(0, 256, size=(12, 4))
         path = tmp_path / ("a" + suffix)
         write_vectors(path, data)
         for start, count in [(0, 12), (3, 5), (12, 0)]:
             with VectorReader(path) as reader:
-                reads = [read_vectors(path, start, count), reader.read(start, count)]
-                reads.append(reader.take(np.arange(start, start + count)))
+                reads = [reader.read(start, count), reader.take(np.arange(start, start + count))]
                 for got in reads:
                     assert got.dtype == reads[0].dtype
                     np.testing.assert_array_equal(got, data[start : start + count])
-                for got in reads[:2]:
+                fresh = [reads[0], read_vectors(path)] if count == data.shape[0] else reads[:1]
+                for got in fresh:
+                    assert got.dtype == reads[0].dtype
                     assert got.flags.c_contiguous and got.flags.writeable
                     got += 1
                 np.testing.assert_array_equal(reader.read(start, count), data[start : start + count])
-            np.testing.assert_array_equal(read_vectors(path, start, count), data[start : start + count])
+        np.testing.assert_array_equal(read_vectors(path), data)
 
     def test_corrupt_header_caught_on_take(self, tmp_path):
         path, data = self.make_file(tmp_path, n=4, dim=3)

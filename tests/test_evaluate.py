@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 
 from multikmeans.core import Metric
 from multikmeans.evaluate import (
-    EvalReport,
     average_precision,
     brute_force_gt,
     label_relevance,
@@ -202,40 +200,3 @@ class TestLabelRelevance:
         with pytest.raises(ValueError):
             label_relevance(0, np.array([7]), {1: 0})
 
-
-class TestEvalReport:
-    def make_report(self):
-        return EvalReport(
-            mode="recall",
-            config={"variant": "t", "shortlist": 500, "metric": "l2"},
-            runs_averaged=3,
-            recall_at={1: 0.9, 10: 0.95},
-            recall_at_std={1: 0.01, 10: 0.005},
-            per_run=[{"recall": {"1": 0.9}}] * 3,
-        )
-
-    def test_json_is_deterministic_and_sorted(self):
-        a = self.make_report().to_json()
-        b = self.make_report().to_json()
-        assert a == b
-        assert a.endswith("\n")
-        parsed = json.loads(a)
-        assert list(parsed) == sorted(parsed)
-        assert parsed["recall_at"]["10"] == 0.95
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            EvalReport(mode="speed", config={}, runs_averaged=1)
-
-    def test_rejects_nonmonotone_recall(self):
-        with pytest.raises(ValueError):
-            EvalReport(
-                mode="recall",
-                config={},
-                runs_averaged=1,
-                recall_at={1: 0.9, 10: 0.4},
-            )
-
-    def test_rejects_nonpositive_runs(self):
-        with pytest.raises(ValueError):
-            EvalReport(mode="map", config={}, runs_averaged=0, map_value=0.5)

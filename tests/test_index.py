@@ -266,6 +266,30 @@ class TestSearch:
                 metric=Metric.COSINE,
             )
 
+    @pytest.mark.parametrize(
+        "call, bad, message",
+        [
+            ("search", np.zeros((1, 8)), r"query must be a nonempty 1-D array, got shape \(1, 8\)"),
+            ("search", np.array(list("abcdefgh")), "query must be numeric, got dtype <U1"),
+            ("search", np.array([np.nan] + [0.0] * 7), "query contains non-finite components"),
+            ("search_ids", np.zeros(8), r"queries must be a nonempty 2-D array, got shape \(8,\)"),
+            ("search_ids", np.array([list("abcdefgh")]), "queries must be numeric, got dtype <U1"),
+            ("encode_many", np.zeros(8), r"vectors must be a nonempty 2-D array, got shape \(8,\)"),
+            ("encode_many", np.array([list("abcdefgh")]), "vectors must be numeric, got dtype <U1"),
+        ],
+        ids=["search-2d", "search-str", "search-nan", "search_ids-1d", "search_ids-str",
+             "encode_many-1d", "encode_many-str"],
+    )
+    def test_rejects_malformed_queries(self, call, bad, message):
+        _, base, cb, spec, index = make_fixture(n=20)
+        calls = {
+            "search": lambda: search(index, base, bad, shortlist_size=5, top=3),
+            "search_ids": lambda: search_ids(index, base, bad, shortlist_size=5, top=3),
+            "encode_many": lambda: encode_many(bad, cb, spec),
+        }
+        with pytest.raises(ValueError, match=message):
+            calls[call]()
+
 
 class TestSearchMany:
     def test_shortlist_above_index_size(self):
@@ -347,6 +371,30 @@ class TestIndexIO:
         blob[-8:] = (2**63).to_bytes(8, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "at, field, message",
+        [
+            (4, struct.pack("<I", 2), "unsupported index format version 2"),
+            (8, struct.pack("<I", 0), "invalid index header: code_length=0 count=4"),
+            (12, struct.pack("<Q", 0), "invalid index header: code_length=4 count=0"),
+            (8, struct.pack("<I", 5), r"header code_length 5 does not match codebook \(4\)"),
+            (-8, (0).to_bytes(8, "little"), "inconsistent index payload: ids must be unique"),
+        ],
+        ids=["version", "zero-code-length", "zero-count", "code-length-mismatch", "duplicate-ids"],
+    )
+    def test_bad_header_or_payload(self, tmp_path, at, field, message):
+        # the header is magic, then version, code length and count at byte
+        # 4, 8 and 12; the last 8 bytes (at -8) are the final id, here set to 0
+        _, base, cb, spec, index = make_fixture(n=4)
+        path = tmp_path / "idx.mkmi"
+        save_index(index, path)
+        blob = bytearray(path.read_bytes())
+        start = at % len(blob)
+        blob[start : start + len(field)] = field
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=message):
             load_index(path)
 
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 
 import multikmeans.kmeans as km
 from multikmeans.core import FormatError
+from multikmeans.dataio import SyntheticSpec, generate_synthetic
 from multikmeans.encoder import load_quantizer, save_quantizer
 from multikmeans.kmeans import (
     Codebook,
@@ -156,6 +157,18 @@ class TestTrain:
         assert cb.train_meta.iterations <= 2
         assert len(cb.train_meta.history) == cb.train_meta.iterations + 1
 
+    def test_zero_tol_stops_at_a_fixed_point(self):
+        # the objective is flat from the fourth sweep; a stop rule of
+        # improvement < tol * prev would run all 200 sweeps at tol 0
+        learning = generate_synthetic(SyntheticSpec(8, 250, 128, seed=1, n_learning=500)).learning
+        flat = train(learning, 16, TrainParams(max_iters=200, rel_tol=0.0, seed=0))
+        meta = flat.train_meta
+        assert meta.iterations < 200
+        assert meta.history[-1] == meta.history[-2]
+        capped = train(learning, 16, TrainParams(max_iters=meta.iterations, rel_tol=0.0, seed=0))
+        assert capped.centroids.tobytes() == flat.centroids.tobytes()
+        assert capped.train_meta.history == meta.history
+
     def test_empty_cluster_repair(self, monkeypatch):
         # force a seeding whose third centroid owns no points: after one
         # update it must be reseeded to the farthest point, keep k centroids,
@@ -255,6 +268,14 @@ class TestCodebookIO:
         (tmp_path / "v.mkmc").write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load_quantizer(tmp_path / "v.mkmc")
+
+    @pytest.mark.parametrize("k, dim", [(1, 2), (2, 0)])
+    def test_invalid_shape_rejected(self, tmp_path, k, dim):
+        path = tmp_path / "shape.mkmc"
+        path.write_bytes(b"MKMC" + struct.pack("<IIIQ", 1, k, dim, 0) + b"\x00" * 16)
+        with pytest.raises(FormatError, match=f"invalid codebook shape k={k} dim={dim}") as err:
+            load_quantizer(path)
+        assert err.value.offset == 8
 
     def test_non_finite_centroids_rejected(self, tmp_path):
         path = tmp_path / "nan.mkmc"

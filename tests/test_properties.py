@@ -509,7 +509,7 @@ def parent_train(data, k, params, seeds=None):
         labels, d2min = parent_assign_nearest(X64, C)
         obj = float(d2min.sum())
         history.append(obj)
-        if obj == 0.0 or (prev is not None and prev - obj < params.rel_tol * prev):
+        if obj == 0.0 or (prev is not None and prev - obj <= params.rel_tol * prev):
             break
         prev = obj
         counts = np.bincount(labels, minlength=k)
