@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from .core import _BLOCK_ELEMENTS, Metric, as_matrix
+from .core import _BLOCK_ELEMENTS, Metric, _numeric_matrix, as_matrix
 from .index import _cosine_screen, _cosine_topk, _euclidean_screen, _euclidean_topk
 
 __all__ = [
@@ -26,9 +26,10 @@ def brute_force_gt(base, queries, k: int, metric: Metric = Metric.EUCLIDEAN) -> 
     """Exact k-nearest ids (base row positions) for every query, shape (Q, k).
 
     Euclidean ranks ascending distance, cosine descending similarity; equal
-    scores rank the lower id first, as in the search path's re-rank.
+    scores rank the lower id first, as in the search path's re-rank. A base
+    row holding inf or nan raises ValueError naming its id.
     """
-    B = as_matrix(base, "base")
+    B = _numeric_matrix(base, "base")
     Q = as_matrix(queries, "queries")
     if B.shape[1] != Q.shape[1]:
         raise ValueError(f"dimension mismatch: base {B.shape[1]} vs queries {Q.shape[1]}")
@@ -38,7 +39,7 @@ def brute_force_gt(base, queries, k: int, metric: Metric = Metric.EUCLIDEAN) -> 
     out = np.empty((Q.shape[0], k), dtype=np.int64)
     positions = np.arange(B.shape[0], dtype=np.int64)
     if metric is Metric.EUCLIDEAN:
-        topk, screen, dtype = _euclidean_topk, _euclidean_screen(B), np.float32
+        topk, screen, dtype = _euclidean_topk, _euclidean_screen(B, positions), np.float32
     else:
         topk, screen, dtype = _cosine_topk, _cosine_screen(B, positions), np.float64
     chunk = max(1, _BLOCK_ELEMENTS // B.shape[0])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,87 +175,172 @@ _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
 _UNDERFLOW32 = 2.0**-150  # largest error of a float32 product that underflows
 _TINY64 = 2.0**-500  # above every float64 underflow effect, in distance units
+_FLT_MAX = float(np.finfo(np.float32).max)
 
 
-def _euclidean_screen(rows):
-    """The query-independent half of the screen in _screen_bounds.
+def _screen_margins(d: int) -> tuple[float, float]:
+    """G and h of the proof in _screen_bounds, for dimension d."""
+    g = _gamma(d, _U32)
+    h = _gamma(d + 16, _U64)
+    return 2.0 * g / (1.0 - g) + h, h
 
-    Returns the rows as float32, their float32 squared norms, and a bound
-    on each row's cast error ||x - x32|| (0.0 when the dtype casts to
-    float32 exactly, so no row has one).
+
+class _EuclideanScreen(NamedTuple):
+    """The query-independent half of the screen in _screen_bounds, and the
+    two float64 work arrays that every query's screen values overwrite."""
+
+    rows32: np.ndarray  # the rows as float32
+    a_hi: np.ndarray  # a (1 + G) in float64, +inf where a is not finite
+    a_lo: np.ndarray  # a (1 - G) in float64, -inf where a is not finite
+    a_max: float  # the largest finite a
+    cast: float  # the largest cast-error bound ||x - x'|| of a row with a finite a
+    lo: np.ndarray  # work arrays: one query's screen values
+    hi: np.ndarray
+
+
+def _euclidean_screen(rows, ids: np.ndarray) -> _EuclideanScreen:
+    """The rows' float32 squared norms a, widened by the screen's margin,
+    and their cast error (0.0 when the dtype casts to float32 exactly).
+
+    A row holding inf or nan raises ValueError naming its id. Only rows
+    whose a is not finite are checked element by element: a finite row
+    whose a overflows (a component past ~1.8e19, or a float64 one past the
+    float32 range) is kept by every query and ranked by the finish kernel.
     """
+    n, d = rows.shape
+    G, h = _screen_margins(d)
     rows32 = np.asarray(rows, dtype=np.float32)
-    cast_err = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.einsum("nd,nd->n", rows32, rows32)
+    finite = np.isfinite(a)
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        nonfinite = bad[~np.isfinite(rows[bad]).all(axis=1)]
+        if nonfinite.size:
+            raise ValueError(f"euclidean re-rank is undefined for non-finite base vector id {ids[nonfinite[0]]}")
+    a_hi = np.multiply(a, 1.0 + G, dtype=np.float64)
+    a_lo = np.multiply(a, 1.0 - G, dtype=np.float64)
+    a_lo[bad] = -np.inf  # a finite row's bad a is +inf, so a_hi is +inf already
+    cast = 0.0
     if not np.can_cast(rows.dtype, np.float32):
-        h = _gamma(rows.shape[1] + 16, _U64)
         with np.errstate(over="ignore", invalid="ignore"):
             diff = np.asarray(rows, dtype=np.float64) - rows32
-            cast_err = np.sqrt(np.einsum("nd,nd->n", diff, diff)) * (1.0 + h) + _TINY64
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.einsum("nd,nd->n", rows32, rows32)
-    return rows32, sq, cast_err
+            err = np.sqrt(np.einsum("nd,nd->n", diff, diff))
+        cast = float(np.max(err, where=finite, initial=0.0)) * (1.0 + h) + _TINY64
+    if not G < 0.5:  # d of ~2.8 million or more, where gamma_d is no longer small: no bound
+        cast = np.inf
+    a_max = float(np.max(a, where=finite, initial=0.0))
+    return _EuclideanScreen(rows32, a_hi, a_lo, a_max, cast, np.empty(n), np.empty(n))
 
 
-def _screen_bounds(rows, q64: np.ndarray, screen=None, dots=None):
-    """Bounds L <= _direct_distances(rows, q64) <= U for every row, from a
-    float32 screen that never widens the rows.
+def _screen_bounds(screen: _EuclideanScreen, q64: np.ndarray, dots=None):
+    """One query's float32 screen: per-row values lo <= hi and the query's
+    terms, such that _lower(lo_i, terms) <= _direct_distances(rows, q64)_i
+    <= _upper(hi_i, terms) for every row.
 
-    `screen` is _euclidean_screen(rows), and `dots` the float32 products
-    rows32 @ q64.astype(float32), when the caller computed them for many
-    queries at once; both are computed here otherwise. A row whose float32
-    screen is not finite (an inf, a nan or an overflow) gets [-inf, inf].
+    `screen` is _euclidean_screen(rows, ids), and `dots` the float32
+    products rows32 @ q64.astype(float32) when the caller computed them for
+    many queries at once (computed here otherwise). lo and hi are the
+    screen's work arrays, so the next query overwrites them. A row whose
+    float32 norm is not finite gets lo = -inf or nan and hi = +inf or nan.
 
     The proof. Let x be a row as the finish kernel reads it (float64), q the
     query, x', q' their float32 roundings, d the dimension, u = 2^-24,
-    v = 2^-53, gamma_n = n u / (1 - n u), and h = gamma_{d+16} in v.
+    v = 2^-53, gamma_n = n u / (1 - n u), h = gamma_{d+16} in v,
+    delta = d 2^-150 and tau = 4 delta.
 
     1. Screen. a = fl32(||x'||^2) and c = fl32(x'.q') are float32 dot
        products in any summation order, with or without FMA; b = ||q'||^2
        is summed in float64. The dot-product bound (Higham, Accuracy and
        Stability of Numerical Algorithms, ch. 3), plus 2^-150 per product
        for gradual underflow, gives |c - x'.q'| <= gamma_d sum|x'_i q'_i|
-       + d 2^-150 <= gamma_d ||x'|| ||q'|| + d 2^-150, and likewise for a
-       and b. As ||x' - q'||^2 = ||x'||^2 + ||q'||^2 - 2 x'.q' and
-       (||x'|| + ||q'||)^2 <= 2 (||x'||^2 + ||q'||^2),
-           lo = (a + b)(1 - G) - 2c - tau <= ||x' - q'||^2 <= (a + b)(1 + G) - 2c + tau = hi
-       with G = 2 gamma_d / (1 - gamma_d) + h and tau = 4 d 2^-150. The h
-       in G covers the float64 roundings that evaluate lo and hi.
-    2. Cast. By the triangle inequality ||x - q|| lies within
-       e = ||x - x'|| + ||q - q'|| of ||x' - q'||. A term is 0 when its
-       vector is exact in float32; otherwise it is summed in float64 from
-       the exact differences and rounded up by (1 + h) plus 2^-500.
-    3. Finish. The kernel's float64 distance f is within gamma_{d+3} in v
+       + delta <= gamma_d ||x'|| ||q'|| + delta, and likewise for a and b.
+       As ||x' - q'||^2 = ||x'||^2 + ||q'||^2 - 2 x'.q' and
+       2 ||x'|| ||q'|| <= ||x'||^2 + ||q'||^2, in real numbers
+           (a + b)(1 - G + h) - 2c - tau <= ||x' - q'||^2 <= (a + b)(1 + G - h) - 2c + tau
+       with G = 2 gamma_d / (1 - gamma_d) + h.
+    2. Evaluation. The screen sums each bound in float64 in two parts: per
+       row lo = -2c + a (1 - G) and hi = -2c + a (1 + G), where -2c is exact
+       and a (1 -+ G) comes once per call; per query the scalars
+       beta- = b (1 - G) - tau and beta+ = b (1 + G) + tau; and the sums
+       lo + beta-, hi + beta+. That is seven roundings per bound: 1 -+ G,
+       the products by a and by b, the adds of -2c and of tau, and the last
+       sum. Each operand is at most 4.5 (a + b) + tau in size (|2c| <=
+       1.5 (a + b) while gamma_d < 0.2), so their errors total at most
+       12 v (a + b) + 2 v tau. The h (a + b) >= 17 v (a + b) that G holds
+       beyond step 1 covers the first part; b's delta covers the second,
+       since float32 squares never underflow in float64. So
+           lo + beta- <= ||x' - q'||^2 <= hi + beta+
+       after rounding.
+    3. Cast. By the triangle inequality ||x - q|| lies within
+       e = ||x - x'|| + ||q - q'|| of ||x' - q'||. The row term is the
+       largest of the rows' bounds, so one scalar serves every row. A term
+       is 0 when its vectors are exact in float32; otherwise it is summed
+       in float64 from the exact differences and rounded up by (1 + h)
+       plus 2^-500.
+    4. Finish. The kernel's float64 distance f is within gamma_{d+3} in v
        of ||x - q||, plus 2^-500 for float64 underflow.
-    Hence f lies in [L, U], L = (sqrt(max(lo, 0)) - e)(1 - h) - 2^-500 and
-    U = (sqrt(hi) + e)(1 + h) + 2^-500, where h covers gamma_{d+3} and the
-    few roundings that evaluate L and U.
+    Hence f lies in [_lower(lo), _upper(hi)], where
+        _lower(y) = (sqrt(max(y + beta-, 0)) - e)(1 - h) - 2^-500
+        _upper(y) = (sqrt(y + beta+) + e)(1 + h) + 2^-500
+    and h covers gamma_{d+3} and the few roundings that evaluate the maps.
+
+    Overflow. A float32 dot product that overflows would void step 1. By
+    Cauchy-Schwarz no partial sum of c exceeds (1 + gamma_d) ||x'|| ||q'||,
+    which stays below the float32 maximum M while (a_max + delta) b <=
+    M^2 / 4 (a_max the largest finite a). A larger query sets e = inf: no
+    row is then ruled out. A row whose a overflows has no bound either; its
+    a (1 -+ G) are set to -+inf, so its lo is never above any cut, and its
+    hi, +inf or nan, never lowers one.
     """
-    n, d = rows.shape
-    g = _gamma(d, _U32)
-    h = _gamma(d + 16, _U64)
-    G = 2.0 * g / (1.0 - g) + h
-    if not G < 0.5:  # d of ~2.8 million or more, where gamma_d is no longer small
-        return np.full(n, -np.inf), np.full(n, np.inf)
-    rows32, sq, cast_err = _euclidean_screen(rows) if screen is None else screen
+    d = q64.shape[0]
+    G, h = _screen_margins(d)
+    tau = 4.0 * d * _UNDERFLOW32
+    lo, hi = screen.lo, screen.hi
     with np.errstate(over="ignore", invalid="ignore"):
         q32 = q64.astype(np.float32)
         if dots is None:
-            dots = np.einsum("nd,d->n", rows32, q32)
-        dq = q64 - q32
-        e = cast_err + (float(np.sqrt(dq @ dq)) * (1.0 + h) + _TINY64 if dq.any() else 0.0)
+            dots = np.einsum("nd,d->n", screen.rows32, q32)
         q32_64 = q32.astype(np.float64)
-        s = sq + q32_64 @ q32_64  # float64: a + b
-        mid = s - np.float64(2.0) * dots
-        s *= G
-        s += 4.0 * d * _UNDERFLOW32
-        lo = mid - s
-        mid += s
-        L = (np.sqrt(np.maximum(lo, 0.0)) - e) * (1.0 - h) - _TINY64
-        U = (np.sqrt(mid) + e) * (1.0 + h) + _TINY64
-    bad = ~np.isfinite(lo)
-    L[bad] = -np.inf
-    U[bad] = np.inf
-    return L, U
+        b = float(q32_64 @ q32_64)
+        dq = q64 - q32_64
+        e = screen.cast + (float(np.sqrt(dq @ dq)) * (1.0 + h) + _TINY64 if dq.any() else 0.0)
+        if not (screen.a_max + d * _UNDERFLOW32) * b <= _FLT_MAX * _FLT_MAX / 4.0:
+            e = np.inf
+        np.multiply(dots, -2.0, out=lo, dtype=np.float64)
+        np.add(lo, screen.a_hi, out=hi)
+        lo += screen.a_lo
+    return lo, hi, (b * (1.0 + G) + tau, b * (1.0 - G) - tau, e, h)
+
+
+def _upper(hi, terms):
+    """The upper bound U on a row's finish distance from its screen value hi."""
+    beta_hi, _, e, h = terms
+    return (np.sqrt(hi + beta_hi) + e) * (1.0 + h) + _TINY64
+
+
+def _lower(lo, terms):
+    """The lower bound L on a row's finish distance from its screen value lo."""
+    _, beta_lo, e, h = terms
+    return (np.sqrt(np.maximum(lo + beta_lo, 0.0)) - e) * (1.0 - h) - _TINY64
+
+
+def _lower_cut(T, terms) -> float:
+    """A screen value X such that every lo with _lower(lo, terms) <= T is at
+    most X: _lower inverted in float64 and rounded outward, +inf when that
+    is not finite.
+
+    Undoing _lower's roundings one at a time (each moves its result by at
+    most v, i.e. 2^-53, of its size) gives lo <= (1 + 12 v) w^2 - beta-
+    for the real w = (T + 2^-500) / (1 - h) + e. The computed w^2 may fall
+    11 v short of the real one, and the 32 v (w^2 + |beta-|) added here
+    covers both and the three roundings that evaluate X.
+    """
+    _, beta_lo, e, h = terms
+    w = (T + _TINY64) / (1.0 - h) + e
+    x = w * w
+    cut = (x - beta_lo) + 32.0 * _U64 * (x + abs(beta_lo))
+    return cut if cut < np.inf else np.inf
 
 
 def _euclidean_topk(rows, q64: np.ndarray, ids: np.ndarray, top: int, screen=None, dots=None):
@@ -264,19 +350,25 @@ def _euclidean_topk(rows, q64: np.ndarray, ids: np.ndarray, top: int, screen=Non
     are as in _screen_bounds. A row holding inf or nan raises ValueError
     naming its id.
 
-    With T the top-th smallest upper bound U, a row whose lower bound L
-    exceeds T is farther than `top` rows, so it is not in the top by
-    (distance, id). The kernel scores each row alone, so the top of the
-    rows kept is the top of all rows, ids and float64 distances bit for
-    bit.
+    The keep rule bounds the cut, not every row. _upper and _lower are
+    non-decreasing: each is a chain of correctly rounded sqrt, max, sums
+    with a constant and products by a positive constant, and rounding is
+    non-decreasing. A non-decreasing map keeps the order of its arguments,
+    so the top-th smallest U = _upper(hi) is T = _upper(top-th smallest
+    hi); np.partition puts nan last, so a row with no bound never lowers
+    it. A row with L = _lower(lo) > T is farther than `top` rows, so it is
+    not in the top by (distance, id), and as _lower is non-decreasing, a
+    row with lo > X = _lower_cut(T) has L > T. The kernel scores each row
+    alone, so the top of the rows kept is the top of all rows, ids and
+    float64 distances bit for bit.
     """
-    L, U = _screen_bounds(rows, q64, screen, dots)
-    keep = np.flatnonzero(~(L > np.partition(U, top - 1)[top - 1]))
+    screen = _euclidean_screen(rows, ids) if screen is None else screen
+    lo, hi, terms = _screen_bounds(screen, q64, dots)
+    hi.partition(top - 1)
+    with np.errstate(invalid="ignore"):
+        cut = _lower_cut(_upper(hi[top - 1], terms), terms)
+    keep = np.flatnonzero(~(lo > cut))
     scores = _direct_distances(rows[keep], q64)
-    if not np.isfinite(scores).all():
-        bad = ~np.isfinite(rows[keep]).all(axis=1)
-        if bad.any():
-            raise ValueError(f"euclidean re-rank is undefined for non-finite base vector id {ids[keep[bad]][0]}")
     sel = _topk(scores, ids[keep], top)
     return keep[sel], scores[sel]
 

@@ -2,9 +2,11 @@
 the packed-key shortlist over multi-word codes and its key width rule, the
 search path over a memory-mapped VectorReader (single query, batched and
 threaded), VectorReader.take, the float32-screened Euclidean top-k against
-its float64 kernel run over every row, its keep rule at the cutoff and its
-query cast-error term, that kernel's independence from the rows scored with
-it, core._sq_distances over wide blocks, k-means++ seeding, Lloyd training,
+its float64 kernel run over every row, its keep rule at the cutoff, its
+query and row cast-error terms, the rows it keeps, its cut map and a query
+whose float32 dot overflows, brute_force_gt's independence from the query
+block and order, that kernel's independence from the rows scored with it,
+core._sq_distances over wide blocks, k-means++ seeding, Lloyd training,
 the assign step (kmeans._assign) and encode_many against inline copies of
 their earlier forms, which made one checked distance call per block where
 they now reach core._sq_distances directly, and the id check of
@@ -22,6 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import multikmeans.encoder as encoder_mod
+import multikmeans.evaluate as evaluate_mod
 import multikmeans.index as index_mod
 import multikmeans.kmeans as km
 from multikmeans.core import (
@@ -46,9 +49,13 @@ from multikmeans.encoder import (
 from multikmeans.evaluate import brute_force_gt
 from multikmeans.index import (
     _direct_distances,
+    _euclidean_screen,
     _euclidean_topk,
+    _lower,
+    _lower_cut,
     _screen_bounds,
     _topk,
+    _upper,
     build_index,
     search,
     search_ids,
@@ -378,18 +385,27 @@ def screen_cases(draw):
     return rows, q, ids, top
 
 
+def screen_bounds_per_row(rows, q, ids):
+    """Each row's L and U: the screen's two scalar maps applied element-wise
+    to its per-row values lo and hi."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi, terms = _screen_bounds(_euclidean_screen(rows, ids), q)
+        return _lower(lo, terms), _upper(hi, terms)
+
+
 @settings(max_examples=400, deadline=None)
 @given(screen_cases())
 def test_screened_topk_equals_the_kernel_over_every_row(case):
     rows, q, ids, top = case
     with np.errstate(over="ignore"):
-        lower, upper = _screen_bounds(rows, q)
+        lower, upper = screen_bounds_per_row(rows, q, ids)
         got_pos, got_scores = _euclidean_topk(rows, q, ids, top)
     want_pos, want_scores = exhaustive_topk(rows, q, ids, top)
     every = exhaustive_topk(rows, q, ids, rows.shape[0])
     exact = np.empty(rows.shape[0])
     exact[every[0]] = every[1]
-    assert (lower <= exact).all() and (exact <= upper).all()
+    # a nan bound (a row whose float32 norm overflows) bounds nothing
+    assert not (lower > exact).any() and not (exact > upper).any()
     np.testing.assert_array_equal(got_pos, want_pos)
     assert got_scores.tobytes() == want_scores.tobytes()
     # brute_force_gt screens with one float32 matrix product for all queries
@@ -671,9 +687,10 @@ def test_encode_many_matches_one_checked_call_per_chunk(seed, n, d, variant, chu
 @SETTINGS
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 40), st.data())
 def test_screened_topk_keeps_rows_tied_at_the_cutoff(seed, d, n, data):
-    """With exact bounds, L = U = the kernel's distance, a row whose lower
-    bound equals the top-th upper bound can still be in the top (it is the
-    top-th row itself, or tied with it), so the keep rule must keep it."""
+    """With exact screen values and identity maps, lo = hi = L = U = the
+    kernel's distance and the cut X = T: a row whose lo equals the cut can
+    still be in the top (it is the top-th row itself, or tied with it), so
+    the keep rule must keep it."""
     rng = np.random.default_rng(seed)
     rows = rng.integers(-2, 3, size=(int(rng.integers(1, n + 1)), d)).astype(np.float32)
     rows = rows[rng.integers(0, rows.shape[0], size=n)]
@@ -681,11 +698,18 @@ def test_screened_topk_keeps_rows_tied_at_the_cutoff(seed, d, n, data):
     ids = rng.permutation(10 * n)[:n].astype(np.int64)
     top = data.draw(st.integers(1, n))
 
-    def exact_bounds(rows, q64, screen=None, dots=None):
+    def exact_bounds(screen, q64, dots=None):
         f = _direct_distances(rows, q64)
-        return f, f.copy()
+        return f, f.copy(), None
 
-    with mock.patch.object(index_mod, "_screen_bounds", exact_bounds):
+    def identity(y, terms):
+        return y
+
+    with (
+        mock.patch.object(index_mod, "_screen_bounds", exact_bounds),
+        mock.patch.object(index_mod, "_upper", identity),
+        mock.patch.object(index_mod, "_lower_cut", identity),
+    ):
         got_pos, got_scores = _euclidean_topk(rows, q, ids, top)
     want_pos, want_scores = exhaustive_topk(rows, q, ids, top)
     np.testing.assert_array_equal(got_pos, want_pos)
@@ -703,10 +727,129 @@ def test_screen_widens_by_the_query_cast_error(seed):
     q32 = q64.astype(np.float32).astype(np.float64)
     cast = float(np.linalg.norm(q64 - q32))
     assert cast > 0.0
-    lower, upper = _screen_bounds(rows, q64)
-    lower32, upper32 = _screen_bounds(rows, q32)
+    ids = np.arange(50)
+    lower, upper = screen_bounds_per_row(rows, q64, ids)
+    lower32, upper32 = screen_bounds_per_row(rows, q32, ids)
     assert (lower32 - lower >= (1.0 - 1e-6) * cast).all()
     assert (upper - upper32 >= (1.0 - 1e-6) * cast).all()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_screen_widens_by_the_largest_row_cast_error(seed):
+    """float64 rows that float32 cannot hold widen [L, U] of every row by at
+    least the largest row cast error, over the bounds of their float32
+    roundings; the screen values lo and hi are the same for both."""
+    rng = np.random.default_rng(seed)
+    rows64 = rng.standard_normal((50, 4))
+    rows32 = rows64.astype(np.float32)
+    cast = float(np.linalg.norm(rows64 - rows32, axis=1).max())
+    assert cast > 0.0
+    q = rng.standard_normal(4).astype(np.float32).astype(np.float64)
+    lower, upper = screen_bounds_per_row(rows64, q, np.arange(50))
+    lower32, upper32 = screen_bounds_per_row(rows32, q, np.arange(50))
+    assert (lower32 - lower >= (1.0 - 1e-6) * cast).all()
+    assert (upper - upper32 >= (1.0 - 1e-6) * cast).all()
+
+
+def test_screen_keeps_a_row_whose_float32_dot_overflows():
+    """Row 0's float32 product with this query overflows to -inf, so its
+    screen values are +inf, yet in float64 it ties with row 1 and ranks
+    first by id: a query large enough to overflow a dot bounds no row."""
+    rows = np.array([[-4.0, 4.0], [0.0, 0.0]], dtype=np.float32)
+    q = np.array([1e38, -1e38])
+    with np.errstate(over="ignore"):
+        assert np.isneginf(np.einsum("nd,d->n", rows, q.astype(np.float32))[0])
+        want_pos, want_scores = exhaustive_topk(rows, q, np.arange(2), 1)
+        got_pos, got_scores = _euclidean_topk(rows, q, np.arange(2), 1)
+        gt = brute_force_gt(rows, q[None, :], 1)
+    assert want_pos.tolist() == [0] and gt.tolist() == [[0]]
+    np.testing.assert_array_equal(got_pos, want_pos)
+    assert got_scores.tobytes() == want_scores.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(screen_cases(), st.data())
+def test_screen_keeps_every_row_it_cannot_rule_out(case, data):
+    """The rows the finish kernel scores hold the exhaustive top and every
+    row with L <= T, where T, the top-th smallest U, is the upper map of the
+    top-th smallest hi. Planted on top of screen_cases: copies of the top-th
+    row (ties at the cut) and finite rows whose float32 norm overflows."""
+    rows, q, ids, top = case
+    n, d = rows.shape
+    rows = rows.copy()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cut_row = exhaustive_topk(rows, q, ids, top)[0][-1]
+    rows[rng.integers(0, n, size=data.draw(st.integers(0, 3)))] = rows[cut_row]
+    if data.draw(st.booleans()):
+        big = data.draw(st.sampled_from([3e38, 1e39, 1e300] if rows.dtype == np.float64 else [3e38]))
+        rows[rng.integers(0, n)] = rng.choice([-big, big], size=d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, upper = screen_bounds_per_row(rows, q, ids)
+        _, hi, terms = _screen_bounds(_euclidean_screen(rows, ids), q)
+        T = _upper(np.partition(hi, top - 1)[top - 1], terms)
+        with mock.patch.object(index_mod, "_topk", wraps=_topk) as spy:
+            got_pos, got_scores = _euclidean_topk(rows, q, ids, top)
+    kept = set(spy.call_args.args[1].tolist())  # the ids the finish kernel scored
+    # an order statistic commutes with a non-decreasing map; a cut that is
+    # not finite keeps every row
+    assert np.sort(upper)[top - 1] == T or not np.isfinite(T)
+    want_pos, want_scores = exhaustive_topk(rows, q, ids, top)
+    assert set(ids[want_pos].tolist()) <= kept
+    assert set(ids[~(lower > T)].tolist()) <= kept
+    np.testing.assert_array_equal(got_pos, want_pos)
+    assert got_scores.tobytes() == want_scores.tobytes()
+
+
+@SETTINGS
+@given(
+    st.floats(2.0**-500, 1e40),
+    st.one_of(st.just(0.0), st.floats(-1e-40, 1e-40), st.floats(0.0, 1e80)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e40)),
+    st.integers(1, 5000),
+)
+def test_lower_cut_rounds_outward(T, beta_lo, e, d):
+    """Every lo with _lower(lo) <= T is at most the cut X: as _lower is
+    non-decreasing, it is enough that the float just above X maps above T."""
+    terms = (np.nan, beta_lo, e, index_mod._screen_margins(d)[1])
+    cut = _lower_cut(np.float64(T), terms)
+    if cut < np.inf:
+        assert _lower(np.nextafter(cut, np.inf), terms) > T
+
+
+@st.composite
+def ground_truth_cases(draw):
+    """A float32 or float64 base with duplicate rows and near-ties an ulp
+    apart, and queries near its rows, far from them, or beyond them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 80)), draw(st.one_of(st.integers(1, 8), st.just(128)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    base = (rng.standard_normal((n, d)) * 100.0).astype(dtype)
+    _nudge(base, rng, draw(st.integers(0, n)))
+    nq = draw(st.integers(1, 12))
+    noise = rng.choice([0.0, 1e-6, 1.0, 1e4], size=(nq, 1))
+    queries = base[rng.integers(0, n, size=nq)] + rng.standard_normal((nq, d)) * noise
+    return base, queries, draw(st.integers(1, n))
+
+
+@SETTINGS
+@given(ground_truth_cases())
+def test_brute_force_gt_ids_do_not_depend_on_the_query_block(case):
+    """Blocks of 1, 2, 3 and all queries share the float32 product
+    differently, yet give the ids of the kernel over every row."""
+    base, queries, k = case
+    positions = np.arange(base.shape[0])
+    want = np.array([exhaustive_topk(base, q, positions, k)[0] for q in queries])
+    for block in (1, 2, 3, queries.shape[0]):
+        with mock.patch.object(evaluate_mod, "_BLOCK_ELEMENTS", block * base.shape[0]):
+            np.testing.assert_array_equal(brute_force_gt(base, queries, k), want)
+
+
+@SETTINGS
+@given(ground_truth_cases())
+def test_brute_force_gt_reversed_queries_give_reversed_rows(case):
+    """The screen's work arrays carry nothing from one query to the next."""
+    base, queries, k = case
+    np.testing.assert_array_equal(brute_force_gt(base, queries[::-1], k), brute_force_gt(base, queries, k)[::-1])
 
 
 @SETTINGS
