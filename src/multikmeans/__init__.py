@@ -13,7 +13,6 @@ from .core import (
     Metric,
     derive_seed,
     pack_bits,
-    unpack_bits,
 )
 from .dataio import (
     SyntheticDataset,
@@ -43,7 +42,6 @@ from .evaluate import (
     average_precision,
     brute_force_gt,
     label_relevance,
-    mean_average_precision,
     recall_at_r,
 )
 from .index import (
@@ -71,7 +69,6 @@ __all__ = [
     "Metric",
     "derive_seed",
     "pack_bits",
-    "unpack_bits",
     "Codebook",
     "TrainMeta",
     "TrainParams",
@@ -98,7 +95,6 @@ __all__ = [
     "average_precision",
     "brute_force_gt",
     "label_relevance",
-    "mean_average_precision",
     "recall_at_r",
     "SyntheticDataset",
     "SyntheticSpec",

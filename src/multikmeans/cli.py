@@ -426,19 +426,25 @@ def _sample_rows(n: int, rng: np.random.Generator, sample: int | None, labels=No
         raise ConfigError(f"--query-sample {sample} exceeds query count {n}")
     if labels is None:
         return np.sort(rng.choice(n, size=sample, replace=False))
-    classes = np.unique(labels)
+    classes, counts = np.unique(labels, return_counts=True)
     per, extra = divmod(sample, classes.shape[0])
-    picks = []
-    for i, cls in enumerate(classes):
-        want = per + (1 if i < extra else 0)
-        if want == 0:
-            continue
-        rows = np.flatnonzero(labels == cls)
-        if want > rows.shape[0]:
+    short = np.flatnonzero(counts < per)
+    if short.size:
+        cls, have = classes[short[0]], counts[short[0]]
+        raise ConfigError(f"--query-sample needs {per} queries of class {cls}, file has {have}")
+    want = np.full(classes.shape[0], per)
+    if extra:  # the remainder goes one each to classes the rng draws among those with a row to spare
+        spare = np.flatnonzero(counts > per)
+        if spare.shape[0] < extra:
             raise ConfigError(
-                f"--query-sample needs {want} queries of class {cls}, file has {rows.shape[0]}"
+                f"--query-sample needs {extra} classes of more than {per} queries, file has {spare.shape[0]}"
             )
-        picks.append(rng.choice(rows, size=want, replace=False))
+        want[rng.choice(spare, size=extra, replace=False)] += 1
+    picks = [
+        rng.choice(np.flatnonzero(labels == cls), size=w, replace=False)
+        for cls, w in zip(classes, want)
+        if w
+    ]
     return np.sort(np.concatenate(picks))
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "HashCode",
     "hamming_distances",
     "pack_bits",
-    "unpack_bits",
     "words_for",
     "derive_seed",
 ]
@@ -203,18 +202,6 @@ def pack_bits(bits) -> np.ndarray:
     return np.ascontiguousarray(packed).view("<u8").astype(np.uint64, copy=False)
 
 
-def unpack_bits(words, length: int) -> np.ndarray:
-    """Inverse of pack_bits: uint64 words back to a bool array of given length."""
-    w = np.asarray(words, dtype=np.uint64)
-    if w.ndim not in (1, 2):
-        raise ValueError(f"words must be 1-D or 2-D, got shape {w.shape}")
-    if length < 1 or w.shape[-1] != words_for(length):
-        raise ValueError(f"word count {w.shape[-1]} does not match length {length}")
-    raw = np.ascontiguousarray(w).astype("<u8", copy=False).view(np.uint8)
-    bits = np.unpackbits(raw, axis=-1, bitorder="little")
-    return bits[..., :length].astype(bool)
-
-
 @dataclass(frozen=True, eq=False)
 class HashCode:
     """A fixed-length binary signature packed into uint64 words."""
@@ -237,26 +224,13 @@ class HashCode:
         w.setflags(write=False)
         object.__setattr__(self, "words", w)
 
-    @classmethod
-    def from_bits(cls, bits) -> "HashCode":
-        arr = np.asarray(bits)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("bits must be a nonempty 1-D sequence")
-        return cls(pack_bits(arr), arr.shape[0])
-
-    def to_bits(self) -> np.ndarray:
-        return unpack_bits(self.words, self.length)
-
-    def popcount(self) -> int:
-        return int(np.bitwise_count(self.words).sum())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HashCode):
             return NotImplemented
         return self.length == other.length and bool(np.array_equal(self.words, other.words))
 
     def __repr__(self) -> str:
-        return f"HashCode(length={self.length}, popcount={self.popcount()})"
+        return f"HashCode(length={self.length}, popcount={int(np.bitwise_count(self.words).sum())})"
 
 
 def hamming_distances(codes: np.ndarray, query_words: np.ndarray) -> np.ndarray:

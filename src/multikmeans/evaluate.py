@@ -1,4 +1,4 @@
-"""Brute-force ground truth and retrieval metrics (recall@R, MAP).
+"""Brute-force ground truth and retrieval metrics (recall@R, average precision).
 
 Every exact ranking here breaks ties by ascending id, matching the search
 path, so metric computations never depend on sort accidents.
@@ -17,7 +17,6 @@ __all__ = [
     "brute_force_gt",
     "recall_at_r",
     "average_precision",
-    "mean_average_precision",
     "label_relevance",
 ]
 
@@ -57,8 +56,6 @@ def recall_at_r(results, ground_truth, r: int) -> float:
     if r < 1:
         raise ValueError("r must be at least 1")
     gt = np.asarray(ground_truth, dtype=np.int64)
-    if gt.ndim == 1:
-        gt = gt[:, None]
     if gt.ndim != 2 or gt.shape[0] == 0 or gt.shape[1] == 0:
         raise ValueError(f"ground truth must be a nonempty (Q, k) array, got {gt.shape}")
     results = list(results)
@@ -97,20 +94,6 @@ def average_precision(relevance, total_relevant: int) -> float:
         return 0.0
     precisions = (np.arange(ranks.size) + 1.0) / (ranks + 1.0)
     return float(precisions.sum() / total_relevant)
-
-
-def mean_average_precision(relevances, totals=None) -> float:
-    """Mean of per-query average precision."""
-    rels = list(relevances)
-    if not rels:
-        raise ValueError("need at least one query")
-    if totals is None:
-        totals = [int(np.sum(np.asarray(r))) for r in rels]
-    else:
-        totals = list(totals)
-        if len(totals) != len(rels):
-            raise ValueError(f"{len(totals)} totals for {len(rels)} relevance lists")
-    return float(np.mean([average_precision(r, t) for r, t in zip(rels, totals)]))
 
 
 def label_relevance(query_label, result_ids, labels) -> np.ndarray:

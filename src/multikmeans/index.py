@@ -20,6 +20,7 @@ from .core import (
     HashCode,
     Metric,
     WORD_BITS,
+    _BLOCK_ELEMENTS,
     _numeric_matrix,
     _shifted_hamming,
     as_matrix,
@@ -209,6 +210,18 @@ def _euclidean_screen(rows, ids: np.ndarray) -> _EuclideanScreen:
     """
     n, d = rows.shape
     G, h = _screen_margins(d)
+    err = None
+    if not np.can_cast(rows.dtype, np.float32):
+        # each row's ||x - x'|| sums that row alone, so blocks change no bit;
+        # it runs before rows32 exists, so no block sits beside that copy
+        err = np.empty(n)
+        step = max(1, _BLOCK_ELEMENTS // d)
+        for s in range(0, n, step):
+            block = rows[s : s + step]
+            with np.errstate(over="ignore", invalid="ignore"):
+                diff = np.subtract(block, block.astype(np.float32), dtype=np.float64)
+                err[s : s + step] = np.sqrt(np.einsum("nd,nd->n", diff, diff))
+            del diff  # the next block's difference must not sit beside this one
     rows32 = np.asarray(rows, dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.einsum("nd,nd->n", rows32, rows32)
@@ -222,10 +235,7 @@ def _euclidean_screen(rows, ids: np.ndarray) -> _EuclideanScreen:
     a_lo = np.multiply(a, 1.0 - G, dtype=np.float64)
     a_lo[bad] = -np.inf  # a finite row's bad a is +inf, so a_hi is +inf already
     cast = 0.0
-    if not np.can_cast(rows.dtype, np.float32):
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff = np.asarray(rows, dtype=np.float64) - rows32
-            err = np.sqrt(np.einsum("nd,nd->n", diff, diff))
+    if err is not None:
         cast = float(np.max(err, where=finite, initial=0.0)) * (1.0 + h) + _TINY64
     if not G < 0.5:  # d of ~2.8 million or more, where gamma_d is no longer small: no bound
         cast = np.inf

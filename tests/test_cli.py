@@ -4,7 +4,6 @@ import shlex
 import struct
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -13,11 +12,11 @@ import pytest
 
 import multikmeans.encoder as encoder_mod
 from multikmeans import __version__
-from multikmeans.cli import _sample_rows, build_parser, main
+from multikmeans.cli import ConfigError, _sample_rows, build_parser, main
 from multikmeans.core import Metric, derive_seed
 from multikmeans.dataio import VectorReader, read_labels, read_vectors, write_vectors
 from multikmeans.encoder import EncoderSpec, Variant, encode_many, load_quantizer
-from multikmeans.evaluate import label_relevance, mean_average_precision, recall_at_r
+from multikmeans.evaluate import average_precision, label_relevance, recall_at_r
 from multikmeans.index import load_index, search_ids
 
 
@@ -69,11 +68,16 @@ class TestBasics:
         assert __version__ in proc.stdout
 
 
+def readme_blocks(lang):
+    """The bodies of README.md's ```lang blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"^```{lang}\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+
+
 def readme_commands():
     """Each `multikmeans ...` line of README.md's ```sh blocks, with its
     backslash continuations joined and the shell loop's $s set to 1."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    blocks = readme_blocks("sh")
     lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
     return [line.replace("$s", "1") for line in lines if line.startswith("multikmeans ")]
 
@@ -83,6 +87,13 @@ def test_readme_example_parses(line):
     """A removed or renamed flag cannot linger in the README's examples."""
     args = build_parser().parse_args(shlex.split(line)[1:])
     assert args.command == shlex.split(line)[1]
+
+
+@pytest.mark.parametrize("code", [pytest.param(b, id=f"block{i}") for i, b in enumerate(readme_blocks("python"))])
+def test_readme_python_example_runs(code, capsys):
+    """A README example that calls a deleted or renamed name fails here."""
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out
 
 
 class TestGen:
@@ -325,9 +336,9 @@ class TestEvalMap:
         assert report["map_value"] >= 0.9
         assert report["runs_averaged"] == 2
 
-    def test_sample_below_class_count_takes_the_first_classes(self, workdir, capsys):
-        # 3 queries over 8 classes: one each from the 3 lowest labels, none
-        # from the rest
+    def test_sample_below_class_count_draws_the_classes(self, workdir, capsys):
+        # 3 queries over 8 classes: each seed draws 3 distinct classes, and
+        # the seeds do not all draw the same ones
         argv = eval_argv(
             workdir, "--mode", "map", "--base-labels", str(workdir / "base_labels.txt"),
             "--query-labels", str(workdir / "query_labels.txt"), "--shortlist", "240",
@@ -340,9 +351,32 @@ class TestEvalMap:
         report = json.loads(captured.out)
         assert [run["query_count"] for run in report["per_run"]] == [3, 3]
         query_labels = read_labels(workdir / "query_labels.txt")
-        for seed in (3, 4):
+        drawn = set()
+        for seed in range(20):
             rows = _sample_rows(24, np.random.default_rng(derive_seed(seed, 20)), 3, query_labels)
-            assert sorted(query_labels[rows].tolist()) == [0, 1, 2]
+            classes = sorted(query_labels[rows].tolist())
+            assert len(set(classes)) == 3
+            drawn.add(tuple(classes))
+        assert len(drawn) >= 2
+
+    def test_remainder_goes_to_classes_with_a_row_to_spare(self):
+        # 13 queries over 5 classes: 2 each, and one more for 3 of the 4
+        # classes that hold more than 2 rows; class 0 holds exactly 2
+        labels = np.repeat(np.arange(5), [2, 6, 3, 5, 4])
+        for seed in range(20):
+            rows = _sample_rows(labels.shape[0], np.random.default_rng(seed), 13, labels)
+            assert np.unique(rows).shape[0] == 13
+            counts = np.bincount(labels[rows], minlength=5)
+            assert counts[0] == 2
+            assert sorted(counts.tolist()) == [2, 2, 3, 3, 3]
+
+    def test_remainder_without_enough_classes_fails_for_every_seed(self):
+        # 10 queries over 4 classes: 2 each, and 2 classes to give a third
+        # row, but only class 3 holds more than 2
+        labels = np.repeat(np.arange(4), [2, 2, 2, 4])
+        for seed in range(20):
+            with pytest.raises(ConfigError, match="needs 2 classes of more than 2 queries, file has 1"):
+                _sample_rows(labels.shape[0], np.random.default_rng(seed), 10, labels)
 
     def test_label_outside_int64_exits_3(self, workdir, tmp_path, capsys):
         labels = tmp_path / "query_labels.txt"
@@ -385,9 +419,7 @@ class TestEvalMap:
                          read_vectors(tmp_path / "queries.fvecs"), 30, 1, Metric.COSINE)
         rels = [label_relevance(label, row, base_labels) for label, row in zip(query_labels, ids)]
         assert any(not rel.any() for rel in rels)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            want = mean_average_precision(rels)
+        want = np.mean([average_precision(r, int(r.sum())) if r.any() else 0.0 for r in rels])
         assert report["per_run"][0]["map"] == report["map_value"] == want < 1
 
     def test_missing_labels_exit_2(self, workdir):
@@ -603,7 +635,7 @@ class TestEvalScores:
             ids = search_ids(idx, base, queries[sel], 120, 40, Metric.EUCLIDEAN)
             rels = [label_relevance(query_labels[q], row, base_labels) for q, row in zip(sel, ids)]
             assert run["query_count"] == 12
-            assert run["map"] == mean_average_precision(rels)
+            assert run["map"] == np.mean([average_precision(r, int(r.sum())) if r.any() else 0.0 for r in rels])
         values = [run["map"] for run in report["per_run"]]
         assert 0 < report["map_value"] < 1
         assert report["map_value"] == float(np.mean(values))

@@ -12,9 +12,20 @@ from multikmeans.core import (
     derive_seed,
     hamming_distances,
     pack_bits,
-    unpack_bits,
     words_for,
 )
+
+
+def code_of(bits) -> HashCode:
+    return HashCode(pack_bits(bits), len(bits))
+
+
+def bits_of(words, length: int) -> np.ndarray:
+    """Bit j of each packed row read by shifts, (words[j // 64] >> j % 64) & 1:
+    arithmetic that pack_bits does not use."""
+    w = np.asarray(words, dtype=np.uint64)
+    cols = [(w[..., j // 64] >> np.uint64(j % 64)) & np.uint64(1) for j in range(length)]
+    return np.stack(cols, axis=-1).astype(bool)
 
 
 def naive_euclidean(a, b):
@@ -59,39 +70,36 @@ class TestPacking:
             bits = rng.integers(0, 2, size=length).astype(bool)
             words = pack_bits(bits)
             assert words.shape == (words_for(length),)
-            np.testing.assert_array_equal(unpack_bits(words, length), bits)
+            np.testing.assert_array_equal(bits_of(words, length), bits)
 
     def test_roundtrip_2d(self):
         rng = np.random.default_rng(13)
         bits = rng.integers(0, 2, size=(10, 70)).astype(bool)
         words = pack_bits(bits)
         assert words.shape == (10, 2)
-        np.testing.assert_array_equal(unpack_bits(words, 70), bits)
+        np.testing.assert_array_equal(bits_of(words, 70), bits)
 
     def test_padding_is_zero(self):
         words = pack_bits([1] * 5)
         assert words[0] == 0b11111
 
-    def test_unpack_validates_width(self):
-        with pytest.raises(ValueError):
-            unpack_bits(np.zeros(2, dtype=np.uint64), 64)
-
 
 class TestHashCode:
     def test_from_to_bits(self):
         bits = np.array([1, 0, 0, 1, 1], dtype=bool)
-        code = HashCode.from_bits(bits)
+        code = code_of(bits)
         assert code.length == 5
-        assert code.popcount() == 3
-        np.testing.assert_array_equal(code.to_bits(), bits)
+        assert np.bitwise_count(code.words).sum() == 3
+        assert repr(code) == "HashCode(length=5, popcount=3)"
+        np.testing.assert_array_equal(bits_of(code.words, code.length), bits)
 
     def test_equality(self):
-        a = HashCode.from_bits([1, 0, 1])
-        b = HashCode.from_bits([1, 0, 1])
-        c = HashCode.from_bits([1, 1, 1])
+        a = code_of([1, 0, 1])
+        b = code_of([1, 0, 1])
+        c = code_of([1, 1, 1])
         assert a == b
         assert a != c
-        assert a != HashCode.from_bits([1, 0, 1, 0])
+        assert a != code_of([1, 0, 1, 0])
 
     def test_rejects_non_canonical_padding(self):
         with pytest.raises(ValueError):
@@ -104,7 +112,7 @@ class TestHashCode:
             HashCode(np.zeros(1, dtype=np.uint64), 0)
 
     def test_words_read_only(self):
-        code = HashCode.from_bits([1, 0, 1])
+        code = code_of([1, 0, 1])
         with pytest.raises(ValueError):
             code.words[0] = 0
 
@@ -115,16 +123,16 @@ def hamming(a: HashCode, b: HashCode) -> int:
 
 class TestHamming:
     def test_known_value(self):
-        a = HashCode.from_bits([1, 0, 1, 1, 0])
-        b = HashCode.from_bits([0, 0, 1, 1, 1])
+        a = code_of([1, 0, 1, 1, 0])
+        b = code_of([0, 0, 1, 1, 1])
         assert hamming(a, b) == 2
 
     def test_self_zero_and_symmetry(self):
         rng = np.random.default_rng(14)
         for _ in range(30):
             length = int(rng.integers(1, 130))
-            a = HashCode.from_bits(rng.integers(0, 2, length))
-            b = HashCode.from_bits(rng.integers(0, 2, length))
+            a = code_of(rng.integers(0, 2, length))
+            b = code_of(rng.integers(0, 2, length))
             assert hamming(a, a) == 0
             assert hamming(a, b) == hamming(b, a)
 
@@ -135,13 +143,13 @@ class TestHamming:
             abits = rng.integers(0, 2, length)
             bbits = rng.integers(0, 2, length)
             want = int(np.sum(abits != bbits))
-            assert hamming(HashCode.from_bits(abits), HashCode.from_bits(bbits)) == want
+            assert hamming(code_of(abits), code_of(bbits)) == want
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(16)
         for _ in range(30):
             bits = rng.integers(0, 2, size=(3, 48))
-            a, b, c = (HashCode.from_bits(row) for row in bits)
+            a, b, c = (code_of(row) for row in bits)
             assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
 
     def test_length_mismatch(self):
@@ -151,11 +159,11 @@ class TestHamming:
     def test_batch_matches_single(self):
         rng = np.random.default_rng(17)
         length = 90
-        codes = [HashCode.from_bits(rng.integers(0, 2, length)) for _ in range(25)]
-        q = HashCode.from_bits(rng.integers(0, 2, length))
+        codes = [code_of(rng.integers(0, 2, length)) for _ in range(25)]
+        q = code_of(rng.integers(0, 2, length))
         packed = np.stack([c.words for c in codes])
         got = hamming_distances(packed, q.words)
-        want = [np.sum(c.to_bits() != q.to_bits()) for c in codes]
+        want = [np.sum(bits_of(c.words, length) != bits_of(q.words, length)) for c in codes]
         np.testing.assert_array_equal(got, want)
 
 

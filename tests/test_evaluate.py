@@ -8,7 +8,6 @@ from multikmeans.evaluate import (
     average_precision,
     brute_force_gt,
     label_relevance,
-    mean_average_precision,
     recall_at_r,
 )
 
@@ -124,6 +123,8 @@ class TestRecallAtR:
             recall_at_r(results, gt, 3)
         with pytest.raises(ValueError):
             recall_at_r(results, gt[:1], 1)
+        with pytest.raises(ValueError, match=r"nonempty \(Q, k\) array, got \(2,\)"):
+            recall_at_r(results, gt[:, 0], 1)  # a 1-D truth is not promoted
 
 
 class TestAveragePrecision:
@@ -155,29 +156,6 @@ class TestAveragePrecision:
             average_precision([1, 0], -1)
         with pytest.raises(ValueError):
             average_precision([1, 0], 0)  # relevant retrieved but total says none
-
-
-class TestMeanAveragePrecision:
-    def test_average_of_per_query_values(self):
-        rel = np.array([[1, 0, 1], [0, 1, 0]])
-        totals = [2, 1]
-        want = (average_precision([1, 0, 1], 2) + average_precision([0, 1, 0], 1)) / 2
-        assert mean_average_precision(rel, totals) == pytest.approx(want, rel=1e-12)
-
-    def test_totals_default_to_row_sums(self):
-        rel = np.array([[1, 0, 1], [0, 1, 0]])
-        want = mean_average_precision(rel, [2, 1])
-        assert mean_average_precision(rel) == pytest.approx(want, rel=1e-12)
-
-    def test_perfect_ranking(self):
-        rel = np.ones((4, 5), dtype=np.int64)
-        assert mean_average_precision(rel) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            mean_average_precision(np.array([[1, 0]]), [1, 2])
-        with pytest.raises(ValueError):
-            mean_average_precision(np.zeros((0, 3)))
 
 
 class TestLabelRelevance:

@@ -20,6 +20,11 @@ from multikmeans.index import (
 from multikmeans.kmeans import Codebook, TrainParams, train
 
 
+def bits_of(words, length):
+    """Bit j of a packed code read by shifts, (words[j // 64] >> j % 64) & 1."""
+    return np.array([int(words[j // 64] >> np.uint64(j % 64)) & 1 for j in range(length)])
+
+
 def naive_shortlist(bits, query_bits, ids, size):
     """Plain python reference: hamming distance, ties by ascending id."""
     hams = [
@@ -117,12 +122,12 @@ class TestBuildIndex:
 class TestShortlist:
     def test_matches_naive(self):
         rng, base, cb, spec, index = make_fixture()
-        bits = np.vstack([HashCode(row, cb.k).to_bits() for row in index.codes])
+        bits = np.vstack([bits_of(row, cb.k) for row in index.codes])
         for _ in range(20):
             q = rng.standard_normal(base.shape[1]).astype(np.float32)
             qcode = encode(q, cb, spec)
             got = shortlist(index, qcode, 15).tolist()
-            want = naive_shortlist(bits, qcode.to_bits(), index.ids, 15)
+            want = naive_shortlist(bits, bits_of(qcode.words, qcode.length), index.ids, 15)
             assert got == want
 
     def test_tie_breaks_by_ascending_id(self):
@@ -135,7 +140,7 @@ class TestShortlist:
         cb = Codebook.from_centroids(rng.standard_normal((4, 3)).astype(np.float32))
         spec = EncoderSpec(Variant.N, n_nearest=2)
         index = build_index(codes, np.array([9, 1, 4, 2]), spec, cb)
-        q = HashCode.from_bits(np.array([1, 0, 1, 0], dtype=np.uint8))
+        q = HashCode(pack_bits([1, 0, 1, 0]), 4)
         assert shortlist(index, q, 4).tolist() == [4, 9, 1, 2]
 
     def test_prefix_monotone(self):
@@ -156,7 +161,7 @@ class TestShortlist:
         q = encode(base[0], cb, spec)
         with pytest.raises(ValueError):
             shortlist(index, q, 0)
-        wrong = HashCode.from_bits(np.ones(cb.k + 1, dtype=np.uint8))
+        wrong = HashCode(pack_bits(np.ones(cb.k + 1)), cb.k + 1)
         with pytest.raises(ValueError):
             shortlist(index, wrong, 5)
 
