@@ -184,6 +184,17 @@ def words_for(length: int) -> int:
     return (length + WORD_BITS - 1) // WORD_BITS
 
 
+def _non_negative_integers(x, name: str) -> np.ndarray:
+    """x as an array of integers none of which is negative, else ValueError:
+    packed words and ids, which no cast may truncate or wrap, pass here."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+    if arr.dtype.kind == "i" and (arr < 0).any():
+        raise ValueError(f"{name} must be non-negative")
+    return arr
+
+
 def pack_bits(bits) -> np.ndarray:
     """Pack bits (shape (..., length)) into little-endian uint64 words.
 
@@ -212,7 +223,7 @@ class HashCode:
     def __post_init__(self):
         if self.length < 1:
             raise ValueError("code length must be positive")
-        w = np.ascontiguousarray(self.words, dtype=np.uint64)
+        w = np.ascontiguousarray(_non_negative_integers(self.words, "code words"), dtype=np.uint64)
         if w.ndim != 1 or w.shape[0] != words_for(self.length):
             raise ValueError(
                 f"expected {words_for(self.length)} words for length {self.length}, "
@@ -239,8 +250,8 @@ def hamming_distances(codes: np.ndarray, query_words: np.ndarray) -> np.ndarray:
     Returns uint16, or uint32 when the codes hold more than 65535 bits, so
     no distance wraps.
     """
-    c = np.asarray(codes, dtype=np.uint64)
-    q = np.asarray(query_words, dtype=np.uint64)
+    c = np.asarray(_non_negative_integers(codes, "codes"), dtype=np.uint64)
+    q = np.asarray(_non_negative_integers(query_words, "query words"), dtype=np.uint64)
     if c.ndim != 2 or q.ndim != 1 or c.shape[1] != q.shape[0]:
         raise ValueError(f"shape mismatch: codes {c.shape} vs query words {q.shape}")
     dtype = np.uint16 if c.shape[1] * WORD_BITS <= 0xFFFF else np.uint32

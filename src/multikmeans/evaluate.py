@@ -90,8 +90,6 @@ def average_precision(relevance, total_relevant: int) -> float:
         warnings.warn("query has no relevant items; average precision defaults to 0", stacklevel=2)
         return 0.0
     ranks = np.flatnonzero(rel == 1)
-    if ranks.size == 0:
-        return 0.0
     precisions = (np.arange(ranks.size) + 1.0) / (ranks + 1.0)
     return float(precisions.sum() / total_relevant)
 

@@ -21,6 +21,7 @@ from .core import (
     Metric,
     WORD_BITS,
     _BLOCK_ELEMENTS,
+    _non_negative_integers,
     _numeric_matrix,
     _shifted_hamming,
     as_matrix,
@@ -67,10 +68,8 @@ class SearchIndex:
     code_length: int
     spec: EncoderSpec
     quantizer: Codebook | DualCodebook
-    # the shortlist's tie-break, derived by build_index: each code's position
-    # in ascending-id order (in the packed-key dtype), and the ids in that order
+    # the shortlist's tie-break: each row's position, its id's rank, as packed keys
     _ranks: np.ndarray = field(repr=False)
-    _ids_by_rank: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -97,12 +96,11 @@ def build_index(codes, ids, spec: EncoderSpec, quantizer) -> SearchIndex:
 
     codes is a packed uint64 array shaped (N, words); every code must have
     the length the spec/quantizer pair produces, with canonical zero padding.
-    ids are unique non-negative integers; the index keeps its own copies.
+    ids are unique non-negative integers. The index keeps its own copies,
+    with its rows in ascending-id order.
     """
-    ids_arr = np.asarray(ids)
-    if ids_arr.dtype.kind not in "iu":
-        raise ValueError(f"ids must be integers, got dtype {ids_arr.dtype}")
-    return _own_index(np.array(codes, dtype=np.uint64, order="C"), np.array(ids_arr, dtype=np.int64), spec, quantizer)
+    packed = np.array(_non_negative_integers(codes, "codes"), dtype=np.uint64, order="C")
+    return _own_index(packed, np.array(_non_negative_integers(ids, "ids"), dtype=np.int64), spec, quantizer)
 
 
 def _key_dtype(count: int, length: int):
@@ -128,22 +126,17 @@ def _own_index(packed: np.ndarray, ids_arr: np.ndarray, spec: EncoderSpec, quant
         raise ValueError(f"ids shape {ids_arr.shape} does not align with {packed.shape[0]} codes")
     if (ids_arr < 0).any():
         raise ValueError("ids must be non-negative")
-    count = ids_arr.shape[0]
-    kd = _key_dtype(count, length)
-    # ascending ids, as `multikmeans index` writes them, are their own ranks
-    # and pass in O(N); only other orders pay for a sort
-    if (np.diff(ids_arr) > 0).all():
-        ranks, by_rank = np.arange(count, dtype=kd), ids_arr
-    else:
+    # ascending ids, as `multikmeans index` writes them, pass in O(N); rows
+    # in any other order are sorted by id, once
+    if not (np.diff(ids_arr) > 0).all():
         order = np.argsort(ids_arr)
-        by_rank = ids_arr[order]
-        if not (np.diff(by_rank) > 0).all():
+        packed, ids_arr = packed[order], ids_arr[order]
+        if not (np.diff(ids_arr) > 0).all():
             raise ValueError("ids must be unique")
-        ranks = np.empty(count, dtype=kd)
-        ranks[order] = np.arange(count, dtype=kd)
-    for arr in (packed, ids_arr, ranks, by_rank):
+    ranks = np.arange(ids_arr.shape[0], dtype=_key_dtype(ids_arr.shape[0], length))
+    for arr in (packed, ids_arr, ranks):
         arr.setflags(write=False)
-    return SearchIndex(packed, ids_arr, length, spec, quantizer, ranks, by_rank)
+    return SearchIndex(packed, ids_arr, length, spec, quantizer, ranks)
 
 
 def _topk(keys: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
@@ -222,8 +215,8 @@ def _euclidean_screen(rows, ids: np.ndarray) -> _EuclideanScreen:
                 diff = np.subtract(block, block.astype(np.float32), dtype=np.float64)
                 err[s : s + step] = np.sqrt(np.einsum("nd,nd->n", diff, diff))
             del diff  # the next block's difference must not sit beside this one
-    rows32 = np.asarray(rows, dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
+        rows32 = np.asarray(rows, dtype=np.float32)
         a = np.einsum("nd,nd->n", rows32, rows32)
     finite = np.isfinite(a)
     bad = np.flatnonzero(~finite)
@@ -414,16 +407,16 @@ def _nearest_codes(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndar
     """Ids of the `limit` codes Hamming-nearest to one packed query row,
     ordered by (distance, id); the caller has checked 1 <= limit <= size.
 
-    Each code's key is its distance shifted above its id rank, so keys are
-    unique and sort in (distance, id) order: one partition and a sort of
-    `limit` keys select the shortlist, with no tie set to break."""
+    Each code's key is its distance shifted above its row, its id rank, so
+    keys are unique and sort in (distance, id) order: one partition and a
+    sort of `limit` keys select the shortlist, with no tie set to break."""
     shift = (index.size - 1).bit_length()
     keys = _shifted_hamming(index.codes, words, shift, index._ranks.dtype)
     keys |= index._ranks
     keys.partition(limit - 1)
     nearest = np.sort(keys[:limit])
     nearest &= (1 << shift) - 1
-    return index._ids_by_rank[nearest]
+    return index.ids[nearest]
 
 
 def shortlist(index: SearchIndex, code: HashCode, limit: int) -> np.ndarray:
@@ -568,9 +561,7 @@ def load_index(path) -> SearchIndex:
         ids = read_array(f, "<i8", (count,), "ids")
         if f.read(1):
             raise FormatError("trailing bytes after index payload", offset=f.tell() - 1)
-    # ids are stored as uint64; one at or past 2**63 reads back negative
-    if (ids < 0).any():
-        raise FormatError("id does not fit a signed 64-bit integer")
+    # an id stored at or past 2**63 reads back negative; _own_index rejects it
     try:
         return _own_index(codes, ids, spec, quantizer)
     except ValueError as exc:

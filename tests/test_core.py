@@ -16,6 +16,15 @@ from multikmeans.core import (
 )
 
 
+# packed words that a uint64 cast would truncate or wrap, and the error each gives
+INEXACT_WORDS = [
+    (np.array([1.7]), "must be integers, got dtype float64"),
+    (np.array([True]), "must be integers, got dtype bool"),
+    (np.array([1], dtype=object), "must be integers, got dtype object"),
+    (np.array([-1]), "must be non-negative"),
+]
+
+
 def code_of(bits) -> HashCode:
     return HashCode(pack_bits(bits), len(bits))
 
@@ -111,6 +120,14 @@ class TestHashCode:
         with pytest.raises(ValueError):
             HashCode(np.zeros(1, dtype=np.uint64), 0)
 
+    @pytest.mark.parametrize("words, message", INEXACT_WORDS)
+    def test_rejects_words_a_cast_would_change(self, words, message):
+        with pytest.raises(ValueError, match=message):
+            HashCode(words, 16)
+
+    def test_accepts_non_negative_signed_words(self):
+        assert HashCode(np.array([5], dtype=np.int32), 16) == code_of([1, 0, 1] + [0] * 13)
+
     def test_words_read_only(self):
         code = code_of([1, 0, 1])
         with pytest.raises(ValueError):
@@ -155,6 +172,14 @@ class TestHamming:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             hamming_distances(np.zeros((3, 2), dtype=np.uint64), np.zeros(1, dtype=np.uint64))
+
+    @pytest.mark.parametrize("words, message", INEXACT_WORDS)
+    def test_rejects_words_a_cast_would_change(self, words, message):
+        zero = np.zeros(1, dtype=np.uint64)
+        with pytest.raises(ValueError, match=f"^codes {message}"):
+            hamming_distances(words[None, :], zero)
+        with pytest.raises(ValueError, match=f"^query words {message}"):
+            hamming_distances(zero[None, :], words)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(17)

@@ -86,6 +86,22 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="ids must be integers"):
             build_index(index.codes, ids, spec, cb)
 
+    @pytest.mark.parametrize(
+        "inexact, message",
+        [
+            (lambda c: c + 0.5, "codes must be integers, got dtype float64"),
+            (lambda c: c.astype(bool), "codes must be integers, got dtype bool"),
+            (lambda c: c.astype(object), "codes must be integers, got dtype object"),
+            (lambda c: c.astype(np.int64) - 2**12, "codes must be non-negative"),
+        ],
+    )
+    def test_rejects_codes_a_cast_would_change(self, inexact, message):
+        _, base, cb, spec, index = make_fixture(n=10)  # cb.k = 12 bits
+        with pytest.raises(ValueError, match=message):
+            build_index(inexact(index.codes), np.arange(10), spec, cb)
+        signed = build_index(index.codes.astype(np.int64), np.arange(10), spec, cb)
+        np.testing.assert_array_equal(signed.codes, index.codes)
+
     def test_rejects_length_mismatch(self):
         _, base, cb, spec, index = make_fixture(n=10)
         with pytest.raises(ValueError):

@@ -9,13 +9,15 @@ block and order, that kernel's independence from the rows scored with it,
 core._sq_distances over wide blocks, k-means++ seeding, Lloyd training,
 the assign step (kmeans._assign) and encode_many against inline copies of
 their earlier forms, which made one checked distance call per block where
-they now reach core._sq_distances directly, and the id check of
-build_index, each against a naive full-sort, popcount, whole-file or inline
+they now reach core._sq_distances directly, the id check of build_index
+and an index's independence from the order of its input rows, each against a naive full-sort, popcount, whole-file or inline
 reference on inputs full of ties and duplicates."""
 
 import contextlib
 import os
 import tempfile
+import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -57,6 +59,7 @@ from multikmeans.index import (
     _topk,
     _upper,
     build_index,
+    save_index,
     search,
     search_ids,
     shortlist,
@@ -157,7 +160,7 @@ def test_shortlist_on_multiword_codes_matches_naive(case, wide, data):
     with forced if wide else contextlib.nullcontext():
         index = build_index(codes, ids, EncoderSpec(Variant.T), cb)
     assert index._ranks.dtype == (np.uint64 if wide else np.uint32)
-    np.testing.assert_array_equal(index.ids, ids)
+    np.testing.assert_array_equal(index.ids, np.sort(ids))
     np.testing.assert_array_equal(shortlist(index, HashCode(words, length), limit), naive_shortlist(index, words, limit))
 
 
@@ -292,6 +295,51 @@ def test_search_over_reader_matches_full_sort(case):
                 np.testing.assert_array_equal([s for _, s in res.ranked], want_scores)
                 np.testing.assert_array_equal(got_ids[qi], want_ids)
                 np.testing.assert_array_equal(got_scores[qi], want_scores)
+
+
+class StoreById:
+    """A base store keyed by sparse ids: take(ids) returns their rows."""
+
+    def __init__(self, ids, rows):
+        self.rows = dict(zip(ids.tolist(), rows))
+
+    def take(self, ids):
+        return np.array([self.rows[i] for i in ids.tolist()])
+
+
+@SETTINGS
+@given(stores(), st.data())
+def test_any_row_order_gives_one_index(case, data):
+    """The rows of one (id, code) table, with sparse ids, in ascending-id
+    order and in two drawn orders: each index holds strictly ascending ids,
+    saves to the same bytes, and shortlists and searches as full sorts of
+    the caller's table do."""
+    base, cb, spec, _, queries, limit, top, metric, _, _ = case
+    n = base.shape[0]
+    ids = data.draw(unique_ids(n))
+    codes = encode_many(base.astype(np.float32), cb, spec)
+    table = SimpleNamespace(codes=codes, ids=ids)
+    store = StoreById(ids, base)
+    by_id = np.argsort(ids)
+    blobs = set()
+    for order in (by_id, *(np.array(data.draw(st.permutations(range(n))), dtype=np.int64) for _ in range(2))):
+        index = build_index(codes[order], ids[order], spec, cb)
+        assert (np.diff(index.ids) > 0).all()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "index.mkmi")
+            save_index(index, path)
+            with open(path, "rb") as f:
+                blobs.add(f.read())
+        for q in queries:
+            code = encode(q, cb, spec)
+            cand = shortlist(index, code, limit)
+            np.testing.assert_array_equal(cand, naive_shortlist(table, code.words, limit))
+            # positions in ascending-id order rank ties as the ids do
+            want_pos, want_scores = naive_search(base[by_id], np.searchsorted(ids[by_id], cand), q, top, metric)
+            res = search(index, store, q, limit, top, metric)
+            np.testing.assert_array_equal(res.ids(), ids[by_id][want_pos])
+            np.testing.assert_array_equal([s for _, s in res.ranked], want_scores)
+    assert len(blobs) == 1
 
 
 @SETTINGS
@@ -786,6 +834,28 @@ def test_screen_keeps_a_row_whose_float32_dot_overflows():
     assert got_scores.tobytes() == want_scores.tobytes()
 
 
+def test_float64_row_past_the_float32_range_warns_nowhere():
+    """A float64 row with a finite component past the float32 range
+    overflows its float32 cast, which the screen expects: neither
+    brute_force_gt nor search over an in-memory base warns, and both rank
+    as the float64 kernel over every row does."""
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((50, 4))
+    base[7, 2] = 1e300
+    queries = rng.standard_normal((3, 4))
+    cb = Codebook.from_centroids(rng.standard_normal((4, 4)).astype(np.float32))
+    index = build_index(np.zeros((50, 1), dtype=np.uint64), np.arange(50), EncoderSpec(Variant.T), cb)
+    positions = np.arange(50)
+    want = np.array([exhaustive_topk(base, q, positions, 50)[0] for q in queries])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gt = brute_force_gt(base, queries, 50)
+        got = np.array([search(index, base, q, 50, 50).ids() for q in queries])
+    assert (want[:, -1] == 7).all()
+    np.testing.assert_array_equal(gt, want)
+    np.testing.assert_array_equal(got, want)
+
+
 @settings(max_examples=200, deadline=None)
 @given(screen_cases(), st.data())
 def test_screen_keeps_every_row_it_cannot_rule_out(case, data):
@@ -878,7 +948,7 @@ def test_build_index_id_check_matches_unique(ids, ascending):
     cb = Codebook.from_centroids(np.arange(4, dtype=np.float32).reshape(2, 2))
     codes = np.zeros((ids.shape[0], 1), dtype=np.uint64)
     if np.unique(ids).shape[0] == ids.shape[0]:
-        np.testing.assert_array_equal(build_index(codes, ids, EncoderSpec(Variant.T), cb).ids, ids)
+        np.testing.assert_array_equal(build_index(codes, ids, EncoderSpec(Variant.T), cb).ids, np.sort(ids))
     else:
         with pytest.raises(ValueError, match="^ids must be unique$"):
             build_index(codes, ids, EncoderSpec(Variant.T), cb)
