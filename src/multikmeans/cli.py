@@ -273,12 +273,13 @@ def cmd_gt(args) -> int:
     # the suffix picks the element kind on every read, as in element_kind_for
     if os.path.splitext(args.out)[1].lower() != ".ivecs":
         raise ConfigError(f"--out must end in .ivecs, the int32 id format, got {args.out!r}")
-    base = read_vectors(args.base)
-    queries = read_vectors(args.queries)
-    if args.depth > len(base):
-        raise ConfigError(f"--depth {args.depth} exceeds base size {len(base)}")
-    t0 = time.perf_counter()
-    gt = brute_force_gt(base, queries, args.depth, metric=_metric(args))
+    # brute_force_gt reads a Euclidean base in blocks and a cosine one whole
+    with VectorReader(args.base) as base:
+        queries = read_vectors(args.queries)
+        if args.depth > len(base):
+            raise ConfigError(f"--depth {args.depth} exceeds base size {len(base)}")
+        t0 = time.perf_counter()
+        gt = brute_force_gt(base, queries, args.depth, metric=_metric(args))
     write_vectors(args.out, gt.astype(np.int32))
     dt = time.perf_counter() - t0
     print(

@@ -223,7 +223,8 @@ class HashCode:
     def __post_init__(self):
         if self.length < 1:
             raise ValueError("code length must be positive")
-        w = np.ascontiguousarray(_non_negative_integers(self.words, "code words"), dtype=np.uint64)
+        # a copy, so freezing it below leaves the caller's array writable
+        w = np.array(_non_negative_integers(self.words, "code words"), dtype=np.uint64, order="C")
         if w.ndim != 1 or w.shape[0] != words_for(self.length):
             raise ValueError(
                 f"expected {words_for(self.length)} words for length {self.length}, "

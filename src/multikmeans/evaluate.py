@@ -11,7 +11,15 @@ import warnings
 import numpy as np
 
 from .core import _BLOCK_ELEMENTS, Metric, _numeric_matrix, as_matrix
-from .index import _cosine_screen, _cosine_topk, _euclidean_screen, _euclidean_topk
+from .index import (
+    _cosine_screen,
+    _cosine_topk,
+    _direct_distances,
+    _euclidean_screen,
+    _query_screen,
+    _screened_rows,
+    _topk,
+)
 
 __all__ = [
     "brute_force_gt",
@@ -24,30 +32,69 @@ __all__ = [
 def brute_force_gt(base, queries, k: int, metric: Metric = Metric.EUCLIDEAN) -> np.ndarray:
     """Exact k-nearest ids (base row positions) for every query, shape (Q, k).
 
-    Euclidean ranks ascending distance, cosine descending similarity; equal
-    scores rank the lower id first, as in the search path's re-rank. A base
-    row holding inf or nan raises ValueError naming its id.
+    base is a 2-D array or a VectorReader (any object with read(start,
+    count), dim and len). Euclidean ranks ascending distance, cosine
+    descending similarity; equal scores rank the lower id first, as in the
+    search path's re-rank. A base row holding inf or nan raises ValueError
+    naming its id (the lowest such id).
+
+    Euclidean walks the base once, in blocks of _BLOCK_ELEMENTS // d rows,
+    each a view of the array or one read of the reader, so no array ever
+    holds all of a reader's rows. Each query keeps a running top-k: a
+    block's screen drops every row it proves farther than the running k-th
+    distance, and _topk merges the rest in. Every distance comes from the
+    row-pure kernel, so the ids are those of one ranking over all rows.
+    Cosine reads the whole base and ranks it at once.
     """
-    B = _numeric_matrix(base, "base")
+    reader = callable(getattr(base, "read", None))
+    B = None if reader else _numeric_matrix(base, "base")
+    n, d = (len(base), base.dim) if reader else B.shape
     Q = as_matrix(queries, "queries")
-    if B.shape[1] != Q.shape[1]:
-        raise ValueError(f"dimension mismatch: base {B.shape[1]} vs queries {Q.shape[1]}")
-    if not (1 <= k <= B.shape[0]):
-        raise ValueError(f"k={k} outside [1, {B.shape[0]}]")
-    metric = Metric(metric)
-    out = np.empty((Q.shape[0], k), dtype=np.int64)
+    if d != Q.shape[1]:
+        raise ValueError(f"dimension mismatch: base {d} vs queries {Q.shape[1]}")
+    if not (1 <= k <= n):
+        raise ValueError(f"k={k} outside [1, {n}]")
+    Q64 = np.asarray(Q, dtype=np.float64)
+    if Metric(metric) is Metric.COSINE:
+        return _cosine_gt(base.read(0, n) if reader else B, Q64, k)
+    step = min(n, max(1, _BLOCK_ELEMENTS // d))
+    chunk = max(1, _BLOCK_ELEMENTS // step)  # queries per float32 block product
+    qs = [_query_screen(q64) for q64 in Q64]
+    Q32 = np.array([q.q32 for q in qs])  # the roundings the query terms bound
+    ids = np.empty((Q.shape[0], k), dtype=np.int64)
+    dist = np.empty((Q.shape[0], k))  # each query's running top-k, ascending by (distance, id)
+    filled = 0  # rows in every running top-k: min(k, rows walked)
+    for s in range(0, n, step):
+        rows = base.read(s, min(step, n - s)) if reader else B[s : s + step]
+        screen = _euclidean_screen(rows, np.arange(s, s + rows.shape[0]))
+        top = min(k, rows.shape[0])
+        for c in range(0, Q.shape[0], chunk):
+            with np.errstate(over="ignore", invalid="ignore"):
+                dots = Q32[c : c + chunk] @ screen.rows32.T
+            for i, row_dots in enumerate(dots, start=c):
+                T = float(dist[i, k - 1]) if filled == k else np.inf
+                keep = _screened_rows(screen, qs[i], top, row_dots, T)
+                if keep.size:
+                    cand_d = np.concatenate((dist[i, :filled], _direct_distances(rows[keep], Q64[i])))
+                    cand_i = np.concatenate((ids[i, :filled], keep + s))
+                    sel = _topk(cand_d, cand_i, min(k, filled + rows.shape[0]))
+                    dist[i, : sel.size], ids[i, : sel.size] = cand_d[sel], cand_i[sel]
+        filled = min(k, filled + rows.shape[0])
+    return ids
+
+
+def _cosine_gt(B: np.ndarray, Q64: np.ndarray, k: int) -> np.ndarray:
+    """brute_force_gt's cosine ranking: every row at once, one float64
+    product per block of _BLOCK_ELEMENTS // N queries."""
     positions = np.arange(B.shape[0], dtype=np.int64)
-    if metric is Metric.EUCLIDEAN:
-        topk, screen, dtype = _euclidean_topk, _euclidean_screen(B, positions), np.float32
-    else:
-        topk, screen, dtype = _cosine_topk, _cosine_screen(B, positions), np.float64
+    screen = _cosine_screen(B, positions)
+    out = np.empty((Q64.shape[0], k), dtype=np.int64)
     chunk = max(1, _BLOCK_ELEMENTS // B.shape[0])
-    for s in range(0, Q.shape[0], chunk):
-        Q64 = np.asarray(Q[s : s + chunk], dtype=np.float64)
+    for s in range(0, Q64.shape[0], chunk):
         with np.errstate(over="ignore", invalid="ignore"):
-            dots = np.asarray(Q64, dtype=dtype) @ screen[0].T
-        for r, q64 in enumerate(Q64):
-            out[s + r] = topk(B, q64, positions, k, screen, dots[r])[0]
+            dots = Q64[s : s + chunk] @ screen[0].T
+        for r, q64 in enumerate(Q64[s : s + chunk]):
+            out[s + r] = _cosine_topk(B, q64, positions, k, screen, dots[r])[0]
     return out
 
 

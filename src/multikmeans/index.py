@@ -236,15 +236,50 @@ def _euclidean_screen(rows, ids: np.ndarray) -> _EuclideanScreen:
     return _EuclideanScreen(rows32, a_hi, a_lo, a_max, cast, np.empty(n), np.empty(n))
 
 
-def _screen_bounds(screen: _EuclideanScreen, q64: np.ndarray, dots=None):
-    """One query's float32 screen: per-row values lo <= hi and the query's
-    terms, such that _lower(lo_i, terms) <= _direct_distances(rows, q64)_i
-    <= _upper(hi_i, terms) for every row.
+class _Query(NamedTuple):
+    """The row-independent half of one query's screen in _screen_bounds,
+    computed once per query however many blocks of rows it screens."""
 
-    `screen` is _euclidean_screen(rows, ids), and `dots` the float32
-    products rows32 @ q64.astype(float32) when the caller computed them for
-    many queries at once (computed here otherwise). lo and hi are the
-    screen's work arrays, so the next query overwrites them. A row whose
+    q64: np.ndarray
+    q32: np.ndarray  # q64 rounded to float32
+    b: float  # ||q32||^2, summed in float64
+    cast: float  # the cast-error bound ||q64 - q32||, 0.0 when q64 is exact in float32
+
+
+def _query_screen(q64: np.ndarray) -> _Query:
+    """q64's float32 rounding, squared norm and cast error (step 3 of the
+    proof in _screen_bounds)."""
+    h = _screen_margins(q64.shape[0])[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        q32 = q64.astype(np.float32)
+        q32_64 = q32.astype(np.float64)
+        b = float(q32_64 @ q32_64)
+        dq = q64 - q32_64
+        cast = float(np.sqrt(dq @ dq)) * (1.0 + h) + _TINY64 if dq.any() else 0.0
+    return _Query(q64, q32, b, cast)
+
+
+def _screen_terms(screen: _EuclideanScreen, query: _Query) -> tuple:
+    """The scalars (beta+, beta-, e, h) of one query over one screen's rows,
+    which _lower, _upper and _lower_cut map screen values with."""
+    d = query.q64.shape[0]
+    G, h = _screen_margins(d)
+    tau = 4.0 * d * _UNDERFLOW32
+    e = screen.cast + query.cast
+    if not (screen.a_max + d * _UNDERFLOW32) * query.b <= _FLT_MAX * _FLT_MAX / 4.0:
+        e = np.inf
+    return query.b * (1.0 + G) + tau, query.b * (1.0 - G) - tau, e, h
+
+
+def _screen_bounds(screen: _EuclideanScreen, query: _Query, dots=None):
+    """One query's float32 screen over every row: per-row values lo <= hi
+    and the terms, such that _lower(lo_i, terms) <=
+    _direct_distances(rows, q64)_i <= _upper(hi_i, terms) for every row.
+
+    `screen` is _euclidean_screen(rows, ids), `query` is _query_screen(q64),
+    and `dots` the float32 products rows32 @ q32 when the caller computed
+    them for many queries at once (computed here otherwise). lo and hi are
+    the screen's work arrays, so the next query overwrites them. A row whose
     float32 norm is not finite gets lo = -inf or nan and hi = +inf or nan.
 
     The proof. Let x be a row as the finish kernel reads it (float64), q the
@@ -296,24 +331,14 @@ def _screen_bounds(screen: _EuclideanScreen, q64: np.ndarray, dots=None):
     a (1 -+ G) are set to -+inf, so its lo is never above any cut, and its
     hi, +inf or nan, never lowers one.
     """
-    d = q64.shape[0]
-    G, h = _screen_margins(d)
-    tau = 4.0 * d * _UNDERFLOW32
     lo, hi = screen.lo, screen.hi
     with np.errstate(over="ignore", invalid="ignore"):
-        q32 = q64.astype(np.float32)
         if dots is None:
-            dots = np.einsum("nd,d->n", screen.rows32, q32)
-        q32_64 = q32.astype(np.float64)
-        b = float(q32_64 @ q32_64)
-        dq = q64 - q32_64
-        e = screen.cast + (float(np.sqrt(dq @ dq)) * (1.0 + h) + _TINY64 if dq.any() else 0.0)
-        if not (screen.a_max + d * _UNDERFLOW32) * b <= _FLT_MAX * _FLT_MAX / 4.0:
-            e = np.inf
+            dots = np.einsum("nd,d->n", screen.rows32, query.q32)
         np.multiply(dots, -2.0, out=lo, dtype=np.float64)
         np.add(lo, screen.a_hi, out=hi)
         lo += screen.a_lo
-    return lo, hi, (b * (1.0 + G) + tau, b * (1.0 - G) - tau, e, h)
+    return lo, hi, _screen_terms(screen, query)
 
 
 def _upper(hi, terms):
@@ -346,31 +371,57 @@ def _lower_cut(T, terms) -> float:
     return cut if cut < np.inf else np.inf
 
 
-def _euclidean_topk(rows, q64: np.ndarray, ids: np.ndarray, top: int, screen=None, dots=None):
-    """Positions of the `top` rows nearest q64 and their distances: exactly
-    _topk(_direct_distances(rows, q64), ids, top), but the float64 kernel
-    runs only on the rows the screen cannot rule out. `screen` and `dots`
-    are as in _screen_bounds. A row holding inf or nan raises ValueError
-    naming its id.
+def _screened_rows(screen: _EuclideanScreen, query: _Query, top: int, dots=None, T: float = np.inf) -> np.ndarray:
+    """Positions of the screen's rows that may be among the `top` nearest
+    the query by (distance, id). A finite T is a distance within which
+    `top` rows scored elsewhere lie, so only rows that may beat them are
+    kept; T = inf when there are none. 1 <= top <= the screen's row count;
+    `dots` are as in _screen_bounds, and needed with a finite T.
 
     The keep rule bounds the cut, not every row. _upper and _lower are
     non-decreasing: each is a chain of correctly rounded sqrt, max, sums
     with a constant and products by a positive constant, and rounding is
     non-decreasing. A non-decreasing map keeps the order of its arguments,
-    so the top-th smallest U = _upper(hi) is T = _upper(top-th smallest
-    hi); np.partition puts nan last, so a row with no bound never lowers
-    it. A row with L = _lower(lo) > T is farther than `top` rows, so it is
-    not in the top by (distance, id), and as _lower is non-decreasing, a
-    row with lo > X = _lower_cut(T) has L > T. The kernel scores each row
-    alone, so the top of the rows kept is the top of all rows, ids and
-    float64 distances bit for bit.
+    so the top-th smallest U = _upper(hi) is _upper(top-th smallest hi);
+    np.partition puts nan last, so a row with no bound never lowers it. A
+    row with L = _lower(lo) > T is farther than `top` rows, so it is not in
+    the top, and as _lower is non-decreasing, a row with lo > X =
+    _lower_cut(T) has L > T. A finite T, from the rows scored elsewhere, is
+    applied first, on lo alone; only when more than `top` rows pass does hi
+    follow, for those rows, to tighten it. The kernel scores each row
+    alone, so the top of the rows kept, with the rows scored elsewhere, is
+    the top of all of them, ids and float64 distances bit for bit.
     """
-    screen = _euclidean_screen(rows, ids) if screen is None else screen
-    lo, hi, terms = _screen_bounds(screen, q64, dots)
+    if T < np.inf:
+        terms = _screen_terms(screen, query)
+        lo = screen.lo
+        with np.errstate(invalid="ignore"):
+            np.multiply(dots, -2.0, out=lo, dtype=np.float64)
+            lo += screen.a_lo
+            keep = np.flatnonzero(~(lo > _lower_cut(T, terms)))
+            if keep.size <= top:
+                return keep
+            lo = lo[keep]
+            hi = np.multiply(dots[keep], -2.0, dtype=np.float64)
+            hi += screen.a_hi[keep]
+    else:
+        keep = None
+        lo, hi, terms = _screen_bounds(screen, query, dots)
     hi.partition(top - 1)
     with np.errstate(invalid="ignore"):
-        cut = _lower_cut(_upper(hi[top - 1], terms), terms)
-    keep = np.flatnonzero(~(lo > cut))
+        bound = float(_upper(hi[top - 1], terms))
+    if bound < T:
+        T = bound
+    near = np.flatnonzero(~(lo > _lower_cut(T, terms)))
+    return near if keep is None else keep[near]
+
+
+def _euclidean_topk(rows, q64: np.ndarray, ids: np.ndarray, top: int):
+    """Positions of the `top` rows nearest q64 and their distances: exactly
+    _topk(_direct_distances(rows, q64), ids, top), but the float64 kernel
+    runs only on the rows _screened_rows cannot rule out. A row holding inf
+    or nan raises ValueError naming its id."""
+    keep = _screened_rows(_euclidean_screen(rows, ids), _query_screen(q64), top)
     scores = _direct_distances(rows[keep], q64)
     sel = _topk(scores, ids[keep], top)
     return keep[sel], scores[sel]

@@ -133,6 +133,14 @@ class TestHashCode:
         with pytest.raises(ValueError):
             code.words[0] = 0
 
+    def test_leaves_the_callers_words_writable(self):
+        # a C-contiguous uint64 input needs no conversion, yet the code
+        # freezes its own copy, not the caller's array
+        words = np.zeros(1, dtype=np.uint64)
+        code = HashCode(words, 4)
+        words[0] = 1
+        assert code.words.tolist() == [0]
+
 
 def hamming(a: HashCode, b: HashCode) -> int:
     return int(hamming_distances(a.words[None, :], b.words)[0])

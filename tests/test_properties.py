@@ -3,10 +3,12 @@ the packed-key shortlist over multi-word codes and its key width rule, the
 search path over a memory-mapped VectorReader (single query, batched and
 threaded), VectorReader.take, the float32-screened Euclidean top-k against
 its float64 kernel run over every row, its keep rule at the cutoff, its
-query and row cast-error terms, the rows it keeps, its cut map and a query
-whose float32 dot overflows, brute_force_gt's independence from the query
-block and order, that kernel's independence from the rows scored with it,
-core._sq_distances over wide blocks, k-means++ seeding, Lloyd training,
+query and row cast-error terms, the rows it keeps with and without a
+running cut, its cut map and a query whose float32 dot overflows,
+brute_force_gt's independence from the query block, the base block, the
+base's input kind (array or VectorReader) and the query order, its
+allocation peak over a reader, that kernel's independence from the rows
+scored with it, core._sq_distances over wide blocks, k-means++ seeding, Lloyd training,
 the assign step (kmeans._assign) and encode_many against inline copies of
 their earlier forms, which made one checked distance call per block where
 they now reach core._sq_distances directly, the id check of build_index
@@ -16,6 +18,7 @@ reference on inputs full of ties and duplicates."""
 import contextlib
 import os
 import tempfile
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -55,7 +58,9 @@ from multikmeans.index import (
     _euclidean_topk,
     _lower,
     _lower_cut,
+    _query_screen,
     _screen_bounds,
+    _screened_rows,
     _topk,
     _upper,
     build_index,
@@ -437,7 +442,7 @@ def screen_bounds_per_row(rows, q, ids):
     """Each row's L and U: the screen's two scalar maps applied element-wise
     to its per-row values lo and hi."""
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi, terms = _screen_bounds(_euclidean_screen(rows, ids), q)
+        lo, hi, terms = _screen_bounds(_euclidean_screen(rows, ids), _query_screen(q))
         return _lower(lo, terms), _upper(hi, terms)
 
 
@@ -746,8 +751,8 @@ def test_screened_topk_keeps_rows_tied_at_the_cutoff(seed, d, n, data):
     ids = rng.permutation(10 * n)[:n].astype(np.int64)
     top = data.draw(st.integers(1, n))
 
-    def exact_bounds(screen, q64, dots=None):
-        f = _direct_distances(rows, q64)
+    def exact_bounds(screen, query, dots=None):
+        f = _direct_distances(rows, query.q64)
         return f, f.copy(), None
 
     def identity(y, terms):
@@ -874,7 +879,7 @@ def test_screen_keeps_every_row_it_cannot_rule_out(case, data):
         rows[rng.integers(0, n)] = rng.choice([-big, big], size=d)
     with np.errstate(over="ignore", invalid="ignore"):
         lower, upper = screen_bounds_per_row(rows, q, ids)
-        _, hi, terms = _screen_bounds(_euclidean_screen(rows, ids), q)
+        _, hi, terms = _screen_bounds(_euclidean_screen(rows, ids), _query_screen(q))
         T = _upper(np.partition(hi, top - 1)[top - 1], terms)
         with mock.patch.object(index_mod, "_topk", wraps=_topk) as spy:
             got_pos, got_scores = _euclidean_topk(rows, q, ids, top)
@@ -887,6 +892,32 @@ def test_screen_keeps_every_row_it_cannot_rule_out(case, data):
     assert set(ids[~(lower > T)].tolist()) <= kept
     np.testing.assert_array_equal(got_pos, want_pos)
     assert got_scores.tobytes() == want_scores.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(screen_cases(), st.data())
+def test_screen_under_a_running_cut_keeps_every_row_it_cannot_rule_out(case, data):
+    """Given a finite cut T0, as the block walk of brute_force_gt passes
+    one, _screened_rows keeps exactly the rows with lo <= _lower_cut(T0)
+    when at most `top` pass; when more pass, it tightens the cut with
+    their hi to T = min(T0, their top-th smallest U) and keeps every
+    passing row with L <= T."""
+    rows, q, ids, top = case
+    every = exhaustive_topk(rows, q, ids, rows.shape[0])[1]
+    T0 = float(every[data.draw(st.integers(0, rows.shape[0] - 1))])
+    assume(T0 < np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, upper = screen_bounds_per_row(rows, q, ids)
+        screen, query = _euclidean_screen(rows, ids), _query_screen(q)
+        lo, _, terms = _screen_bounds(screen, query)
+        passed = ~(lo > _lower_cut(T0, terms))
+        dots = np.einsum("nd,d->n", screen.rows32, query.q32)
+        kept = _screened_rows(screen, query, top, dots, T0)
+    if passed.sum() <= top:
+        np.testing.assert_array_equal(kept, np.flatnonzero(passed))
+    else:
+        T = min(T0, np.sort(upper[passed])[top - 1])  # a nan U, sorted last, tightens nothing
+        assert set(np.flatnonzero(passed & ~(lower > T)).tolist()) <= set(kept.tolist())
 
 
 @SETTINGS
@@ -924,13 +955,121 @@ def ground_truth_cases(draw):
 @given(ground_truth_cases())
 def test_brute_force_gt_ids_do_not_depend_on_the_query_block(case):
     """Blocks of 1, 2, 3 and all queries share the float32 product
-    differently, yet give the ids of the kernel over every row."""
+    differently, yet give the ids of the kernel over every row. The budget
+    sets both block sizes: c < d elements give 1-row base blocks and chunks
+    of c queries; c * N elements give one base block and chunks of c."""
     base, queries, k = case
-    positions = np.arange(base.shape[0])
+    n, d = base.shape
+    positions = np.arange(n)
     want = np.array([exhaustive_topk(base, q, positions, k)[0] for q in queries])
     for block in (1, 2, 3, queries.shape[0]):
-        with mock.patch.object(evaluate_mod, "_BLOCK_ELEMENTS", block * base.shape[0]):
+        with mock.patch.object(evaluate_mod, "_BLOCK_ELEMENTS", block if block < d else block * n):
             np.testing.assert_array_equal(brute_force_gt(base, queries, k), want)
+
+
+def _base_block_sizes(k: int) -> list[int]:
+    """Base blocks of 1, 2, 3, k - 1, k and k + 1 rows: the running top-k
+    fills inside a block, at its edge, or across several."""
+    return sorted({1, 2, 3, max(1, k - 1), k, k + 1})
+
+
+def _fvecs_file(tmp: str, rows: np.ndarray) -> str:
+    """rows written as .fvecs records as they are, inf and nan included,
+    which write_vectors refuses."""
+    n, d = rows.shape
+    recs = np.empty(n, dtype=[("dim", "<i4"), ("data", "<f4", (d,))])
+    recs["dim"], recs["data"] = d, rows
+    path = os.path.join(tmp, "base.fvecs")
+    recs.tofile(path)
+    return path
+
+
+@st.composite
+def base_block_cases(draw):
+    """A float32 or float64 base for the block walk: copies of one row
+    spread over the base (exact ties that straddle block edges, more than k
+    of them at times, so a tie at the running k-th distance goes to the
+    lower id), near-ties an ulp apart, in float64 one row whose cast error
+    is the largest (so it sits in one block), and at times a finite row
+    whose float32 norm overflows; queries on, near or far from the copied
+    row, and k up to N."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(2, 60)), draw(st.one_of(st.integers(1, 6), st.just(128)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    base = (rng.standard_normal((n, d)) * 100.0).astype(np.float32).astype(dtype)
+    src = rng.integers(0, n)
+    base[rng.integers(0, n, size=draw(st.integers(0, n)))] = base[src]
+    _nudge(base, rng, draw(st.integers(0, n // 4)))
+    if dtype is np.float64:
+        base[rng.integers(0, n)] += rng.standard_normal(d) * draw(st.sampled_from([1e-3, 1e6]))
+    if draw(st.booleans()):
+        big = draw(st.sampled_from([3e19] if dtype is np.float32 else [3e19, 1e39, 1e300]))
+        base[rng.integers(0, n)] = rng.choice([-big, big], size=d)
+    nq = draw(st.integers(1, 6))
+    noise = rng.choice([0.0, 1e-6, 1.0, 1e3], size=(nq, 1))
+    queries = base[np.where(rng.random(nq) < 0.5, src, rng.integers(0, n, size=nq))] + rng.standard_normal((nq, d)) * noise
+    assume(np.isfinite(queries).all())
+    return base, queries, draw(st.one_of(st.just(n), st.integers(1, n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(base_block_cases())
+def test_brute_force_gt_base_blocks_give_the_ids_of_every_row(case):
+    """Any base block size gives the ids of the kernel over every row, from
+    an array and, for a float32 base, from a VectorReader over its file."""
+    base, queries, k = case
+    n, d = base.shape
+    want = np.array([exhaustive_topk(base, q, np.arange(n), k)[0] for q in queries])
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+        inputs = [base]
+        if base.dtype == np.float32:
+            inputs.append(stack.enter_context(VectorReader(_fvecs_file(tmp, base))))
+        for rows in _base_block_sizes(k):
+            with mock.patch.object(evaluate_mod, "_BLOCK_ELEMENTS", rows * d), np.errstate(over="ignore"):
+                for given_base in inputs:
+                    np.testing.assert_array_equal(brute_force_gt(given_base, queries, k), want)
+
+
+@SETTINGS
+@given(base_block_cases(), st.data())
+def test_brute_force_gt_names_the_first_nonfinite_row_in_any_block(case, data):
+    """Non-finite rows past the first block still raise the message that
+    names the lowest bad id, from an array and, for a float32 base, from a
+    VectorReader over its file."""
+    base, queries, k = case
+    n, d = base.shape
+    bad = sorted(set(data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3))))
+    for r in bad:
+        base[r, data.draw(st.integers(0, d - 1))] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+        inputs = [base]
+        if base.dtype == np.float32:
+            inputs.append(stack.enter_context(VectorReader(_fvecs_file(tmp, base))))
+        for rows in _base_block_sizes(k):
+            with mock.patch.object(evaluate_mod, "_BLOCK_ELEMENTS", rows * d), np.errstate(over="ignore"):
+                for given_base in inputs:
+                    with pytest.raises(ValueError, match=f"non-finite base vector id {bad[0]}$"):
+                        brute_force_gt(given_base, queries, k)
+
+
+def test_brute_force_gt_over_a_reader_holds_blocks_not_the_base():
+    """With blocks of N/8 rows, ground truth over a VectorReader allocates
+    less than half the base's bytes at its peak: numpy reports its data
+    allocations to tracemalloc, and the reader's memory map is not one."""
+    rng = np.random.default_rng(5)
+    n, d = 4096, 64
+    base = rng.standard_normal((n, d)).astype(np.float32)
+    queries = base[:8] + rng.standard_normal((8, d)).astype(np.float32)
+    with tempfile.TemporaryDirectory() as tmp, VectorReader(_fvecs_file(tmp, base)) as reader:
+        with mock.patch.object(evaluate_mod, "_BLOCK_ELEMENTS", n // 8 * d):
+            tracemalloc.start()
+            try:
+                gt = brute_force_gt(reader, queries, 10)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peak < base.nbytes / 2
+    np.testing.assert_array_equal(gt, brute_force_gt(base, queries, 10))
 
 
 @SETTINGS
