@@ -5,9 +5,6 @@ the run seed (core.derive_seed): training split and the two sub-codebook
 trainings use tags 1-3, the synthetic generator tags 10-13, and evaluation
 query sampling tag 20. Identical configuration therefore reproduces
 byte-identical reports; wall-clock timings go to the console only.
-
-A `--config` file supplies defaults as `key = value` lines (keys are the
-long option names); flags given on the command line win.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ _METRICS = {"l2": Metric.EUCLIDEAN, "cosine": Metric.COSINE}
 
 
 class ConfigError(Exception):
-    """Bad flag combination or config file; exits with status 2."""
+    """Bad flag value or combination; exits with status 2."""
 
 
 def _ints_csv(text: str, name: str) -> list[int]:
@@ -83,58 +80,6 @@ def _metric(args) -> Metric:
     return _METRICS[args.metric]
 
 
-def _has_flag(argv: list[str], flag: str) -> bool:
-    return any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-
-
-def _read_config_file(path: str) -> list[tuple[str, str]]:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    entries = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}: line {lineno} is not `key = value`: {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key or not value:
-            raise ConfigError(f"{path}: line {lineno} is not `key = value`: {line!r}")
-        entries.append((key, value))
-    return entries
-
-
-def _merge_config(argv: list[str]) -> list[str]:
-    """Append config-file entries as flags unless already given explicitly."""
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise ConfigError("--config needs a file path")
-            path = argv[i + 1]
-            break
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            break
-    if path is None:
-        return argv
-    merged = list(argv)
-    for key, value in _read_config_file(path):
-        flag = "--" + key.lower().replace("_", "-").lstrip("-")
-        if flag == "--config" or _has_flag(argv, flag):
-            continue
-        merged.extend([flag, value])
-    return merged
-
-
-def _add_config_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="file of `key = value` defaults; explicit flags win")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="multikmeans",
@@ -155,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--learning", type=int, default=None, help="learning points (default: base/4)")
     g.add_argument("--gt-depth", type=int, default=100)
     g.add_argument("--seed", type=int, default=0)
-    _add_config_flag(g)
     g.set_defaults(func=cmd_gen)
 
     t = sub.add_parser("gt", help="compute exact ground truth for a query set", allow_abbrev=False)
@@ -164,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True, help="output id file (.ivecs)")
     t.add_argument("--depth", type=int, default=100, help="neighbors per query")
     t.add_argument("--metric", choices=sorted(_METRICS), default="l2")
-    _add_config_flag(t)
     t.set_defaults(func=cmd_gt)
 
     tr = sub.add_parser("train", help="train a codebook on a learning set", allow_abbrev=False)
@@ -175,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--tol", type=float, default=1e-4, help="relative objective improvement cutoff")
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out", required=True, help="output codebook path")
-    _add_config_flag(tr)
     tr.set_defaults(func=cmd_train)
 
     ix = sub.add_parser("index", help="encode base vectors into a search index", allow_abbrev=False)
@@ -187,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="threshold mean for t/t2 (default arith)")
     ix.add_argument("--n", type=int, default=None,
                     help="total bits set per code for n/n2 (n2 splits it across halves)")
-    _add_config_flag(ix)
     ix.set_defaults(func=cmd_index)
 
     q = sub.add_parser("query", help="search one query against an index", allow_abbrev=False)
@@ -198,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--shortlist", type=int, default=10000)
     q.add_argument("--top", type=int, default=10)
     q.add_argument("--metric", choices=sorted(_METRICS), default="l2")
-    _add_config_flag(q)
     q.set_defaults(func=cmd_query)
 
     e = sub.add_parser("eval", help="score an index against ground truth or labels", allow_abbrev=False)
@@ -219,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="queries drawn per run (map mode samples per class); default all")
     e.add_argument("--threads", type=int, default=1)
     e.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    _add_config_flag(e)
     e.set_defaults(func=cmd_eval)
 
     return p
@@ -273,7 +212,7 @@ def cmd_gt(args) -> int:
     # the suffix picks the element kind on every read, as in element_kind_for
     if os.path.splitext(args.out)[1].lower() != ".ivecs":
         raise ConfigError(f"--out must end in .ivecs, the int32 id format, got {args.out!r}")
-    # brute_force_gt reads a Euclidean base in blocks and a cosine one whole
+    # brute_force_gt reads the base in blocks, so the file is never all in memory
     with VectorReader(args.base) as base:
         queries = read_vectors(args.queries)
         if args.depth > len(base):
@@ -547,6 +486,8 @@ def cmd_eval(args) -> int:
     _positive(args.threads, "--threads")
     if args.query_sample is not None:
         _positive(args.query_sample, "--query-sample")
+    elif len(seeds) > 1:
+        raise ConfigError("--seeds lists several runs, but without --query-sample every run scores every query alike")
     metric = _metric(args)
     idx = load_index(args.index)
     shortlist_size = _clamp_shortlist(args.shortlist, idx)
@@ -606,15 +547,9 @@ def cmd_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
     try:
-        merged = _merge_config(list(argv))
-        args = parser.parse_args(merged)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     if getattr(args, "command", None) is None or not hasattr(args, "func"):

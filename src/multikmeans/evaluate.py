@@ -38,13 +38,16 @@ def brute_force_gt(base, queries, k: int, metric: Metric = Metric.EUCLIDEAN) -> 
     search path's re-rank. A base row holding inf or nan raises ValueError
     naming its id (the lowest such id).
 
-    Euclidean walks the base once, in blocks of _BLOCK_ELEMENTS // d rows,
-    each a view of the array or one read of the reader, so no array ever
-    holds all of a reader's rows. Each query keeps a running top-k: a
-    block's screen drops every row it proves farther than the running k-th
-    distance, and _topk merges the rest in. Every distance comes from the
-    row-pure kernel, so the ids are those of one ranking over all rows.
-    Cosine reads the whole base and ranks it at once.
+    The base is walked once, in blocks of _BLOCK_ELEMENTS // d rows, each a
+    view of the array or one read of the reader, so no array ever holds all
+    of a reader's rows. Each query keeps a running top-k of (key, id),
+    where the key is the distance or the negated similarity, and _topk
+    merges each block's candidates in. A Euclidean block's screen drops
+    every row it proves farther than the running k-th distance; a cosine
+    block offers its own top-k. Every score comes from a row-pure kernel,
+    so the ids are those of one ranking over all rows. Cosine checks its
+    rows a block at a time: a bad row in a later block loses to a zero-norm
+    row or query met in an earlier one.
     """
     reader = callable(getattr(base, "read", None))
     B = None if reader else _numeric_matrix(base, "base")
@@ -55,47 +58,53 @@ def brute_force_gt(base, queries, k: int, metric: Metric = Metric.EUCLIDEAN) -> 
     if not (1 <= k <= n):
         raise ValueError(f"k={k} outside [1, {n}]")
     Q64 = np.asarray(Q, dtype=np.float64)
-    if Metric(metric) is Metric.COSINE:
-        return _cosine_gt(base.read(0, n) if reader else B, Q64, k)
+    cosine = Metric(metric) is Metric.COSINE
     step = min(n, max(1, _BLOCK_ELEMENTS // d))
-    chunk = max(1, _BLOCK_ELEMENTS // step)  # queries per float32 block product
-    qs = [_query_screen(q64) for q64 in Q64]
-    Q32 = np.array([q.q32 for q in qs])  # the roundings the query terms bound
+    qs = None if cosine else [_query_screen(q64) for q64 in Q64]
+    Q32 = None if cosine else np.array([q.q32 for q in qs])  # the roundings the query terms bound
     ids = np.empty((Q.shape[0], k), dtype=np.int64)
-    dist = np.empty((Q.shape[0], k))  # each query's running top-k, ascending by (distance, id)
+    keys = np.empty((Q.shape[0], k))  # each query's running top-k, ascending by (key, id)
     filled = 0  # rows in every running top-k: min(k, rows walked)
     for s in range(0, n, step):
         rows = base.read(s, min(step, n - s)) if reader else B[s : s + step]
-        screen = _euclidean_screen(rows, np.arange(s, s + rows.shape[0]))
+        block = np.arange(s, s + rows.shape[0])
         top = min(k, rows.shape[0])
-        for c in range(0, Q.shape[0], chunk):
-            with np.errstate(over="ignore", invalid="ignore"):
-                dots = Q32[c : c + chunk] @ screen.rows32.T
-            for i, row_dots in enumerate(dots, start=c):
-                T = float(dist[i, k - 1]) if filled == k else np.inf
-                keep = _screened_rows(screen, qs[i], top, row_dots, T)
-                if keep.size:
-                    cand_d = np.concatenate((dist[i, :filled], _direct_distances(rows[keep], Q64[i])))
-                    cand_i = np.concatenate((ids[i, :filled], keep + s))
-                    sel = _topk(cand_d, cand_i, min(k, filled + rows.shape[0]))
-                    dist[i, : sel.size], ids[i, : sel.size] = cand_d[sel], cand_i[sel]
+        if cosine:
+            found = _cosine_block(rows, block, Q64, top)
+        else:
+            cuts = keys[:, k - 1] if filled == k else np.full(Q.shape[0], np.inf)
+            found = _euclidean_block(rows, block, qs, Q32, top, cuts)
+        for i, keep, block_keys in found:
+            cand_k = np.concatenate((keys[i, :filled], block_keys))
+            cand_i = np.concatenate((ids[i, :filled], keep + s))
+            sel = _topk(cand_k, cand_i, min(k, filled + rows.shape[0]))
+            keys[i, : sel.size], ids[i, : sel.size] = cand_k[sel], cand_i[sel]
         filled = min(k, filled + rows.shape[0])
     return ids
 
 
-def _cosine_gt(B: np.ndarray, Q64: np.ndarray, k: int) -> np.ndarray:
-    """brute_force_gt's cosine ranking: every row at once, one float64
-    product per block of _BLOCK_ELEMENTS // N queries."""
-    positions = np.arange(B.shape[0], dtype=np.int64)
-    screen = _cosine_screen(B, positions)
-    out = np.empty((Q64.shape[0], k), dtype=np.int64)
-    chunk = max(1, _BLOCK_ELEMENTS // B.shape[0])
-    for s in range(0, Q64.shape[0], chunk):
+def _euclidean_block(rows, block, qs, Q32, top, cuts):
+    """For each query i whose screen keeps a row of this block nearer than
+    cuts[i]: (i, the kept positions, their distances). The screen's float32
+    products take _BLOCK_ELEMENTS // len(rows) queries at a time."""
+    screen = _euclidean_screen(rows, block)
+    chunk = max(1, _BLOCK_ELEMENTS // rows.shape[0])
+    for c in range(0, len(qs), chunk):
         with np.errstate(over="ignore", invalid="ignore"):
-            dots = Q64[s : s + chunk] @ screen[0].T
-        for r, q64 in enumerate(Q64[s : s + chunk]):
-            out[s + r] = _cosine_topk(B, q64, positions, k, screen, dots[r])[0]
-    return out
+            dots = Q32[c : c + chunk] @ screen.rows32.T
+        for i, row_dots in enumerate(dots, start=c):
+            keep = _screened_rows(screen, qs[i], top, row_dots, float(cuts[i]))
+            if keep.size:
+                yield i, keep, _direct_distances(rows[keep], qs[i].q64)
+
+
+def _cosine_block(rows, block, Q64, top):
+    """For each query i: (i, the positions of this block's `top` rows most
+    similar to it, their negated similarities). A bad row raises first."""
+    screen = _cosine_screen(rows, block)
+    for i, q64 in enumerate(Q64):
+        keep, scores = _cosine_topk(rows, q64, block, top, screen)
+        yield i, keep, -scores
 
 
 def recall_at_r(results, ground_truth, r: int) -> float:

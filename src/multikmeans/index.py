@@ -428,27 +428,31 @@ def _euclidean_topk(rows, q64: np.ndarray, ids: np.ndarray, top: int):
 
 
 def _cosine_screen(rows, ids: np.ndarray):
-    """The rows as float64 and their norms, the query-independent half of
-    _cosine_topk. A non-finite or zero-norm row raises ValueError naming its id."""
-    rows64 = np.asarray(rows, dtype=np.float64)
-    norms = np.linalg.norm(rows64, axis=1)
+    """The rows as C-ordered float64 and their norms, the query-independent
+    half of _cosine_topk; the C order fixes how each row's sums run. A
+    non-finite or zero-norm row raises ValueError naming its id."""
+    # np.linalg.norm's sums, but its float64 squares are freed before the
+    # float64 copy of the rows is made, so the two never sit side by side
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(np.square(rows, dtype=np.float64, order="C"), axis=1))
     if not np.isfinite(norms).all():
         raise ValueError(f"cosine similarity is undefined for non-finite base vector id {ids[~np.isfinite(norms)][0]}")
     if (norms == 0.0).any():
         raise ValueError(f"cosine similarity is undefined for zero-norm base vector id {ids[norms == 0.0][0]}")
-    return rows64, norms
+    return np.ascontiguousarray(rows, dtype=np.float64), norms
 
 
-def _cosine_topk(rows, q64: np.ndarray, ids: np.ndarray, top: int, screen=None, dots=None):
+def _cosine_topk(rows, q64: np.ndarray, ids: np.ndarray, top: int, screen=None):
     """Positions of the `top` rows most similar to q64 and their cosine
     similarities, clipped to [-1, 1]: the one cosine kernel of the re-rank
-    and ground truth. `screen` is _cosine_screen(rows, ids) and `dots` the
-    products rows64 @ q64; both are computed here when the caller has not."""
+    and ground truth. `screen` is _cosine_screen(rows, ids), computed here
+    when the caller has not. Each row's dot product sums over that row
+    alone, so its score does not depend on which other rows share the call."""
     qn = np.linalg.norm(q64)
     if qn == 0.0:
         raise ValueError("cosine similarity is undefined for a zero-norm query")
     rows64, norms = _cosine_screen(rows, ids) if screen is None else screen
-    dots = rows64 @ q64 if dots is None else dots
+    dots = np.einsum("nd,d->n", rows64, q64)
     scores = np.clip(dots / (norms * qn), -1.0, 1.0)
     sel = _topk(-scores, ids, top)
     return sel, scores[sel]

@@ -451,8 +451,7 @@ def query_argv(workdir, *extra):
 @pytest.fixture(scope="module")
 def bad_inputs(workdir, tmp_path_factory):
     """Inputs that each fail one check: a dual codebook, a float ground
-    truth file, a query label file one label short, a config line with no
-    value and a config that sets the removed batch_size."""
+    truth file and a query label file one label short."""
     root = tmp_path_factory.mktemp("bad_inputs")
     run_ok(
         [
@@ -463,8 +462,6 @@ def bad_inputs(workdir, tmp_path_factory):
     write_vectors(root / "gt.fvecs", read_vectors(workdir / "groundtruth.ivecs").astype(np.float32))
     lines = (workdir / "query_labels.txt").read_text().splitlines()
     (root / "short_labels.txt").write_text("\n".join(lines[:-1]) + "\n")
-    (root / "empty_value.cfg").write_text("seed =\n")
-    (root / "batch.cfg").write_text("batch_size = 64\n")
     return root
 
 
@@ -508,11 +505,10 @@ class TestEvalErrors:
              "--n sets 17 bits per codebook but codebooks have k=16 centroids"),
             (("@index", "--variant", "t", "--batch-size", "64", "--out", "@out"), 2,
              "unrecognized arguments: --batch-size 64"),
-            (("@index", "--variant", "t", "--config", "@batch_cfg", "--out", "@out"), 2,
-             "unrecognized arguments: --batch-size 64"),
-            (("gen", "--out-dir", "@out", "--config", "@empty_cfg"), 2, "line 1 is not `key = value`: 'seed ='"),
-            (("eval", "--config"), 2, "--config needs a file path"),
             (("@eval", "@gt", "--mode", "speed"), 2, "argument --mode: invalid choice: 'speed'"),
+            (("@eval", "@gt", "--config", "eval.cfg"), 2, "unrecognized arguments: --config eval.cfg"),
+            # without a sample every seed would score every query: the same run again
+            (("@eval", "@gt", "--seeds", "1,2"), 2, "--seeds lists several runs, but without --query-sample"),
         ],
         ids=[
             "sample-above-count", "class-too-small", "base-label-count", "recall-at-0",
@@ -520,7 +516,7 @@ class TestEvalErrors:
             "query-check-order", "query-row-negative", "query-row-at-count", "query-top-clamped",
             "seeds-negative", "seeds-not-int", "seeds-empty", "recall-float-gt", "map-query-label-count",
             "train-k-1", "index-t-dual-codebook", "index-n-0", "index-n-above-k", "index-batch-size",
-            "index-batch-size-config", "config-empty-value", "config-last-token", "eval-mode-speed",
+            "eval-mode-speed", "config-removed", "seeds-without-sample",
         ],
     )
     def test_exit_code_and_message(self, workdir, bad_inputs, tmp_path, capsys, tokens, code, message):
@@ -542,8 +538,6 @@ class TestEvalErrors:
             "@dual": [str(bad_inputs / "cb.mkm2")],
             "@float_gt": [str(bad_inputs / "gt.fvecs")],
             "@short_labels": [str(bad_inputs / "short_labels.txt")],
-            "@empty_cfg": [str(bad_inputs / "empty_value.cfg")],
-            "@batch_cfg": [str(bad_inputs / "batch.cfg")],
             "@out": [str(tmp_path / "out")],
         }
         argv = [arg for tok in tokens for arg in expand.get(tok, [tok])]
@@ -1011,58 +1005,3 @@ class TestErrorExits:
         argv[argv.index("--base") + 1] = str(tmp_path / "bad.fvecs")
         assert main(argv) == 3
         assert want in capsys.readouterr().err
-
-
-class TestConfigFile:
-    def test_config_supplies_defaults(self, workdir, tmp_path, capsys):
-        cfg = tmp_path / "eval.cfg"
-        cfg.write_text("recall_at = 1\nshortlist = 240\n# comment\n")
-        run_ok(
-            [
-                "eval", "--config", str(cfg),
-                "--index", str(workdir / "t.mkmi"),
-                "--base", str(workdir / "base.fvecs"),
-                "--queries", str(workdir / "queries.fvecs"),
-                "--gt", str(workdir / "groundtruth.ivecs"),
-            ]
-        )
-        report = json.loads(capsys.readouterr().out)
-        assert report["config"]["shortlist"] == 240
-        assert report["config"]["recall_at"] == [1]
-
-    def test_explicit_flag_wins(self, workdir, tmp_path, capsys):
-        cfg = tmp_path / "eval.cfg"
-        cfg.write_text("shortlist = 240\n")
-        run_ok(
-            [
-                "eval", "--config", str(cfg),
-                "--index", str(workdir / "t.mkmi"),
-                "--base", str(workdir / "base.fvecs"),
-                "--queries", str(workdir / "queries.fvecs"),
-                "--gt", str(workdir / "groundtruth.ivecs"),
-                "--recall-at", "1", "--shortlist", "100",
-            ]
-        )
-        report = json.loads(capsys.readouterr().out)
-        assert report["config"]["shortlist"] == 100
-
-    def test_config_equals_form(self, workdir, tmp_path, capsys):
-        cfg = tmp_path / "eval.cfg"
-        cfg.write_text("recall_at = 1\n")
-        run_ok(eval_argv(workdir, f"--config={cfg}", "--gt", str(workdir / "groundtruth.ivecs")))
-        assert json.loads(capsys.readouterr().out)["config"]["recall_at"] == [1]
-
-    def test_malformed_config_exits_2(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("not a pair\n")
-        assert main(["eval", "--config", str(cfg)]) == 2
-
-    def test_missing_config_exits_2(self, tmp_path):
-        assert main(["eval", "--config", str(tmp_path / "nope.cfg")]) == 2
-
-    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(b"seed = 1\n\xff\xfe bad\n")
-        assert main(["gen", "--out-dir", str(tmp_path / "g"), "--config", str(cfg)]) == 2
-        assert f"error: cannot read config file {cfg}" in capsys.readouterr().err
-        assert not (tmp_path / "g").exists()

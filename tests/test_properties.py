@@ -5,10 +5,10 @@ threaded), VectorReader.take, the float32-screened Euclidean top-k against
 its float64 kernel run over every row, its keep rule at the cutoff, its
 query and row cast-error terms, the rows it keeps with and without a
 running cut, its cut map and a query whose float32 dot overflows,
-brute_force_gt's independence from the query block, the base block, the
-base's input kind (array or VectorReader) and the query order, its
-allocation peak over a reader, that kernel's independence from the rows
-scored with it, core._sq_distances over wide blocks, k-means++ seeding, Lloyd training,
+brute_force_gt's independence from the query block, the base block (for
+both metrics), the base's input kind (array or VectorReader) and the query
+order, its allocation peak over a reader, the independence of that kernel
+and of the cosine kernel from the rows scored with them, core._sq_distances over wide blocks, k-means++ seeding, Lloyd training,
 the assign step (kmeans._assign) and encode_many against inline copies of
 their earlier forms, which made one checked distance call per block where
 they now reach core._sq_distances directly, the id check of build_index
@@ -53,6 +53,7 @@ from multikmeans.encoder import (
 )
 from multikmeans.evaluate import brute_force_gt
 from multikmeans.index import (
+    _cosine_topk,
     _direct_distances,
     _euclidean_screen,
     _euclidean_topk,
@@ -496,6 +497,37 @@ def test_direct_distances_do_not_depend_on_the_other_rows(seed, d, n, dtype, dat
     sel = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)), dtype=np.int64)
     assert _direct_distances(rows[sel], q).tobytes() == full[sel].tobytes()
     assert _direct_distances(rows[::-1], q).tobytes() == full[::-1].tobytes()
+
+
+def _similarities(rows, q64, ids):
+    """_cosine_topk's similarity for every row, in the rows' order."""
+    pos, sims = _cosine_topk(rows, q64, ids, rows.shape[0])
+    out = np.empty(rows.shape[0])
+    out[pos] = sims
+    return out
+
+
+@SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.integers(1, 40), st.integers(100, 300)),
+    st.integers(1, 40),
+    st.sampled_from([np.float32, np.float64]),
+    st.data(),
+)
+def test_cosine_similarities_do_not_depend_on_the_other_rows(seed, d, n, dtype, data):
+    """A row's similarity keeps its bytes over any subset of the rows, any
+    repeats, the reversed order and any memory layout."""
+    rng = np.random.default_rng(seed)
+    rows = (rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+    q = rng.standard_normal(d)
+    positions = np.arange(n)
+    full = _similarities(rows, q, positions)
+    sel = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)), dtype=np.int64)
+    assert _similarities(rows[sel], q, sel).tobytes() == full[sel].tobytes()
+    assert _similarities(rows[::-1], q, positions[::-1]).tobytes() == full[::-1].tobytes()
+    assert _similarities(np.asfortranarray(rows), q, positions).tobytes() == full.tobytes()
+    assert _similarities(np.repeat(rows, 2, axis=1)[:, ::2], q, positions).tobytes() == full.tobytes()
 
 
 @SETTINGS
@@ -1012,14 +1044,29 @@ def base_block_cases(draw):
     return base, queries, draw(st.one_of(st.just(n), st.integers(1, n)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(base_block_cases())
-def test_brute_force_gt_base_blocks_give_the_ids_of_every_row(case):
+def _every_row_ids(base, queries, k, metric):
+    """The ids of the metric's re-rank kernel run over every row."""
+    positions = np.arange(base.shape[0])
+    topk = _cosine_topk if metric is Metric.COSINE else exhaustive_topk
+    return np.array([topk(base, q, positions, k)[0] for q in queries])
+
+
+def _cosine_defined(base) -> bool:
+    """Every row's float64 norm is finite: the overflow rows of
+    base_block_cases (1e300) are not, and cosine raises on them by design."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.linalg.norm(base.astype(np.float64), axis=1)).all())
+
+
+@settings(max_examples=300, deadline=None)  # 150 per metric
+@given(base_block_cases(), st.sampled_from(list(Metric)))
+def test_brute_force_gt_base_blocks_give_the_ids_of_every_row(case, metric):
     """Any base block size gives the ids of the kernel over every row, from
     an array and, for a float32 base, from a VectorReader over its file."""
     base, queries, k = case
     n, d = base.shape
-    want = np.array([exhaustive_topk(base, q, np.arange(n), k)[0] for q in queries])
+    assume(metric is Metric.EUCLIDEAN or _cosine_defined(base))
+    want = _every_row_ids(base, queries, k, metric)
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
         inputs = [base]
         if base.dtype == np.float32:
@@ -1027,20 +1074,26 @@ def test_brute_force_gt_base_blocks_give_the_ids_of_every_row(case):
         for rows in _base_block_sizes(k):
             with mock.patch.object(evaluate_mod, "_BLOCK_ELEMENTS", rows * d), np.errstate(over="ignore"):
                 for given_base in inputs:
-                    np.testing.assert_array_equal(brute_force_gt(given_base, queries, k), want)
+                    np.testing.assert_array_equal(brute_force_gt(given_base, queries, k, metric), want)
 
 
-@SETTINGS
-@given(base_block_cases(), st.data())
-def test_brute_force_gt_names_the_first_nonfinite_row_in_any_block(case, data):
-    """Non-finite rows past the first block still raise the message that
-    names the lowest bad id, from an array and, for a float32 base, from a
-    VectorReader over its file."""
+@settings(max_examples=120, deadline=None)  # 60 per metric
+@given(base_block_cases(), st.sampled_from(list(Metric)), st.data())
+def test_brute_force_gt_names_the_first_nonfinite_row_in_any_block(case, metric, data):
+    """Non-finite rows past the first block, and for cosine zero-norm rows,
+    still raise the message that names the lowest bad id, from an array
+    and, for a float32 base, from a VectorReader over its file."""
     base, queries, k = case
     n, d = base.shape
+    assume(metric is Metric.EUCLIDEAN or _cosine_defined(base))
     bad = sorted(set(data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3))))
+    zero = metric is Metric.COSINE and data.draw(st.booleans())
     for r in bad:
-        base[r, data.draw(st.integers(0, d - 1))] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        if zero:
+            base[r] = 0.0
+        else:
+            base[r, data.draw(st.integers(0, d - 1))] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    kind = "zero-norm" if zero else "non-finite"
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
         inputs = [base]
         if base.dtype == np.float32:
@@ -1048,28 +1101,30 @@ def test_brute_force_gt_names_the_first_nonfinite_row_in_any_block(case, data):
         for rows in _base_block_sizes(k):
             with mock.patch.object(evaluate_mod, "_BLOCK_ELEMENTS", rows * d), np.errstate(over="ignore"):
                 for given_base in inputs:
-                    with pytest.raises(ValueError, match=f"non-finite base vector id {bad[0]}$"):
-                        brute_force_gt(given_base, queries, k)
+                    with pytest.raises(ValueError, match=f"{kind} base vector id {bad[0]}$"):
+                        brute_force_gt(given_base, queries, k, metric)
 
 
 def test_brute_force_gt_over_a_reader_holds_blocks_not_the_base():
     """With blocks of N/8 rows, ground truth over a VectorReader allocates
-    less than half the base's bytes at its peak: numpy reports its data
-    allocations to tracemalloc, and the reader's memory map is not one."""
+    less than half the base's bytes at its peak, for either metric: numpy
+    reports its data allocations to tracemalloc, and the reader's memory
+    map is not one."""
     rng = np.random.default_rng(5)
     n, d = 4096, 64
     base = rng.standard_normal((n, d)).astype(np.float32)
     queries = base[:8] + rng.standard_normal((8, d)).astype(np.float32)
-    with tempfile.TemporaryDirectory() as tmp, VectorReader(_fvecs_file(tmp, base)) as reader:
-        with mock.patch.object(evaluate_mod, "_BLOCK_ELEMENTS", n // 8 * d):
-            tracemalloc.start()
-            try:
-                gt = brute_force_gt(reader, queries, 10)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-    assert peak < base.nbytes / 2
-    np.testing.assert_array_equal(gt, brute_force_gt(base, queries, 10))
+    for metric in Metric:
+        with tempfile.TemporaryDirectory() as tmp, VectorReader(_fvecs_file(tmp, base)) as reader:
+            with mock.patch.object(evaluate_mod, "_BLOCK_ELEMENTS", n // 8 * d):
+                tracemalloc.start()
+                try:
+                    gt = brute_force_gt(reader, queries, 10, metric)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peak < base.nbytes / 2, metric
+        np.testing.assert_array_equal(gt, brute_force_gt(base, queries, 10, metric))
 
 
 @SETTINGS
