@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 WORD_BITS = 64
-_BLOCK_ELEMENTS = 1 << 23  # elements per block of kmeans._assign, encode_many and brute_force_gt
+_BLOCK_ELEMENTS = 1 << 23  # elements per block of kmeans._assign, encode_many and the exact walk (re-rank and brute_force_gt)
 
 __all__ = [
     "WORD_BITS",

@@ -271,16 +271,16 @@ def _screen_terms(screen: _EuclideanScreen, query: _Query) -> tuple:
     return query.b * (1.0 + G) + tau, query.b * (1.0 - G) - tau, e, h
 
 
-def _screen_bounds(screen: _EuclideanScreen, query: _Query, dots=None):
+def _screen_bounds(screen: _EuclideanScreen, query: _Query, dots):
     """One query's float32 screen over every row: per-row values lo <= hi
     and the terms, such that _lower(lo_i, terms) <=
     _direct_distances(rows, q64)_i <= _upper(hi_i, terms) for every row.
 
     `screen` is _euclidean_screen(rows, ids), `query` is _query_screen(q64),
-    and `dots` the float32 products rows32 @ q32 when the caller computed
-    them for many queries at once (computed here otherwise). lo and hi are
-    the screen's work arrays, so the next query overwrites them. A row whose
-    float32 norm is not finite gets lo = -inf or nan and hi = +inf or nan.
+    and `dots` the float32 products rows32 @ q32, in any summation order.
+    lo and hi are the screen's work arrays, so the next query overwrites
+    them. A row whose float32 norm is not finite gets lo = -inf or nan and
+    hi = +inf or nan.
 
     The proof. Let x be a row as the finish kernel reads it (float64), q the
     query, x', q' their float32 roundings, d the dimension, u = 2^-24,
@@ -333,8 +333,6 @@ def _screen_bounds(screen: _EuclideanScreen, query: _Query, dots=None):
     """
     lo, hi = screen.lo, screen.hi
     with np.errstate(over="ignore", invalid="ignore"):
-        if dots is None:
-            dots = np.einsum("nd,d->n", screen.rows32, query.q32)
         np.multiply(dots, -2.0, out=lo, dtype=np.float64)
         np.add(lo, screen.a_hi, out=hi)
         lo += screen.a_lo
@@ -371,12 +369,12 @@ def _lower_cut(T, terms) -> float:
     return cut if cut < np.inf else np.inf
 
 
-def _screened_rows(screen: _EuclideanScreen, query: _Query, top: int, dots=None, T: float = np.inf) -> np.ndarray:
+def _screened_rows(screen: _EuclideanScreen, query: _Query, top: int, dots, T: float) -> np.ndarray:
     """Positions of the screen's rows that may be among the `top` nearest
     the query by (distance, id). A finite T is a distance within which
     `top` rows scored elsewhere lie, so only rows that may beat them are
     kept; T = inf when there are none. 1 <= top <= the screen's row count;
-    `dots` are as in _screen_bounds, and needed with a finite T.
+    `dots` are as in _screen_bounds.
 
     The keep rule bounds the cut, not every row. _upper and _lower are
     non-decreasing: each is a chain of correctly rounded sqrt, max, sums
@@ -416,17 +414,6 @@ def _screened_rows(screen: _EuclideanScreen, query: _Query, top: int, dots=None,
     return near if keep is None else keep[near]
 
 
-def _euclidean_topk(rows, q64: np.ndarray, ids: np.ndarray, top: int):
-    """Positions of the `top` rows nearest q64 and their distances: exactly
-    _topk(_direct_distances(rows, q64), ids, top), but the float64 kernel
-    runs only on the rows _screened_rows cannot rule out. A row holding inf
-    or nan raises ValueError naming its id."""
-    keep = _screened_rows(_euclidean_screen(rows, ids), _query_screen(q64), top)
-    scores = _direct_distances(rows[keep], q64)
-    sel = _topk(scores, ids[keep], top)
-    return keep[sel], scores[sel]
-
-
 def _cosine_screen(rows, ids: np.ndarray):
     """The rows as C-ordered float64 and their norms, the query-independent
     half of _cosine_topk; the C order fixes how each row's sums run. A
@@ -442,20 +429,101 @@ def _cosine_screen(rows, ids: np.ndarray):
     return np.ascontiguousarray(rows, dtype=np.float64), norms
 
 
-def _cosine_topk(rows, q64: np.ndarray, ids: np.ndarray, top: int, screen=None):
+def _cosine_topk(screen, q64: np.ndarray, ids: np.ndarray, top: int):
     """Positions of the `top` rows most similar to q64 and their cosine
-    similarities, clipped to [-1, 1]: the one cosine kernel of the re-rank
-    and ground truth. `screen` is _cosine_screen(rows, ids), computed here
-    when the caller has not. Each row's dot product sums over that row
-    alone, so its score does not depend on which other rows share the call."""
+    similarities, clipped to [-1, 1]: the one cosine kernel of the exact
+    walk. `screen` is _cosine_screen(rows, ids). Each row's dot product sums
+    over that row alone, so its score does not depend on which other rows
+    share the call."""
     qn = np.linalg.norm(q64)
     if qn == 0.0:
         raise ValueError("cosine similarity is undefined for a zero-norm query")
-    rows64, norms = _cosine_screen(rows, ids) if screen is None else screen
+    rows64, norms = screen
     dots = np.einsum("nd,d->n", rows64, q64)
     scores = np.clip(dots / (norms * qn), -1.0, 1.0)
     sel = _topk(-scores, ids, top)
     return sel, scores[sel]
+
+
+def _exact_topk(base, Q64, k: int, metric: Metric, ids=None) -> list:
+    """The exact top k of every float64 query in Q64 (a 2-D array, or a
+    list of vectors) over base's rows: one (ids, scores) pair per query,
+    best first by (score, id). Scores are float64 Euclidean distances or
+    cosine similarities; ids are base's row positions, or ids[row] when
+    given. The search re-rank runs it over one query's gathered shortlist,
+    and brute_force_gt over a whole base.
+
+    base is a numeric 2-D array or a VectorReader (any object with
+    read(start, count), dim and len), walked once in blocks of
+    _BLOCK_ELEMENTS // d rows, so no array ever holds all of a reader's
+    rows. Each query keeps a running top-k of (key, id), where the key is
+    the distance or the negated similarity, and _topk merges each block's
+    candidates in. A Euclidean block's screen drops every row it proves
+    farther than the running k-th distance; a cosine block offers its own
+    top-k. Every score comes from a row-pure kernel, so the result is that
+    of one ranking over all rows, bit for bit, at any block size. A row
+    holding inf or nan, or for cosine a zero-norm row or query, raises
+    ValueError naming its id. Rows are checked a block at a time, each
+    block before the queries that score it, so a bad row in a later block
+    loses to a cosine zero-norm row or query met in an earlier one.
+    """
+    reader = not isinstance(base, np.ndarray)
+    n, d = (len(base), base.dim) if reader else base.shape
+    step = min(n, max(1, _BLOCK_ELEMENTS // d))
+    cosine = metric is Metric.COSINE
+    qs = None if cosine else [_query_screen(q64) for q64 in Q64]
+    run = [None] * len(Q64)  # each query's running top-k (keys, ids), ascending by (key, id)
+    for s in range(0, n, step):
+        rows = base.read(s, min(step, n - s)) if reader else base[s : s + step]
+        block = np.arange(s, s + rows.shape[0]) if ids is None else ids[s : s + step]
+        top = min(k, rows.shape[0])
+        if cosine:
+            found = _cosine_block(rows, block, Q64, top)
+        else:
+            cuts = [np.inf if r is None or r[0].size < k else float(r[0][-1]) for r in run]
+            found = _euclidean_block(rows, block, qs, top, cuts)
+        for i, keep, keys in found:
+            cand = block[keep]
+            if run[i] is not None:  # the first block fills the running top-k directly
+                keys = np.concatenate((run[i][0], keys))
+                cand = np.concatenate((run[i][1], cand))
+            sel = _topk(keys, cand, min(k, keys.size))
+            run[i] = keys[sel], cand[sel]
+    return [(cand, -keys if cosine else keys) for keys, cand in run]
+
+
+def _euclidean_block(rows, block, qs, top, cuts):
+    """For each query i whose screen keeps a row of this block nearer than
+    cuts[i] (inf for no cut): (i, the kept positions, their distances). The
+    screen's float32 products take _BLOCK_ELEMENTS // len(rows) queries at a
+    time."""
+    screen = _euclidean_screen(rows, block)
+    chunk = max(1, _BLOCK_ELEMENTS // rows.shape[0])
+    for c in range(0, len(qs), chunk):
+        # The one fork. A lone query, the search re-rank's, takes its dots
+        # from einsum, which raises no floating-point warnings: a lone BLAS
+        # call can be faster, but a BLAS product per query more than halves
+        # search_ids(threads > 1). Several queries share one BLAS product.
+        # The screen holds for any rounding, so the fork changes no id or
+        # distance.
+        if len(qs) == 1:
+            dots = [np.einsum("nd,d->n", screen.rows32, qs[0].q32)]
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                dots = np.array([q.q32 for q in qs[c : c + chunk]]) @ screen.rows32.T
+        for i, row_dots in enumerate(dots, start=c):
+            keep = _screened_rows(screen, qs[i], top, row_dots, cuts[i])
+            if keep.size:
+                yield i, keep, _direct_distances(rows[keep], qs[i].q64)
+
+
+def _cosine_block(rows, block, Q64, top):
+    """For each query i: (i, the positions of this block's `top` rows most
+    similar to it, their negated similarities). A bad row raises first."""
+    screen = _cosine_screen(rows, block)
+    for i, q64 in enumerate(Q64):
+        keep, scores = _cosine_topk(screen, q64, block, top)
+        yield i, keep, -scores
 
 
 def _nearest_codes(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndarray:
@@ -507,9 +575,7 @@ def _rerank_arrays(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int
     vecs = _gather(base_vectors, cand_ids)
     if vecs.ndim != 2 or vecs.shape[0] != cand_ids.shape[0] or vecs.shape[1] != q64.shape[0]:
         raise ValueError(f"base store returned shape {vecs.shape} for {cand_ids.shape[0]} ids")
-    topk = _euclidean_topk if metric is Metric.EUCLIDEAN else _cosine_topk
-    keep, scores = topk(_numeric_matrix(vecs, "base store rows"), q64, cand_ids, top)
-    return cand_ids[keep], scores
+    return _exact_topk(_numeric_matrix(vecs, "base store rows"), [q64], top, metric, cand_ids)[0]
 
 
 def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top: int, metric, threads: int):

@@ -259,6 +259,13 @@ class TestSearch:
             search(index, store, base[0], shortlist_size=5, top=5, metric=Metric.COSINE)
         with pytest.raises(ValueError, match="zero-norm base vector id 3$"):
             brute_force_gt(store, base[:2], 2, metric=Metric.COSINE)
+        # a block's rows are checked before the queries that score them, so
+        # a zero-norm query meets the bad row first, in either path
+        zero = np.zeros((1, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match="zero-norm base vector id 3$"):
+            search(index, store, zero[0], shortlist_size=5, top=5, metric=Metric.COSINE)
+        with pytest.raises(ValueError, match="zero-norm base vector id 3$"):
+            brute_force_gt(store, zero, 2, metric=Metric.COSINE)
 
     def test_store_returning_wrong_shape_rejected(self):
         rng, base, cb, spec, index = make_fixture(n=10)

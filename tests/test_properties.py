@@ -7,7 +7,8 @@ query and row cast-error terms, the rows it keeps with and without a
 running cut, its cut map and a query whose float32 dot overflows,
 brute_force_gt's independence from the query block, the base block (for
 both metrics), the base's input kind (array or VectorReader) and the query
-order, its allocation peak over a reader, the independence of that kernel
+order, its allocation peak over a reader, a search re-rank that the exact
+walk cuts into several blocks, the independence of that kernel
 and of the cosine kernel from the rows scored with them, core._sq_distances over wide blocks, k-means++ seeding, Lloyd training,
 the assign step (kmeans._assign) and encode_many against inline copies of
 their earlier forms, which made one checked distance call per block where
@@ -29,7 +30,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import multikmeans.encoder as encoder_mod
-import multikmeans.evaluate as evaluate_mod
 import multikmeans.index as index_mod
 import multikmeans.kmeans as km
 from multikmeans.core import (
@@ -53,10 +53,11 @@ from multikmeans.encoder import (
 )
 from multikmeans.evaluate import brute_force_gt
 from multikmeans.index import (
+    _cosine_screen,
     _cosine_topk,
     _direct_distances,
     _euclidean_screen,
-    _euclidean_topk,
+    _exact_topk,
     _lower,
     _lower_cut,
     _query_screen,
@@ -385,6 +386,19 @@ def exhaustive_topk(rows, q64, ids, top):
     return order, scores[order]
 
 
+def walk_topk(rows, q64, ids, top):
+    """One query's exact walk over the rows, as the search re-rank runs it:
+    the `top` nearest ids by (distance, id) and their distances."""
+    return _exact_topk(rows, [q64], top, Metric.EUCLIDEAN, ids)[0]
+
+
+def screen_with_dots(rows, q64, ids):
+    """The screen, the query's half and the float32 products the walk gives
+    _screen_bounds for one query."""
+    screen, query = _euclidean_screen(rows, ids), _query_screen(q64)
+    return screen, query, np.einsum("nd,d->n", screen.rows32, query.q32)
+
+
 def _nudge(rows, rng, count):
     """Copy `count` random rows onto others, each with one component moved by
     one unit in the last place of the rows' dtype: near-ties an ulp apart."""
@@ -443,7 +457,7 @@ def screen_bounds_per_row(rows, q, ids):
     """Each row's L and U: the screen's two scalar maps applied element-wise
     to its per-row values lo and hi."""
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi, terms = _screen_bounds(_euclidean_screen(rows, ids), _query_screen(q))
+        lo, hi, terms = _screen_bounds(*screen_with_dots(rows, q, ids))
         return _lower(lo, terms), _upper(hi, terms)
 
 
@@ -453,19 +467,21 @@ def test_screened_topk_equals_the_kernel_over_every_row(case):
     rows, q, ids, top = case
     with np.errstate(over="ignore"):
         lower, upper = screen_bounds_per_row(rows, q, ids)
-        got_pos, got_scores = _euclidean_topk(rows, q, ids, top)
+        got_ids, got_scores = walk_topk(rows, q, ids, top)
     want_pos, want_scores = exhaustive_topk(rows, q, ids, top)
     every = exhaustive_topk(rows, q, ids, rows.shape[0])
     exact = np.empty(rows.shape[0])
     exact[every[0]] = every[1]
     # a nan bound (a row whose float32 norm overflows) bounds nothing
     assert not (lower > exact).any() and not (exact > upper).any()
-    np.testing.assert_array_equal(got_pos, want_pos)
+    np.testing.assert_array_equal(got_ids, ids[want_pos])
     assert got_scores.tobytes() == want_scores.tobytes()
-    # brute_force_gt screens with one float32 matrix product for all queries
+    # with more than one query, the walk screens with one float32 matrix
+    # product for all of them
     with np.errstate(over="ignore"):
-        gt = brute_force_gt(rows, q[None, :], top)
-    np.testing.assert_array_equal(gt[0], exhaustive_topk(rows, q, np.arange(rows.shape[0]), top)[0])
+        gt = brute_force_gt(rows, np.stack([q, q]), top)
+    want_gt = exhaustive_topk(rows, q, np.arange(rows.shape[0]), top)[0]
+    np.testing.assert_array_equal(gt, [want_gt, want_gt])
 
 
 @SETTINGS
@@ -478,7 +494,7 @@ def test_screened_topk_names_the_first_nonfinite_row(case, data):
     for r in bad:
         rows[r, data.draw(st.integers(0, d - 1))] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
     with pytest.raises(ValueError, match=f"non-finite base vector id {ids[bad[0]]}$"), np.errstate(all="ignore"):
-        _euclidean_topk(rows, q, ids, top)
+        walk_topk(rows, q, ids, top)
 
 
 @SETTINGS
@@ -501,7 +517,7 @@ def test_direct_distances_do_not_depend_on_the_other_rows(seed, d, n, dtype, dat
 
 def _similarities(rows, q64, ids):
     """_cosine_topk's similarity for every row, in the rows' order."""
-    pos, sims = _cosine_topk(rows, q64, ids, rows.shape[0])
+    pos, sims = _cosine_topk(_cosine_screen(rows, ids), q64, ids, rows.shape[0])
     out = np.empty(rows.shape[0])
     out[pos] = sims
     return out
@@ -783,7 +799,7 @@ def test_screened_topk_keeps_rows_tied_at_the_cutoff(seed, d, n, data):
     ids = rng.permutation(10 * n)[:n].astype(np.int64)
     top = data.draw(st.integers(1, n))
 
-    def exact_bounds(screen, query, dots=None):
+    def exact_bounds(screen, query, dots):
         f = _direct_distances(rows, query.q64)
         return f, f.copy(), None
 
@@ -795,9 +811,9 @@ def test_screened_topk_keeps_rows_tied_at_the_cutoff(seed, d, n, data):
         mock.patch.object(index_mod, "_upper", identity),
         mock.patch.object(index_mod, "_lower_cut", identity),
     ):
-        got_pos, got_scores = _euclidean_topk(rows, q, ids, top)
+        got_ids, got_scores = walk_topk(rows, q, ids, top)
     want_pos, want_scores = exhaustive_topk(rows, q, ids, top)
-    np.testing.assert_array_equal(got_pos, want_pos)
+    np.testing.assert_array_equal(got_ids, ids[want_pos])
     assert got_scores.tobytes() == want_scores.tobytes()
 
 
@@ -864,10 +880,10 @@ def test_screen_keeps_a_row_whose_float32_dot_overflows():
     with np.errstate(over="ignore"):
         assert np.isneginf(np.einsum("nd,d->n", rows, q.astype(np.float32))[0])
         want_pos, want_scores = exhaustive_topk(rows, q, np.arange(2), 1)
-        got_pos, got_scores = _euclidean_topk(rows, q, np.arange(2), 1)
+        got_ids, got_scores = walk_topk(rows, q, np.arange(2), 1)
         gt = brute_force_gt(rows, q[None, :], 1)
     assert want_pos.tolist() == [0] and gt.tolist() == [[0]]
-    np.testing.assert_array_equal(got_pos, want_pos)
+    np.testing.assert_array_equal(got_ids, want_pos)
     assert got_scores.tobytes() == want_scores.tobytes()
 
 
@@ -911,10 +927,10 @@ def test_screen_keeps_every_row_it_cannot_rule_out(case, data):
         rows[rng.integers(0, n)] = rng.choice([-big, big], size=d)
     with np.errstate(over="ignore", invalid="ignore"):
         lower, upper = screen_bounds_per_row(rows, q, ids)
-        _, hi, terms = _screen_bounds(_euclidean_screen(rows, ids), _query_screen(q))
+        _, hi, terms = _screen_bounds(*screen_with_dots(rows, q, ids))
         T = _upper(np.partition(hi, top - 1)[top - 1], terms)
         with mock.patch.object(index_mod, "_topk", wraps=_topk) as spy:
-            got_pos, got_scores = _euclidean_topk(rows, q, ids, top)
+            got_ids, got_scores = walk_topk(rows, q, ids, top)
     kept = set(spy.call_args.args[1].tolist())  # the ids the finish kernel scored
     # an order statistic commutes with a non-decreasing map; a cut that is
     # not finite keeps every row
@@ -922,7 +938,7 @@ def test_screen_keeps_every_row_it_cannot_rule_out(case, data):
     want_pos, want_scores = exhaustive_topk(rows, q, ids, top)
     assert set(ids[want_pos].tolist()) <= kept
     assert set(ids[~(lower > T)].tolist()) <= kept
-    np.testing.assert_array_equal(got_pos, want_pos)
+    np.testing.assert_array_equal(got_ids, ids[want_pos])
     assert got_scores.tobytes() == want_scores.tobytes()
 
 
@@ -940,10 +956,9 @@ def test_screen_under_a_running_cut_keeps_every_row_it_cannot_rule_out(case, dat
     assume(T0 < np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         lower, upper = screen_bounds_per_row(rows, q, ids)
-        screen, query = _euclidean_screen(rows, ids), _query_screen(q)
-        lo, _, terms = _screen_bounds(screen, query)
+        screen, query, dots = screen_with_dots(rows, q, ids)
+        lo, _, terms = _screen_bounds(screen, query, dots)
         passed = ~(lo > _lower_cut(T0, terms))
-        dots = np.einsum("nd,d->n", screen.rows32, query.q32)
         kept = _screened_rows(screen, query, top, dots, T0)
     if passed.sum() <= top:
         np.testing.assert_array_equal(kept, np.flatnonzero(passed))
@@ -995,7 +1010,7 @@ def test_brute_force_gt_ids_do_not_depend_on_the_query_block(case):
     positions = np.arange(n)
     want = np.array([exhaustive_topk(base, q, positions, k)[0] for q in queries])
     for block in (1, 2, 3, queries.shape[0]):
-        with mock.patch.object(evaluate_mod, "_BLOCK_ELEMENTS", block if block < d else block * n):
+        with mock.patch.object(index_mod, "_BLOCK_ELEMENTS", block if block < d else block * n):
             np.testing.assert_array_equal(brute_force_gt(base, queries, k), want)
 
 
@@ -1047,8 +1062,10 @@ def base_block_cases(draw):
 def _every_row_ids(base, queries, k, metric):
     """The ids of the metric's re-rank kernel run over every row."""
     positions = np.arange(base.shape[0])
-    topk = _cosine_topk if metric is Metric.COSINE else exhaustive_topk
-    return np.array([topk(base, q, positions, k)[0] for q in queries])
+    if metric is Metric.COSINE:
+        screen = _cosine_screen(base, positions)
+        return np.array([_cosine_topk(screen, q, positions, k)[0] for q in queries])
+    return np.array([exhaustive_topk(base, q, positions, k)[0] for q in queries])
 
 
 def _cosine_defined(base) -> bool:
@@ -1072,7 +1089,7 @@ def test_brute_force_gt_base_blocks_give_the_ids_of_every_row(case, metric):
         if base.dtype == np.float32:
             inputs.append(stack.enter_context(VectorReader(_fvecs_file(tmp, base))))
         for rows in _base_block_sizes(k):
-            with mock.patch.object(evaluate_mod, "_BLOCK_ELEMENTS", rows * d), np.errstate(over="ignore"):
+            with mock.patch.object(index_mod, "_BLOCK_ELEMENTS", rows * d), np.errstate(over="ignore"):
                 for given_base in inputs:
                     np.testing.assert_array_equal(brute_force_gt(given_base, queries, k, metric), want)
 
@@ -1099,10 +1116,45 @@ def test_brute_force_gt_names_the_first_nonfinite_row_in_any_block(case, metric,
         if base.dtype == np.float32:
             inputs.append(stack.enter_context(VectorReader(_fvecs_file(tmp, base))))
         for rows in _base_block_sizes(k):
-            with mock.patch.object(evaluate_mod, "_BLOCK_ELEMENTS", rows * d), np.errstate(over="ignore"):
+            with mock.patch.object(index_mod, "_BLOCK_ELEMENTS", rows * d), np.errstate(over="ignore"):
                 for given_base in inputs:
                     with pytest.raises(ValueError, match=f"{kind} base vector id {bad[0]}$"):
                         brute_force_gt(given_base, queries, k, metric)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(Metric)), st.integers(2, 5), st.sampled_from([np.float32, np.float64]))
+def test_rerank_over_several_blocks_matches_one_block(seed, metric, blocks, dtype):
+    """A shortlist the exact walk cuts into 2-5 blocks ranks as one block
+    does: the same ids and score bytes, for both metrics, over an array and,
+    for a float32 base, a VectorReader over its file. The index holds
+    shuffled, sparse ids; the base holds exact duplicates and near-ties an
+    ulp apart, so ties straddle block edges, and top may exceed a block."""
+    rng = np.random.default_rng(seed)
+    m, d = int(rng.integers(40, 120)), int(rng.integers(2, 9))
+    unique = rng.standard_normal((int(rng.integers(2, 12)), d)) * 10.0
+    base = unique[rng.integers(0, unique.shape[0], size=m)].astype(np.float32).astype(dtype)
+    _nudge(base, rng, m // 4)
+    if dtype is np.float64:
+        base += rng.standard_normal((m, d)) * 1e-3 * rng.integers(0, 2, size=(m, 1))
+    ids = rng.choice(m, size=int(rng.integers(m // 2, m + 1)), replace=False).astype(np.int64)
+    cb = Codebook.from_centroids(rng.standard_normal((6, d)).astype(np.float32) * 10.0)
+    spec = EncoderSpec(Variant.T)
+    index = build_index(encode_many(base[ids], cb, spec), ids, spec, cb)
+    limit = int(rng.integers(blocks, ids.size + 1))
+    top = int(rng.integers(1, limit + 1))
+    queries = base[rng.integers(0, m, size=3)] + rng.standard_normal((3, d)) * rng.choice([0.0, 1e-6, 1.0], size=(3, 1))
+    block_rows = -(-limit // blocks)  # cuts the shortlist into 2 to `blocks` blocks
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+        stores = [base]
+        if dtype is np.float32:
+            stores.append(stack.enter_context(VectorReader(_fvecs_file(tmp, base))))
+        for store in stores:
+            want_ids, want_scores = index_mod._search_block(index, store, queries, limit, top, metric, 1)
+            with mock.patch.object(index_mod, "_BLOCK_ELEMENTS", block_rows * d):
+                got_ids, got_scores = index_mod._search_block(index, store, queries, limit, top, metric, 1)
+            np.testing.assert_array_equal(got_ids, want_ids)
+            assert got_scores.tobytes() == want_scores.tobytes()
 
 
 def test_brute_force_gt_over_a_reader_holds_blocks_not_the_base():
@@ -1116,7 +1168,7 @@ def test_brute_force_gt_over_a_reader_holds_blocks_not_the_base():
     queries = base[:8] + rng.standard_normal((8, d)).astype(np.float32)
     for metric in Metric:
         with tempfile.TemporaryDirectory() as tmp, VectorReader(_fvecs_file(tmp, base)) as reader:
-            with mock.patch.object(evaluate_mod, "_BLOCK_ELEMENTS", n // 8 * d):
+            with mock.patch.object(index_mod, "_BLOCK_ELEMENTS", n // 8 * d):
                 tracemalloc.start()
                 try:
                     gt = brute_force_gt(reader, queries, 10, metric)
