@@ -33,7 +33,6 @@ from .encoder import (
     EncoderSpec,
     MeanKind,
     Variant,
-    _block_rows,
     encode_many,
     load_quantizer,
     save_quantizer,
@@ -301,11 +300,8 @@ def cmd_index(args) -> int:
             raise ValueError(
                 f"base file dimension {reader.dim} does not match codebook dimension {quantizer.dim}"
             )
-        rows = _block_rows(quantizer)  # one encode block per read, so the file is never all in memory
-        starts = range(0, reader.count, rows)
-        codes = np.vstack([encode_many(reader.read(s, min(rows, reader.count - s)), quantizer, spec) for s in starts])
-        ids = np.arange(reader.count, dtype=np.int64)
-        idx = build_index(codes, ids, spec, quantizer)
+        codes = encode_many(reader, quantizer, spec)  # read in encode blocks, so never all in memory
+        idx = build_index(codes, np.arange(reader.count, dtype=np.int64), spec, quantizer)
     save_index(idx, args.out)
     dt = time.perf_counter() - t0
     rate = idx.size / dt if dt > 0 else float("inf")

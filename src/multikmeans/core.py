@@ -18,7 +18,10 @@ from enum import Enum
 import numpy as np
 
 WORD_BITS = 64
-_BLOCK_ELEMENTS = 1 << 23  # elements per block of kmeans._assign, encode_many and the exact walk (re-rank and brute_force_gt)
+# elements per block, cut into rows in one place per walk: kmeans._assign_work
+# (Lloyd assign), encoder._block_rows (encode_many), index._exact_topk (re-rank
+# and brute_force_gt) and its _euclidean_block's query chunks
+_BLOCK_ELEMENTS = 1 << 23
 
 __all__ = [
     "WORD_BITS",

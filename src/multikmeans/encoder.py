@@ -187,33 +187,46 @@ def _block_rows(quantizer) -> int:
 def encode_many(vectors, quantizer, spec: EncoderSpec) -> np.ndarray:
     """Encode a stack of descriptors; returns packed codes shaped (N, words).
 
-    Rows go in blocks of _block_rows(quantizer), so the float64
-    temporaries stay bounded whatever N and d are. Each block is checked,
-    widened and squared once for all codebooks, and the centroids once for
-    all blocks.
+    vectors is a 2-D array or a VectorReader (any object with read(start,
+    count), dim and len). Rows go in blocks of _block_rows(quantizer), each
+    sliced from the array or read from the reader, and their codes go
+    straight into the one output array, so the float64 temporaries stay
+    bounded whatever N and d are and no array ever holds all of a reader's
+    rows. Each block is checked, widened and squared once for all
+    codebooks, and the centroids once for all blocks.
     """
-    X = _numeric_matrix(vectors, "vectors")
+    reader = callable(getattr(vectors, "read", None))
+    X = vectors if reader else _numeric_matrix(vectors, "vectors")
+    n, d = (len(X), X.dim) if reader else X.shape
     length = code_length(spec, quantizer)
-    if X.shape[1] != quantizer.dim:
-        raise ValueError(f"dimension mismatch: vectors {X.shape[1]} vs codebook {quantizer.dim}")
+    if d != quantizer.dim:
+        raise ValueError(f"dimension mismatch: vectors {d} vs codebook {quantizer.dim}")
     centroids = []
     for cb in (quantizer,) if isinstance(quantizer, Codebook) else (quantizer.first, quantizer.second):
         C64 = np.asarray(cb.centroids, dtype=np.float64)
         centroids.append((C64, np.einsum("md,md->m", C64, C64)))
-    threshold = spec.variant in (Variant.T, Variant.T2)
     rows = _block_rows(quantizer)
-    out = np.empty((X.shape[0], words_for(length)), dtype=np.uint64)
-    for s in range(0, X.shape[0], rows):
-        X64 = np.asarray(as_matrix(X[s : s + rows], "vectors"), dtype=np.float64)
-        x_sq = np.einsum("nd,nd->n", X64, X64)
-        dists = [_sq_distances(X64, x_sq, C64, c_sq) for C64, c_sq in centroids]
-        del X64  # freed before the bit rules allocate theirs
-        parts = []
-        for d in dists:
-            np.sqrt(d, out=d)
-            parts.append(_bits_threshold(d, spec.mean_kind) if threshold else _bits_nearest(d, spec.n_nearest))
-        out[s : s + rows] = pack_bits(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
+    out = np.empty((n, words_for(length)), dtype=np.uint64)
+    for s in range(0, n, rows):
+        # the block is an argument, so it and its temporaries are freed
+        # before the next block is read
+        out[s : s + rows] = _encode_block(X.read(s, min(rows, n - s)) if reader else X[s : s + rows], centroids, spec)
     return out
+
+
+def _encode_block(block, centroids, spec: EncoderSpec) -> np.ndarray:
+    """Packed codes of one block of rows, against each codebook's float64
+    centroids and their squared norms in centroids."""
+    X64 = np.asarray(as_matrix(block, "vectors"), dtype=np.float64)
+    x_sq = np.einsum("nd,nd->n", X64, X64)
+    dists = [_sq_distances(X64, x_sq, C64, c_sq) for C64, c_sq in centroids]
+    del X64  # freed before the bit rules allocate theirs
+    threshold = spec.variant in (Variant.T, Variant.T2)
+    parts = []
+    for d in dists:
+        np.sqrt(d, out=d)
+        parts.append(_bits_threshold(d, spec.mean_kind) if threshold else _bits_nearest(d, spec.n_nearest))
+    return pack_bits(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
 
 
 def encode(x, quantizer, spec: EncoderSpec) -> HashCode:

@@ -205,16 +205,13 @@ def _euclidean_screen(rows, ids: np.ndarray) -> _EuclideanScreen:
     G, h = _screen_margins(d)
     err = None
     if not np.can_cast(rows.dtype, np.float32):
-        # each row's ||x - x'|| sums that row alone, so blocks change no bit;
-        # it runs before rows32 exists, so no block sits beside that copy
-        err = np.empty(n)
-        step = max(1, _BLOCK_ELEMENTS // d)
-        for s in range(0, n, step):
-            block = rows[s : s + step]
-            with np.errstate(over="ignore", invalid="ignore"):
-                diff = np.subtract(block, block.astype(np.float32), dtype=np.float64)
-                err[s : s + step] = np.sqrt(np.einsum("nd,nd->n", diff, diff))
-            del diff  # the next block's difference must not sit beside this one
+        # each row's ||x - x'|| sums that row alone; the walk's block is
+        # small enough to take whole, and its float64 difference is freed
+        # before rows32 exists, so the two never sit side by side
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = np.subtract(rows, rows.astype(np.float32), dtype=np.float64)
+            err = np.sqrt(np.einsum("nd,nd->n", diff, diff))
+        del diff
     with np.errstate(over="ignore", invalid="ignore"):
         rows32 = np.asarray(rows, dtype=np.float32)
         a = np.einsum("nd,nd->n", rows32, rows32)
@@ -434,10 +431,14 @@ def _cosine_topk(screen, q64: np.ndarray, ids: np.ndarray, top: int):
     similarities, clipped to [-1, 1]: the one cosine kernel of the exact
     walk. `screen` is _cosine_screen(rows, ids). Each row's dot product sums
     over that row alone, so its score does not depend on which other rows
-    share the call."""
-    qn = np.linalg.norm(q64)
+    share the call. A query whose norm is zero, or overflows float64 (which
+    would turn every similarity into 0), raises ValueError."""
+    with np.errstate(over="ignore"):
+        qn = np.linalg.norm(q64)
     if qn == 0.0:
         raise ValueError("cosine similarity is undefined for a zero-norm query")
+    if not np.isfinite(qn):
+        raise ValueError("cosine similarity is undefined for a query whose norm overflows float64")
     rows64, norms = screen
     dots = np.einsum("nd,d->n", rows64, q64)
     scores = np.clip(dots / (norms * qn), -1.0, 1.0)
@@ -462,10 +463,11 @@ def _exact_topk(base, Q64, k: int, metric: Metric, ids=None) -> list:
     farther than the running k-th distance; a cosine block offers its own
     top-k. Every score comes from a row-pure kernel, so the result is that
     of one ranking over all rows, bit for bit, at any block size. A row
-    holding inf or nan, or for cosine a zero-norm row or query, raises
-    ValueError naming its id. Rows are checked a block at a time, each
-    block before the queries that score it, so a bad row in a later block
-    loses to a cosine zero-norm row or query met in an earlier one.
+    holding inf or nan, or for cosine a zero-norm row, raises ValueError
+    naming its id; a cosine query whose norm is zero or overflows float64
+    raises ValueError too. Rows are checked a block at a time, each block
+    before the queries that score it, so a bad row in a later block loses
+    to a cosine zero-norm row or query met in an earlier one.
     """
     reader = not isinstance(base, np.ndarray)
     n, d = (len(base), base.dim) if reader else base.shape

@@ -137,7 +137,8 @@ def _kmeanspp_seed(X: np.ndarray, X64: np.ndarray, x_sq: np.ndarray, k: int, see
 
 def _assign_work(n: int, k: int):
     """The arrays _assign fills for n points and k centroids: distances of
-    one block of points, labels and nearest squared distances."""
+    one block of _BLOCK_ELEMENTS // k points (at most n), labels and
+    nearest squared distances."""
     return (
         np.empty((min(n, max(1, _BLOCK_ELEMENTS // k)), k), dtype=np.float64),
         np.empty(n, dtype=np.int64),
@@ -147,14 +148,13 @@ def _assign_work(n: int, k: int):
 
 def _assign(X64, x_sq, C64, c_sq, work):
     """Nearest-centroid labels (int64) and squared distances (float64) of
-    the rows of X64, ties to the lowest index, in blocks of
-    _BLOCK_ELEMENTS // k points. X64's rows are finite and as wide as
-    C64's, and x_sq and c_sq hold their squared norms. work, from
-    _assign_work, is reused across calls; the labels and distances
-    returned live in it."""
-    n, k = X64.shape[0], C64.shape[0]
-    chunk_rows = max(1, _BLOCK_ELEMENTS // k)
+    the rows of X64, ties to the lowest index, in blocks of as many points
+    as work's distance buffer has rows (_assign_work sizes it). X64's rows
+    are finite and as wide as C64's, and x_sq and c_sq hold their squared
+    norms. work, from _assign_work, is reused across calls; the labels and
+    distances returned live in it."""
     d2, labels, d2min = work
+    n, chunk_rows = X64.shape[0], d2.shape[0]
     for s in range(0, n, chunk_rows):
         blk = X64[s : s + chunk_rows]
         dist = _sq_distances(blk, x_sq[s : s + chunk_rows], C64, c_sq, out=d2[: blk.shape[0]])

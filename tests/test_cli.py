@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import shlex
@@ -10,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import multikmeans.cli as cli_mod
 import multikmeans.encoder as encoder_mod
 from multikmeans import __version__
 from multikmeans.cli import ConfigError, _sample_rows, build_parser, main
@@ -94,6 +96,21 @@ def test_readme_python_example_runs(code, capsys):
     """A README example that calls a deleted or renamed name fails here."""
     exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
     assert capsys.readouterr().out
+
+
+def test_cli_imports_no_private_library_name():
+    """The CLI is a client of the library's public API: a private name
+    (block sizing, say) imported into cli.py fails here. Dunders such as
+    __version__ are public."""
+    tree = ast.parse(Path(cli_mod.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module or '.'}:{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "multikmeans")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
 
 
 class TestGen:

@@ -7,6 +7,7 @@ import pytest
 
 import multikmeans.encoder as encoder_mod
 from multikmeans.core import FormatError
+from multikmeans.dataio import VectorReader, read_vectors, write_vectors
 from multikmeans.encoder import (
     DualCodebook,
     EncoderSpec,
@@ -303,6 +304,54 @@ class TestEncodeBatch:
             encode(np.zeros(3), dual, EncoderSpec(Variant.T))
         with pytest.raises(TypeError):
             encode(np.zeros(3), cb, EncoderSpec(Variant.T2))
+
+
+class TestEncodeReader:
+    """encode_many over a VectorReader reads the file itself, one
+    _block_rows(quantizer) block per read, into the codes of the array."""
+
+    N, D, K = 23, 6, 5
+
+    def reader_fixture(self, tmp_path, suffix, variant):
+        rng = np.random.default_rng(52)
+        path = tmp_path / f"base{suffix}"
+        write_vectors(path, rng.integers(0, 256, (self.N, self.D)))  # exact in uint8 and float32
+        books = [Codebook.from_centroids(rng.uniform(0, 255, (self.K, self.D))) for _ in range(2)]
+        quantizer = books[0] if variant is Variant.T else DualCodebook(*books)
+        return path, quantizer, EncoderSpec(variant, n_nearest=2)
+
+    @pytest.mark.parametrize("suffix", [".fvecs", ".bvecs"])
+    @pytest.mark.parametrize("variant", [Variant.T, Variant.N2])
+    @pytest.mark.parametrize("rows", [1, 5, 23], ids=["1-row", "ragged", "one-block"])
+    def test_reads_blocks_into_the_codes_of_the_array(self, tmp_path, suffix, variant, rows):
+        path, quantizer, spec = self.reader_fixture(tmp_path, suffix, variant)
+        reads = []
+        read = VectorReader.read
+
+        def counted(self, start, count):
+            reads.append(count)
+            return read(self, start, count)
+
+        with mock.patch.object(encoder_mod, "_BLOCK_ELEMENTS", rows * max(self.D, self.K)):
+            with VectorReader(path) as reader, mock.patch.object(VectorReader, "read", counted):
+                got = encode_many(reader, quantizer, spec)
+            want = encode_many(read_vectors(path), quantizer, spec)
+        assert got.tobytes() == want.tobytes()
+        assert reads == [min(rows, self.N - s) for s in range(0, self.N, rows)]
+
+    def test_dimension_mismatch(self, tmp_path):
+        path, _, spec = self.reader_fixture(tmp_path, ".fvecs", Variant.T)
+        cb = random_codebook(np.random.default_rng(53), self.K, self.D + 1)
+        with VectorReader(path) as reader:
+            with pytest.raises(ValueError, match="dimension mismatch: vectors 6 vs codebook 7"):
+                encode_many(reader, cb, spec)
+
+    def test_closed_reader(self, tmp_path):
+        path, quantizer, spec = self.reader_fixture(tmp_path, ".fvecs", Variant.T)
+        reader = VectorReader(path)
+        reader.close()
+        with pytest.raises(ValueError, match="reader is closed"):
+            encode_many(reader, quantizer, spec)
 
 
 class TestSplitTraining:

@@ -267,6 +267,27 @@ class TestSearch:
         with pytest.raises(ValueError, match="zero-norm base vector id 3$"):
             brute_force_gt(store, zero, 2, metric=Metric.COSINE)
 
+    def test_cosine_query_whose_norm_overflows_rejected(self):
+        """A finite query whose float64 norm overflows would score every row
+        0 and rank ids 0, 1, 2, ...; search and ground truth reject it. A
+        power-of-two scale that keeps the norm finite is exact, so it gives
+        the unit query's ids and score bytes."""
+        rng, base, cb, spec, index = make_fixture(n=300)
+        q = rng.standard_normal(base.shape[1])
+        cosine = dict(shortlist_size=300, top=3, metric=Metric.COSINE)
+        want = search(index, base, q, **cosine)
+        assert want.ids() != [0, 1, 2]
+        got = search(index, base, q * 2.0**500, **cosine)
+        assert got.ids() == want.ids()
+        assert np.array([s for _, s in got.ranked]).tobytes() == np.array([s for _, s in want.ranked]).tobytes()
+        gt = brute_force_gt(base, q[None, :], 3, metric=Metric.COSINE)
+        assert gt.tolist() == [want.ids()]
+        assert brute_force_gt(base, q[None, :] * 2.0**500, 3, metric=Metric.COSINE).tolist() == gt.tolist()
+        with pytest.raises(ValueError, match="query whose norm overflows float64"):
+            search(index, base, q * 2.0**520, **cosine)
+        with pytest.raises(ValueError, match="query whose norm overflows float64"):
+            brute_force_gt(base, q[None, :] * 2.0**520, 3, metric=Metric.COSINE)
+
     def test_store_returning_wrong_shape_rejected(self):
         rng, base, cb, spec, index = make_fixture(n=10)
 

@@ -852,25 +852,6 @@ def test_screen_widens_by_the_largest_row_cast_error(seed):
     assert (upper - upper32 >= (1.0 - 1e-6) * cast).all()
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.int64])
-def test_screen_cast_error_does_not_depend_on_the_block(dtype):
-    """The cast-error pass runs in row blocks: blocks of 1, 2 and 3 rows
-    give the one-block bound bit for bit. Components near 1e9 round in
-    float32; the float64 case adds a finite row past the float32 range,
-    whose infinite error the bound leaves out."""
-    rng = np.random.default_rng(12)
-    rows = (rng.standard_normal((11, 5)) * 1e9).astype(dtype)
-    if dtype is np.float64:
-        rows[4, 2] = 1e300
-    ids = np.arange(11)
-    with np.errstate(over="ignore"):
-        want = index_mod._euclidean_screen(rows, ids).cast
-        assert 0.0 < want < np.inf
-        for block_rows in (1, 2, 3):
-            with mock.patch.object(index_mod, "_BLOCK_ELEMENTS", block_rows * rows.shape[1]):
-                assert index_mod._euclidean_screen(rows, ids).cast == want
-
-
 def test_screen_keeps_a_row_whose_float32_dot_overflows():
     """Row 0's float32 product with this query overflows to -inf, so its
     screen values are +inf, yet in float64 it ties with row 1 and ranks
