@@ -179,30 +179,26 @@ def cmd_gen(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    os.makedirs(args.out_dir, exist_ok=True)
     t0 = time.perf_counter()
     ds = generate_synthetic(spec, gt_depth=args.gt_depth)
-    os.makedirs(args.out_dir, exist_ok=True)
-    paths = {
-        "base": os.path.join(args.out_dir, "base.fvecs"),
-        "queries": os.path.join(args.out_dir, "queries.fvecs"),
-        "learning": os.path.join(args.out_dir, "learning.fvecs"),
-        "gt": os.path.join(args.out_dir, "groundtruth.ivecs"),
-        "base_labels": os.path.join(args.out_dir, "base_labels.txt"),
-        "query_labels": os.path.join(args.out_dir, "query_labels.txt"),
-    }
-    write_vectors(paths["base"], ds.base)
-    write_vectors(paths["queries"], ds.queries)
-    write_vectors(paths["learning"], ds.learning)
-    write_vectors(paths["gt"], ds.ground_truth.astype(np.int32))
-    write_labels(paths["base_labels"], ds.base_labels)
-    write_labels(paths["query_labels"], ds.query_labels)
+    outputs = [
+        ("base", "base.fvecs", write_vectors, ds.base),
+        ("queries", "queries.fvecs", write_vectors, ds.queries),
+        ("learning", "learning.fvecs", write_vectors, ds.learning),
+        ("gt", "groundtruth.ivecs", write_vectors, ds.ground_truth.astype(np.int32)),
+        ("base_labels", "base_labels.txt", write_labels, ds.base_labels),
+        ("query_labels", "query_labels.txt", write_labels, ds.query_labels),
+    ]
+    for _, name, write, data in outputs:
+        write(os.path.join(args.out_dir, name), data)
     dt = time.perf_counter() - t0
     print(
         f"generated {len(ds.base)} base / {len(ds.queries)} query / {len(ds.learning)} "
         f"learning vectors (dim {spec.dim}, {spec.n_clusters} clusters) in {dt:.2f}s"
     )
-    for name in ("base", "queries", "learning", "gt", "base_labels", "query_labels"):
-        print(f"  {name}: {paths[name]}")
+    for key, name, _, _ in outputs:
+        print(f"  {key}: {os.path.join(args.out_dir, name)}")
     return 0
 
 

@@ -20,7 +20,8 @@ import numpy as np
 WORD_BITS = 64
 # elements per block, cut into rows in one place per walk: kmeans._assign_work
 # (Lloyd assign), encoder._block_rows (encode_many), index._exact_topk (re-rank
-# and brute_force_gt) and its _euclidean_block's query chunks
+# and brute_force_gt) and its _euclidean_block's query chunks, and
+# dataio.generate_synthetic (each split's draw)
 _BLOCK_ELEMENTS = 1 << 23
 
 __all__ = [
@@ -91,7 +92,8 @@ def read_array(f, dtype, shape: tuple, what: str) -> np.ndarray:
 def atomic_write(path, mode: str = "wb", **open_kwargs):
     """Open `path + ".tmp"` for writing and move it over path with os.replace
     once the block ends, so path holds either its old bytes or all the new
-    ones. If the block raises, the temp file is removed.
+    ones. If the block raises, the temp file is removed; if the temp file
+    cannot be opened, the OSError names path.
 
     A symlink is followed (the file it points at is replaced); a target
     that exists but is not a regular file, such as /dev/null or a pipe, is
@@ -104,7 +106,11 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
         return
     tmp = target + ".tmp"
     try:
-        with open(tmp, mode, **open_kwargs) as f:
+        try:
+            f = open(tmp, mode, **open_kwargs)
+        except OSError as exc:  # name the caller's file, not the temp file
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
+        with f:
             yield f
         os.replace(tmp, target)
     except BaseException:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FormatError, as_matrix, atomic_write, derive_seed, read_exact
+from .core import _BLOCK_ELEMENTS, FormatError, as_matrix, atomic_write, derive_seed, read_exact
 from .evaluate import brute_force_gt
 
 __all__ = [
@@ -150,7 +150,7 @@ def write_vectors(path, vectors) -> VectorFile:
     recs["dim"] = dim
     recs["data"] = cast
     with atomic_write(path) as f:
-        f.write(recs.tobytes())
+        f.write(recs.data)
     return VectorFile(path=str(path), element_kind=kind, dim=dim, count=n)
 
 
@@ -189,10 +189,10 @@ class VectorReader:
             raise ValueError("ids must be 1-D")
         if idx.size and idx.dtype.kind not in "iu":
             raise ValueError(f"ids must be integers, got dtype {idx.dtype}")
-        idx = idx.astype(np.int64, copy=False)
         if idx.size and (idx.min() < 0 or idx.max() >= self.meta.count):
             bad = idx[(idx < 0) | (idx >= self.meta.count)][0]
             raise LookupError(f"vector id {int(bad)} outside file with {self.meta.count} records")
+        idx = idx.astype(np.int64, copy=False)
         # np.take copies whole rows faster than fancy indexing does
         return _decode(np.take(self._mm, idx, axis=0), self.meta, idx)
 
@@ -310,34 +310,36 @@ def generate_synthetic(spec: SyntheticSpec, gt_depth: int = 100) -> SyntheticDat
 
     Every split draws from its own sub-stream of spec.seed, so e.g. the base
     set is reproducible independently of how many queries are requested.
+    Each split is drawn _BLOCK_ELEMENTS // dim rows at a time straight into
+    its float32 array; a stream's draws do not depend on how they are cut,
+    so neither do the bytes.
     """
     if gt_depth < 1:
         raise ValueError("gt_depth must be at least 1")
     centers = np.random.default_rng(derive_seed(spec.seed, _CENTERS_STREAM)).uniform(
         -spec.center_scale, spec.center_scale, size=(spec.n_clusters, spec.dim)
     )
-    total = spec.n_clusters * spec.points_per_cluster
-    rng_base = np.random.default_rng(derive_seed(spec.seed, _BASE_STREAM))
+    step = max(1, _BLOCK_ELEMENTS // spec.dim)
+
+    def draw(stream: int, labels: np.ndarray) -> np.ndarray:
+        rng = np.random.default_rng(derive_seed(spec.seed, stream))
+        out = np.empty((len(labels), spec.dim), dtype=np.float32)
+        for s in range(0, len(out), step):
+            block = rng.normal(0.0, spec.cluster_spread, size=out[s : s + step].shape)
+            block += centers[labels[s : s + step]]
+            out[s : s + step] = block
+        return out
+
     base_labels = np.repeat(np.arange(spec.n_clusters, dtype=np.int64), spec.points_per_cluster)
-    base = centers[base_labels] + rng_base.normal(0.0, spec.cluster_spread, size=(total, spec.dim))
-    rng_q = np.random.default_rng(derive_seed(spec.seed, _QUERIES_STREAM))
     query_labels = np.arange(spec.n_queries, dtype=np.int64) % spec.n_clusters
-    queries = centers[query_labels] + rng_q.normal(
-        0.0, spec.cluster_spread, size=(spec.n_queries, spec.dim)
-    )
-    rng_l = np.random.default_rng(derive_seed(spec.seed, _LEARNING_STREAM))
-    learn_labels = np.arange(spec.n_learning, dtype=np.int64) % spec.n_clusters
-    learning = centers[learn_labels] + rng_l.normal(
-        0.0, spec.cluster_spread, size=(spec.n_learning, spec.dim)
-    )
-    base32 = base.astype(np.float32)
-    queries32 = queries.astype(np.float32)
-    gt = brute_force_gt(base32, queries32, min(gt_depth, total))
+    base = draw(_BASE_STREAM, base_labels)
+    queries = draw(_QUERIES_STREAM, query_labels)
+    learning = draw(_LEARNING_STREAM, np.arange(spec.n_learning, dtype=np.int64) % spec.n_clusters)
     return SyntheticDataset(
-        base=base32,
-        queries=queries32,
-        learning=learning.astype(np.float32),
+        base=base,
+        queries=queries,
+        learning=learning,
         base_labels=base_labels,
         query_labels=query_labels,
-        ground_truth=gt,
+        ground_truth=brute_force_gt(base, queries, min(gt_depth, len(base))),
     )

@@ -95,12 +95,12 @@ def label_relevance(query_label, result_ids, labels) -> np.ndarray:
         raise ValueError("result_ids must be 1-D")
     if ids.size and ids.dtype.kind not in "iu":
         raise ValueError(f"result_ids must be integers, got dtype {ids.dtype}")
-    ids = ids.astype(np.int64, copy=False)
     lab = np.asarray(labels)
     if lab.ndim != 1:
         raise ValueError("labels must be a 1-D array indexed by id")
     if ids.size and (ids.min() < 0 or ids.max() >= lab.shape[0]):
         bad = ids[(ids < 0) | (ids >= lab.shape[0])][0]
         raise LookupError(f"no label for id {int(bad)}")
+    ids = ids.astype(np.int64, copy=False)
     return (lab[ids] == query_label).astype(np.int8)
 

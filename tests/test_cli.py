@@ -935,6 +935,25 @@ class TestErrorExits:
         )
         assert code == 3
 
+    def test_unwritable_output_names_the_path_asked_for(self, workdir, tmp_path, capsys):
+        code = main(
+            [
+                "train", "--learning", str(workdir / "learning.fvecs"), "--variant", "t",
+                "--k", "8", "--out", str(tmp_path / "missing_dir" / "cb.mkmc"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "missing_dir/cb.mkmc'" in err and ".tmp" not in err
+
+    def test_gen_out_dir_on_a_file_fails_before_generating(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        with mock.patch.object(cli_mod, "generate_synthetic", side_effect=AssertionError("generated")):
+            code = main(["gen", "--out-dir", str(taken), "--clusters", "2", "--per-cluster", "2", "--dim", "2"])
+        assert code == 3
+        assert "File exists" in capsys.readouterr().err
+
     def test_corrupt_index(self, workdir, tmp_path):
         bad = tmp_path / "bad.mkmi"
         bad.write_bytes(b"MKMI" + b"\x00" * 10)
@@ -978,7 +997,8 @@ class TestErrorExits:
 
     def test_unallocatable_dataset_exits_3(self, tmp_path, capsys):
         # 2e17 points: numpy refuses the 1.39 EiB request at once, beyond
-        # any address space, so nothing is allocated or written
+        # any address space, so nothing is allocated or written; the output
+        # directory is made before generation starts and is left empty
         out = tmp_path / "huge"
         code = main(
             [
@@ -988,7 +1008,7 @@ class TestErrorExits:
         )
         assert code == 3
         assert "Unable to allocate" in capsys.readouterr().err
-        assert not out.exists()
+        assert out.is_dir() and not any(out.iterdir())
 
     def test_dimension_mismatch(self, workdir, tmp_path):
         other = tmp_path / "narrow"

@@ -1,9 +1,14 @@
+import errno
+import os
 import re
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import multikmeans.dataio as dataio_mod
 from multikmeans.core import FormatError
 from multikmeans.dataio import (
     SyntheticSpec,
@@ -185,6 +190,29 @@ class TestWrite:
         with pytest.raises(ValueError):
             write_vectors(path, np.array([[np.nan, 0.0]]))
 
+    def test_peak_memory_is_about_one_copy_of_the_file(self, tmp_path):
+        # the records are written from their own buffer, with no bytes copy
+        data = np.random.default_rng(83).standard_normal((20_000, 128)).astype(np.float32)
+        path = tmp_path / "a.fvecs"
+        tracemalloc.start()
+        try:
+            write_vectors(path, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * os.path.getsize(path)
+        assert read_vectors(path).tobytes() == data.tobytes()
+
+    def test_unopenable_file_error_names_the_path_asked_for(self, tmp_path):
+        path = tmp_path / "missing_dir" / "a.fvecs"
+        with pytest.raises(FileNotFoundError) as info:
+            write_vectors(path, np.zeros((2, 3)))
+        assert info.value.errno == errno.ENOENT
+        assert info.value.filename == str(path)
+        assert ".tmp" not in str(info.value)
+        assert isinstance(info.value.__cause__, FileNotFoundError)
+        assert info.value.__cause__.filename.endswith("a.fvecs.tmp")
+
 
 class TestVectorReader:
     def make_file(self, tmp_path, n=20, dim=5, seed=82):
@@ -221,6 +249,12 @@ class TestVectorReader:
                 reader.take(np.array([0, 20]))
             with pytest.raises(LookupError):
                 reader.take(np.array([-1]))
+
+    def test_out_of_bounds_id_past_int64_is_named_unwrapped(self, tmp_path):
+        path, _ = self.make_file(tmp_path)
+        with VectorReader(path) as reader:
+            with pytest.raises(LookupError, match="vector id 9223372036854775813 outside"):
+                reader.take(np.array([0, 2**63 + 5], dtype=np.uint64))
 
     @pytest.mark.parametrize(
         "ids, dtype",
@@ -397,6 +431,39 @@ class TestGenerateSynthetic:
         np.testing.assert_array_equal(
             generate_synthetic(small).base, generate_synthetic(large).base
         )
+
+    @pytest.mark.parametrize("rows", [1, 7, 60])
+    def test_block_size_does_not_change_the_dataset(self, rows):
+        # 60 base, 9 query and 15 learning rows: 7-row blocks leave each
+        # split a ragged last block, 60-row blocks hold each split whole
+        spec = SyntheticSpec(n_clusters=5, points_per_cluster=12, dim=6, n_queries=9, seed=4)
+        expected = generate_synthetic(spec, gt_depth=10)
+        with mock.patch.object(dataio_mod, "_BLOCK_ELEMENTS", rows * spec.dim):
+            got = generate_synthetic(spec, gt_depth=10)
+        for field in ("base", "queries", "learning", "base_labels", "query_labels", "ground_truth"):
+            a, b = getattr(expected, field), getattr(got, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+    def test_peak_memory_is_the_float32_splits_plus_a_block(self):
+        # the splits are drawn in blocks straight into float32, with no
+        # float64 copy of a whole split
+        spec = SyntheticSpec(n_clusters=100, points_per_cluster=200, dim=64, n_queries=100, seed=5)
+        out_bytes = (20_000 + spec.n_queries + spec.n_learning) * spec.dim * 4
+
+        def no_gt(base, queries, k):
+            return np.zeros((len(queries), k), dtype=np.int64)
+
+        with mock.patch.object(dataio_mod, "_BLOCK_ELEMENTS", 1024 * spec.dim), mock.patch.object(
+            dataio_mod, "brute_force_gt", no_gt
+        ):
+            tracemalloc.start()
+            try:
+                ds = generate_synthetic(spec)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert ds.base.shape == (20_000, 64)
+        assert peak < 2 * out_bytes
 
     def test_tight_clusters_make_labels_the_ground_truth(self):
         spec = SyntheticSpec(

@@ -178,3 +178,7 @@ class TestLabelRelevance:
         with pytest.raises(ValueError):
             label_relevance(0, np.array([7]), {1: 0})
 
+    def test_missing_id_past_int64_is_named_unwrapped(self):
+        with pytest.raises(LookupError, match="no label for id 9223372036854775813$"):
+            label_relevance(1, np.array([0, 2**63 + 5], dtype=np.uint64), np.array([1, 2]))
+
