@@ -2,7 +2,11 @@ import errno
 import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -311,6 +315,151 @@ class TestVectorReader:
             reader.take(np.array([0, 1, 3]))  # untouched rows still fine
             with pytest.raises(FormatError):
                 reader.take(np.array([2]))
+
+    def test_threads_share_one_reader(self, tmp_path):
+        # positional reads move no shared file offset, so reads that
+        # interleave chunk by chunk still get their own records
+        path, data = self.make_file(tmp_path, n=3000, dim=8)
+        ranges = [(s, 97) for s in range(0, 2900, 97)] * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with VectorReader(path) as reader, mock.patch.object(dataio_mod, "_READ_CHUNK_BYTES", 5 * 36):
+                with ThreadPoolExecutor(8) as pool:
+                    got = list(pool.map(lambda r: reader.read(*r), ranges, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for (s, n), rows in zip(ranges, got):
+            np.testing.assert_array_equal(rows, data[s : s + n])
+
+
+def numpy_decode(path, payload_dtype, dim):
+    """A vector file decoded by numpy alone: (n, dim) payloads, headers dropped."""
+    raw = np.fromfile(path, dtype=np.uint8).reshape(-1, 4 + dim * np.dtype(payload_dtype).itemsize)
+    return raw[:, 4:].view(payload_dtype)
+
+
+class TestReadChunks:
+    """read() with a chunk budget of 1, 2 and 3 records, so ranges start,
+    end and break inside and across chunks."""
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "suffix, payload, out",
+        [(".fvecs", "<f4", np.float32), (".bvecs", "u1", np.float32), (".ivecs", "<i4", np.int32)],
+    )
+    def test_ranges_equal_a_numpy_decode(self, tmp_path, suffix, payload, out, per_chunk):
+        path = tmp_path / ("a" + suffix)
+        write_vectors(path, np.random.default_rng(84).integers(0, 256, size=(10, 3)))
+        want = numpy_decode(path, payload, 3)
+        rec = os.path.getsize(path) // 10
+        with VectorReader(path) as reader, mock.patch.object(dataio_mod, "_READ_CHUNK_BYTES", per_chunk * rec):
+            for start, count in [(0, 10), (1, 7), (3, 1), (9, 1), (2, 6), (4, 0), (10, 0)]:
+                got = reader.read(start, count)
+                assert got.dtype == out and got.shape == (count, 3) and got.flags.c_contiguous
+                np.testing.assert_array_equal(got, want[start : start + count])
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3])
+    def test_bad_header_in_a_later_chunk(self, tmp_path, per_chunk):
+        path = tmp_path / "a.fvecs"
+        write_vectors(path, np.ones((10, 3)))
+        blob = bytearray(path.read_bytes())
+        blob[7 * 16 : 7 * 16 + 4] = struct.pack("<i", 9)
+        path.write_bytes(bytes(blob))
+        message = f"{path}: record 7 declares 9 components, expected 3 (byte offset 112)"
+        with VectorReader(path) as reader, mock.patch.object(dataio_mod, "_READ_CHUNK_BYTES", per_chunk * 16):
+            np.testing.assert_array_equal(reader.read(0, 7), np.ones((7, 3)))
+            for start, count in [(0, 10), (5, 4), (7, 1)]:
+                with pytest.raises(FormatError) as exc:
+                    reader.read(start, count)
+                assert str(exc.value) == message and exc.value.offset == 112
+            with pytest.raises(FormatError, match=re.escape(message)):
+                read_vectors(path)
+
+
+_SHRINK_SCRIPT = """
+import os, sys
+import numpy as np
+import multikmeans.dataio as dataio
+from multikmeans.core import FormatError
+
+path, call = sys.argv[1], sys.argv[2]
+keep = 100 * (4 + 64 * 4)
+try:
+    if call == "read_vectors":
+        opened = dataio.VectorReader.__init__
+
+        def open_then_shrink(self, p):
+            opened(self, p)
+            os.truncate(p, keep)
+
+        dataio.VectorReader.__init__ = open_then_shrink
+        dataio.read_vectors(path)
+    else:
+        reader = dataio.VectorReader(path)
+        os.truncate(path, keep)
+        if call == "read":
+            reader.read(0, reader.count)
+        else:
+            reader.take(np.array([5, 6]))
+except FormatError as exc:
+    print(exc.offset)
+    print(exc)
+else:
+    print("no FormatError")
+"""
+
+
+def _run_python(code, *args):
+    """code in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(dataio_mod.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True, text=True, env=env)
+
+
+class TestShrunkFile:
+    # each call runs in its own process, so a SIGBUS fails the test instead
+    # of killing the test run
+    @pytest.mark.parametrize("call", ["read", "read_vectors", "take"])
+    def test_names_the_first_missing_record(self, tmp_path, call):
+        path = tmp_path / "a.fvecs"
+        write_vectors(path, np.ones((5000, 64)))
+        proc = _run_python(_SHRINK_SCRIPT, path, call)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "26000",
+            f"{path}: record 100 is missing; the file held 5000 records when opened (byte offset 26000)",
+        ]
+
+
+_WALK_SCRIPT = """
+import resource, sys
+import multikmeans.dataio as dataio
+
+with dataio.VectorReader(sys.argv[1]) as reader:
+    reader.read(0, 4096)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    for s in range(0, reader.count, 4096):
+        reader.read(s, min(4096, reader.count - s))
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_a_read_walk_keeps_no_file_pages_resident(tmp_path):
+    # a walk over the file in read() calls holds one call's output and
+    # chunk, not the pages it has read; copied out of a memory map, the
+    # same walk grew by 47 MB
+    path = tmp_path / "a.fvecs"
+    block = np.ones((8192, 129), dtype="<f4")
+    block[:, 0] = np.int32(128).view("<f4")
+    with open(path, "wb") as f:
+        for _ in range(16):
+            block.tofile(f)
+    size = os.path.getsize(path)  # 131 072 records, 67.6 MB
+    proc = _run_python(_WALK_SCRIPT, path)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) * 1024 < size / 2
 
 
 class TestLabels:
