@@ -188,10 +188,8 @@ class VectorReader:
     stand in for an in-memory base array in search.
 
     A file that shrinks while open raises FormatError naming its first
-    missing record. read() sees the short read itself. take() compares the
-    file's size with the map before each gather, which narrows the race
-    but does not close it: a file cut between that check and the gather
-    still kills the process with SIGBUS.
+    missing record: read() sees the short read itself, take() checks the
+    size first, which narrows the race but does not close it.
     """
 
     def __init__(self, path):
@@ -225,6 +223,12 @@ class VectorReader:
         )
 
     def take(self, ids) -> np.ndarray:
+        """Records `ids`, in order, gathered from the map in one copy.
+
+        Compares the file's size with the map first (one fstat), so a file
+        cut since it was opened raises FormatError; a cut between that
+        check and the gather still ends the process with SIGBUS.
+        """
         if self._mm is None:
             raise ValueError("reader is closed")
         idx = np.asarray(ids)
