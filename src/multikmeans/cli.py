@@ -186,7 +186,7 @@ def cmd_gen(args) -> int:
         ("base", "base.fvecs", write_vectors, ds.base),
         ("queries", "queries.fvecs", write_vectors, ds.queries),
         ("learning", "learning.fvecs", write_vectors, ds.learning),
-        ("gt", "groundtruth.ivecs", write_vectors, ds.ground_truth.astype(np.int32)),
+        ("gt", "groundtruth.ivecs", write_vectors, ds.ground_truth),
         ("base_labels", "base_labels.txt", write_labels, ds.base_labels),
         ("query_labels", "query_labels.txt", write_labels, ds.query_labels),
     ]
@@ -214,7 +214,7 @@ def cmd_gt(args) -> int:
             raise ConfigError(f"--depth {args.depth} exceeds base size {len(base)}")
         t0 = time.perf_counter()
         gt = brute_force_gt(base, queries, args.depth, metric=_metric(args))
-    write_vectors(args.out, gt.astype(np.int32))
+    write_vectors(args.out, gt)  # it checks every id fits int32
     dt = time.perf_counter() - t0
     print(
         f"wrote exact top-{args.depth} ids for {len(queries)} queries over "

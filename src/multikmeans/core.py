@@ -275,9 +275,9 @@ def _shifted_hamming(c: np.ndarray, q: np.ndarray, shift: int, dtype) -> np.ndar
     left by `shift` bits, as `dtype`, which must hold the shifted sum.
 
     hamming_distances scans with shift 0; the shortlist shifts distances
-    above an id rank to build its packed keys. It runs one word column at
-    a time: a sum over axis 1 of a (N, words) array is several times
-    slower once there are two or more words.
+    above each row, its id, to build its packed keys. It runs one word
+    column at a time: a sum over axis 1 of a (N, words) array is several
+    times slower once there are two or more words.
     """
     out = np.left_shift(np.bitwise_count(np.bitwise_xor(c[:, 0], q[0])), shift, dtype=dtype)
     for j in range(1, c.shape[1]):

@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 INDEX_MAGIC = b"MKMI"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 _INDEX_HEADER = struct.Struct("<IIQ")  # version, code_length, count
 
 
@@ -63,17 +63,21 @@ _INDEX_HEADER = struct.Struct("<IIQ")  # version, code_length, count
 class SearchIndex:
     """Immutable code store plus the encoder needed to hash queries."""
 
-    codes: np.ndarray  # (count, words) uint64, canonical padding
-    ids: np.ndarray  # (count,) int64, unique, non-negative
+    codes: np.ndarray  # (count, words) uint64, canonical padding; row i has id i
     code_length: int
     spec: EncoderSpec
     quantizer: Codebook | DualCodebook
-    # the shortlist's tie-break: each row's position, its id's rank, as packed keys
+    # the shortlist's tie-break: each row's number, its id, in the packed keys' dtype
     _ranks: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
-        return self.ids.shape[0]
+        return self.codes.shape[0]
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Each row's id, its row number: 0..size-1 as int64."""
+        return np.arange(self.size, dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"SearchIndex(size={self.size}, code_length={self.code_length})"
@@ -92,27 +96,30 @@ class SearchResult:
 
 
 def build_index(codes, ids, spec: EncoderSpec, quantizer) -> SearchIndex:
-    """Assemble and validate an index from packed codes aligned with ids.
+    """Assemble and validate an index from packed codes; row i's id is i.
 
     codes is a packed uint64 array shaped (N, words); every code must have
     the length the spec/quantizer pair produces, with canonical zero padding.
-    ids are unique non-negative integers. The index keeps its own copies,
-    with its rows in ascending-id order.
+    ids must be 0..N-1, the rows' own numbers: an index stores no ids. The
+    index keeps its own copy of the codes.
     """
     packed = np.array(_non_negative_integers(codes, "codes"), dtype=np.uint64, order="C")
-    return _own_index(packed, np.array(_non_negative_integers(ids, "ids"), dtype=np.int64), spec, quantizer)
+    index = _own_index(packed, spec, quantizer)
+    if not np.array_equal(_non_negative_integers(ids, "ids"), index.ids):
+        raise ValueError(f"ids must be the row numbers 0..{index.size - 1} in order")
+    return index
 
 
 def _key_dtype(count: int, length: int):
     """The dtype of the shortlist's packed keys, distance << bitlen(count - 1)
-    | id rank: uint32 while both parts fit 32 bits, else uint64, which holds
+    | row: uint32 while both parts fit 32 bits, else uint64, which holds
     any index that fits in memory."""
     return np.uint32 if (count - 1).bit_length() + length.bit_length() <= 32 else np.uint64
 
 
-def _own_index(packed: np.ndarray, ids_arr: np.ndarray, spec: EncoderSpec, quantizer) -> SearchIndex:
-    """build_index on arrays the index may keep as they are: a C-ordered
-    uint64 code array and an int64 id array that no caller holds."""
+def _own_index(packed: np.ndarray, spec: EncoderSpec, quantizer) -> SearchIndex:
+    """build_index on a C-ordered uint64 code array that no caller holds,
+    which the index keeps as it is."""
     length = code_length(spec, quantizer)
     width = words_for(length)
     if packed.ndim != 2 or packed.shape[1] != width:
@@ -122,21 +129,10 @@ def _own_index(packed: np.ndarray, ids_arr: np.ndarray, spec: EncoderSpec, quant
     tail = length % WORD_BITS
     if tail and (packed[:, -1] >> np.uint64(tail)).any():
         raise ValueError("non-canonical padding: bits set past the code length")
-    if ids_arr.ndim != 1 or ids_arr.shape[0] != packed.shape[0]:
-        raise ValueError(f"ids shape {ids_arr.shape} does not align with {packed.shape[0]} codes")
-    if (ids_arr < 0).any():
-        raise ValueError("ids must be non-negative")
-    # ascending ids, as `multikmeans index` writes them, pass in O(N); rows
-    # in any other order are sorted by id, once
-    if not (np.diff(ids_arr) > 0).all():
-        order = np.argsort(ids_arr)
-        packed, ids_arr = packed[order], ids_arr[order]
-        if not (np.diff(ids_arr) > 0).all():
-            raise ValueError("ids must be unique")
-    ranks = np.arange(ids_arr.shape[0], dtype=_key_dtype(ids_arr.shape[0], length))
-    for arr in (packed, ids_arr, ranks):
+    ranks = np.arange(packed.shape[0], dtype=_key_dtype(packed.shape[0], length))
+    for arr in (packed, ranks):
         arr.setflags(write=False)
-    return SearchIndex(packed, ids_arr, length, spec, quantizer, ranks)
+    return SearchIndex(packed, length, spec, quantizer, ranks)
 
 
 def _topk(keys: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
@@ -532,8 +528,8 @@ def _nearest_codes(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndar
     """Ids of the `limit` codes Hamming-nearest to one packed query row,
     ordered by (distance, id); the caller has checked 1 <= limit <= size.
 
-    Each code's key is its distance shifted above its row, its id rank, so
-    keys are unique and sort in (distance, id) order: one partition and a
+    Each code's key is its distance shifted above its row, which is its id,
+    so keys are unique and sort in (distance, id) order: one partition and a
     sort of `limit` keys select the shortlist, with no tie set to break."""
     shift = (index.size - 1).bit_length()
     keys = _shifted_hamming(index.codes, words, shift, index._ranks.dtype)
@@ -541,7 +537,7 @@ def _nearest_codes(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndar
     keys.partition(limit - 1)
     nearest = np.sort(keys[:limit])
     nearest &= (1 << shift) - 1
-    return index.ids[nearest]
+    return nearest.astype(np.int64)
 
 
 def shortlist(index: SearchIndex, code: HashCode, limit: int) -> np.ndarray:
@@ -655,7 +651,6 @@ def save_index(index: SearchIndex, path) -> None:
         write_spec_record(f, index.spec)
         write_quantizer_record(f, index.quantizer)
         f.write(np.ascontiguousarray(index.codes, dtype="<u8").tobytes())
-        f.write(index.ids.astype("<u8").tobytes())
 
 
 def load_index(path) -> SearchIndex:
@@ -681,11 +676,9 @@ def load_index(path) -> SearchIndex:
         if expected != length:
             raise FormatError(f"header code_length {length} does not match codebook ({expected})", offset=start + 8)
         codes = read_array(f, "<u8", (count, words_for(length)), "packed codes")
-        ids = read_array(f, "<i8", (count,), "ids")
         if f.read(1):
             raise FormatError("trailing bytes after index payload", offset=f.tell() - 1)
-    # an id stored at or past 2**63 reads back negative; _own_index rejects it
     try:
-        return _own_index(codes, ids, spec, quantizer)
+        return _own_index(codes, spec, quantizer)
     except ValueError as exc:
         raise FormatError(f"inconsistent index payload: {exc}") from exc

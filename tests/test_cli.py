@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 import multikmeans.cli as cli_mod
+import multikmeans.dataio as dataio_mod
 import multikmeans.encoder as encoder_mod
 from multikmeans import __version__
 from multikmeans.cli import ConfigError, _sample_rows, build_parser, main
 from multikmeans.core import Metric, derive_seed
 from multikmeans.dataio import VectorReader, read_labels, read_vectors, write_vectors
 from multikmeans.encoder import EncoderSpec, Variant, encode_many, load_quantizer
-from multikmeans.evaluate import average_precision, label_relevance, recall_at_r
+from multikmeans.evaluate import average_precision, brute_force_gt, label_relevance, recall_at_r
 from multikmeans.index import load_index, search_ids
 
 
@@ -195,6 +196,28 @@ class TestGt:
             ]
         )
         assert out.read_bytes() == (workdir / "groundtruth.ivecs").read_bytes()
+
+    @pytest.mark.parametrize("command", ["gt", "gen"])
+    def test_id_past_int32_exits_3_without_writing(self, workdir, tmp_path, capsys, command):
+        # .ivecs holds int32; the writer checks the ids as computed, so one
+        # of 2**31 + 5 fails instead of wrapping to a negative id
+        def wide(*args, **kwargs):
+            gt = brute_force_gt(*args, **kwargs)
+            gt[0, 0] = 2**31 + 5
+            return gt
+
+        if command == "gt":
+            target, out = cli_mod, tmp_path / "gt.ivecs"
+            argv = ["gt", "--base", str(workdir / "base.fvecs"), "--queries", str(workdir / "queries.fvecs"),
+                    "--out", str(out), "--depth", "5"]
+        else:
+            target, out = dataio_mod, tmp_path / "groundtruth.ivecs"
+            argv = ["gen", "--out-dir", str(tmp_path), "--clusters", "2", "--per-cluster", "5", "--dim", "2",
+                    "--queries", "3", "--learning", "4", "--gt-depth", "3"]
+        with mock.patch.object(target, "brute_force_gt", wide):
+            assert main(argv) == 3
+        assert "values outside [-2147483648, 2147483647] are not representable as int32" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_depth_beyond_base_exits_2(self, workdir, tmp_path):
         code = main(

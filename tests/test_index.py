@@ -1,3 +1,4 @@
+import io
 import struct
 
 import numpy as np
@@ -6,7 +7,15 @@ import pytest
 from multikmeans.cli import main
 from multikmeans.core import HashCode, Metric, FormatError, pack_bits
 from multikmeans.dataio import write_vectors
-from multikmeans.encoder import DualCodebook, EncoderSpec, MeanKind, Variant, encode, encode_many
+from multikmeans.encoder import (
+    DualCodebook,
+    EncoderSpec,
+    Variant,
+    encode,
+    encode_many,
+    write_quantizer_record,
+    write_spec_record,
+)
 from multikmeans.evaluate import brute_force_gt
 from multikmeans.index import (
     _search_block,
@@ -102,6 +111,23 @@ class TestBuildIndex:
         signed = build_index(index.codes.astype(np.int64), np.arange(10), spec, cb)
         np.testing.assert_array_equal(signed.codes, index.codes)
 
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            np.arange(10)[::-1],
+            np.arange(10) + 1,
+            np.arange(9),
+            np.arange(11),
+            np.arange(10).reshape(1, 10),
+        ],
+        ids=["shuffled", "offset", "short", "long", "2-d"],
+    )
+    def test_rejects_ids_other_than_row_numbers(self, ids):
+        # an index stores no ids: row i's id is i
+        _, base, cb, spec, index = make_fixture(n=10)
+        with pytest.raises(ValueError, match=r"ids must be the row numbers 0\.\.9 in order"):
+            build_index(index.codes, ids, spec, cb)
+
     def test_rejects_length_mismatch(self):
         _, base, cb, spec, index = make_fixture(n=10)
         with pytest.raises(ValueError):
@@ -132,7 +158,10 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             index.codes[0, 0] = np.uint64(0)
         with pytest.raises(ValueError):
-            index.ids[0] = 5
+            index._ranks[0] = 5
+        with pytest.raises(AttributeError):
+            index.ids = np.arange(10)
+        np.testing.assert_array_equal(index.ids, np.arange(10))
 
 
 class TestShortlist:
@@ -147,17 +176,17 @@ class TestShortlist:
             assert got == want
 
     def test_tie_breaks_by_ascending_id(self):
-        # two pairs of identical codes at swapped id order
+        # two pairs of identical codes, the nearer pair on the odd rows
         bits = np.array(
-            [[1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 1, 0]], dtype=np.uint8
+            [[0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 1, 0]], dtype=np.uint8
         )
         codes = pack_bits(bits)
         rng = np.random.default_rng(0)
         cb = Codebook.from_centroids(rng.standard_normal((4, 3)).astype(np.float32))
         spec = EncoderSpec(Variant.N, n_nearest=2)
-        index = build_index(codes, np.array([9, 1, 4, 2]), spec, cb)
+        index = build_index(codes, np.arange(4), spec, cb)
         q = HashCode(pack_bits([1, 0, 1, 0]), 4)
-        assert shortlist(index, q, 4).tolist() == [4, 9, 1, 2]
+        assert shortlist(index, q, 4).tolist() == [1, 3, 0, 2]
 
     def test_prefix_monotone(self):
         rng, base, cb, spec, index = make_fixture()
@@ -408,34 +437,21 @@ class TestIndexIO:
         with pytest.raises(FormatError):
             load_index(path)
 
-    def test_huge_ids_rejected_on_load(self, tmp_path):
-        _, base, cb, spec, index = make_fixture(n=4)
-        path = tmp_path / "idx.mkmi"
-        save_index(index, path)
-        blob = bytearray(path.read_bytes())
-        # the last 8 bytes are the final id; max int64 is fine, 2**63 is not
-        blob[-8:] = (2**63 - 1).to_bytes(8, "little")
-        path.write_bytes(bytes(blob))
-        assert load_index(path).ids[-1] == 2**63 - 1
-        blob[-8:] = (2**63).to_bytes(8, "little")
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError):
-            load_index(path)
-
     @pytest.mark.parametrize(
         "at, field, message",
         [
-            (4, struct.pack("<I", 2), "unsupported index format version 2"),
+            (4, struct.pack("<I", 3), "unsupported index format version 3"),
             (8, struct.pack("<I", 0), "invalid index header: code_length=0 count=4"),
             (12, struct.pack("<Q", 0), "invalid index header: code_length=4 count=0"),
             (8, struct.pack("<I", 5), r"header code_length 5 does not match codebook \(4\)"),
-            (-8, (0).to_bytes(8, "little"), "inconsistent index payload: ids must be unique"),
+            (-8, (1 << 63).to_bytes(8, "little"), "inconsistent index payload: non-canonical padding"),
         ],
-        ids=["version", "zero-code-length", "zero-count", "code-length-mismatch", "duplicate-ids"],
+        ids=["version", "zero-code-length", "zero-count", "code-length-mismatch", "noncanonical-padding"],
     )
     def test_bad_header_or_payload(self, tmp_path, at, field, message):
         # the header is magic, then version, code length and count at byte
-        # 4, 8 and 12; the last 8 bytes (at -8) are the final id, here set to 0
+        # 4, 8 and 12; the last 8 bytes (at -8) are the final code, whose
+        # bits past the code length are here set
         _, base, cb, spec, index = make_fixture(n=4)
         path = tmp_path / "idx.mkmi"
         save_index(index, path)
@@ -445,6 +461,39 @@ class TestIndexIO:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=message):
             load_index(path)
+
+    def test_file_is_header_records_and_codes(self, tmp_path):
+        # no id array: the file holds N * words * 8 bytes beyond its records
+        _, base, cb, spec, index = make_fixture(n=50)
+        path = tmp_path / "idx.mkmi"
+        save_index(index, path)
+        records = io.BytesIO()
+        write_spec_record(records, spec)
+        write_quantizer_record(records, cb)
+        assert path.stat().st_size == 4 + 16 + len(records.getvalue()) + 50 * index.codes.shape[1] * 8
+        assert path.read_bytes().endswith(index.codes.astype("<u8").tobytes())
+
+    def test_version_1_file_rejected(self, tmp_path, capsys):
+        # a version-1 file is this index's version-2 bytes with the version
+        # field at 1 and each id, its row number, appended as int64
+        _, base, cb, spec, index = make_fixture(n=20)
+        path = tmp_path / "idx.mkmi"
+        save_index(index, path)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob) + np.arange(20, dtype="<i8").tobytes())
+        with pytest.raises(FormatError, match="unsupported index format version 1"):
+            load_index(path)
+        write_vectors(tmp_path / "base.fvecs", base)
+        write_vectors(tmp_path / "queries.fvecs", base[:3])
+        write_vectors(tmp_path / "gt.ivecs", brute_force_gt(base, base[:3], 5))
+        common = ["--index", str(path), "--base", str(tmp_path / "base.fvecs")]
+        query = ["query", *common, "--query-file", str(tmp_path / "queries.fvecs"), "--shortlist", "10", "--top", "5"]
+        evaluate = ["eval", *common, "--queries", str(tmp_path / "queries.fvecs"), "--gt", str(tmp_path / "gt.ivecs"),
+                    "--recall-at", "1", "--shortlist", "10"]
+        for argv in (query, evaluate):
+            assert main(argv) == 3
+            assert "unsupported index format version 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "stored, tag, n_nearest, message",

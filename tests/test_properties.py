@@ -12,16 +12,15 @@ walk cuts into several blocks, the independence of that kernel
 and of the cosine kernel from the rows scored with them, core._sq_distances over wide blocks, k-means++ seeding, Lloyd training,
 the assign step (kmeans._assign) and encode_many against inline copies of
 their earlier forms, which made one checked distance call per block where
-they now reach core._sq_distances directly, the id check of build_index
-and an index's independence from the order of its input rows, each against a naive full-sort, popcount, whole-file or inline
-reference on inputs full of ties and duplicates."""
+they now reach core._sq_distances directly, each against a naive
+full-sort, popcount, whole-file or inline reference on inputs full of ties
+and duplicates."""
 
 import contextlib
 import os
 import tempfile
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -66,7 +65,6 @@ from multikmeans.index import (
     _topk,
     _upper,
     build_index,
-    save_index,
     search,
     search_ids,
     shortlist,
@@ -104,9 +102,10 @@ def popcount_reference(codes, words):
     return np.array([sum(bin(int(c) ^ int(w)).count("1") for c, w in zip(row, words)) for row in codes], dtype=np.int64)
 
 
-def naive_shortlist(index, words, limit):
-    ham = popcount_reference(index.codes, words)
-    return np.array([i for _, i in sorted(zip(ham.tolist(), index.ids.tolist()))[:limit]])
+def naive_shortlist(codes, words, limit):
+    """Row numbers, which are the ids, of a full sort of (distance, row)."""
+    ham = popcount_reference(codes, words)
+    return np.array([i for _, i in sorted(zip(ham.tolist(), range(len(ham))))[:limit]])
 
 
 @st.composite
@@ -140,35 +139,22 @@ def test_hamming_distances_widen_past_16_bits():
     np.testing.assert_array_equal(ham, [1025 * 64, 1025 * 64])
 
 
-@st.composite
-def unique_ids(draw, n):
-    """n unique ids: 0..n-1, or drawn up to 2**63 - 1 and then ascending or
-    shuffled."""
-    kind = draw(st.sampled_from(["arange", "ascending", "shuffled"]))
-    if kind == "arange":
-        return np.arange(n, dtype=np.int64)
-    ids = draw(st.lists(st.integers(0, draw(st.sampled_from([2 * n, 2**63 - 1]))), min_size=n, max_size=n, unique=True))
-    return np.array(sorted(ids) if kind == "ascending" else ids, dtype=np.int64)
-
-
 @SETTINGS
 @given(multiword_codes(), st.booleans(), st.data())
 def test_shortlist_on_multiword_codes_matches_naive(case, wide, data):
-    """The packed (distance, id-rank) key select against a full sort of
+    """The packed (distance, row) key select against a full sort of
     (distance, id) pairs, in uint32 keys and, with the width rule forced,
     in uint64 keys."""
     length, codes, words = case
     assume(length >= 2)  # a codebook, one centroid per bit, needs two centroids
     n = codes.shape[0]
     cb = Codebook.from_centroids(np.arange(2 * length, dtype=np.float32).reshape(length, 2))
-    ids = data.draw(unique_ids(n))
     limit = data.draw(st.one_of(st.sampled_from([1, n]), st.integers(1, n)))
     forced = mock.patch.object(index_mod, "_key_dtype", lambda count, length: np.uint64)
     with forced if wide else contextlib.nullcontext():
-        index = build_index(codes, ids, EncoderSpec(Variant.T), cb)
+        index = build_index(codes, np.arange(n), EncoderSpec(Variant.T), cb)
     assert index._ranks.dtype == (np.uint64 if wide else np.uint32)
-    np.testing.assert_array_equal(index.ids, np.sort(ids))
-    np.testing.assert_array_equal(shortlist(index, HashCode(words, length), limit), naive_shortlist(index, words, limit))
+    np.testing.assert_array_equal(shortlist(index, HashCode(words, length), limit), naive_shortlist(codes, words, limit))
 
 
 def test_key_width_rule_at_the_32_bit_boundary():
@@ -259,7 +245,7 @@ def naive_search(base, cand, q, top, metric):
 @st.composite
 def stores(draw):
     """A small base with duplicated rows of small positive ints, a codebook,
-    an encoder spec, index ids in shuffled order, and a few queries."""
+    an encoder spec and a few queries."""
     dim = draw(st.integers(2, 5))
     n_unique = draw(st.integers(2, 8))
     n = draw(st.integers(n_unique, 30))
@@ -269,7 +255,6 @@ def stores(draw):
     k = draw(st.integers(2, 8))
     cents = np.array(draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=k, max_size=k)))
     spec = EncoderSpec(Variant.T) if draw(st.booleans()) else EncoderSpec(Variant.N, n_nearest=draw(st.integers(1, k)))
-    order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
     queries = np.array(draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=1, max_size=3)))
     limit = draw(st.integers(1, n))
     top = draw(st.integers(1, limit))
@@ -277,15 +262,14 @@ def stores(draw):
     suffix = draw(st.sampled_from([".fvecs", ".bvecs"]))
     threads = draw(st.sampled_from([1, 2]))
     cb = Codebook.from_centroids(cents.astype(np.float32))
-    return base, cb, spec, order, queries, limit, top, metric, suffix, threads
+    return base, cb, spec, queries, limit, top, metric, suffix, threads
 
 
 @SETTINGS
 @given(stores())
 def test_search_over_reader_matches_full_sort(case):
-    base, cb, spec, order, queries, limit, top, metric, suffix, threads = case
-    codes = encode_many(base.astype(np.float32), cb, spec)
-    index = build_index(codes[order], order, spec, cb)
+    base, cb, spec, queries, limit, top, metric, suffix, threads = case
+    index = build_index(encode_many(base.astype(np.float32), cb, spec), np.arange(len(base)), spec, cb)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "base" + suffix)
         write_vectors(path, base)
@@ -295,58 +279,13 @@ def test_search_over_reader_matches_full_sort(case):
             for qi, q in enumerate(queries):
                 code = encode(q, cb, spec)
                 cand = shortlist(index, code, limit)
-                np.testing.assert_array_equal(cand, naive_shortlist(index, code.words, limit))
+                np.testing.assert_array_equal(cand, naive_shortlist(index.codes, code.words, limit))
                 want_ids, want_scores = naive_search(base, cand, q, top, metric)
                 res = search(index, reader, q, limit, top, metric)
                 np.testing.assert_array_equal([i for i, _ in res.ranked], want_ids)
                 np.testing.assert_array_equal([s for _, s in res.ranked], want_scores)
                 np.testing.assert_array_equal(got_ids[qi], want_ids)
                 np.testing.assert_array_equal(got_scores[qi], want_scores)
-
-
-class StoreById:
-    """A base store keyed by sparse ids: take(ids) returns their rows."""
-
-    def __init__(self, ids, rows):
-        self.rows = dict(zip(ids.tolist(), rows))
-
-    def take(self, ids):
-        return np.array([self.rows[i] for i in ids.tolist()])
-
-
-@SETTINGS
-@given(stores(), st.data())
-def test_any_row_order_gives_one_index(case, data):
-    """The rows of one (id, code) table, with sparse ids, in ascending-id
-    order and in two drawn orders: each index holds strictly ascending ids,
-    saves to the same bytes, and shortlists and searches as full sorts of
-    the caller's table do."""
-    base, cb, spec, _, queries, limit, top, metric, _, _ = case
-    n = base.shape[0]
-    ids = data.draw(unique_ids(n))
-    codes = encode_many(base.astype(np.float32), cb, spec)
-    table = SimpleNamespace(codes=codes, ids=ids)
-    store = StoreById(ids, base)
-    by_id = np.argsort(ids)
-    blobs = set()
-    for order in (by_id, *(np.array(data.draw(st.permutations(range(n))), dtype=np.int64) for _ in range(2))):
-        index = build_index(codes[order], ids[order], spec, cb)
-        assert (np.diff(index.ids) > 0).all()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "index.mkmi")
-            save_index(index, path)
-            with open(path, "rb") as f:
-                blobs.add(f.read())
-        for q in queries:
-            code = encode(q, cb, spec)
-            cand = shortlist(index, code, limit)
-            np.testing.assert_array_equal(cand, naive_shortlist(table, code.words, limit))
-            # positions in ascending-id order rank ties as the ids do
-            want_pos, want_scores = naive_search(base[by_id], np.searchsorted(ids[by_id], cand), q, top, metric)
-            res = search(index, store, q, limit, top, metric)
-            np.testing.assert_array_equal(res.ids(), ids[by_id][want_pos])
-            np.testing.assert_array_equal([s for _, s in res.ranked], want_scores)
-    assert len(blobs) == 1
 
 
 @SETTINGS
@@ -1108,9 +1047,9 @@ def test_brute_force_gt_names_the_first_nonfinite_row_in_any_block(case, metric,
 def test_rerank_over_several_blocks_matches_one_block(seed, metric, blocks, dtype):
     """A shortlist the exact walk cuts into 2-5 blocks ranks as one block
     does: the same ids and score bytes, for both metrics, over an array and,
-    for a float32 base, a VectorReader over its file. The index holds
-    shuffled, sparse ids; the base holds exact duplicates and near-ties an
-    ulp apart, so ties straddle block edges, and top may exceed a block."""
+    for a float32 base, a VectorReader over its file. The base holds exact
+    duplicates and near-ties an ulp apart, so ties straddle block edges, and
+    top may exceed a block."""
     rng = np.random.default_rng(seed)
     m, d = int(rng.integers(40, 120)), int(rng.integers(2, 9))
     unique = rng.standard_normal((int(rng.integers(2, 12)), d)) * 10.0
@@ -1118,11 +1057,10 @@ def test_rerank_over_several_blocks_matches_one_block(seed, metric, blocks, dtyp
     _nudge(base, rng, m // 4)
     if dtype is np.float64:
         base += rng.standard_normal((m, d)) * 1e-3 * rng.integers(0, 2, size=(m, 1))
-    ids = rng.choice(m, size=int(rng.integers(m // 2, m + 1)), replace=False).astype(np.int64)
     cb = Codebook.from_centroids(rng.standard_normal((6, d)).astype(np.float32) * 10.0)
     spec = EncoderSpec(Variant.T)
-    index = build_index(encode_many(base[ids], cb, spec), ids, spec, cb)
-    limit = int(rng.integers(blocks, ids.size + 1))
+    index = build_index(encode_many(base, cb, spec), np.arange(m), spec, cb)
+    limit = int(rng.integers(blocks, m + 1))
     top = int(rng.integers(1, limit + 1))
     queries = base[rng.integers(0, m, size=3)] + rng.standard_normal((3, d)) * rng.choice([0.0, 1e-6, 1.0], size=(3, 1))
     block_rows = -(-limit // blocks)  # cuts the shortlist into 2 to `blocks` blocks
@@ -1166,16 +1104,3 @@ def test_brute_force_gt_reversed_queries_give_reversed_rows(case):
     """The screen's work arrays carry nothing from one query to the next."""
     base, queries, k = case
     np.testing.assert_array_equal(brute_force_gt(base, queries[::-1], k), brute_force_gt(base, queries, k)[::-1])
-
-
-@SETTINGS
-@given(st.lists(st.integers(0, 30), min_size=1, max_size=30), st.booleans())
-def test_build_index_id_check_matches_unique(ids, ascending):
-    ids = np.array(sorted(ids) if ascending else ids, dtype=np.int64)
-    cb = Codebook.from_centroids(np.arange(4, dtype=np.float32).reshape(2, 2))
-    codes = np.zeros((ids.shape[0], 1), dtype=np.uint64)
-    if np.unique(ids).shape[0] == ids.shape[0]:
-        np.testing.assert_array_equal(build_index(codes, ids, EncoderSpec(Variant.T), cb).ids, np.sort(ids))
-    else:
-        with pytest.raises(ValueError, match="^ids must be unique$"):
-            build_index(codes, ids, EncoderSpec(Variant.T), cb)

@@ -35,11 +35,7 @@ def test_sift1m_threshold_variant_recall():
     spec = EncoderSpec(Variant.T, MeanKind.ARITHMETIC)
 
     with VectorReader(base_path) as reader:
-        parts = []
-        for start in range(0, reader.count, 65536):
-            block = reader.read(start, min(65536, reader.count - start))
-            parts.append(encode_many(block, cb, spec))
-        codes = np.vstack(parts)
+        codes = encode_many(reader, cb, spec)  # reads the base in encode blocks
         index = build_index(codes, np.arange(reader.count, dtype=np.int64), spec, cb)
 
         queries = read_vectors(query_path)
