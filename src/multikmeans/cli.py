@@ -322,11 +322,11 @@ def _open_base(path: str, idx):
     return reader
 
 
-def _clamp_shortlist(requested: int, idx) -> int:
-    size = min(requested, idx.size)
-    if size < requested:
-        print(f"note: shortlist clamped to index size {idx.size}", file=sys.stderr)
-    return size
+def _clamp(requested: int, limit: int, what: str, limit_name: str) -> int:
+    """min(requested, limit), with a note on stderr when that clamps."""
+    if requested > limit:
+        print(f"note: {what} clamped to {limit_name} {limit}", file=sys.stderr)
+    return min(requested, limit)
 
 
 def cmd_query(args) -> int:
@@ -338,10 +338,8 @@ def cmd_query(args) -> int:
             if not 0 <= args.query_row < queries.count:
                 raise ConfigError(f"--query-row {args.query_row} outside [0, {queries.count})")
             qvec = queries[args.query_row]
-        shortlist_size = _clamp_shortlist(args.shortlist, idx)
-        top = min(args.top, shortlist_size)
-        if top < args.top:
-            print(f"note: top clamped to shortlist size {shortlist_size}", file=sys.stderr)
+        shortlist_size = _clamp(args.shortlist, idx.size, "shortlist", "index size")
+        top = _clamp(args.top, shortlist_size, "top", "shortlist size")
         result = search(idx, reader, qvec, shortlist_size, top, metric=_metric(args))
     label = "distance" if result.metric is Metric.EUCLIDEAN else "similarity"
     print(f"rank\tid\t{label}")
@@ -444,9 +442,7 @@ def _map_mode(args, reader, queries, shortlist_size, config):
             f"{query_labels.shape[0]} query labels for {queries.shape[0]} queries"
         )
     _positive(args.map_depth, "--map-depth")
-    depth = min(args.map_depth, shortlist_size)
-    if depth < args.map_depth:
-        print(f"note: map depth clamped to shortlist size {shortlist_size}", file=sys.stderr)
+    depth = _clamp(args.map_depth, shortlist_size, "map depth", "shortlist size")
     config["base_labels"] = args.base_labels
     config["query_labels"] = args.query_labels
     config["map_depth_requested"] = args.map_depth
@@ -482,7 +478,7 @@ def cmd_eval(args) -> int:
         raise ConfigError("--seeds lists several runs, but without --query-sample every run scores every query alike")
     metric = _metric(args)
     idx = load_index(args.index)
-    shortlist_size = _clamp_shortlist(args.shortlist, idx)
+    shortlist_size = _clamp(args.shortlist, idx.size, "shortlist", "index size")
 
     with _open_base(args.base, idx) as reader:
         queries = read_vectors(args.queries)

@@ -24,16 +24,7 @@ WORD_BITS = 64
 # dataio.generate_synthetic (each split's draw)
 _BLOCK_ELEMENTS = 1 << 23
 
-__all__ = [
-    "WORD_BITS",
-    "Metric",
-    "FormatError",
-    "HashCode",
-    "hamming_distances",
-    "pack_bits",
-    "words_for",
-    "derive_seed",
-]
+__all__ = ["Metric", "FormatError", "HashCode", "pack_bits", "derive_seed"]
 
 
 class Metric(str, Enum):
@@ -184,7 +175,6 @@ def _sq_distances(A64, a_sq, B64, b_sq, out=None) -> np.ndarray:
             ii, jj = np.nonzero(tiny)
             diffs = A64[ii + t] - B64[jj]
             chunk[ii, jj] = np.einsum("nd,nd->n", diffs, diffs)
-        np.maximum(chunk, 0.0, out=chunk)
     return out
 
 
@@ -202,6 +192,21 @@ def _non_negative_integers(x, name: str) -> np.ndarray:
     if arr.dtype.kind == "i" and (arr < 0).any():
         raise ValueError(f"{name} must be non-negative")
     return arr
+
+
+def _row_ids(ids, n: int, name: str, missing: str) -> np.ndarray:
+    """ids as int64 row numbers of an n-row store. ids must be 1-D and,
+    unless empty, integers, else ValueError naming `name`; an id outside
+    [0, n) raises LookupError(missing.format(id=id, n=n)) for the first
+    such id. The range is checked before the cast, so no id wraps."""
+    arr = np.asarray(ids)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be 1-D")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise LookupError(missing.format(id=int(arr[(arr < 0) | (arr >= n)][0]), n=n))
+    return arr.astype(np.int64, copy=False)
 
 
 def pack_bits(bits) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK_ELEMENTS, FormatError, as_matrix, atomic_write, derive_seed, read_exact
+from .core import _BLOCK_ELEMENTS, FormatError, _row_ids, as_matrix, atomic_write, derive_seed, read_exact
 from .evaluate import brute_force_gt
 
 __all__ = [
@@ -231,15 +231,7 @@ class VectorReader:
         """
         if self._mm is None:
             raise ValueError("reader is closed")
-        idx = np.asarray(ids)
-        if idx.ndim != 1:
-            raise ValueError("ids must be 1-D")
-        if idx.size and idx.dtype.kind not in "iu":
-            raise ValueError(f"ids must be integers, got dtype {idx.dtype}")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.meta.count):
-            bad = idx[(idx < 0) | (idx >= self.meta.count)][0]
-            raise LookupError(f"vector id {int(bad)} outside file with {self.meta.count} records")
-        idx = idx.astype(np.int64, copy=False)
+        idx = _row_ids(ids, self.meta.count, "ids", "vector id {id} outside file with {n} records")
         size = os.fstat(self._file.fileno()).st_size
         if size < self._mm.nbytes:
             raise self._missing(size)

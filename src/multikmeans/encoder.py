@@ -48,13 +48,8 @@ __all__ = [
     "encode_many",
     "split_training",
     "train_dual_codebook",
-    "code_length",
     "save_quantizer",
     "load_quantizer",
-    "write_quantizer_record",
-    "read_quantizer_record",
-    "write_spec_record",
-    "read_spec_record",
 ]
 
 DUAL_MAGIC = b"MKM2"

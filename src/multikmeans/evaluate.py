@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from .core import Metric, _numeric_matrix, as_matrix
+from .core import Metric, _numeric_matrix, _row_ids, as_matrix
 from .index import _exact_topk
 
 __all__ = [
@@ -90,17 +90,9 @@ def average_precision(relevance, total_relevant: int) -> float:
 
 def label_relevance(query_label, result_ids, labels) -> np.ndarray:
     """Binary flags: 1 where a result id carries the query's label."""
-    ids = np.asarray(result_ids)
-    if ids.ndim != 1:
-        raise ValueError("result_ids must be 1-D")
-    if ids.size and ids.dtype.kind not in "iu":
-        raise ValueError(f"result_ids must be integers, got dtype {ids.dtype}")
     lab = np.asarray(labels)
     if lab.ndim != 1:
         raise ValueError("labels must be a 1-D array indexed by id")
-    if ids.size and (ids.min() < 0 or ids.max() >= lab.shape[0]):
-        bad = ids[(ids < 0) | (ids >= lab.shape[0])][0]
-        raise LookupError(f"no label for id {int(bad)}")
-    ids = ids.astype(np.int64, copy=False)
+    ids = _row_ids(result_ids, lab.shape[0], "result_ids", "no label for id {id}")
     return (lab[ids] == query_label).astype(np.int8)
 

@@ -23,6 +23,7 @@ from .core import (
     _BLOCK_ELEMENTS,
     _non_negative_integers,
     _numeric_matrix,
+    _row_ids,
     _shifted_hamming,
     as_matrix,
     as_vector,
@@ -407,41 +408,6 @@ def _screened_rows(screen: _EuclideanScreen, query: _Query, top: int, dots, T: f
     return near if keep is None else keep[near]
 
 
-def _cosine_screen(rows, ids: np.ndarray):
-    """The rows as C-ordered float64 and their norms, the query-independent
-    half of _cosine_topk; the C order fixes how each row's sums run. A
-    non-finite or zero-norm row raises ValueError naming its id."""
-    # np.linalg.norm's sums, but its float64 squares are freed before the
-    # float64 copy of the rows is made, so the two never sit side by side
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.add.reduce(np.square(rows, dtype=np.float64, order="C"), axis=1))
-    if not np.isfinite(norms).all():
-        raise ValueError(f"cosine similarity is undefined for non-finite base vector id {ids[~np.isfinite(norms)][0]}")
-    if (norms == 0.0).any():
-        raise ValueError(f"cosine similarity is undefined for zero-norm base vector id {ids[norms == 0.0][0]}")
-    return np.ascontiguousarray(rows, dtype=np.float64), norms
-
-
-def _cosine_topk(screen, q64: np.ndarray, ids: np.ndarray, top: int):
-    """Positions of the `top` rows most similar to q64 and their cosine
-    similarities, clipped to [-1, 1]: the one cosine kernel of the exact
-    walk. `screen` is _cosine_screen(rows, ids). Each row's dot product sums
-    over that row alone, so its score does not depend on which other rows
-    share the call. A query whose norm is zero, or overflows float64 (which
-    would turn every similarity into 0), raises ValueError."""
-    with np.errstate(over="ignore"):
-        qn = np.linalg.norm(q64)
-    if qn == 0.0:
-        raise ValueError("cosine similarity is undefined for a zero-norm query")
-    if not np.isfinite(qn):
-        raise ValueError("cosine similarity is undefined for a query whose norm overflows float64")
-    rows64, norms = screen
-    dots = np.einsum("nd,d->n", rows64, q64)
-    scores = np.clip(dots / (norms * qn), -1.0, 1.0)
-    sel = _topk(-scores, ids, top)
-    return sel, scores[sel]
-
-
 def _exact_topk(base, Q64, k: int, metric: Metric, ids=None) -> list:
     """The exact top k of every float64 query in Q64 (a 2-D array, or a
     list of vectors) over base's rows: one (ids, scores) pair per query,
@@ -517,11 +483,35 @@ def _euclidean_block(rows, block, qs, top, cuts):
 
 def _cosine_block(rows, block, Q64, top):
     """For each query i: (i, the positions of this block's `top` rows most
-    similar to it, their negated similarities). A bad row raises first."""
-    screen = _cosine_screen(rows, block)
+    similar to it, their negated cosine similarities, clipped to [-1, 1]):
+    the one cosine kernel of the exact walk.
+
+    The rows are checked before any query: a non-finite or zero-norm row
+    raises ValueError naming its id in `block`. A query whose norm is zero,
+    or overflows float64 (which would turn every similarity into 0), raises
+    ValueError. The rows are read as C-ordered float64, so each row's dot
+    product sums over that row alone and its score does not depend on which
+    other rows share the call.
+    """
+    # np.linalg.norm's sums, but its float64 squares are freed before the
+    # float64 copy of the rows is made, so the two never sit side by side
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(np.square(rows, dtype=np.float64, order="C"), axis=1))
+    if not np.isfinite(norms).all():
+        raise ValueError(f"cosine similarity is undefined for non-finite base vector id {block[~np.isfinite(norms)][0]}")
+    if (norms == 0.0).any():
+        raise ValueError(f"cosine similarity is undefined for zero-norm base vector id {block[norms == 0.0][0]}")
+    rows64 = np.ascontiguousarray(rows, dtype=np.float64)
     for i, q64 in enumerate(Q64):
-        keep, scores = _cosine_topk(screen, q64, block, top)
-        yield i, keep, -scores
+        with np.errstate(over="ignore"):
+            qn = np.linalg.norm(q64)
+        if qn == 0.0:
+            raise ValueError("cosine similarity is undefined for a zero-norm query")
+        if not np.isfinite(qn):
+            raise ValueError("cosine similarity is undefined for a query whose norm overflows float64")
+        keys = -np.clip(np.einsum("nd,d->n", rows64, q64) / (norms * qn), -1.0, 1.0)
+        keep = _topk(keys, block, top)
+        yield i, keep, keys[keep]
 
 
 def _nearest_codes(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndarray:
@@ -558,10 +548,8 @@ def _gather(base_vectors, ids: np.ndarray) -> np.ndarray:
     if isinstance(base_vectors, np.ndarray):
         if base_vectors.ndim != 2:
             raise ValueError("base vectors array must be 2-D")
-        if ids.size and (ids.min() < 0 or ids.max() >= base_vectors.shape[0]):
-            bad = ids[(ids < 0) | (ids >= base_vectors.shape[0])][0]
-            raise LookupError(f"base store has no vector for id {bad}")
-        return np.take(base_vectors, ids, axis=0)
+        rows = _row_ids(ids, base_vectors.shape[0], "ids", "base store has no vector for id {id}")
+        return np.take(base_vectors, rows, axis=0)
     take = getattr(base_vectors, "take", None)
     if not callable(take):
         raise TypeError("base store must be a 2-D array or an object with take(ids)")

@@ -21,8 +21,6 @@ __all__ = [
     "Codebook",
     "kmeanspp_seed",
     "train",
-    "write_codebook_record",
-    "read_codebook_record",
 ]
 
 CODEBOOK_MAGIC = b"MKMC"

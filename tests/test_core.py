@@ -14,6 +14,11 @@ from multikmeans.core import (
     pack_bits,
     words_for,
 )
+from multikmeans.dataio import VectorReader, write_vectors
+from multikmeans.encoder import EncoderSpec, Variant, encode_many
+from multikmeans.evaluate import label_relevance
+from multikmeans.index import _gather, build_index, search
+from multikmeans.kmeans import Codebook
 
 
 # packed words that a uint64 cast would truncate or wrap, and the error each gives
@@ -213,10 +218,15 @@ class TestDeriveSeed:
             derive_seed(-1, 0)
 
 
+# the library modules whose __all__ together make the package's exports
+LIBRARY_MODULES = ("core", "dataio", "encoder", "evaluate", "index", "kmeans")
+
+
 def test_public_names_resolve():
-    """Every name in a submodule's __all__ resolves, and every package
-    export but __version__ is one of those, resolving to the same object,
-    with no duplicates: a re-export of a deleted name fails here."""
+    """Every name in a submodule's __all__ resolves, and the package
+    exports __version__ plus exactly the library modules' __all__, each
+    name the same object, with no duplicates: a re-export of a deleted name
+    fails here. Helpers left out of __all__ still import by name."""
     exported = {}
     for info in pkgutil.iter_modules(multikmeans.__path__):
         module = importlib.import_module(f"multikmeans.{info.name}")
@@ -224,7 +234,72 @@ def test_public_names_resolve():
             exported.setdefault(name, getattr(module, name))
     top = multikmeans.__all__
     assert len(top) == len(set(top))
+    library = [name for m in LIBRARY_MODULES for name in importlib.import_module(f"multikmeans.{m}").__all__]
+    assert top == ["__version__", *library]
     for name in top:
         if name != "__version__":
             assert name in exported, name
             assert getattr(multikmeans, name) is exported[name], name
+    unexported = {
+        "core": ["WORD_BITS", "hamming_distances", "words_for"],
+        "encoder": [
+            "code_length",
+            "write_spec_record",
+            "read_spec_record",
+            "write_quantizer_record",
+            "read_quantizer_record",
+        ],
+        "kmeans": ["write_codebook_record", "read_codebook_record"],
+    }
+    for module, names in unexported.items():
+        for name in names:
+            assert name not in top, name
+            exec(f"from multikmeans.{module} import {name}", {})
+
+
+N_ROWS = 4
+# bad ids for an N_ROWS-row store: (ids, error class, the end of the message
+# with the caller's own wording filled in)
+BAD_ROW_IDS = {
+    "negative": (np.array([0, -1]), LookupError, "{missing} -1{records}$"),
+    "n": (np.array([0, N_ROWS]), LookupError, f"{{missing}} {N_ROWS}{{records}}$"),
+    "past-int64": (
+        np.array([0, 2**63 + 5], dtype=np.uint64),
+        LookupError,
+        "{missing} 9223372036854775813{records}$",
+    ),
+    "float": (np.array([1.0, 0.0]), ValueError, "^{name} must be integers, got dtype float64$"),
+    "bool-mask": (np.array([True, False]), ValueError, "^{name} must be integers, got dtype bool$"),
+}
+
+
+@pytest.mark.parametrize("caller", ["search", "take", "label_relevance"])
+@pytest.mark.parametrize("case", list(BAD_ROW_IDS))
+def test_row_id_check_through_each_caller(tmp_path, caller, case):
+    """core._row_ids behind each caller: an id outside the store or of the
+    wrong dtype raises the caller's own error class and message, and an id
+    past int64 is named unwrapped. The one bad id a shortlist can hold is
+    one past a base shorter than the index, so search meets that one; the
+    others reach its array gather directly."""
+    ids, error, text = BAD_ROW_IDS[case]
+    base = np.arange(N_ROWS * 2, dtype=np.float32).reshape(N_ROWS, 2)
+    path = tmp_path / "base.fvecs"
+    write_vectors(path, base)
+    words = {
+        "search": dict(name="ids", missing="base store has no vector for id", records=""),
+        "take": dict(name="ids", missing="vector id", records=f" outside file with {N_ROWS} records"),
+        "label_relevance": dict(name="result_ids", missing="no label for id", records=""),
+    }[caller]
+    with VectorReader(path) as reader, pytest.raises(error, match=text.format(**words)):
+        if caller == "take":
+            reader.take(ids)
+        elif caller == "label_relevance":
+            label_relevance(1, ids, np.ones(N_ROWS, dtype=np.int64))
+        elif case == "n":
+            longer = np.vstack([base, base[-1:] + 1.0])
+            cb = Codebook.from_centroids(longer[:2])
+            spec = EncoderSpec(Variant.N, n_nearest=1)
+            index = build_index(encode_many(longer, cb, spec), np.arange(N_ROWS + 1), spec, cb)
+            search(index, base, longer[-1], N_ROWS + 1, 1)
+        else:
+            _gather(base, ids)

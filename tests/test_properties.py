@@ -52,8 +52,7 @@ from multikmeans.encoder import (
 )
 from multikmeans.evaluate import brute_force_gt
 from multikmeans.index import (
-    _cosine_screen,
-    _cosine_topk,
+    _cosine_block,
     _direct_distances,
     _euclidean_screen,
     _exact_topk,
@@ -455,10 +454,10 @@ def test_direct_distances_do_not_depend_on_the_other_rows(seed, d, n, dtype, dat
 
 
 def _similarities(rows, q64, ids):
-    """_cosine_topk's similarity for every row, in the rows' order."""
-    pos, sims = _cosine_topk(_cosine_screen(rows, ids), q64, ids, rows.shape[0])
+    """_cosine_block's similarity for every row, in the rows' order."""
+    ((_, pos, keys),) = _cosine_block(rows, ids, [q64], rows.shape[0])
     out = np.empty(rows.shape[0])
-    out[pos] = sims
+    out[pos] = -keys
     return out
 
 
@@ -983,8 +982,7 @@ def _every_row_ids(base, queries, k, metric):
     """The ids of the metric's re-rank kernel run over every row."""
     positions = np.arange(base.shape[0])
     if metric is Metric.COSINE:
-        screen = _cosine_screen(base, positions)
-        return np.array([_cosine_topk(screen, q, positions, k)[0] for q in queries])
+        return np.array([keep for _, keep, _ in _cosine_block(base, positions, queries, k)])
     return np.array([exhaustive_topk(base, q, positions, k)[0] for q in queries])
 
 
