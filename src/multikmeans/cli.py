@@ -156,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seeds", default="0", help="comma-separated run seeds for query sampling")
     e.add_argument("--query-sample", type=int, default=None,
                    help="queries drawn per run (map mode samples per class); default all")
-    e.add_argument("--threads", type=int, default=1)
+    e.add_argument("--threads", type=int, default=None,
+                   help="search threads; default one per CPU this process may run on")
     e.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     e.set_defaults(func=cmd_eval)
 
@@ -471,7 +472,8 @@ def _map_mode(args, reader, queries, shortlist_size, config):
 def cmd_eval(args) -> int:
     seeds = [_seed_ok(s, "--seeds") for s in _ints_csv(args.seeds, "--seeds")]
     _positive(args.shortlist, "--shortlist")
-    _positive(args.threads, "--threads")
+    if args.threads is not None:
+        _positive(args.threads, "--threads")
     if args.query_sample is not None:
         _positive(args.query_sample, "--query-sample")
     elif len(seeds) > 1:
@@ -498,7 +500,7 @@ def cmd_eval(args) -> int:
             "shortlist": shortlist_size,
             "seeds": seeds,
             "query_sample": args.query_sample,
-            "threads": args.threads,
+            "threads": args.threads,  # null unless given, so no report names the host's CPU count
         }
         t0 = time.perf_counter()
         setup = _recall_mode if args.mode == "recall" else _map_mode

@@ -19,9 +19,9 @@ import numpy as np
 
 WORD_BITS = 64
 # elements per block, cut into rows in one place per walk: kmeans._assign_work
-# (Lloyd assign), encoder._block_rows (encode_many), index._exact_topk (re-rank
-# and brute_force_gt) and its _euclidean_block's query chunks, and
-# dataio.generate_synthetic (each split's draw)
+# (Lloyd assign), encoder._block_rows (encode_many and encode_queries),
+# index._exact_topk (re-rank and brute_force_gt) and its _euclidean_block's
+# query chunks, and dataio.generate_synthetic (each split's draw)
 _BLOCK_ELEMENTS = 1 << 23
 
 __all__ = ["Metric", "FormatError", "HashCode", "pack_bits", "derive_seed"]
@@ -140,11 +140,19 @@ def as_matrix(x, name: str = "data") -> np.ndarray:
     return arr
 
 
-def _sq_distances(A64, a_sq, B64, b_sq, out=None) -> np.ndarray:
+def _sq_distances(A64, a_sq, B64, b_sq, out=None, row_pure=False) -> np.ndarray:
     """Squared Euclidean distances between the rows of A64 and of B64, shape
-    (len(A64), len(B64)), from one matrix product; the seeding, the assign
-    step and encode_many score with it, each in blocks it cuts from
-    _BLOCK_ELEMENTS, as the product's bits depend on how many rows share it.
+    (len(A64), len(B64)); the seeding, the assign step and encode_many score
+    with it, each in blocks it cuts from _BLOCK_ELEMENTS.
+
+    The one fork between the two dot kernels. By default the dots come from
+    one BLAS matrix product, whose last bits depend on how many rows share
+    it and which OpenBLAS may run on threads that spin after it returns.
+    With row_pure they come from einsum, whose sum for a row runs over that
+    row alone, so a row's distances do not depend on which other rows share
+    the call; queries are hashed this way, several times slower per row but
+    a small share of a search. A64 must then be C-ordered: einsum sums a
+    strided row in another order.
 
     Computes ||x||^2 + ||y||^2 - 2 x.y in float64. Entries small enough to
     be dominated by cancellation error are recomputed with the exact
@@ -154,12 +162,16 @@ def _sq_distances(A64, a_sq, B64, b_sq, out=None) -> np.ndarray:
     (len(A64), len(B64)) float64 array the result goes into.
 
     The element-wise passes after the product run in place on slices of
-    ~256 KB, which stay in cache and change no value.
+    ~256 KB, which stay in cache and change no value; each entry's passes
+    read its own row alone, so they keep a row-pure product row-pure.
     """
     n, m = A64.shape[0], B64.shape[0]
     if out is None:
         out = np.empty((n, m), dtype=np.float64)
-    np.matmul(A64, B64.T, out=out)
+    if row_pure:
+        np.einsum("nd,md->nm", A64, B64, out=out)
+    else:
+        np.matmul(A64, B64.T, out=out)
     step = max(1, (1 << 15) // m)
     scale_buf = np.empty((min(n, step), m), dtype=np.float64)
     tiny_buf = np.empty((min(n, step), m), dtype=bool)

@@ -189,7 +189,22 @@ def encode_many(vectors, quantizer, spec: EncoderSpec) -> np.ndarray:
     bounded whatever N and d are and no array ever holds all of a reader's
     rows. Each block is checked, widened and squared once for all
     codebooks, and the centroids once for all blocks.
+
+    Each block is scored with one matrix product, so a row within a few ulps
+    of a flip of the rule can get another code than encode_queries gives it.
     """
+    return _encode_rows(vectors, quantizer, spec, row_pure=False)
+
+
+def encode_queries(Q, quantizer, spec: EncoderSpec) -> np.ndarray:
+    """encode_many on the row-pure kernel: a row's code comes from sums over
+    that row alone, so it is the same whichever rows share the call, and no
+    BLAS thread is woken. encode, search and search_ids hash queries here."""
+    return _encode_rows(Q, quantizer, spec, row_pure=True)
+
+
+def _encode_rows(vectors, quantizer, spec: EncoderSpec, row_pure: bool) -> np.ndarray:
+    """encode_many, scoring each block with _sq_distances(row_pure=row_pure)."""
     reader = callable(getattr(vectors, "read", None))
     X = vectors if reader else _numeric_matrix(vectors, "vectors")
     n, d = (len(X), X.dim) if reader else X.shape
@@ -205,16 +220,17 @@ def encode_many(vectors, quantizer, spec: EncoderSpec) -> np.ndarray:
     for s in range(0, n, rows):
         # the block is an argument, so it and its temporaries are freed
         # before the next block is read
-        out[s : s + rows] = _encode_block(X.read(s, min(rows, n - s)) if reader else X[s : s + rows], centroids, spec)
+        block = X.read(s, min(rows, n - s)) if reader else X[s : s + rows]
+        out[s : s + rows] = _encode_block(block, centroids, spec, row_pure)
     return out
 
 
-def _encode_block(block, centroids, spec: EncoderSpec) -> np.ndarray:
+def _encode_block(block, centroids, spec: EncoderSpec, row_pure: bool) -> np.ndarray:
     """Packed codes of one block of rows, against each codebook's float64
     centroids and their squared norms in centroids."""
-    X64 = np.asarray(as_matrix(block, "vectors"), dtype=np.float64)
+    X64 = np.ascontiguousarray(as_matrix(block, "vectors"), dtype=np.float64)
     x_sq = np.einsum("nd,nd->n", X64, X64)
-    dists = [_sq_distances(X64, x_sq, C64, c_sq) for C64, c_sq in centroids]
+    dists = [_sq_distances(X64, x_sq, C64, c_sq, row_pure=row_pure) for C64, c_sq in centroids]
     del X64  # freed before the bit rules allocate theirs
     threshold = spec.variant in (Variant.T, Variant.T2)
     parts = []
@@ -225,9 +241,9 @@ def _encode_block(block, centroids, spec: EncoderSpec) -> np.ndarray:
 
 
 def encode(x, quantizer, spec: EncoderSpec) -> HashCode:
-    """Encode one descriptor into a HashCode."""
+    """Encode one descriptor into a HashCode, as encode_queries does."""
     v = as_vector(x)
-    words = encode_many(v[None, :], quantizer, spec)[0]
+    words = encode_queries(v[None, :], quantizer, spec)[0]
     return HashCode(words, code_length(spec, quantizer))
 
 

@@ -8,6 +8,7 @@ ordering breaks ties by ascending id, so results are deterministic.
 
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -36,7 +37,7 @@ from .encoder import (
     DualCodebook,
     EncoderSpec,
     code_length,
-    encode_many,
+    encode_queries,
     read_quantizer_record,
     read_spec_record,
     write_quantizer_record,
@@ -464,12 +465,14 @@ def _euclidean_block(rows, block, qs, top, cuts):
     screen = _euclidean_screen(rows, block)
     chunk = max(1, _BLOCK_ELEMENTS // rows.shape[0])
     for c in range(0, len(qs), chunk):
-        # The one fork. A lone query, the search re-rank's, takes its dots
-        # from einsum, which raises no floating-point warnings: a lone BLAS
-        # call can be faster, but a BLAS product per query more than halves
-        # search_ids(threads > 1). Several queries share one BLAS product.
-        # The screen holds for any rounding, so the fork changes no id or
-        # distance.
+        # The one fork. A lone query, each search re-rank's, takes its dots
+        # from einsum, which wakes no BLAS thread and raises no
+        # floating-point warnings: a lone BLAS call can be faster, but
+        # OpenBLAS's threads would take the cores search_ids' workers run
+        # on (a BLAS product per query more than halved
+        # search_ids(threads=2)). brute_force_gt's several queries share
+        # one BLAS product. The screen holds for any rounding, so the fork
+        # changes no id or distance.
         if len(qs) == 1:
             dots = [np.einsum("nd,d->n", screen.rows32, qs[0].q32)]
         else:
@@ -564,10 +567,24 @@ def _rerank_arrays(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int
     return _exact_topk(_numeric_matrix(vecs, "base store rows"), [q64], top, metric, cand_ids)[0]
 
 
-def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top: int, metric, threads: int):
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, search_ids' default thread count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top: int, metric, threads: int | None):
     """The query path for a block of queries: encode, Hamming shortlist,
-    exact re-rank. Returns (ids, scores), each shaped (len(Q), top)."""
+    exact re-rank. Returns (ids, scores), each shaped (len(Q), top).
+
+    min(threads, len(Q)) worker threads take every workers-th query each;
+    threads=None means _usable_cpus(). Every kernel on the path is
+    row-pure, so no result depends on the count or on a query's position."""
     metric = Metric(metric)
+    if threads is None:
+        threads = _usable_cpus()
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if not (1 <= top <= shortlist_size):
@@ -575,21 +592,23 @@ def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top:
     if not (1 <= shortlist_size <= index.size):
         raise ValueError(f"shortlist size {shortlist_size} outside [1, {index.size}]")
     Q = as_matrix(Q, "queries")
-    codes = encode_many(Q, index.quantizer, index.spec)
-    Q64 = np.asarray(Q, dtype=np.float64)
-    ids = np.empty((Q.shape[0], top), dtype=np.int64)
-    scores = np.empty((Q.shape[0], top), dtype=np.float64)
+    codes = encode_queries(Q, index.quantizer, index.spec)
+    Q64 = np.ascontiguousarray(Q, dtype=np.float64)  # einsum sums a strided row in another order
+    n = Q.shape[0]
+    ids = np.empty((n, top), dtype=np.int64)
+    scores = np.empty((n, top), dtype=np.float64)
+    workers = min(threads, n)
 
-    def one(i: int) -> None:
-        cand = _nearest_codes(index, codes[i], shortlist_size)
-        ids[i], scores[i] = _rerank_arrays(Q64[i], cand, base_vectors, top, metric)
+    def part(w: int) -> None:
+        for i in range(w, n, workers):
+            cand = _nearest_codes(index, codes[i], shortlist_size)
+            ids[i], scores[i] = _rerank_arrays(Q64[i], cand, base_vectors, top, metric)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(Q.shape[0])))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(part, range(workers)))
     else:
-        for i in range(Q.shape[0]):
-            one(i)
+        part(0)
     return ids, scores
 
 
@@ -606,6 +625,7 @@ def search(
     Scores are Euclidean distances (ascending) or cosine similarities
     (descending); ties in either stage break by ascending id. base_vectors
     is a 2-D array indexed by id, or any store with a take(ids) method.
+    Runs on the calling thread.
     """
     v = as_vector(query, "query")
     metric = Metric(metric)
@@ -621,13 +641,15 @@ def search_ids(
     shortlist_size: int,
     top: int,
     metric: Metric = Metric.EUCLIDEAN,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> np.ndarray:
     """Bulk search keeping only the ranked ids, shaped (len(queries), top).
 
     Same ordering rules as search(); meant for metric sweeps where holding
-    per-query score tuples would be wasteful. threads > 1 fans the queries
-    out over a thread pool, which changes no result.
+    per-query score tuples would be wasteful. The queries are spread over
+    `threads` worker threads, at most one per query; None (the default)
+    means one per CPU this process may run on. The count changes no
+    result: row i is what search() returns for queries[i].
     """
     return _search_block(index, base_vectors, queries, shortlist_size, top, metric, threads)[0]
 

@@ -549,6 +549,7 @@ class TestEvalErrors:
             (("@eval", "@gt", "--config", "eval.cfg"), 2, "unrecognized arguments: --config eval.cfg"),
             # without a sample every seed would score every query: the same run again
             (("@eval", "@gt", "--seeds", "1,2"), 2, "--seeds lists several runs, but without --query-sample"),
+            (("@eval", "@gt", "--threads", "0"), 2, "--threads must be at least 1, got 0"),
         ],
         ids=[
             "sample-above-count", "class-too-small", "base-label-count", "recall-at-0",
@@ -556,7 +557,7 @@ class TestEvalErrors:
             "query-check-order", "query-row-negative", "query-row-at-count", "query-top-clamped",
             "seeds-negative", "seeds-not-int", "seeds-empty", "recall-float-gt", "map-query-label-count",
             "train-k-1", "index-t-dual-codebook", "index-n-0", "index-n-above-k", "index-batch-size",
-            "eval-mode-speed", "config-removed", "seeds-without-sample",
+            "eval-mode-speed", "config-removed", "seeds-without-sample", "threads-0",
         ],
     )
     def test_exit_code_and_message(self, workdir, bad_inputs, tmp_path, capsys, tokens, code, message):
@@ -752,6 +753,17 @@ class TestEvalGolden:
             assert ("(std)" in err) == (report["runs_averaged"] > 1)
         else:
             assert report["recall_at"] is None and report["recall_at_std"] is None
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_threads_change_only_their_config_line(self, spread, monkeypatch, capsys, threads):
+        """--threads is recorded as given; the default records null, so
+        the golden bytes do not depend on the host's CPU count."""
+        monkeypatch.chdir(spread)
+        run_ok(["eval", "--index", "n2.mkmi", "--base", "base.fvecs", "--queries", "queries.fvecs",
+                "--gt", "groundtruth.ivecs", "--metric", "cosine", "--recall-at", "1,5,10",
+                "--shortlist", "20", "--threads", threads])
+        want = (GOLDEN / "eval_recall_1.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == want.replace('"threads": null', f'"threads": {threads}')
 
 
 class TestVariantPaths:

@@ -1,9 +1,11 @@
 import io
+import os
 import struct
 
 import numpy as np
 import pytest
 
+import multikmeans.index as index_mod
 from multikmeans.cli import main
 from multikmeans.core import HashCode, Metric, FormatError, pack_bits
 from multikmeans.dataio import write_vectors
@@ -27,6 +29,7 @@ from multikmeans.index import (
     shortlist,
 )
 from multikmeans.kmeans import Codebook, TrainParams, train
+from test_encoder import BIT_RULES, random_codebook, rows_at_code_flips
 
 
 def bits_of(words, length):
@@ -391,6 +394,101 @@ class TestSearchMany:
         four = _search_block(index, base, queries, 30, 6, Metric.EUCLIDEAN, threads=4)
         for a, b in zip(one, four):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("spec", BIT_RULES, ids=["t-arith", "t-geom", "n"])
+    def test_search_equals_its_row_near_code_flips(self, spec):
+        """Queries within a few ulps of a flip of the rule keep their code at
+        every position of a search_ids block and at every thread count, so
+        search(q) returns that row's ids and scores bit for bit."""
+        rng = np.random.default_rng(53)
+        cb = random_codebook(rng, 10, 24)
+        base = rng.standard_normal((300, 24)).astype(np.float32)
+        index = build_index(encode_many(base, cb, spec), np.arange(300), spec, cb)
+        # 8 flip rows among 9 plain ones; each shift moves every row one place
+        Q = np.vstack([rows_at_code_flips(cb, spec, rng, 4), rng.standard_normal((9, 24))])
+        want = [search(index, base, q, shortlist_size=20, top=5).ranked for q in Q]
+        for shift in range(len(Q)):
+            order = np.roll(np.arange(len(Q)), shift)
+            for threads in (1, 2, None):
+                ids, scores = _search_block(index, base, Q[order], 20, 5, Metric.EUCLIDEAN, threads)
+                got = [tuple(zip(i.tolist(), s.tolist())) for i, s in zip(ids, scores)]
+                assert got == [want[j] for j in order], (shift, threads)
+                if shift == 0:
+                    np.testing.assert_array_equal(search_ids(index, base, Q, 20, 5, threads=threads), ids)
+        # einsum would sum the strided rows of a Fortran-ordered block in another order
+        ids, scores = _search_block(index, base, np.asfortranarray(Q), 20, 5, Metric.EUCLIDEAN, None)
+        assert [tuple(zip(i.tolist(), s.tolist())) for i, s in zip(ids, scores)] == want
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_fortran_ordered_block_matches_search(self, metric):
+        """A query's row of a Fortran-ordered float64 block is summed as a
+        C-ordered row, so its scores are search()'s bit for bit."""
+        rng = np.random.default_rng(54)
+        base = rng.standard_normal((3000, 37))
+        cb = Codebook.from_centroids(rng.standard_normal((16, 37)))
+        spec = EncoderSpec(Variant.N, n_nearest=3)
+        index = build_index(encode_many(base, cb, spec), np.arange(3000), spec, cb)
+        Q = np.asfortranarray(rng.standard_normal((64, 37)))
+        ids, scores = _search_block(index, base, Q, 500, 50, metric, 1)
+        for q, i, sc in zip(Q, ids, scores):
+            assert search(index, base, np.ascontiguousarray(q), 500, 50, metric).ranked == tuple(
+                zip(i.tolist(), sc.tolist())
+            )
+
+    def test_query_path_never_reaches_matmul(self, monkeypatch):
+        """Queries are hashed and re-ranked without a BLAS product, whose
+        OpenBLAS threads spin on after it returns; a base block still takes
+        one."""
+        rng, base, cb, spec, index = make_fixture()
+        queries = rng.standard_normal((8, base.shape[1])).astype(np.float32)
+        matmul = np.matmul
+
+        def no_blas(*args, **kwargs):
+            raise AssertionError("np.matmul on the query path")
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "matmul", no_blas)
+            search(index, base, queries[0], shortlist_size=30, top=6)
+            for threads in (1, 2, None):
+                search_ids(index, base, queries, shortlist_size=30, top=6, threads=threads)
+        calls = []
+        monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(a[0].shape) or matmul(*a, **k))
+        encode_many(base, cb, spec)
+        assert calls == [base.shape]
+
+    @pytest.mark.parametrize("threads, cpus, n, asked", [(10**6, 2, 3, [3]), (None, 5, 8, [5]), (None, 5, 3, [3]),
+                                                         (None, 1, 8, []), (2, 64, 1, [])])
+    def test_worker_count(self, monkeypatch, threads, cpus, n, asked):
+        """min(threads, queries) workers, threads=None meaning the usable
+        CPUs; one worker runs on the calling thread. The pool is replaced
+        by one that records its size and runs the workers inline."""
+        rng, base, cb, spec, index = make_fixture()
+        queries = rng.standard_normal((n, base.shape[1])).astype(np.float32)
+        sizes = []
+
+        class Inline:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(index_mod, "ThreadPoolExecutor", Inline)
+        monkeypatch.setattr(index_mod, "_usable_cpus", lambda: cpus)
+        got = search_ids(index, base, queries, shortlist_size=30, top=6, threads=threads)
+        assert sizes == asked
+        np.testing.assert_array_equal(got, [search(index, base, q, 30, 6).ids() for q in queries])
+
+    def test_usable_cpus(self, monkeypatch):
+        assert index_mod._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")  # as on a platform without it
+        assert index_mod._usable_cpus() == (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_rejects_threads_below_one(self, threads):
