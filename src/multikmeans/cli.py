@@ -262,10 +262,8 @@ def _encoder_spec(args, quantizer) -> EncoderSpec:
     """Build the EncoderSpec for the index command, checking flag pairings."""
     variant = Variant(args.variant)
     dual = variant in (Variant.T2, Variant.N2)
-    if dual and not isinstance(quantizer, DualCodebook):
-        raise ConfigError(f"variant {variant.value} needs a dual codebook file")
-    if not dual and isinstance(quantizer, DualCodebook):
-        raise ConfigError(f"variant {variant.value} needs a single codebook file")
+    if dual != isinstance(quantizer, DualCodebook):
+        raise ConfigError(f"variant {variant.value} needs a {'dual' if dual else 'single'} codebook file")
     if variant in (Variant.T, Variant.T2):
         if args.n is not None:
             raise ConfigError(f"--n does not apply to variant {variant.value}")

@@ -19,7 +19,7 @@ import numpy as np
 
 WORD_BITS = 64
 # elements per block, cut into rows in one place per walk: kmeans._assign_work
-# (Lloyd assign), encoder._block_rows (encode_many and encode_queries),
+# (Lloyd assign), encoder._encode_rows (encode_many and encode_queries),
 # index._exact_topk (re-rank and brute_force_gt) and its _euclidean_block's
 # query chunks, and dataio.generate_synthetic (each split's draw)
 _BLOCK_ELEMENTS = 1 << 23
@@ -110,34 +110,28 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
         raise
 
 
+def _numeric(x, ndim: int, name: str, nonfinite: str | None = None) -> np.ndarray:
+    """x as a nonempty, numeric ndim-D array, else ValueError naming `name`.
+    With `nonfinite` set (as_vector, as_matrix), every element must also be
+    finite, and the error calls the elements `nonfinite`."""
+    arr = np.asarray(x)
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise ValueError(f"{name} must be a nonempty {ndim}-D array, got shape {arr.shape}")
+    if not (np.issubdtype(arr.dtype, np.floating) or np.issubdtype(arr.dtype, np.integer)):
+        raise ValueError(f"{name} must be numeric, got dtype {arr.dtype}")
+    if nonfinite and not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite {nonfinite}")
+    return arr
+
+
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Validate a single descriptor: nonempty 1-D, numeric, finite."""
-    arr = np.asarray(x)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-D array, got shape {arr.shape}")
-    if not (np.issubdtype(arr.dtype, np.floating) or np.issubdtype(arr.dtype, np.integer)):
-        raise ValueError(f"{name} must be numeric, got dtype {arr.dtype}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite components")
-    return arr
-
-
-def _numeric_matrix(x, name: str) -> np.ndarray:
-    """as_matrix without the element-wise finiteness check."""
-    arr = np.asarray(x)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError(f"{name} must be a nonempty 2-D array, got shape {arr.shape}")
-    if not (np.issubdtype(arr.dtype, np.floating) or np.issubdtype(arr.dtype, np.integer)):
-        raise ValueError(f"{name} must be numeric, got dtype {arr.dtype}")
-    return arr
+    return _numeric(x, 1, name, "components")
 
 
 def as_matrix(x, name: str = "data") -> np.ndarray:
     """Validate a stack of descriptors: nonempty 2-D, numeric, finite."""
-    arr = _numeric_matrix(x, name)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
+    return _numeric(x, 2, name, "values")
 
 
 def _sq_distances(A64, a_sq, B64, b_sq, out=None, row_pure=False) -> np.ndarray:

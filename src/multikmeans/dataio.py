@@ -24,7 +24,6 @@ from .evaluate import brute_force_gt
 __all__ = [
     "VectorFile",
     "VectorReader",
-    "inspect_vectors",
     "read_vectors",
     "write_vectors",
     "read_labels",
@@ -34,10 +33,11 @@ __all__ = [
     "generate_synthetic",
 ]
 
+# element kind: (payload dtype in the file, dtype that read() and take() return)
 _KINDS = {
-    "float32": ("<f4", 4),
-    "uint8": ("u1", 1),
-    "int32": ("<i4", 4),
+    "float32": ("<f4", np.float32),
+    "uint8": ("u1", np.float32),
+    "int32": ("<i4", np.int32),
 }
 _SUFFIX_KIND = {".fvecs": "float32", ".bvecs": "uint8", ".ivecs": "int32"}
 
@@ -80,17 +80,11 @@ class VectorFile:
 
     @property
     def record_size(self) -> int:
-        return 4 + self.dim * _KINDS[self.element_kind][1]
-
-
-def inspect_vectors(path) -> VectorFile:
-    """Read the leading header and validate the whole-file size invariant."""
-    kind = element_kind_for(path)
-    with open(path, "rb") as f:
-        return _inspect(f, path, kind)
+        return 4 + self.dim * np.dtype(_KINDS[self.element_kind][0]).itemsize
 
 
 def _inspect(f, path, kind: str) -> VectorFile:
+    """Read the leading header and validate the whole-file size invariant."""
     size = os.fstat(f.fileno()).st_size
     if size == 0:
         raise FormatError(f"{path}: empty vector file", offset=0)
@@ -98,7 +92,7 @@ def _inspect(f, path, kind: str) -> VectorFile:
     dim = struct.unpack("<i", head)[0]
     if dim < 1:
         raise FormatError(f"{path}: invalid component count {dim} in record header", offset=0)
-    rec = 4 + dim * _KINDS[kind][1]
+    rec = 4 + dim * np.dtype(_KINDS[kind][0]).itemsize
     if size % rec:
         raise FormatError(
             f"{path}: size {size} is not a whole number of {rec}-byte records",
@@ -123,10 +117,6 @@ def _payload(rows: np.ndarray, meta: VectorFile, record_ids) -> np.ndarray:
             offset=rec_no * meta.record_size,
         )
     return rows[:, 4:].view(_KINDS[meta.element_kind][0])
-
-
-def _out_dtype(meta: VectorFile):
-    return np.int32 if meta.element_kind == "int32" else np.float32
 
 
 def read_vectors(path) -> np.ndarray:
@@ -236,7 +226,8 @@ class VectorReader:
         if size < self._mm.nbytes:
             raise self._missing(size)
         # np.take copies whole rows faster than fancy indexing does
-        return _payload(np.take(self._mm, idx, axis=0), self.meta, idx).astype(_out_dtype(self.meta), copy=False)
+        rows = np.take(self._mm, idx, axis=0)
+        return _payload(rows, self.meta, idx).astype(_KINDS[self.meta.element_kind][1], copy=False)
 
     def read(self, start: int, count: int) -> np.ndarray:
         """Records [start, start+count) as a fresh, writable, C-ordered array.
@@ -249,7 +240,7 @@ class VectorReader:
         if start < 0 or count < 0 or start + count > self.meta.count:
             raise ValueError(f"range [{start}, {start + count}) exceeds {self.meta.count} records")
         rec = self.meta.record_size
-        out = np.empty((count, self.meta.dim), dtype=_out_dtype(self.meta))
+        out = np.empty((count, self.meta.dim), dtype=_KINDS[self.meta.element_kind][1])
         step = max(1, _READ_CHUNK_BYTES // rec)
         buf = np.empty((min(step, count), rec), dtype=np.uint8)
         for s in range(0, count, step):

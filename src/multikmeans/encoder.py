@@ -21,7 +21,7 @@ from .core import (
     _BLOCK_ELEMENTS,
     FormatError,
     HashCode,
-    _numeric_matrix,
+    _numeric,
     _sq_distances,
     as_matrix,
     as_vector,
@@ -46,7 +46,6 @@ __all__ = [
     "DualCodebook",
     "encode",
     "encode_many",
-    "split_training",
     "train_dual_codebook",
     "save_quantizer",
     "load_quantizer",
@@ -160,35 +159,26 @@ def code_length(spec: EncoderSpec, quantizer) -> int:
     """Bits per code for this spec/quantizer pair; validates the pairing."""
     if not isinstance(spec, EncoderSpec):
         raise TypeError(f"spec must be an EncoderSpec, not {type(spec).__name__}")
-    if spec.variant in (Variant.T, Variant.N):
-        if not isinstance(quantizer, Codebook):
-            raise TypeError(f"variant {spec.variant.value} requires a single codebook")
-        if spec.variant is Variant.N and spec.n_nearest > quantizer.k:
-            raise ValueError(f"n_nearest={spec.n_nearest} exceeds k={quantizer.k}")
-        return quantizer.k
-    if not isinstance(quantizer, DualCodebook):
-        raise TypeError(f"variant {spec.variant.value} requires a dual codebook")
-    if spec.variant is Variant.N2 and spec.n_nearest > quantizer.k:
-        raise ValueError(f"n_nearest={spec.n_nearest} exceeds sub-codebook k={quantizer.k}")
-    return quantizer.code_length
-
-
-def _block_rows(quantizer) -> int:
-    """Rows per encode block: a block's float64 rows and its distances to
-    one codebook each hold at most _BLOCK_ELEMENTS values."""
-    return max(1, _BLOCK_ELEMENTS // max(quantizer.dim, quantizer.k))
+    dual = spec.variant in (Variant.T2, Variant.N2)
+    if not isinstance(quantizer, DualCodebook if dual else Codebook):
+        raise TypeError(f"variant {spec.variant.value} requires a {'dual' if dual else 'single'} codebook")
+    # n_nearest is 0 for the threshold variants, so they always pass
+    if spec.n_nearest > quantizer.k:
+        raise ValueError(f"n_nearest={spec.n_nearest} exceeds {'sub-codebook ' if dual else ''}k={quantizer.k}")
+    return quantizer.code_length if dual else quantizer.k
 
 
 def encode_many(vectors, quantizer, spec: EncoderSpec) -> np.ndarray:
     """Encode a stack of descriptors; returns packed codes shaped (N, words).
 
     vectors is a 2-D array or a VectorReader (any object with read(start,
-    count), dim and len). Rows go in blocks of _block_rows(quantizer), each
-    sliced from the array or read from the reader, and their codes go
-    straight into the one output array, so the float64 temporaries stay
-    bounded whatever N and d are and no array ever holds all of a reader's
-    rows. Each block is checked, widened and squared once for all
-    codebooks, and the centroids once for all blocks.
+    count), dim and len). Rows go in blocks of _BLOCK_ELEMENTS // (d + code
+    bits), each sliced from the array or read from the reader: a block
+    holds its float64 rows and its distances to every codebook at once, so
+    those stay within _BLOCK_ELEMENTS values whatever N and d are. Their
+    codes go straight into the one output array, and no array ever holds
+    all of a reader's rows. Each block is checked, widened and squared once
+    for all codebooks, and the centroids once for all blocks.
 
     Each block is scored with one matrix product, so a row within a few ulps
     of a flip of the rule can get another code than encode_queries gives it.
@@ -206,7 +196,7 @@ def encode_queries(Q, quantizer, spec: EncoderSpec) -> np.ndarray:
 def _encode_rows(vectors, quantizer, spec: EncoderSpec, row_pure: bool) -> np.ndarray:
     """encode_many, scoring each block with _sq_distances(row_pure=row_pure)."""
     reader = callable(getattr(vectors, "read", None))
-    X = vectors if reader else _numeric_matrix(vectors, "vectors")
+    X = vectors if reader else _numeric(vectors, 2, "vectors")
     n, d = (len(X), X.dim) if reader else X.shape
     length = code_length(spec, quantizer)
     if d != quantizer.dim:
@@ -215,7 +205,7 @@ def _encode_rows(vectors, quantizer, spec: EncoderSpec, row_pure: bool) -> np.nd
     for cb in (quantizer,) if isinstance(quantizer, Codebook) else (quantizer.first, quantizer.second):
         C64 = np.asarray(cb.centroids, dtype=np.float64)
         centroids.append((C64, np.einsum("md,md->m", C64, C64)))
-    rows = _block_rows(quantizer)
+    rows = max(1, _BLOCK_ELEMENTS // (d + length))
     out = np.empty((n, words_for(length)), dtype=np.uint64)
     for s in range(0, n, rows):
         # the block is an argument, so it and its temporaries are freed

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from .core import Metric, _numeric_matrix, _row_ids, as_matrix
+from .core import Metric, _numeric, _row_ids, as_matrix
 from .index import _exact_topk
 
 __all__ = [
@@ -35,7 +35,7 @@ def brute_force_gt(base, queries, k: int, metric: Metric = Metric.EUCLIDEAN) -> 
     zero-norm row or query met in an earlier one.
     """
     reader = callable(getattr(base, "read", None))
-    B = base if reader else _numeric_matrix(base, "base")
+    B = base if reader else _numeric(base, 2, "base")
     n, d = (len(B), B.dim) if reader else B.shape
     Q = as_matrix(queries, "queries")
     if d != Q.shape[1]:

@@ -23,7 +23,7 @@ from .core import (
     WORD_BITS,
     _BLOCK_ELEMENTS,
     _non_negative_integers,
-    _numeric_matrix,
+    _numeric,
     _row_ids,
     _shifted_hamming,
     as_matrix,
@@ -564,7 +564,7 @@ def _rerank_arrays(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int
     vecs = _gather(base_vectors, cand_ids)
     if vecs.ndim != 2 or vecs.shape[0] != cand_ids.shape[0] or vecs.shape[1] != q64.shape[0]:
         raise ValueError(f"base store returned shape {vecs.shape} for {cand_ids.shape[0]} ids")
-    return _exact_topk(_numeric_matrix(vecs, "base store rows"), [q64], top, metric, cand_ids)[0]
+    return _exact_topk(_numeric(vecs, 2, "base store rows"), [q64], top, metric, cand_ids)[0]
 
 
 def _usable_cpus() -> int:
@@ -660,7 +660,7 @@ def save_index(index: SearchIndex, path) -> None:
         f.write(_INDEX_HEADER.pack(INDEX_VERSION, index.code_length, index.size))
         write_spec_record(f, index.spec)
         write_quantizer_record(f, index.quantizer)
-        f.write(np.ascontiguousarray(index.codes, dtype="<u8").tobytes())
+        f.write(np.ascontiguousarray(index.codes, dtype="<u8").data)
 
 
 def load_index(path) -> SearchIndex:

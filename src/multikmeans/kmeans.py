@@ -86,11 +86,16 @@ class Codebook:
         return f"Codebook(k={self.k}, dim={self.dim})"
 
 
-def _check_seeding(X: np.ndarray, k: int) -> None:
+def _training_input(data, k: int):
+    """(X, X64, x_sq) for seeding or training k centroids: the checked
+    data, the data widened to float64, and its squared norms."""
+    X = as_matrix(data)
     if k < 2:
         raise ValueError("k must be at least 2")
     if X.shape[0] < k:
         raise ValueError(f"need at least k={k} points, got {X.shape[0]}")
+    X64 = np.asarray(X, dtype=np.float64)
+    return X, X64, np.einsum("nd,nd->n", X64, X64)
 
 
 def kmeanspp_seed(data, k: int, seed: int = 0) -> np.ndarray:
@@ -101,10 +106,7 @@ def kmeanspp_seed(data, k: int, seed: int = 0) -> np.ndarray:
     chosen so far. If the remaining mass is all zero (duplicate points), the
     next pick is uniform over indices not selected yet.
     """
-    X = as_matrix(data)
-    _check_seeding(X, k)
-    X64 = np.asarray(X, dtype=np.float64)
-    return _kmeanspp_seed(X, X64, np.einsum("nd,nd->n", X64, X64), k, seed)
+    return _kmeanspp_seed(*_training_input(data, k), k, seed)
 
 
 def _kmeanspp_seed(X: np.ndarray, X64: np.ndarray, x_sq: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -179,10 +181,7 @@ def train(data, k: int, params: TrainParams = TrainParams()) -> "Codebook":
     the label-sorted rows gives. A slice sum over axis 0, or np.bincount
     with weights, adds in sequence and differs in the last bits.
     """
-    X = as_matrix(data)
-    _check_seeding(X, k)
-    X64 = np.asarray(X, dtype=np.float64)
-    x_sq = np.einsum("nd,nd->n", X64, X64)
+    X, X64, x_sq = _training_input(data, k)
     C = np.array(_kmeanspp_seed(X, X64, x_sq, k, params.seed), dtype=np.float64)
     n, d = X.shape
     work = _assign_work(n, k)
@@ -203,7 +202,6 @@ def train(data, k: int, params: TrainParams = TrainParams()) -> "Codebook":
 
     history: list[float] = []
     prev = None
-    iterations = 0
     for _ in range(params.max_iters):
         labels, d2min = assign()
         obj = float(d2min.sum())
@@ -226,12 +224,11 @@ def train(data, k: int, params: TrainParams = TrainParams()) -> "Codebook":
         if empties.size:
             farthest = np.argsort(-d2min, kind="stable")[: empties.size]
             C[empties] = X64[farthest]
-        iterations += 1
     else:
         _, d2min = assign()
         history.append(float(d2min.sum()))
     meta = TrainMeta(
-        iterations=iterations,
+        iterations=len(history) - 1,
         objective=history[-1],
         seed=params.seed,
         history=tuple(history),

@@ -856,7 +856,7 @@ class TestIndexBlocks:
             reads.append(count)
             return read(self, start, count)
 
-        with mock.patch.object(encoder_mod, "_BLOCK_ELEMENTS", 100 * 16):
+        with mock.patch.object(encoder_mod, "_BLOCK_ELEMENTS", 100 * (16 + 16)):  # d + code bits
             with mock.patch.object(VectorReader, "read", counted):
                 run_ok(index_argv(workdir, "--variant", "t", "--out", str(tmp_path / "t.mkmi")))
             want = encode_many(read_vectors(workdir / "base.fvecs"), cb, EncoderSpec(Variant.T))

@@ -248,6 +248,7 @@ def test_public_names_resolve():
             "read_spec_record",
             "write_quantizer_record",
             "read_quantizer_record",
+            "split_training",
         ],
         "kmeans": ["write_codebook_record", "read_codebook_record"],
     }

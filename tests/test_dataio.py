@@ -18,7 +18,6 @@ from multikmeans.dataio import (
     SyntheticSpec,
     VectorReader,
     generate_synthetic,
-    inspect_vectors,
     read_labels,
     read_vectors,
     write_labels,
@@ -104,14 +103,14 @@ class TestFormatErrors:
         path = tmp_path / "a.fvecs"
         path.write_bytes(b"")
         with pytest.raises(FormatError) as exc:
-            inspect_vectors(path)
+            VectorReader(path)
         assert exc.value.offset == 0
 
     def test_bad_leading_dim(self, tmp_path):
         path = tmp_path / "a.fvecs"
         path.write_bytes(struct.pack("<i", 0) + b"\x00" * 12)
         with pytest.raises(FormatError) as exc:
-            inspect_vectors(path)
+            VectorReader(path)
         assert exc.value.offset == 0
 
     def test_truncated_tail(self, tmp_path):
@@ -119,7 +118,7 @@ class TestFormatErrors:
         blob = fvecs_bytes([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         path.write_bytes(blob[:-5])
         with pytest.raises(FormatError) as exc:
-            inspect_vectors(path)
+            VectorReader(path)
         # 27 bytes = one whole 16-byte record plus a ragged tail at offset 16
         assert exc.value.offset == 16
 

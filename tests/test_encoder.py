@@ -13,6 +13,7 @@ from multikmeans.encoder import (
     EncoderSpec,
     MeanKind,
     Variant,
+    code_length,
     encode,
     encode_many,
     load_quantizer,
@@ -265,7 +266,7 @@ class TestEncodeBatch:
         cb = random_codebook(rng, 8, 5)
         X = rng.standard_normal((50, 5)).astype(np.float32)
         spec = EncoderSpec(Variant.N, n_nearest=3)
-        with mock.patch.object(encoder_mod, "_BLOCK_ELEMENTS", 7 * 8):  # 7 rows per block
+        with mock.patch.object(encoder_mod, "_BLOCK_ELEMENTS", 7 * (5 + 8)):  # 7 rows per block
             chunked = encode_many(X, cb, spec)
         np.testing.assert_array_equal(chunked, encode_many(X, cb, spec))
 
@@ -273,20 +274,22 @@ class TestEncodeBatch:
     @pytest.mark.parametrize("k, d", [(6, 20), (24, 5)], ids=["d-above-k", "k-above-d"])
     def test_each_kernel_call_fits_the_budget(self, variant, k, d):
         """Every block encode_many scores holds at most
-        _BLOCK_ELEMENTS // max(d, k) rows, and the blocks cover each row
-        once per codebook."""
+        _BLOCK_ELEMENTS // (d + code bits) rows, since its float64 rows and
+        its distances to every codebook are held at once, and the blocks
+        cover each row once per codebook."""
         rng = np.random.default_rng(51)
         books = [random_codebook(rng, k, d) for _ in range(2)]
         quantizer = books[0] if variant is Variant.T else DualCodebook(*books)
         X = rng.standard_normal((47, d)).astype(np.float32)
         spec = EncoderSpec(variant, n_nearest=2)
-        budget = 10 * max(d, k) + 3  # 10 rows per block, the last one 7
+        bits = k if variant is Variant.T else 2 * k
+        budget = 10 * (d + bits) + 3  # 10 rows per block, the last one 7
         with mock.patch.object(encoder_mod, "_BLOCK_ELEMENTS", budget), mock.patch.object(
             encoder_mod, "_sq_distances", wraps=encoder_mod._sq_distances
         ) as kernel:
             encode_many(X, quantizer, spec)
         shapes = [(c.args[0].shape[0], c.args[2].shape[0]) for c in kernel.call_args_list]
-        assert all(rows * max(d, m) <= budget for rows, m in shapes)
+        assert all(rows * (d + bits) <= budget for rows, _ in shapes)
         assert sum(rows for rows, _ in shapes) == 47 * (1 if variant is Variant.T else 2)
         assert [rows for rows, _ in shapes][-1] == 7
 
@@ -307,8 +310,8 @@ class TestEncodeBatch:
 
 
 class TestEncodeReader:
-    """encode_many over a VectorReader reads the file itself, one
-    _block_rows(quantizer) block per read, into the codes of the array."""
+    """encode_many over a VectorReader reads the file itself, one encode
+    block per read, into the codes of the array."""
 
     N, D, K = 23, 6, 5
 
@@ -332,7 +335,8 @@ class TestEncodeReader:
             reads.append(count)
             return read(self, start, count)
 
-        with mock.patch.object(encoder_mod, "_BLOCK_ELEMENTS", rows * max(self.D, self.K)):
+        bits = self.K if variant is Variant.T else 2 * self.K
+        with mock.patch.object(encoder_mod, "_BLOCK_ELEMENTS", rows * (self.D + bits)):
             with VectorReader(path) as reader, mock.patch.object(VectorReader, "read", counted):
                 got = encode_many(reader, quantizer, spec)
             want = encode_many(read_vectors(path), quantizer, spec)
@@ -418,6 +422,15 @@ class TestDualCodebook:
         code = encode(x, dual, EncoderSpec(Variant.N2, n_nearest=3))
         bits = np.array(code_bits(code))
         assert bits[:8].sum() == 3 and bits[8:].sum() == 3
+
+    def test_n2_beyond_sub_codebook_k(self):
+        """n_nearest counts bits per codebook, so n2 is bounded by the
+        sub-codebook k, not by the 2k bits of the code."""
+        rng = np.random.default_rng(58)
+        dual = DualCodebook(random_codebook(rng, 4, 3), random_codebook(rng, 4, 3))
+        assert code_length(EncoderSpec(Variant.N2, n_nearest=4), dual) == 8
+        with pytest.raises(ValueError, match="^n_nearest=5 exceeds sub-codebook k=4$"):
+            code_length(EncoderSpec(Variant.N2, n_nearest=5), dual)
 
 
 class TestSerialization:

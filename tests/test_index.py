@@ -353,13 +353,15 @@ class TestSearch:
             ("search", np.zeros((1, 8)), r"query must be a nonempty 1-D array, got shape \(1, 8\)"),
             ("search", np.array(list("abcdefgh")), "query must be numeric, got dtype <U1"),
             ("search", np.array([np.nan] + [0.0] * 7), "query contains non-finite components"),
+            ("search", np.zeros(0), r"query must be a nonempty 1-D array, got shape \(0,\)"),
             ("search_ids", np.zeros(8), r"queries must be a nonempty 2-D array, got shape \(8,\)"),
             ("search_ids", np.array([list("abcdefgh")]), "queries must be numeric, got dtype <U1"),
+            ("search_ids", np.zeros((0, 8)), r"queries must be a nonempty 2-D array, got shape \(0, 8\)"),
             ("encode_many", np.zeros(8), r"vectors must be a nonempty 2-D array, got shape \(8,\)"),
             ("encode_many", np.array([list("abcdefgh")]), "vectors must be numeric, got dtype <U1"),
         ],
-        ids=["search-2d", "search-str", "search-nan", "search_ids-1d", "search_ids-str",
-             "encode_many-1d", "encode_many-str"],
+        ids=["search-2d", "search-str", "search-nan", "search-empty", "search_ids-1d", "search_ids-str",
+             "search_ids-empty", "encode_many-1d", "encode_many-str"],
     )
     def test_rejects_malformed_queries(self, call, bad, message):
         _, base, cb, spec, index = make_fixture(n=20)

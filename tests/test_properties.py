@@ -718,7 +718,8 @@ def test_encode_many_matches_one_checked_call_per_chunk(seed, n, d, variant, chu
             else:
                 parts.append(_bits_nearest(dist, 2))
         want.append(pack_bits(np.concatenate(parts, axis=1)))
-    with mock.patch.object(encoder_mod, "_BLOCK_ELEMENTS", chunk_rows * max(d, 4)):
+    bits = 4 if quantizer is books[0] else 8
+    with mock.patch.object(encoder_mod, "_BLOCK_ELEMENTS", chunk_rows * (d + bits)):
         got = encode_many(X, quantizer, spec)
     assert got.tobytes() == np.vstack(want).tobytes()
 
