@@ -124,6 +124,17 @@ def _numeric(x, ndim: int, name: str, nonfinite: str | None = None) -> np.ndarra
     return arr
 
 
+def _row_source(x, name: str) -> tuple:
+    """(n, d, read) for the rows of a numeric 2-D array, checked by
+    _numeric naming `name`, or of a VectorReader (any object with
+    read(start, count), dim and len): read(start, count) returns rows
+    start..start + count - 1, as an array view or a reader's block."""
+    if callable(getattr(x, "read", None)):
+        return len(x), x.dim, x.read
+    arr = _numeric(x, 2, name)
+    return arr.shape[0], arr.shape[1], lambda start, count: arr[start : start + count]
+
+
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Validate a single descriptor: nonempty 1-D, numeric, finite."""
     return _numeric(x, 1, name, "components")

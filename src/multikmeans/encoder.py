@@ -21,7 +21,7 @@ from .core import (
     _BLOCK_ELEMENTS,
     FormatError,
     HashCode,
-    _numeric,
+    _row_source,
     _sq_distances,
     as_matrix,
     as_vector,
@@ -195,9 +195,7 @@ def encode_queries(Q, quantizer, spec: EncoderSpec) -> np.ndarray:
 
 def _encode_rows(vectors, quantizer, spec: EncoderSpec, row_pure: bool) -> np.ndarray:
     """encode_many, scoring each block with _sq_distances(row_pure=row_pure)."""
-    reader = callable(getattr(vectors, "read", None))
-    X = vectors if reader else _numeric(vectors, 2, "vectors")
-    n, d = (len(X), X.dim) if reader else X.shape
+    n, d, read = _row_source(vectors, "vectors")
     length = code_length(spec, quantizer)
     if d != quantizer.dim:
         raise ValueError(f"dimension mismatch: vectors {d} vs codebook {quantizer.dim}")
@@ -210,8 +208,7 @@ def _encode_rows(vectors, quantizer, spec: EncoderSpec, row_pure: bool) -> np.nd
     for s in range(0, n, rows):
         # the block is an argument, so it and its temporaries are freed
         # before the next block is read
-        block = X.read(s, min(rows, n - s)) if reader else X[s : s + rows]
-        out[s : s + rows] = _encode_block(block, centroids, spec, row_pure)
+        out[s : s + rows] = _encode_block(read(s, min(rows, n - s)), centroids, spec, row_pure)
     return out
 
 

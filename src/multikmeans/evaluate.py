@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from .core import Metric, _numeric, _row_ids, as_matrix
+from .core import Metric, _row_ids, _row_source, as_matrix
 from .index import _exact_topk
 
 __all__ = [
@@ -34,15 +34,14 @@ def brute_force_gt(base, queries, k: int, metric: Metric = Metric.EUCLIDEAN) -> 
     its rows a block at a time, so a bad row in a later block loses to a
     zero-norm row or query met in an earlier one.
     """
-    reader = callable(getattr(base, "read", None))
-    B = base if reader else _numeric(base, 2, "base")
-    n, d = (len(B), B.dim) if reader else B.shape
+    source = _row_source(base, "base")
+    n, d, _ = source
     Q = as_matrix(queries, "queries")
     if d != Q.shape[1]:
         raise ValueError(f"dimension mismatch: base {d} vs queries {Q.shape[1]}")
     if not (1 <= k <= n):
         raise ValueError(f"k={k} outside [1, {n}]")
-    return np.array([ids for ids, _ in _exact_topk(B, np.asarray(Q, dtype=np.float64), k, Metric(metric))])
+    return np.array([ids for ids, _ in _exact_topk(source, np.asarray(Q, dtype=np.float64), k, Metric(metric))])
 
 
 def recall_at_r(results, ground_truth, r: int) -> float:

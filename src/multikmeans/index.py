@@ -23,8 +23,8 @@ from .core import (
     WORD_BITS,
     _BLOCK_ELEMENTS,
     _non_negative_integers,
-    _numeric,
     _row_ids,
+    _row_source,
     _shifted_hamming,
     as_matrix,
     as_vector,
@@ -171,27 +171,27 @@ _FLT_MAX = float(np.finfo(np.float32).max)
 
 
 def _screen_margins(d: int) -> tuple[float, float]:
-    """G and h of the proof in _screen_bounds, for dimension d."""
+    """G and h of the proof in _lower, for dimension d."""
     g = _gamma(d, _U32)
     h = _gamma(d + 16, _U64)
     return 2.0 * g / (1.0 - g) + h, h
 
 
 class _EuclideanScreen(NamedTuple):
-    """The query-independent half of the screen in _screen_bounds, and the
-    two float64 work arrays that every query's screen values overwrite."""
+    """The query-independent half of the screen in _lower, and the float64
+    work array that every query's screen values overwrite."""
 
+    rows: np.ndarray  # the rows as read, which the finish kernel scores
+    ids: np.ndarray  # the rows' ids, which break the seeds' ties in lo
     rows32: np.ndarray  # the rows as float32
-    a_hi: np.ndarray  # a (1 + G) in float64, +inf where a is not finite
     a_lo: np.ndarray  # a (1 - G) in float64, -inf where a is not finite
     a_max: float  # the largest finite a
     cast: float  # the largest cast-error bound ||x - x'|| of a row with a finite a
-    lo: np.ndarray  # work arrays: one query's screen values
-    hi: np.ndarray
+    lo: np.ndarray  # work array: one query's screen values
 
 
 def _euclidean_screen(rows, ids: np.ndarray) -> _EuclideanScreen:
-    """The rows' float32 squared norms a, widened by the screen's margin,
+    """The rows' float32 squared norms a, narrowed by the screen's margin,
     and their cast error (0.0 when the dtype casts to float32 exactly).
 
     A row holding inf or nan raises ValueError naming its id. Only rows
@@ -219,21 +219,20 @@ def _euclidean_screen(rows, ids: np.ndarray) -> _EuclideanScreen:
         nonfinite = bad[~np.isfinite(rows[bad]).all(axis=1)]
         if nonfinite.size:
             raise ValueError(f"euclidean re-rank is undefined for non-finite base vector id {ids[nonfinite[0]]}")
-    a_hi = np.multiply(a, 1.0 + G, dtype=np.float64)
     a_lo = np.multiply(a, 1.0 - G, dtype=np.float64)
-    a_lo[bad] = -np.inf  # a finite row's bad a is +inf, so a_hi is +inf already
+    a_lo[bad] = -np.inf  # a finite row whose a overflows has no bound: no cut drops it
     cast = 0.0
     if err is not None:
         cast = float(np.max(err, where=finite, initial=0.0)) * (1.0 + h) + _TINY64
     if not G < 0.5:  # d of ~2.8 million or more, where gamma_d is no longer small: no bound
         cast = np.inf
     a_max = float(np.max(a, where=finite, initial=0.0))
-    return _EuclideanScreen(rows32, a_hi, a_lo, a_max, cast, np.empty(n), np.empty(n))
+    return _EuclideanScreen(rows, ids, rows32, a_lo, a_max, cast, np.empty(n))
 
 
 class _Query(NamedTuple):
-    """The row-independent half of one query's screen in _screen_bounds,
-    computed once per query however many blocks of rows it screens."""
+    """The row-independent half of one query's screen in _lower, computed
+    once per query however many blocks of rows it screens."""
 
     q64: np.ndarray
     q32: np.ndarray  # q64 rounded to float32
@@ -243,7 +242,7 @@ class _Query(NamedTuple):
 
 def _query_screen(q64: np.ndarray) -> _Query:
     """q64's float32 rounding, squared norm and cast error (step 3 of the
-    proof in _screen_bounds)."""
+    proof in _lower)."""
     h = _screen_margins(q64.shape[0])[1]
     with np.errstate(over="ignore", invalid="ignore"):
         q32 = q64.astype(np.float32)
@@ -255,27 +254,21 @@ def _query_screen(q64: np.ndarray) -> _Query:
 
 
 def _screen_terms(screen: _EuclideanScreen, query: _Query) -> tuple:
-    """The scalars (beta+, beta-, e, h) of one query over one screen's rows,
-    which _lower, _upper and _lower_cut map screen values with."""
+    """The scalars (beta-, e, h) of one query over one screen's rows, which
+    _lower and _lower_cut map screen values with."""
     d = query.q64.shape[0]
     G, h = _screen_margins(d)
-    tau = 4.0 * d * _UNDERFLOW32
     e = screen.cast + query.cast
     if not (screen.a_max + d * _UNDERFLOW32) * query.b <= _FLT_MAX * _FLT_MAX / 4.0:
         e = np.inf
-    return query.b * (1.0 + G) + tau, query.b * (1.0 - G) - tau, e, h
+    return query.b * (1.0 - G) - 4.0 * d * _UNDERFLOW32, e, h
 
 
-def _screen_bounds(screen: _EuclideanScreen, query: _Query, dots):
-    """One query's float32 screen over every row: per-row values lo <= hi
-    and the terms, such that _lower(lo_i, terms) <=
-    _direct_distances(rows, q64)_i <= _upper(hi_i, terms) for every row.
-
-    `screen` is _euclidean_screen(rows, ids), `query` is _query_screen(q64),
-    and `dots` the float32 products rows32 @ q32, in any summation order.
-    lo and hi are the screen's work arrays, so the next query overwrites
-    them. A row whose float32 norm is not finite gets lo = -inf or nan and
-    hi = +inf or nan.
+def _lower(lo, terms):
+    """The lower bound L on a row's finish distance from its screen value
+    lo = -2c + a (1 - G), where c is the row's float32 product with the
+    query's float32 rounding, in any summation order: L <=
+    _direct_distances(rows, q64) for every row with a finite a.
 
     The proof. Let x be a row as the finish kernel reads it (float64), q the
     query, x', q' their float32 roundings, d the dimension, u = 2^-24,
@@ -290,21 +283,18 @@ def _screen_bounds(screen: _EuclideanScreen, query: _Query, dots):
        + delta <= gamma_d ||x'|| ||q'|| + delta, and likewise for a and b.
        As ||x' - q'||^2 = ||x'||^2 + ||q'||^2 - 2 x'.q' and
        2 ||x'|| ||q'|| <= ||x'||^2 + ||q'||^2, in real numbers
-           (a + b)(1 - G + h) - 2c - tau <= ||x' - q'||^2 <= (a + b)(1 + G - h) - 2c + tau
+           (a + b)(1 - G + h) - 2c - tau <= ||x' - q'||^2
        with G = 2 gamma_d / (1 - gamma_d) + h.
-    2. Evaluation. The screen sums each bound in float64 in two parts: per
-       row lo = -2c + a (1 - G) and hi = -2c + a (1 + G), where -2c is exact
-       and a (1 -+ G) comes once per call; per query the scalars
-       beta- = b (1 - G) - tau and beta+ = b (1 + G) + tau; and the sums
-       lo + beta-, hi + beta+. That is seven roundings per bound: 1 -+ G,
-       the products by a and by b, the adds of -2c and of tau, and the last
-       sum. Each operand is at most 4.5 (a + b) + tau in size (|2c| <=
-       1.5 (a + b) while gamma_d < 0.2), so their errors total at most
-       12 v (a + b) + 2 v tau. The h (a + b) >= 17 v (a + b) that G holds
-       beyond step 1 covers the first part; b's delta covers the second,
-       since float32 squares never underflow in float64. So
-           lo + beta- <= ||x' - q'||^2 <= hi + beta+
-       after rounding.
+    2. Evaluation. The screen sums the bound in float64 in two parts: per
+       row lo = -2c + a (1 - G), where -2c is exact and a (1 - G) comes once
+       per block; per query the scalar beta- = b (1 - G) - tau; and the sum
+       lo + beta-. That is seven roundings: 1 - G, the products by a and by
+       b, the adds of -2c and of tau, and the last sum. Each operand is at
+       most 4.5 (a + b) + tau in size (|2c| <= 1.5 (a + b) while
+       gamma_d < 0.2), so their errors total at most 12 v (a + b) + 2 v tau.
+       The h (a + b) >= 17 v (a + b) that G holds beyond step 1 covers the
+       first part; b's delta covers the second, since float32 squares never
+       underflow in float64. So lo + beta- <= ||x' - q'||^2 after rounding.
     3. Cast. By the triangle inequality ||x - q|| lies within
        e = ||x - x'|| + ||q - q'|| of ||x' - q'||. The row term is the
        largest of the rows' bounds, so one scalar serves every row. A term
@@ -313,36 +303,17 @@ def _screen_bounds(screen: _EuclideanScreen, query: _Query, dots):
        plus 2^-500.
     4. Finish. The kernel's float64 distance f is within gamma_{d+3} in v
        of ||x - q||, plus 2^-500 for float64 underflow.
-    Hence f lies in [_lower(lo), _upper(hi)], where
-        _lower(y) = (sqrt(max(y + beta-, 0)) - e)(1 - h) - 2^-500
-        _upper(y) = (sqrt(y + beta+) + e)(1 + h) + 2^-500
-    and h covers gamma_{d+3} and the few roundings that evaluate the maps.
+    Hence f >= (sqrt(max(lo + beta-, 0)) - e)(1 - h) - 2^-500, where h
+    covers gamma_{d+3} and the few roundings that evaluate the map.
 
     Overflow. A float32 dot product that overflows would void step 1. By
     Cauchy-Schwarz no partial sum of c exceeds (1 + gamma_d) ||x'|| ||q'||,
     which stays below the float32 maximum M while (a_max + delta) b <=
     M^2 / 4 (a_max the largest finite a). A larger query sets e = inf: no
     row is then ruled out. A row whose a overflows has no bound either; its
-    a (1 -+ G) are set to -+inf, so its lo is never above any cut, and its
-    hi, +inf or nan, never lowers one.
+    a (1 - G) is set to -inf, so its lo, -inf or nan, is never above a cut.
     """
-    lo, hi = screen.lo, screen.hi
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(dots, -2.0, out=lo, dtype=np.float64)
-        np.add(lo, screen.a_hi, out=hi)
-        lo += screen.a_lo
-    return lo, hi, _screen_terms(screen, query)
-
-
-def _upper(hi, terms):
-    """The upper bound U on a row's finish distance from its screen value hi."""
-    beta_hi, _, e, h = terms
-    return (np.sqrt(hi + beta_hi) + e) * (1.0 + h) + _TINY64
-
-
-def _lower(lo, terms):
-    """The lower bound L on a row's finish distance from its screen value lo."""
-    _, beta_lo, e, h = terms
+    beta_lo, e, h = terms
     return (np.sqrt(np.maximum(lo + beta_lo, 0.0)) - e) * (1.0 - h) - _TINY64
 
 
@@ -357,89 +328,90 @@ def _lower_cut(T, terms) -> float:
     11 v short of the real one, and the 32 v (w^2 + |beta-|) added here
     covers both and the three roundings that evaluate X.
     """
-    _, beta_lo, e, h = terms
+    beta_lo, e, h = terms
     w = (T + _TINY64) / (1.0 - h) + e
     x = w * w
     cut = (x - beta_lo) + 32.0 * _U64 * (x + abs(beta_lo))
     return cut if cut < np.inf else np.inf
 
 
-def _screened_rows(screen: _EuclideanScreen, query: _Query, top: int, dots, T: float) -> np.ndarray:
-    """Positions of the screen's rows that may be among the `top` nearest
-    the query by (distance, id). A finite T is a distance within which
-    `top` rows scored elsewhere lie, so only rows that may beat them are
-    kept; T = inf when there are none. 1 <= top <= the screen's row count;
-    `dots` are as in _screen_bounds.
+def _screened_rows(screen: _EuclideanScreen, query: _Query, top: int, dots, T: float):
+    """The positions of the screen's rows that may be among the `top`
+    nearest the query by (distance, id), and their finish distances, each
+    row scored once; None when no row may be. A finite T is a distance
+    within which `top` rows scored elsewhere lie; T = inf when there are
+    none. 1 <= top <= the screen's row count; `dots` are the float32
+    products rows32 @ q32, in any summation order.
 
-    The keep rule bounds the cut, not every row. _upper and _lower are
-    non-decreasing: each is a chain of correctly rounded sqrt, max, sums
-    with a constant and products by a positive constant, and rounding is
-    non-decreasing. A non-decreasing map keeps the order of its arguments,
-    so the top-th smallest U = _upper(hi) is _upper(top-th smallest hi);
-    np.partition puts nan last, so a row with no bound never lowers it. A
-    row with L = _lower(lo) > T is farther than `top` rows, so it is not in
-    the top, and as _lower is non-decreasing, a row with lo > X =
-    _lower_cut(T) has L > T. A finite T, from the rows scored elsewhere, is
-    applied first, on lo alone; only when more than `top` rows pass does hi
-    follow, for those rows, to tighten it. The kernel scores each row
-    alone, so the top of the rows kept, with the rows scored elsewhere, is
-    the top of all of them, ids and float64 distances bit for bit.
+    The cut comes from exact distances. The seeds, the `top` rows with the
+    smallest lo by _topk (ties by id, nan last) among those with
+    lo <= _lower_cut(T) (all rows when T = inf), are scored first, and T
+    becomes min(T, the largest of their distances). `top` real rows then
+    lie within T, so every row of the top has a finish distance f <= T;
+    its L = _lower(lo) <= f <= T; and as _lower is non-decreasing (a chain
+    of correctly rounded sqrt, max, sums with a constant and products by a
+    positive constant), its lo <= X = _lower_cut(T). T is itself a finish
+    distance, so it needs no rounding bound. Every row with lo <= X is
+    kept; a lo of nan, which bounds nothing, is never above a cut. The
+    kernel scores each row alone, so the top of the rows kept, with the
+    rows scored elsewhere, is the top of all of them, ids and float64
+    distances bit for bit.
     """
+    terms = _screen_terms(screen, query)
+    lo = screen.lo
+    with np.errstate(invalid="ignore"):  # inf - inf: a row with no bound
+        np.multiply(dots, -2.0, out=lo, dtype=np.float64)
+        lo += screen.a_lo
     if T < np.inf:
-        terms = _screen_terms(screen, query)
-        lo = screen.lo
-        with np.errstate(invalid="ignore"):
-            np.multiply(dots, -2.0, out=lo, dtype=np.float64)
-            lo += screen.a_lo
-            keep = np.flatnonzero(~(lo > _lower_cut(T, terms)))
-            if keep.size <= top:
-                return keep
-            lo = lo[keep]
-            hi = np.multiply(dots[keep], -2.0, dtype=np.float64)
-            hi += screen.a_hi[keep]
+        near = np.flatnonzero(~(lo > _lower_cut(T, terms)))
+        if not near.size:  # the common case once the running top-k is full
+            return None
+        if near.size <= top:
+            return near, _direct_distances(screen.rows[near], query.q64)
+        seeds = near[_topk(lo[near], screen.ids[near], top)]
     else:
-        keep = None
-        lo, hi, terms = _screen_bounds(screen, query, dots)
-    hi.partition(top - 1)
-    with np.errstate(invalid="ignore"):
-        bound = float(_upper(hi[top - 1], terms))
-    if bound < T:
-        T = bound
-    near = np.flatnonzero(~(lo > _lower_cut(T, terms)))
-    return near if keep is None else keep[near]
+        seeds = _topk(lo, screen.ids, top)
+    found = _direct_distances(screen.rows[seeds], query.q64)
+    T = min(T, float(found.max()))
+    keep = ~(lo > _lower_cut(T, terms))
+    keep[seeds] = False
+    rest = np.flatnonzero(keep)
+    if rest.size:
+        seeds = np.concatenate((seeds, rest))
+        found = np.concatenate((found, _direct_distances(screen.rows[rest], query.q64)))
+    return seeds, found
 
 
-def _exact_topk(base, Q64, k: int, metric: Metric, ids=None) -> list:
+def _exact_topk(source, Q64, k: int, metric: Metric, ids=None) -> list:
     """The exact top k of every float64 query in Q64 (a 2-D array, or a
-    list of vectors) over base's rows: one (ids, scores) pair per query,
-    best first by (score, id). Scores are float64 Euclidean distances or
-    cosine similarities; ids are base's row positions, or ids[row] when
-    given. The search re-rank runs it over one query's gathered shortlist,
-    and brute_force_gt over a whole base.
+    list of vectors) over the rows of source: one (ids, scores) pair per
+    query, best first by (score, id). Scores are float64 Euclidean
+    distances or cosine similarities; ids are row positions, or ids[row]
+    when given. The search re-rank runs it over one query's gathered
+    shortlist, and brute_force_gt over a whole base.
 
-    base is a numeric 2-D array or a VectorReader (any object with
-    read(start, count), dim and len), walked once in blocks of
-    _BLOCK_ELEMENTS // d rows, so no array ever holds all of a reader's
-    rows. Each query keeps a running top-k of (key, id), where the key is
-    the distance or the negated similarity, and _topk merges each block's
-    candidates in. A Euclidean block's screen drops every row it proves
-    farther than the running k-th distance; a cosine block offers its own
-    top-k. Every score comes from a row-pure kernel, so the result is that
-    of one ranking over all rows, bit for bit, at any block size. A row
+    source is core._row_source's (n, d, read) of a 2-D array or a
+    VectorReader, walked once in blocks of _BLOCK_ELEMENTS // d rows, so
+    no array ever holds all of a reader's rows. Each query keeps a running
+    top-k of (key, id), where the key is the distance or the negated
+    similarity, and _topk merges each block's candidates in. A Euclidean
+    block's screen drops every row it proves farther than the running k-th
+    distance; a cosine block offers its own top-k. Every score comes from a
+    row-pure kernel, so the result is that of one ranking over all rows,
+    bit for bit, at any block size. A row
     holding inf or nan, or for cosine a zero-norm row, raises ValueError
     naming its id; a cosine query whose norm is zero or overflows float64
     raises ValueError too. Rows are checked a block at a time, each block
     before the queries that score it, so a bad row in a later block loses
     to a cosine zero-norm row or query met in an earlier one.
     """
-    reader = not isinstance(base, np.ndarray)
-    n, d = (len(base), base.dim) if reader else base.shape
+    n, d, read = source
     step = min(n, max(1, _BLOCK_ELEMENTS // d))
     cosine = metric is Metric.COSINE
     qs = None if cosine else [_query_screen(q64) for q64 in Q64]
     run = [None] * len(Q64)  # each query's running top-k (keys, ids), ascending by (key, id)
     for s in range(0, n, step):
-        rows = base.read(s, min(step, n - s)) if reader else base[s : s + step]
+        rows = read(s, min(step, n - s))
         block = np.arange(s, s + rows.shape[0]) if ids is None else ids[s : s + step]
         top = min(k, rows.shape[0])
         if cosine:
@@ -479,9 +451,9 @@ def _euclidean_block(rows, block, qs, top, cuts):
             with np.errstate(over="ignore", invalid="ignore"):
                 dots = np.array([q.q32 for q in qs[c : c + chunk]]) @ screen.rows32.T
         for i, row_dots in enumerate(dots, start=c):
-            keep = _screened_rows(screen, qs[i], top, row_dots, cuts[i])
-            if keep.size:
-                yield i, keep, _direct_distances(rows[keep], qs[i].q64)
+            kept = _screened_rows(screen, qs[i], top, row_dots, cuts[i])
+            if kept is not None:
+                yield i, *kept
 
 
 def _cosine_block(rows, block, Q64, top):
@@ -564,7 +536,7 @@ def _rerank_arrays(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int
     vecs = _gather(base_vectors, cand_ids)
     if vecs.ndim != 2 or vecs.shape[0] != cand_ids.shape[0] or vecs.shape[1] != q64.shape[0]:
         raise ValueError(f"base store returned shape {vecs.shape} for {cand_ids.shape[0]} ids")
-    return _exact_topk(_numeric(vecs, 2, "base store rows"), [q64], top, metric, cand_ids)[0]
+    return _exact_topk(_row_source(vecs, "base store rows"), [q64], top, metric, cand_ids)[0]
 
 
 def _usable_cpus() -> int:

@@ -66,7 +66,10 @@ class Codebook:
         c = as_matrix(self.centroids, "centroids")
         if c.shape[0] < 2:
             raise ValueError("a codebook needs at least 2 centroids")
-        c = np.ascontiguousarray(c, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            c = np.ascontiguousarray(c, dtype=np.float32)
+        if not np.isfinite(c).all():
+            raise ValueError("centroids overflow float32")
         c.setflags(write=False)
         object.__setattr__(self, "centroids", c)
 
@@ -233,7 +236,7 @@ def train(data, k: int, params: TrainParams = TrainParams()) -> "Codebook":
         seed=params.seed,
         history=tuple(history),
     )
-    return Codebook(C.astype(np.float32), meta)
+    return Codebook(C, meta)
 
 
 def write_codebook_record(f, codebook: Codebook) -> None:

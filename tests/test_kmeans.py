@@ -1,4 +1,5 @@
 import struct
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -218,6 +219,23 @@ class TestTrain:
         assert cb.centroids.dtype == np.float32
         with pytest.raises(ValueError):
             cb.centroids[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Codebook.from_centroids(np.array([[1e39, 0.0], [0.0, 0.0]])),
+            lambda: train(np.random.default_rng(37).standard_normal((50, 3)) * 1e39, 3),
+        ],
+        ids=["from_centroids", "train"],
+    )
+    def test_centroids_past_the_float32_range_are_rejected(self, make):
+        """A centroid that float32 cannot hold raises ValueError and warns
+        nowhere: stored as inf, it gave every t row an all-zero code and
+        files that no loader reads."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^centroids overflow float32$"):
+                make()
 
 
 class TestCodebookIO:

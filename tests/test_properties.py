@@ -4,7 +4,8 @@ search path over a memory-mapped VectorReader (single query, batched and
 threaded), VectorReader.take, the float32-screened Euclidean top-k against
 its float64 kernel run over every row, its keep rule at the cutoff, its
 query and row cast-error terms, the rows it keeps with and without a
-running cut, its cut map and a query whose float32 dot overflows,
+running cut and the exact seed distances its cut comes from, its cut map,
+a query whose float32 dot overflows, one kernel score per (query, row),
 brute_force_gt's independence from the query block, the base block (for
 both metrics), the base's input kind (array or VectorReader) and the query
 order, its allocation peak over a reader, a search re-rank that the exact
@@ -34,6 +35,7 @@ import multikmeans.kmeans as km
 from multikmeans.core import (
     HashCode,
     Metric,
+    _row_source,
     _shifted_hamming,
     _sq_distances,
     as_matrix,
@@ -59,10 +61,9 @@ from multikmeans.index import (
     _lower,
     _lower_cut,
     _query_screen,
-    _screen_bounds,
+    _screen_terms,
     _screened_rows,
     _topk,
-    _upper,
     build_index,
     search,
     search_ids,
@@ -327,14 +328,21 @@ def exhaustive_topk(rows, q64, ids, top):
 def walk_topk(rows, q64, ids, top):
     """One query's exact walk over the rows, as the search re-rank runs it:
     the `top` nearest ids by (distance, id) and their distances."""
-    return _exact_topk(rows, [q64], top, Metric.EUCLIDEAN, ids)[0]
+    return _exact_topk(_row_source(rows, "rows"), [q64], top, Metric.EUCLIDEAN, ids)[0]
 
 
 def screen_with_dots(rows, q64, ids):
     """The screen, the query's half and the float32 products the walk gives
-    _screen_bounds for one query."""
+    _screened_rows for one query."""
     screen, query = _euclidean_screen(rows, ids), _query_screen(q64)
     return screen, query, np.einsum("nd,d->n", screen.rows32, query.q32)
+
+
+def screen_values(screen, dots):
+    """Each row's screen value lo = -2c + a (1 - G), as _screened_rows sums
+    it, in a new array."""
+    with np.errstate(invalid="ignore"):
+        return np.multiply(dots, -2.0, dtype=np.float64) + screen.a_lo
 
 
 def _nudge(rows, rng, count):
@@ -391,12 +399,12 @@ def screen_cases(draw):
     return rows, q, ids, top
 
 
-def screen_bounds_per_row(rows, q, ids):
-    """Each row's L and U: the screen's two scalar maps applied element-wise
-    to its per-row values lo and hi."""
+def screen_lower_per_row(rows, q, ids):
+    """Each row's L: the screen's scalar map applied element-wise to its
+    per-row values lo."""
+    screen, query, dots = screen_with_dots(rows, q, ids)
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi, terms = _screen_bounds(*screen_with_dots(rows, q, ids))
-        return _lower(lo, terms), _upper(hi, terms)
+        return _lower(screen_values(screen, dots), _screen_terms(screen, query))
 
 
 @settings(max_examples=400, deadline=None)
@@ -404,14 +412,14 @@ def screen_bounds_per_row(rows, q, ids):
 def test_screened_topk_equals_the_kernel_over_every_row(case):
     rows, q, ids, top = case
     with np.errstate(over="ignore"):
-        lower, upper = screen_bounds_per_row(rows, q, ids)
+        lower = screen_lower_per_row(rows, q, ids)
         got_ids, got_scores = walk_topk(rows, q, ids, top)
     want_pos, want_scores = exhaustive_topk(rows, q, ids, top)
     every = exhaustive_topk(rows, q, ids, rows.shape[0])
     exact = np.empty(rows.shape[0])
     exact[every[0]] = every[1]
     # a nan bound (a row whose float32 norm overflows) bounds nothing
-    assert not (lower > exact).any() and not (exact > upper).any()
+    assert not (lower > exact).any()
     np.testing.assert_array_equal(got_ids, ids[want_pos])
     assert got_scores.tobytes() == want_scores.tobytes()
     # with more than one query, the walk screens with one float32 matrix
@@ -727,28 +735,32 @@ def test_encode_many_matches_one_checked_call_per_chunk(seed, n, d, variant, chu
 @SETTINGS
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 40), st.data())
 def test_screened_topk_keeps_rows_tied_at_the_cutoff(seed, d, n, data):
-    """With exact screen values and identity maps, lo = hi = L = U = the
-    kernel's distance and the cut X = T: a row whose lo equals the cut can
-    still be in the top (it is the top-th row itself, or tied with it), so
-    the keep rule must keep it."""
+    """With exact screen values and an identity cut map, lo is the kernel's
+    distance and the cut X = T, the running k-th distance of the blocks
+    before or the largest seed distance: a row whose lo equals the cut can
+    still be in the top (it is the top-th row itself, or tied with it and
+    has a lower id), so the keep rule must keep it."""
     rng = np.random.default_rng(seed)
     rows = rng.integers(-2, 3, size=(int(rng.integers(1, n + 1)), d)).astype(np.float32)
     rows = rows[rng.integers(0, rows.shape[0], size=n)]
     q = rng.integers(-2, 3, size=d).astype(np.float64)
     ids = rng.permutation(10 * n)[:n].astype(np.int64)
     top = data.draw(st.integers(1, n))
+    block_rows = data.draw(st.integers(1, n))
 
-    def exact_bounds(screen, query, dots):
-        f = _direct_distances(rows, query.q64)
-        return f, f.copy(), None
+    def exact_screen(rows, ids):
+        # zero float32 rows give zero dots, so each lo is its a_lo: the
+        # kernel's distance to the walk's one query
+        screen = _euclidean_screen(rows, ids)
+        return screen._replace(rows32=np.zeros_like(screen.rows32), a_lo=_direct_distances(rows, q))
 
     def identity(y, terms):
         return y
 
     with (
-        mock.patch.object(index_mod, "_screen_bounds", exact_bounds),
-        mock.patch.object(index_mod, "_upper", identity),
+        mock.patch.object(index_mod, "_euclidean_screen", exact_screen),
         mock.patch.object(index_mod, "_lower_cut", identity),
+        mock.patch.object(index_mod, "_BLOCK_ELEMENTS", block_rows * d),
     ):
         got_ids, got_scores = walk_topk(rows, q, ids, top)
     want_pos, want_scores = exhaustive_topk(rows, q, ids, top)
@@ -758,9 +770,9 @@ def test_screened_topk_keeps_rows_tied_at_the_cutoff(seed, d, n, data):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_screen_widens_by_the_query_cast_error(seed):
-    """A float64 query that float32 cannot hold widens [L, U] on each side
-    by at least its cast error ||q64 - q32||, over the bounds of the float32
-    query itself; the screen is the same float32 product for both."""
+    """A float64 query that float32 cannot hold lowers L by at least its
+    cast error ||q64 - q32||, below the bound of the float32 query itself;
+    the screen is the same float32 product for both."""
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((50, 4)).astype(np.float32)
     q64 = rng.standard_normal(4)
@@ -768,27 +780,25 @@ def test_screen_widens_by_the_query_cast_error(seed):
     cast = float(np.linalg.norm(q64 - q32))
     assert cast > 0.0
     ids = np.arange(50)
-    lower, upper = screen_bounds_per_row(rows, q64, ids)
-    lower32, upper32 = screen_bounds_per_row(rows, q32, ids)
+    lower = screen_lower_per_row(rows, q64, ids)
+    lower32 = screen_lower_per_row(rows, q32, ids)
     assert (lower32 - lower >= (1.0 - 1e-6) * cast).all()
-    assert (upper - upper32 >= (1.0 - 1e-6) * cast).all()
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_screen_widens_by_the_largest_row_cast_error(seed):
-    """float64 rows that float32 cannot hold widen [L, U] of every row by at
-    least the largest row cast error, over the bounds of their float32
-    roundings; the screen values lo and hi are the same for both."""
+    """float64 rows that float32 cannot hold lower L of every row by at
+    least the largest row cast error, below the bounds of their float32
+    roundings; the screen values lo are the same for both."""
     rng = np.random.default_rng(seed)
     rows64 = rng.standard_normal((50, 4))
     rows32 = rows64.astype(np.float32)
     cast = float(np.linalg.norm(rows64 - rows32, axis=1).max())
     assert cast > 0.0
     q = rng.standard_normal(4).astype(np.float32).astype(np.float64)
-    lower, upper = screen_bounds_per_row(rows64, q, np.arange(50))
-    lower32, upper32 = screen_bounds_per_row(rows32, q, np.arange(50))
+    lower = screen_lower_per_row(rows64, q, np.arange(50))
+    lower32 = screen_lower_per_row(rows32, q, np.arange(50))
     assert (lower32 - lower >= (1.0 - 1e-6) * cast).all()
-    assert (upper - upper32 >= (1.0 - 1e-6) * cast).all()
 
 
 def test_screen_keeps_a_row_whose_float32_dot_overflows():
@@ -829,13 +839,41 @@ def test_float64_row_past_the_float32_range_warns_nowhere():
     np.testing.assert_array_equal(got, want)
 
 
+def recorded(fn):
+    """fn wrapped to record each call's arguments and result, and the list
+    it records into."""
+    calls = []
+
+    def record(*args):
+        out = fn(*args)
+        calls.append((args, out))
+        return out
+
+    return record, calls
+
+
+def screened_with_spies(screen, query, top, dots, T0):
+    """_screened_rows' kept positions and distances (empty for its None),
+    each batch of rows the finish kernel scored (their distances), and the
+    cut T of its last _lower_cut call, which is the one that chose the rows
+    kept."""
+    kernel, scored = recorded(_direct_distances)
+    cut, cuts = recorded(_lower_cut)
+    with mock.patch.object(index_mod, "_direct_distances", kernel), mock.patch.object(index_mod, "_lower_cut", cut):
+        kept = _screened_rows(screen, query, top, dots, T0)
+    kept, distances = (np.empty(0, dtype=np.int64), np.empty(0)) if kept is None else kept
+    return kept, distances, [out for _, out in scored], cuts[-1][0][0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(screen_cases(), st.data())
 def test_screen_keeps_every_row_it_cannot_rule_out(case, data):
-    """The rows the finish kernel scores hold the exhaustive top and every
-    row with L <= T, where T, the top-th smallest U, is the upper map of the
-    top-th smallest hi. Planted on top of screen_cases: copies of the top-th
-    row (ties at the cut) and finite rows whose float32 norm overflows."""
+    """With no running cut, the finish kernel first scores `top` rows, the
+    seeds, and the cut T is the largest of their distances, so T is at
+    least the exhaustive top-th distance; the rows kept hold the exhaustive
+    top and every row with L <= T, each scored once. Planted on top of
+    screen_cases: copies of the top-th row (ties at the cut) and finite
+    rows whose float32 norm overflows."""
     rows, q, ids, top = case
     n, d = rows.shape
     rows = rows.copy()
@@ -846,18 +884,17 @@ def test_screen_keeps_every_row_it_cannot_rule_out(case, data):
         big = data.draw(st.sampled_from([3e38, 1e39, 1e300] if rows.dtype == np.float64 else [3e38]))
         rows[rng.integers(0, n)] = rng.choice([-big, big], size=d)
     with np.errstate(over="ignore", invalid="ignore"):
-        lower, upper = screen_bounds_per_row(rows, q, ids)
-        _, hi, terms = _screen_bounds(*screen_with_dots(rows, q, ids))
-        T = _upper(np.partition(hi, top - 1)[top - 1], terms)
-        with mock.patch.object(index_mod, "_topk", wraps=_topk) as spy:
-            got_ids, got_scores = walk_topk(rows, q, ids, top)
-    kept = set(spy.call_args.args[1].tolist())  # the ids the finish kernel scored
-    # an order statistic commutes with a non-decreasing map; a cut that is
-    # not finite keeps every row
-    assert np.sort(upper)[top - 1] == T or not np.isfinite(T)
+        lower = screen_lower_per_row(rows, q, ids)
+        screen, query, dots = screen_with_dots(rows, q, ids)
+        kept, distances, scored, T = screened_with_spies(screen, query, top, dots, np.inf)
+        got_ids, got_scores = walk_topk(rows, q, ids, top)
     want_pos, want_scores = exhaustive_topk(rows, q, ids, top)
-    assert set(ids[want_pos].tolist()) <= kept
-    assert set(ids[~(lower > T)].tolist()) <= kept
+    assert scored[0].size == top and T == scored[0].max()
+    assert T >= want_scores[-1]
+    assert np.unique(kept).size == kept.size
+    assert set(want_pos.tolist()) <= set(kept.tolist())
+    assert set(np.flatnonzero(~(lower > T)).tolist()) <= set(kept.tolist())
+    assert distances.tobytes() == _direct_distances(rows[kept], q).tobytes()
     np.testing.assert_array_equal(got_ids, ids[want_pos])
     assert got_scores.tobytes() == want_scores.tobytes()
 
@@ -867,24 +904,61 @@ def test_screen_keeps_every_row_it_cannot_rule_out(case, data):
 def test_screen_under_a_running_cut_keeps_every_row_it_cannot_rule_out(case, data):
     """Given a finite cut T0, as the block walk of brute_force_gt passes
     one, _screened_rows keeps exactly the rows with lo <= _lower_cut(T0)
-    when at most `top` pass; when more pass, it tightens the cut with
-    their hi to T = min(T0, their top-th smallest U) and keeps every
-    passing row with L <= T."""
+    when at most `top` pass; when more pass, it scores `top` of them, the
+    seeds, first, tightens the cut to T = min(T0, the largest seed
+    distance), which is at least min(T0, the top-th distance among the
+    passing rows), and keeps every passing row with L <= T. No row is
+    scored twice."""
     rows, q, ids, top = case
     every = exhaustive_topk(rows, q, ids, rows.shape[0])[1]
     T0 = float(every[data.draw(st.integers(0, rows.shape[0] - 1))])
     assume(T0 < np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        lower, upper = screen_bounds_per_row(rows, q, ids)
+        lower = screen_lower_per_row(rows, q, ids)
         screen, query, dots = screen_with_dots(rows, q, ids)
-        lo, _, terms = _screen_bounds(screen, query, dots)
-        passed = ~(lo > _lower_cut(T0, terms))
-        kept = _screened_rows(screen, query, top, dots, T0)
+        passed = ~(screen_values(screen, dots) > _lower_cut(T0, _screen_terms(screen, query)))
+        kept, distances, scored, T = screened_with_spies(screen, query, top, dots, T0)
+    assert np.unique(kept).size == kept.size
+    assert distances.tobytes() == _direct_distances(rows[kept], q).tobytes()
     if passed.sum() <= top:
         np.testing.assert_array_equal(kept, np.flatnonzero(passed))
     else:
-        T = min(T0, np.sort(upper[passed])[top - 1])  # a nan U, sorted last, tightens nothing
+        assert scored[0].size == top and T == min(T0, scored[0].max())
+        assert T >= min(T0, np.sort(_direct_distances(rows[passed], q))[top - 1])
         assert set(np.flatnonzero(passed & ~(lower > T)).tolist()) <= set(kept.tolist())
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 40), st.integers(1, 5), st.data())
+def test_no_query_row_pair_is_scored_twice(seed, d, n, block_rows, data):
+    """The finish kernel scores each (query, row) pair at most once, in
+    brute_force_gt over blocks of block_rows rows and in the search
+    re-rank, while the ids stay those of the kernel over every row."""
+    rng = np.random.default_rng(seed)
+    base = (rng.standard_normal((n, d)) * 100.0).astype(np.float32)
+    _nudge(base, rng, n)
+    base = np.unique(base, axis=0)  # a row's bytes name it
+    queries = base[rng.integers(0, base.shape[0], size=3)] + rng.standard_normal((3, d)) * data.draw(st.sampled_from([0.0, 1e-3, 10.0]))
+    queries = np.unique(queries, axis=0)
+    k = data.draw(st.integers(1, base.shape[0]))
+    kernel, scored = recorded(_direct_distances)
+    cb = Codebook.from_centroids(rng.standard_normal((4, d)).astype(np.float32) * 100.0)
+    spec = EncoderSpec(Variant.T)
+    index = build_index(encode_many(base, cb, spec), np.arange(base.shape[0]), spec, cb)
+    with (
+        mock.patch.object(index_mod, "_direct_distances", kernel),
+        mock.patch.object(index_mod, "_BLOCK_ELEMENTS", block_rows * d),
+    ):
+        gt = brute_force_gt(base, queries, k)
+        gt_pairs = [(q.tobytes(), row.tobytes()) for (rows, q), _ in scored for row in rows]
+        scored.clear()
+        got = search_ids(index, base, queries, base.shape[0], k, threads=1)
+        search_pairs = [(q.tobytes(), row.tobytes()) for (rows, q), _ in scored for row in rows]
+    for pairs in (gt_pairs, search_pairs):
+        assert len(pairs) == len(set(pairs))
+    want = [exhaustive_topk(base, q, np.arange(base.shape[0]), k)[0] for q in queries]
+    np.testing.assert_array_equal(gt, want)
+    np.testing.assert_array_equal(got, want)
 
 
 @SETTINGS
@@ -897,7 +971,7 @@ def test_screen_under_a_running_cut_keeps_every_row_it_cannot_rule_out(case, dat
 def test_lower_cut_rounds_outward(T, beta_lo, e, d):
     """Every lo with _lower(lo) <= T is at most the cut X: as _lower is
     non-decreasing, it is enough that the float just above X maps above T."""
-    terms = (np.nan, beta_lo, e, index_mod._screen_margins(d)[1])
+    terms = (beta_lo, e, index_mod._screen_margins(d)[1])
     cut = _lower_cut(np.float64(T), terms)
     if cut < np.inf:
         assert _lower(np.nextafter(cut, np.inf), terms) > T
