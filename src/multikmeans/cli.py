@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import FormatError, Metric, atomic_write, derive_seed
+from .core import FormatError, atomic_write, derive_seed
 from .dataio import (
     SyntheticSpec,
     VectorReader,
@@ -46,7 +46,6 @@ __all__ = ["main", "build_parser", "ConfigError"]
 
 _QUERY_SAMPLE_STREAM = 20
 _EVAL_BLOCK = 256  # queries scored per search_ids call; bounds memory
-_METRICS = {"l2": Metric.EUCLIDEAN, "cosine": Metric.COSINE}
 
 
 class ConfigError(Exception):
@@ -73,10 +72,6 @@ def _seed_ok(value: int, name: str = "--seed") -> int:
     if not (0 <= value < 2**64):
         raise ConfigError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
     return value
-
-
-def _metric(args) -> Metric:
-    return _METRICS[args.metric]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--queries", required=True)
     t.add_argument("--out", required=True, help="output id file (.ivecs)")
     t.add_argument("--depth", type=int, default=100, help="neighbors per query")
-    t.add_argument("--metric", choices=sorted(_METRICS), default="l2")
     t.set_defaults(func=cmd_gt)
 
     tr = sub.add_parser("train", help="train a codebook on a learning set", allow_abbrev=False)
@@ -137,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--query-row", type=int, default=0)
     q.add_argument("--shortlist", type=int, default=10000)
     q.add_argument("--top", type=int, default=10)
-    q.add_argument("--metric", choices=sorted(_METRICS), default="l2")
     q.set_defaults(func=cmd_query)
 
     e = sub.add_parser("eval", help="score an index against ground truth or labels", allow_abbrev=False)
@@ -152,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated recall depths")
     e.add_argument("--map-depth", type=int, default=1000, help="ranked depth scored in map mode")
     e.add_argument("--shortlist", type=int, default=10000)
-    e.add_argument("--metric", choices=sorted(_METRICS), default="l2")
     e.add_argument("--seeds", default="0", help="comma-separated run seeds for query sampling")
     e.add_argument("--query-sample", type=int, default=None,
                    help="queries drawn per run (map mode samples per class); default all")
@@ -214,7 +206,7 @@ def cmd_gt(args) -> int:
         if args.depth > len(base):
             raise ConfigError(f"--depth {args.depth} exceeds base size {len(base)}")
         t0 = time.perf_counter()
-        gt = brute_force_gt(base, queries, args.depth, metric=_metric(args))
+        gt = brute_force_gt(base, queries, args.depth)
     write_vectors(args.out, gt)  # it checks every id fits int32
     dt = time.perf_counter() - t0
     print(
@@ -339,9 +331,8 @@ def cmd_query(args) -> int:
             qvec = queries[args.query_row]
         shortlist_size = _clamp(args.shortlist, idx.size, "shortlist", "index size")
         top = _clamp(args.top, shortlist_size, "top", "shortlist size")
-        result = search(idx, reader, qvec, shortlist_size, top, metric=_metric(args))
-    label = "distance" if result.metric is Metric.EUCLIDEAN else "similarity"
-    print(f"rank\tid\t{label}")
+        result = search(idx, reader, qvec, shortlist_size, top)
+    print("rank\tid\tdistance")
     for rank, (vid, score) in enumerate(result.ranked, start=1):
         print(f"{rank}\t{vid}\t{score:.6f}")
     return 0
@@ -476,7 +467,6 @@ def cmd_eval(args) -> int:
         _positive(args.query_sample, "--query-sample")
     elif len(seeds) > 1:
         raise ConfigError("--seeds lists several runs, but without --query-sample every run scores every query alike")
-    metric = _metric(args)
     idx = load_index(args.index)
     shortlist_size = _clamp(args.shortlist, idx.size, "shortlist", "index size")
 
@@ -488,7 +478,7 @@ def cmd_eval(args) -> int:
             "index": args.index,
             "base": args.base,
             "queries": args.queries,
-            "metric": args.metric,
+            "metric": "l2",  # the one metric; kept so earlier reports keep their bytes
             "variant": idx.spec.variant.value,
             "mean": idx.spec.mean_kind.value,
             "n_nearest": idx.spec.n_nearest,
@@ -510,7 +500,7 @@ def cmd_eval(args) -> int:
             scores = []
             for s in range(0, sel.shape[0], _EVAL_BLOCK):
                 rows = sel[s : s + _EVAL_BLOCK]
-                ids = search_ids(idx, reader, queries[rows], shortlist_size, depth, metric, args.threads)
+                ids = search_ids(idx, reader, queries[rows], shortlist_size, depth, threads=args.threads)
                 scores.append(score(rows, ids))
             per_run.append(
                 {"seed": seed, "query_count": int(sel.shape[0]), **run_record(np.concatenate(scores))}

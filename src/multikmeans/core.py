@@ -13,25 +13,17 @@ import contextlib
 import math
 import os
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 WORD_BITS = 64
 # elements per block, cut into rows in one place per walk: kmeans._assign_work
 # (Lloyd assign), encoder._encode_rows (encode_many and encode_queries),
-# index._exact_topk (re-rank and brute_force_gt) and its _euclidean_block's
-# query chunks, and dataio.generate_synthetic (each split's draw)
+# index._exact_topk (re-rank and brute_force_gt) and its screen's query
+# chunks, and dataio.generate_synthetic (each split's draw)
 _BLOCK_ELEMENTS = 1 << 23
 
-__all__ = ["Metric", "FormatError", "HashCode", "pack_bits", "derive_seed"]
-
-
-class Metric(str, Enum):
-    """Exact measures used for re-ranking and ground truth."""
-
-    EUCLIDEAN = "euclidean"
-    COSINE = "cosine"
+__all__ = ["FormatError", "HashCode", "pack_bits", "derive_seed"]
 
 
 class FormatError(ValueError):

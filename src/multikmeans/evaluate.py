@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from .core import Metric, _row_ids, _row_source, as_matrix
+from .core import _row_ids, _row_source, as_matrix
 from .index import _exact_topk
 
 __all__ = [
@@ -21,18 +21,16 @@ __all__ = [
 ]
 
 
-def brute_force_gt(base, queries, k: int, metric: Metric = Metric.EUCLIDEAN) -> np.ndarray:
+def brute_force_gt(base, queries, k: int) -> np.ndarray:
     """Exact k-nearest ids (base row positions) for every query, shape (Q, k).
 
     base is a 2-D array or a VectorReader (any object with read(start,
-    count), dim and len). Euclidean ranks ascending distance, cosine
-    descending similarity; equal scores rank the lower id first, as in the
-    search path's re-rank, which runs the same exact walk, index._exact_topk,
-    over one query's shortlist. A base row holding inf or nan raises
-    ValueError naming its id (the lowest such id). The base is walked once,
-    in blocks, so no array ever holds all of a reader's rows; cosine checks
-    its rows a block at a time, so a bad row in a later block loses to a
-    zero-norm row or query met in an earlier one.
+    count), dim and len). Rows rank by ascending Euclidean distance, equal
+    distances the lower id first, as in the search path's re-rank, which
+    runs the same exact walk, index._exact_topk, over one query's
+    shortlist. A base row holding inf or nan raises ValueError naming its
+    id (the lowest such id). The base is walked once, in blocks, so no
+    array ever holds all of a reader's rows.
     """
     source = _row_source(base, "base")
     n, d, _ = source
@@ -41,7 +39,7 @@ def brute_force_gt(base, queries, k: int, metric: Metric = Metric.EUCLIDEAN) -> 
         raise ValueError(f"dimension mismatch: base {d} vs queries {Q.shape[1]}")
     if not (1 <= k <= n):
         raise ValueError(f"k={k} outside [1, {n}]")
-    return np.array([ids for ids, _ in _exact_topk(source, np.asarray(Q, dtype=np.float64), k, Metric(metric))])
+    return np.array([ids for ids, _ in _exact_topk(source, np.asarray(Q, dtype=np.float64), k)])
 
 
 def recall_at_r(results, ground_truth, r: int) -> float:

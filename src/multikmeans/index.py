@@ -2,7 +2,7 @@
 
 A query is encoded with the same spec and codebook(s) the index was built
 with, the L codes nearest in Hamming distance form a shortlist, and the
-shortlisted descriptors are re-ranked with the exact metric. Every
+shortlisted descriptors are re-ranked by exact Euclidean distance. Every
 ordering breaks ties by ascending id, so results are deterministic.
 """
 
@@ -19,7 +19,6 @@ import numpy as np
 from .core import (
     FormatError,
     HashCode,
-    Metric,
     WORD_BITS,
     _BLOCK_ELEMENTS,
     _non_negative_integers,
@@ -89,8 +88,8 @@ class SearchIndex:
 class SearchResult:
     """Top-R ids with their exact scores, best first."""
 
-    ranked: tuple  # ((id, score), ...) distances ascending or similarities descending
-    metric: Metric
+    ranked: tuple  # ((id, distance), ...) distances ascending
+    metric: str  # always "euclidean"
     shortlist_size: int
 
     def ids(self) -> list[int]:
@@ -382,111 +381,63 @@ def _screened_rows(screen: _EuclideanScreen, query: _Query, top: int, dots, T: f
     return seeds, found
 
 
-def _exact_topk(source, Q64, k: int, metric: Metric, ids=None) -> list:
+def _exact_topk(source, Q64, k: int, ids=None) -> list:
     """The exact top k of every float64 query in Q64 (a 2-D array, or a
-    list of vectors) over the rows of source: one (ids, scores) pair per
-    query, best first by (score, id). Scores are float64 Euclidean
-    distances or cosine similarities; ids are row positions, or ids[row]
-    when given. The search re-rank runs it over one query's gathered
-    shortlist, and brute_force_gt over a whole base.
+    list of vectors) over the rows of source: one (ids, distances) pair per
+    query, nearest first by (distance, id). Distances are float64
+    Euclidean; ids are row positions, or ids[row] when given. The search
+    re-rank runs it over one query's gathered shortlist, and brute_force_gt
+    over a whole base.
 
     source is core._row_source's (n, d, read) of a 2-D array or a
     VectorReader, walked once in blocks of _BLOCK_ELEMENTS // d rows, so
     no array ever holds all of a reader's rows. Each query keeps a running
-    top-k of (key, id), where the key is the distance or the negated
-    similarity, and _topk merges each block's candidates in. A Euclidean
-    block's screen drops every row it proves farther than the running k-th
-    distance; a cosine block offers its own top-k. Every score comes from a
-    row-pure kernel, so the result is that of one ranking over all rows,
-    bit for bit, at any block size. A row
-    holding inf or nan, or for cosine a zero-norm row, raises ValueError
-    naming its id; a cosine query whose norm is zero or overflows float64
-    raises ValueError too. Rows are checked a block at a time, each block
-    before the queries that score it, so a bad row in a later block loses
-    to a cosine zero-norm row or query met in an earlier one.
+    top-k of (distance, id), and _topk merges each block's kept rows in.
+    A block's screen drops every row it proves farther than the running
+    k-th distance, and the screen's float32 products take
+    _BLOCK_ELEMENTS // (block rows) queries at a time. Every distance comes
+    from the row-pure _direct_distances, so the result is that of one
+    ranking over all rows, bit for bit, at any block size. A row holding
+    inf or nan raises ValueError naming its id.
     """
     n, d, read = source
     step = min(n, max(1, _BLOCK_ELEMENTS // d))
-    cosine = metric is Metric.COSINE
-    qs = None if cosine else [_query_screen(q64) for q64 in Q64]
-    run = [None] * len(Q64)  # each query's running top-k (keys, ids), ascending by (key, id)
+    qs = [_query_screen(q64) for q64 in Q64]
+    run = [None] * len(qs)  # each query's running top-k (distances, ids), ascending by (distance, id)
     for s in range(0, n, step):
         rows = read(s, min(step, n - s))
         block = np.arange(s, s + rows.shape[0]) if ids is None else ids[s : s + step]
         top = min(k, rows.shape[0])
-        if cosine:
-            found = _cosine_block(rows, block, Q64, top)
-        else:
-            cuts = [np.inf if r is None or r[0].size < k else float(r[0][-1]) for r in run]
-            found = _euclidean_block(rows, block, qs, top, cuts)
-        for i, keep, keys in found:
-            cand = block[keep]
-            if run[i] is not None:  # the first block fills the running top-k directly
-                keys = np.concatenate((run[i][0], keys))
-                cand = np.concatenate((run[i][1], cand))
-            sel = _topk(keys, cand, min(k, keys.size))
-            run[i] = keys[sel], cand[sel]
-    return [(cand, -keys if cosine else keys) for keys, cand in run]
-
-
-def _euclidean_block(rows, block, qs, top, cuts):
-    """For each query i whose screen keeps a row of this block nearer than
-    cuts[i] (inf for no cut): (i, the kept positions, their distances). The
-    screen's float32 products take _BLOCK_ELEMENTS // len(rows) queries at a
-    time."""
-    screen = _euclidean_screen(rows, block)
-    chunk = max(1, _BLOCK_ELEMENTS // rows.shape[0])
-    for c in range(0, len(qs), chunk):
-        # The one fork. A lone query, each search re-rank's, takes its dots
-        # from einsum, which wakes no BLAS thread and raises no
-        # floating-point warnings: a lone BLAS call can be faster, but
-        # OpenBLAS's threads would take the cores search_ids' workers run
-        # on (a BLAS product per query more than halved
-        # search_ids(threads=2)). brute_force_gt's several queries share
-        # one BLAS product. The screen holds for any rounding, so the fork
-        # changes no id or distance.
-        if len(qs) == 1:
-            dots = [np.einsum("nd,d->n", screen.rows32, qs[0].q32)]
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                dots = np.array([q.q32 for q in qs[c : c + chunk]]) @ screen.rows32.T
-        for i, row_dots in enumerate(dots, start=c):
-            kept = _screened_rows(screen, qs[i], top, row_dots, cuts[i])
-            if kept is not None:
-                yield i, *kept
-
-
-def _cosine_block(rows, block, Q64, top):
-    """For each query i: (i, the positions of this block's `top` rows most
-    similar to it, their negated cosine similarities, clipped to [-1, 1]):
-    the one cosine kernel of the exact walk.
-
-    The rows are checked before any query: a non-finite or zero-norm row
-    raises ValueError naming its id in `block`. A query whose norm is zero,
-    or overflows float64 (which would turn every similarity into 0), raises
-    ValueError. The rows are read as C-ordered float64, so each row's dot
-    product sums over that row alone and its score does not depend on which
-    other rows share the call.
-    """
-    # np.linalg.norm's sums, but its float64 squares are freed before the
-    # float64 copy of the rows is made, so the two never sit side by side
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.add.reduce(np.square(rows, dtype=np.float64, order="C"), axis=1))
-    if not np.isfinite(norms).all():
-        raise ValueError(f"cosine similarity is undefined for non-finite base vector id {block[~np.isfinite(norms)][0]}")
-    if (norms == 0.0).any():
-        raise ValueError(f"cosine similarity is undefined for zero-norm base vector id {block[norms == 0.0][0]}")
-    rows64 = np.ascontiguousarray(rows, dtype=np.float64)
-    for i, q64 in enumerate(Q64):
-        with np.errstate(over="ignore"):
-            qn = np.linalg.norm(q64)
-        if qn == 0.0:
-            raise ValueError("cosine similarity is undefined for a zero-norm query")
-        if not np.isfinite(qn):
-            raise ValueError("cosine similarity is undefined for a query whose norm overflows float64")
-        keys = -np.clip(np.einsum("nd,d->n", rows64, q64) / (norms * qn), -1.0, 1.0)
-        keep = _topk(keys, block, top)
-        yield i, keep, keys[keep]
+        screen = _euclidean_screen(rows, block)
+        chunk = max(1, _BLOCK_ELEMENTS // rows.shape[0])
+        for c in range(0, len(qs), chunk):
+            # The one fork. A lone query, each search re-rank's, takes its dots
+            # from einsum, which wakes no BLAS thread and raises no
+            # floating-point warnings: a lone BLAS call can be faster, but
+            # OpenBLAS's threads would take the cores search_ids' workers run
+            # on (a BLAS product per query more than halved
+            # search_ids(threads=2)). brute_force_gt's several queries share
+            # one BLAS product. The screen holds for any rounding, so the fork
+            # changes no id or distance.
+            if len(qs) == 1:
+                dots = [np.einsum("nd,d->n", screen.rows32, qs[0].q32)]
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    dots = np.array([q.q32 for q in qs[c : c + chunk]]) @ screen.rows32.T
+            for i, row_dots in enumerate(dots, start=c):
+                prev = run[i]
+                cut = np.inf if prev is None or prev[0].size < k else float(prev[0][-1])
+                kept = _screened_rows(screen, qs[i], top, row_dots, cut)
+                if kept is None:
+                    continue
+                keep, dist = kept
+                cand = block[keep]
+                if prev is not None:  # the first block fills the running top-k directly
+                    dist = np.concatenate((prev[0], dist))
+                    cand = np.concatenate((prev[1], cand))
+                sel = _topk(dist, cand, min(k, dist.size))
+                run[i] = dist[sel], cand[sel]
+    return [(cand, dist) for dist, cand in run]
 
 
 def _nearest_codes(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndarray:
@@ -531,12 +482,12 @@ def _gather(base_vectors, ids: np.ndarray) -> np.ndarray:
     return np.asarray(take(ids))
 
 
-def _rerank_arrays(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int, metric: Metric):
+def _rerank_arrays(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int):
     """Exact top ids and scores among the candidates, ties by ascending id."""
     vecs = _gather(base_vectors, cand_ids)
     if vecs.ndim != 2 or vecs.shape[0] != cand_ids.shape[0] or vecs.shape[1] != q64.shape[0]:
         raise ValueError(f"base store returned shape {vecs.shape} for {cand_ids.shape[0]} ids")
-    return _exact_topk(_row_source(vecs, "base store rows"), [q64], top, metric, cand_ids)[0]
+    return _exact_topk(_row_source(vecs, "base store rows"), [q64], top, cand_ids)[0]
 
 
 def _usable_cpus() -> int:
@@ -547,14 +498,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top: int, metric, threads: int | None):
+def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top: int, threads: int | None):
     """The query path for a block of queries: encode, Hamming shortlist,
     exact re-rank. Returns (ids, scores), each shaped (len(Q), top).
 
     min(threads, len(Q)) worker threads take every workers-th query each;
     threads=None means _usable_cpus(). Every kernel on the path is
     row-pure, so no result depends on the count or on a query's position."""
-    metric = Metric(metric)
     if threads is None:
         threads = _usable_cpus()
     if threads < 1:
@@ -574,7 +524,7 @@ def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top:
     def part(w: int) -> None:
         for i in range(w, n, workers):
             cand = _nearest_codes(index, codes[i], shortlist_size)
-            ids[i], scores[i] = _rerank_arrays(Q64[i], cand, base_vectors, top, metric)
+            ids[i], scores[i] = _rerank_arrays(Q64[i], cand, base_vectors, top)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -584,26 +534,17 @@ def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top:
     return ids, scores
 
 
-def search(
-    index: SearchIndex,
-    base_vectors,
-    query,
-    shortlist_size: int,
-    top: int,
-    metric: Metric = Metric.EUCLIDEAN,
-) -> SearchResult:
+def search(index: SearchIndex, base_vectors, query, shortlist_size: int, top: int) -> SearchResult:
     """Hash the query, shortlist by Hamming distance, re-rank exactly.
 
-    Scores are Euclidean distances (ascending) or cosine similarities
-    (descending); ties in either stage break by ascending id. base_vectors
-    is a 2-D array indexed by id, or any store with a take(ids) method.
-    Runs on the calling thread.
+    Scores are Euclidean distances, ascending; ties in either stage break
+    by ascending id. base_vectors is a 2-D array indexed by id, or any
+    store with a take(ids) method. Runs on the calling thread.
     """
     v = as_vector(query, "query")
-    metric = Metric(metric)
-    ids, scores = _search_block(index, base_vectors, v[None, :], shortlist_size, top, metric, threads=1)
+    ids, scores = _search_block(index, base_vectors, v[None, :], shortlist_size, top, threads=1)
     ranked = tuple(zip(ids[0].tolist(), scores[0].tolist()))
-    return SearchResult(ranked=ranked, metric=metric, shortlist_size=shortlist_size)
+    return SearchResult(ranked=ranked, metric="euclidean", shortlist_size=shortlist_size)
 
 
 def search_ids(
@@ -612,18 +553,18 @@ def search_ids(
     queries,
     shortlist_size: int,
     top: int,
-    metric: Metric = Metric.EUCLIDEAN,
+    *,
     threads: int | None = None,
 ) -> np.ndarray:
     """Bulk search keeping only the ranked ids, shaped (len(queries), top).
 
-    Same ordering rules as search(); meant for metric sweeps where holding
-    per-query score tuples would be wasteful. The queries are spread over
-    `threads` worker threads, at most one per query; None (the default)
-    means one per CPU this process may run on. The count changes no
-    result: row i is what search() returns for queries[i].
+    Same ordering rules as search(); meant for evaluation runs, where
+    holding per-query score tuples would be wasteful. The queries are
+    spread over `threads` worker threads, at most one per query; None (the
+    default) means one per CPU this process may run on. The count changes
+    no result: row i is what search() returns for queries[i].
     """
-    return _search_block(index, base_vectors, queries, shortlist_size, top, metric, threads)[0]
+    return _search_block(index, base_vectors, queries, shortlist_size, top, threads)[0]
 
 
 def save_index(index: SearchIndex, path) -> None:

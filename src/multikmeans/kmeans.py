@@ -66,8 +66,8 @@ class Codebook:
         c = as_matrix(self.centroids, "centroids")
         if c.shape[0] < 2:
             raise ValueError("a codebook needs at least 2 centroids")
-        with np.errstate(over="ignore"):
-            c = np.ascontiguousarray(c, dtype=np.float32)
+        with np.errstate(over="ignore"):  # a copy: freezing it leaves the caller's array writable
+            c = np.array(c, dtype=np.float32, order="C")
         if not np.isfinite(c).all():
             raise ValueError("centroids overflow float32")
         c.setflags(write=False)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from multikmeans.core import Metric, pack_bits
+from multikmeans.core import pack_bits
 from multikmeans.dataio import (
     SyntheticSpec,
     generate_synthetic,
@@ -295,9 +295,7 @@ def test_retrieval_lift_over_random_shortlist():
     hits = 0
     for qi, q in enumerate(ds.queries):
         cand = rng.choice(len(ds.base), size=500, replace=False).astype(np.int64)
-        rids, _ = _rerank_arrays(
-            q.astype(np.float64), cand, ds.base, 100, Metric.EUCLIDEAN
-        )
+        rids, _ = _rerank_arrays(q.astype(np.float64), cand, ds.base, 100)
         hits += int((rids == ds.ground_truth[qi, 0]).any())
     baseline = hits / len(ds.queries)
     dt = time.perf_counter() - t0

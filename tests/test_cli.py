@@ -16,7 +16,7 @@ import multikmeans.dataio as dataio_mod
 import multikmeans.encoder as encoder_mod
 from multikmeans import __version__
 from multikmeans.cli import ConfigError, _sample_rows, build_parser, main
-from multikmeans.core import Metric, derive_seed
+from multikmeans.core import derive_seed
 from multikmeans.dataio import VectorReader, read_labels, read_vectors, write_vectors
 from multikmeans.encoder import EncoderSpec, Variant, encode_many, load_quantizer
 from multikmeans.evaluate import average_precision, brute_force_gt, label_relevance, recall_at_r
@@ -273,18 +273,6 @@ class TestQuery:
         assert float(first[2]) == 0.0
         assert len(lines) == 6
 
-    def test_cosine_header(self, workdir, capsys):
-        run_ok(
-            [
-                "query", "--index", str(workdir / "t.mkmi"),
-                "--base", str(workdir / "base.fvecs"),
-                "--query-file", str(workdir / "queries.fvecs"),
-                "--metric", "cosine", "--top", "3", "--shortlist", "50",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert "similarity" in out.splitlines()[0]
-
     def test_oversized_shortlist_is_clamped_with_note(self, workdir, capsys):
         run_ok(
             [
@@ -429,8 +417,8 @@ class TestEvalMap:
         assert "line 1 label '99999999999999999999' is outside the int64 range" in capsys.readouterr().err
 
     def test_query_without_hit_scores_zero_without_warning(self, tmp_path):
-        # tight clusters, cosine, a depth of 1: some queries rank a row of
-        # another class first
+        # a 30-code shortlist of 16-bit codes and a depth of 1: some queries
+        # rank a row of another class first
         run_ok(
             [
                 "gen", "--out-dir", str(tmp_path), "--clusters", "16", "--per-cluster", "15",
@@ -446,7 +434,7 @@ class TestEvalMap:
         argv = eval_argv(
             tmp_path, "--mode", "map", "--base-labels", str(tmp_path / "base_labels.txt"),
             "--query-labels", str(tmp_path / "query_labels.txt"), "--map-depth", "1",
-            "--shortlist", "30", "--metric", "cosine", "--out", str(out), index="n2.mkmi",
+            "--shortlist", "30", "--out", str(out), index="n2.mkmi",
         )
         # a subprocess, so a warning reaches stderr instead of pytest's recorder
         proc = subprocess.run([sys.executable, "-m", "multikmeans", *argv], capture_output=True, text=True)
@@ -456,7 +444,7 @@ class TestEvalMap:
         base_labels = read_labels(tmp_path / "base_labels.txt")
         query_labels = read_labels(tmp_path / "query_labels.txt")
         ids = search_ids(load_index(idx_path), read_vectors(tmp_path / "base.fvecs"),
-                         read_vectors(tmp_path / "queries.fvecs"), 30, 1, Metric.COSINE)
+                         read_vectors(tmp_path / "queries.fvecs"), 30, 1)
         rels = [label_relevance(label, row, base_labels) for label, row in zip(query_labels, ids)]
         assert any(not rel.any() for rel in rels)
         want = np.mean([average_precision(r, int(r.sum())) if r.any() else 0.0 for r in rels])
@@ -550,6 +538,13 @@ class TestEvalErrors:
             # without a sample every seed would score every query: the same run again
             (("@eval", "@gt", "--seeds", "1,2"), 2, "--seeds lists several runs, but without --query-sample"),
             (("@eval", "@gt", "--threads", "0"), 2, "--threads must be at least 1, got 0"),
+            # one metric, Euclidean: the flag that chose it is gone
+            (("@gtcmd", "--metric", "l2"), 2, "unrecognized arguments: --metric l2"),
+            (("@gtcmd", "--metric", "cosine"), 2, "unrecognized arguments: --metric cosine"),
+            (("@query", "--metric", "l2"), 2, "unrecognized arguments: --metric l2"),
+            (("@query", "--metric", "cosine"), 2, "unrecognized arguments: --metric cosine"),
+            (("@eval", "@gt", "--metric", "l2", "--out", "@out"), 2, "unrecognized arguments: --metric l2"),
+            (("@eval", "@gt", "--metric", "cosine", "--out", "@out"), 2, "unrecognized arguments: --metric cosine"),
         ],
         ids=[
             "sample-above-count", "class-too-small", "base-label-count", "recall-at-0",
@@ -558,6 +553,8 @@ class TestEvalErrors:
             "seeds-negative", "seeds-not-int", "seeds-empty", "recall-float-gt", "map-query-label-count",
             "train-k-1", "index-t-dual-codebook", "index-n-0", "index-n-above-k", "index-batch-size",
             "eval-mode-speed", "config-removed", "seeds-without-sample", "threads-0",
+            "gt-metric-l2", "gt-metric-cosine", "query-metric-l2", "query-metric-cosine",
+            "eval-metric-l2", "eval-metric-cosine",
         ],
     )
     def test_exit_code_and_message(self, workdir, bad_inputs, tmp_path, capsys, tokens, code, message):
@@ -567,6 +564,10 @@ class TestEvalErrors:
             "@eval": eval_argv(workdir),
             "@query": query_argv(workdir),
             "@index": index_argv(workdir),
+            "@gtcmd": [
+                "gt", "--base", str(workdir / "base.fvecs"), "--queries", str(workdir / "queries.fvecs"),
+                "--out", str(tmp_path / "gt.ivecs"),
+            ],
             "@gt": ["--gt", str(workdir / "groundtruth.ivecs")],
             "@map": [
                 "--mode", "map", "--base-labels", str(workdir / "base_labels.txt"),
@@ -586,7 +587,7 @@ class TestEvalErrors:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        assert [p.name for p in tmp_path.iterdir()] == [odd.name]  # no output file of any name
 
 
 @pytest.fixture(scope="module")
@@ -612,13 +613,24 @@ def noisy(tmp_path_factory):
             "--variant", "n2", "--n", "4", "--out", str(root / "n2.mkmi"),
         ]
     )
+    jittered_gt(root)
+    return root
+
+
+def jittered_gt(root):
+    """gt_jittered.ivecs: the exact neighbours of the queries moved by
+    fixed-seed noise. The exact re-rank ranks a shortlisted true neighbour
+    first, so under the queries' own ground truth recall@1 = @5 = @10;
+    against this truth recall rises with R."""
+    queries = read_vectors(root / "queries.fvecs")
+    noise = np.random.default_rng(0).normal(scale=0.3, size=queries.shape).astype(np.float32)
+    write_vectors(root / "queries_jittered.fvecs", queries + noise)
     run_ok(
         [
-            "gt", "--base", str(root / "base.fvecs"), "--queries", str(root / "queries.fvecs"),
-            "--out", str(root / "gt_cos.ivecs"), "--depth", "20", "--metric", "cosine",
+            "gt", "--base", str(root / "base.fvecs"), "--queries", str(root / "queries_jittered.fvecs"),
+            "--out", str(root / "gt_jittered.ivecs"), "--depth", "20",
         ]
     )
-    return root
 
 
 class TestEvalScores:
@@ -634,7 +646,7 @@ class TestEvalScores:
     def test_recall_matches_recall_at_r(self, noisy, capsys):
         run_ok(
             eval_argv(
-                noisy, "--gt", str(noisy / "gt_cos.ivecs"), "--metric", "cosine",
+                noisy, "--gt", str(noisy / "gt_jittered.ivecs"),
                 "--recall-at", "1,5,10", "--shortlist", "40", "--seeds", "1,2",
                 "--query-sample", "20", index="n2.mkmi",
             )
@@ -643,16 +655,16 @@ class TestEvalScores:
         idx = load_index(noisy / "n2.mkmi")
         base = read_vectors(noisy / "base.fvecs")
         queries = read_vectors(noisy / "queries.fvecs")
-        gt = read_vectors(noisy / "gt_cos.ivecs")
+        gt = read_vectors(noisy / "gt_jittered.ivecs")
         assert [run["seed"] for run in report["per_run"]] == [1, 2]
         for run in report["per_run"]:
             rng = np.random.default_rng(derive_seed(run["seed"], 20))
             sel = _sample_rows(queries.shape[0], rng, 20, None)
-            ids = search_ids(idx, base, queries[sel], 40, 10, Metric.COSINE)
+            ids = search_ids(idx, base, queries[sel], 40, 10)
             for r in (1, 5, 10):
                 assert run["recall_at"][str(r)] == recall_at_r(ids, gt[sel], r)
         rates = [run["recall_at"]["1"] for run in report["per_run"]]
-        assert 0 < report["recall_at"]["1"] < 1
+        assert 0 < report["recall_at"]["1"] < report["recall_at"]["10"] < 1
         assert report["recall_at"]["1"] == float(np.mean(rates))
 
     def test_map_matches_mean_average_precision(self, noisy, capsys):
@@ -667,7 +679,7 @@ class TestEvalScores:
         for run in report["per_run"]:
             rng = np.random.default_rng(derive_seed(run["seed"], 20))
             sel = _sample_rows(queries.shape[0], rng, 12, query_labels)
-            ids = search_ids(idx, base, queries[sel], 120, 40, Metric.EUCLIDEAN)
+            ids = search_ids(idx, base, queries[sel], 120, 40)
             rels = [label_relevance(query_labels[q], row, base_labels) for q, row in zip(sel, ids)]
             assert run["query_count"] == 12
             assert run["map"] == np.mean([average_precision(r, int(r.sum())) if r.any() else 0.0 for r in rels])
@@ -709,6 +721,7 @@ def spread(tmp_path_factory):
             "--variant", "n2", "--n", "4", "--out", str(root / "n2.mkmi"),
         ]
     )
+    jittered_gt(root)
     return root
 
 
@@ -718,21 +731,19 @@ class TestEvalGolden:
     Nine runs put each cross-run mean and spread past numpy's 8-way
     unrolled sum, so summing the runs in another order (an axis-0 mean over
     a runs x depths array, say) changes the last bits of recall_at_std.
-    Recall ranks by cosine against the Euclidean ground truth so that it
-    grows with R: under one metric the exact re-rank puts a shortlisted
-    true neighbour first, and every depth reads the same. Relative paths
-    keep the report's config free of temporary directories.
+    Recall is scored against the jittered queries' ground truth so that it
+    grows with R (see jittered_gt). Relative paths keep the report's config
+    free of temporary directories.
     """
 
     @pytest.mark.parametrize(
         "name, extra",
         [
-            ("recall_9", ("--gt", "groundtruth.ivecs", "--metric", "cosine", "--recall-at", "1,5,10",
+            ("recall_9", ("--gt", "gt_jittered.ivecs", "--recall-at", "1,5,10",
                           "--shortlist", "20", "--seeds", NINE_SEEDS, "--query-sample", "10")),
-            ("recall_1", ("--gt", "groundtruth.ivecs", "--metric", "cosine", "--recall-at", "1,5,10",
-                          "--shortlist", "20")),
+            ("recall_1", ("--gt", "gt_jittered.ivecs", "--recall-at", "1,5,10", "--shortlist", "20")),
             ("map_9", ("--mode", "map", "--base-labels", "base_labels.txt", "--query-labels", "query_labels.txt",
-                       "--metric", "cosine", "--map-depth", "40", "--shortlist", "120",
+                       "--map-depth", "40", "--shortlist", "120",
                        "--seeds", NINE_SEEDS, "--query-sample", "12")),
         ],
     )
@@ -749,6 +760,8 @@ class TestEvalGolden:
             for rates in [report["recall_at"]] + [run["recall_at"] for run in report["per_run"]]:
                 ordered = [rates[str(r)] for r in report["config"]["recall_at"]]
                 assert ordered == sorted(ordered)  # non-decreasing in R
+            means = [report["recall_at"][str(r)] for r in report["config"]["recall_at"]]
+            assert means[0] < means[-1]  # and rising somewhere
             assert report["map_value"] is None and report["map_std"] is None
             assert ("(std)" in err) == (report["runs_averaged"] > 1)
         else:
@@ -760,7 +773,7 @@ class TestEvalGolden:
         the golden bytes do not depend on the host's CPU count."""
         monkeypatch.chdir(spread)
         run_ok(["eval", "--index", "n2.mkmi", "--base", "base.fvecs", "--queries", "queries.fvecs",
-                "--gt", "groundtruth.ivecs", "--metric", "cosine", "--recall-at", "1,5,10",
+                "--gt", "gt_jittered.ivecs", "--recall-at", "1,5,10",
                 "--shortlist", "20", "--threads", threads])
         want = (GOLDEN / "eval_recall_1.json").read_text(encoding="utf-8")
         assert capsys.readouterr().out == want.replace('"threads": null', f'"threads": {threads}')

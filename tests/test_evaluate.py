@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from multikmeans.core import Metric
 from multikmeans.evaluate import (
     average_precision,
     brute_force_gt,
@@ -12,7 +11,7 @@ from multikmeans.evaluate import (
 )
 
 
-def naive_gt(base, queries, depth, metric):
+def naive_gt(base, queries, depth):
     """Reference neighbor table computed row by row in plain python."""
     out = []
     for q in queries:
@@ -20,13 +19,7 @@ def naive_gt(base, queries, depth, metric):
         for i, v in enumerate(base):
             v64 = v.astype(np.float64)
             q64 = q.astype(np.float64)
-            if metric is Metric.EUCLIDEAN:
-                key = math.sqrt(float(((v64 - q64) ** 2).sum()))
-            else:
-                key = -float(
-                    v64 @ q64 / (np.linalg.norm(v64) * np.linalg.norm(q64))
-                )
-            keyed.append((key, i))
+            keyed.append((math.sqrt(float(((v64 - q64) ** 2).sum())), i))
         keyed.sort()
         out.append([i for _, i in keyed[:depth]])
     return np.array(out, dtype=np.int64)
@@ -38,27 +31,13 @@ class TestBruteForceGT:
         base = rng.standard_normal((60, 5)).astype(np.float32)
         queries = rng.standard_normal((12, 5)).astype(np.float32)
         got = brute_force_gt(base, queries, 10)
-        np.testing.assert_array_equal(got, naive_gt(base, queries, 10, Metric.EUCLIDEAN))
-
-    def test_matches_naive_cosine(self):
-        rng = np.random.default_rng(71)
-        base = rng.standard_normal((60, 5)).astype(np.float32) + 0.1
-        queries = rng.standard_normal((12, 5)).astype(np.float32) + 0.1
-        got = brute_force_gt(base, queries, 10, metric=Metric.COSINE)
-        np.testing.assert_array_equal(got, naive_gt(base, queries, 10, Metric.COSINE))
+        np.testing.assert_array_equal(got, naive_gt(base, queries, 10))
 
     def test_duplicate_rows_tie_by_ascending_id(self):
         base = np.array([[1.0, 0.0], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
         q = np.array([[1.0, 0.0]], dtype=np.float32)
         got = brute_force_gt(base, q, 4)
         assert got[0].tolist() == [0, 2, 1, 3]
-
-    def test_cosine_scaled_copies_tie_by_ascending_id(self):
-        # same direction at different magnitudes: cosine cannot separate them
-        base = np.array([[2.0, 0.0], [0.0, 3.0], [4.0, 0.0], [1.0, 1.0]], dtype=np.float32)
-        q = np.array([[1.0, 0.0]], dtype=np.float32)
-        got = brute_force_gt(base, q, 4, metric=Metric.COSINE)
-        assert got[0].tolist() == [0, 2, 3, 1]
 
     def test_self_query_ranks_itself_first(self):
         rng = np.random.default_rng(72)
@@ -75,14 +54,6 @@ class TestBruteForceGT:
             brute_force_gt(base, q, 11)
         with pytest.raises(ValueError):
             brute_force_gt(base, q, 0)
-
-    def test_zero_norm_rejected_for_cosine(self):
-        base = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.float32)
-        q = np.array([[1.0, 1.0]], dtype=np.float32)
-        with pytest.raises(ValueError, match="zero-norm base vector id 0$"):
-            brute_force_gt(base, q, 1, metric=Metric.COSINE)
-        with pytest.raises(ValueError, match="zero-norm query"):
-            brute_force_gt(base[1:], np.zeros((1, 2), dtype=np.float32), 1, metric=Metric.COSINE)
 
     def test_dimension_mismatch(self):
         base = np.ones((4, 3), dtype=np.float32)

@@ -7,7 +7,7 @@ import pytest
 
 import multikmeans.index as index_mod
 from multikmeans.cli import main
-from multikmeans.core import HashCode, Metric, FormatError, pack_bits
+from multikmeans.core import HashCode, FormatError, pack_bits
 from multikmeans.dataio import write_vectors
 from multikmeans.encoder import (
     DualCodebook,
@@ -46,20 +46,15 @@ def naive_shortlist(bits, query_bits, ids, size):
     hams.sort()
     return [i for _, i in hams[:size]]
 
-def naive_search(base, ids, cand_ids, q, metric, top):
+def naive_search(base, ids, cand_ids, q, top):
     by_id = {int(i): base[pos] for pos, i in enumerate(ids)}
     scored = []
     for i in cand_ids:
         v = by_id[int(i)].astype(np.float64)
         qq = q.astype(np.float64)
-        if metric is Metric.EUCLIDEAN:
-            key = float(np.sqrt(((v - qq) ** 2).sum()))
-            scored.append((key, int(i)))
-        else:
-            sim = float(v @ qq / (np.linalg.norm(v) * np.linalg.norm(qq)))
-            scored.append((-sim, int(i)))
+        scored.append((float(np.sqrt(((v - qq) ** 2).sum())), int(i)))
     scored.sort()
-    return [(i, abs(s) if metric is Metric.COSINE else s) for s, i in scored[:top]]
+    return [(i, s) for s, i in scored[:top]]
 
 
 def make_fixture(seed=7, n=200, dim=8, k=12):
@@ -221,35 +216,23 @@ class TestSearch:
             q = rng.standard_normal(base.shape[1]).astype(np.float32)
             res = search(index, base, q, shortlist_size=50, top=10)
             cand = shortlist(index, encode(q, cb, spec), 50)
-            want = naive_search(base, index.ids, cand, q, Metric.EUCLIDEAN, 10)
+            want = naive_search(base, index.ids, cand, q, 10)
             assert res.ids() == [i for i, _ in want]
             got_scores = [s for _, s in res.ranked]
             np.testing.assert_allclose(got_scores, [s for _, s in want], rtol=1e-6)
 
-    def test_matches_naive_cosine(self):
-        rng, base, cb, spec, index = make_fixture()
-        for _ in range(10):
-            q = rng.standard_normal(base.shape[1]).astype(np.float32)
-            res = search(
-                index, base, q, shortlist_size=50, top=10, metric=Metric.COSINE
-            )
-            cand = shortlist(index, encode(q, cb, spec), 50)
-            want = naive_search(base, index.ids, cand, q, Metric.COSINE, 10)
-            assert res.ids() == [i for i, _ in want]
-
-    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.COSINE])
-    def test_full_shortlist_equals_brute_force(self, metric):
+    def test_full_shortlist_equals_brute_force(self):
         rng, base, cb, spec, index = make_fixture()
         queries = rng.standard_normal((5, base.shape[1])).astype(np.float32)
-        gt = brute_force_gt(base, queries, 10, metric=metric)
+        gt = brute_force_gt(base, queries, 10)
         for qi, q in enumerate(queries):
-            res = search(index, base, q, shortlist_size=index.size, top=10, metric=metric)
+            res = search(index, base, q, shortlist_size=index.size, top=10)
             assert res.ids() == gt[qi].tolist()
 
     def test_result_metadata(self):
         rng, base, cb, spec, index = make_fixture(n=40)
         res = search(index, base, base[0], shortlist_size=20, top=5)
-        assert res.metric is Metric.EUCLIDEAN
+        assert res.metric == "euclidean"
         assert res.shortlist_size == 20
         assert len(res.ranked) == 5
         # querying with a base vector puts that exact row first at distance 0
@@ -273,52 +256,13 @@ class TestSearch:
         with pytest.raises(LookupError):  # id 24 missing
             search(index, base[:24], base[3], shortlist_size=25, top=5)
 
-    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.COSINE])
-    def test_nonfinite_base_row_rejected(self, metric):
+    def test_nonfinite_base_row_rejected(self):
         # the index is built from finite rows; the store's row 2 holds an inf
         rng, base, cb, spec, index = make_fixture(n=5, dim=3, k=4)
         store = base.copy()
         store[2, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite base vector id 2$"):
-            search(index, store, base[0], shortlist_size=5, top=5, metric=metric)
-
-    def test_zero_norm_base_row_rejected_for_cosine(self):
-        # search and ground truth share one check, which names the row's id
-        rng, base, cb, spec, index = make_fixture(n=5, dim=3, k=4)
-        store = base.copy()
-        store[3] = 0.0
-        with pytest.raises(ValueError, match="zero-norm base vector id 3$"):
-            search(index, store, base[0], shortlist_size=5, top=5, metric=Metric.COSINE)
-        with pytest.raises(ValueError, match="zero-norm base vector id 3$"):
-            brute_force_gt(store, base[:2], 2, metric=Metric.COSINE)
-        # a block's rows are checked before the queries that score them, so
-        # a zero-norm query meets the bad row first, in either path
-        zero = np.zeros((1, 3), dtype=np.float32)
-        with pytest.raises(ValueError, match="zero-norm base vector id 3$"):
-            search(index, store, zero[0], shortlist_size=5, top=5, metric=Metric.COSINE)
-        with pytest.raises(ValueError, match="zero-norm base vector id 3$"):
-            brute_force_gt(store, zero, 2, metric=Metric.COSINE)
-
-    def test_cosine_query_whose_norm_overflows_rejected(self):
-        """A finite query whose float64 norm overflows would score every row
-        0 and rank ids 0, 1, 2, ...; search and ground truth reject it. A
-        power-of-two scale that keeps the norm finite is exact, so it gives
-        the unit query's ids and score bytes."""
-        rng, base, cb, spec, index = make_fixture(n=300)
-        q = rng.standard_normal(base.shape[1])
-        cosine = dict(shortlist_size=300, top=3, metric=Metric.COSINE)
-        want = search(index, base, q, **cosine)
-        assert want.ids() != [0, 1, 2]
-        got = search(index, base, q * 2.0**500, **cosine)
-        assert got.ids() == want.ids()
-        assert np.array([s for _, s in got.ranked]).tobytes() == np.array([s for _, s in want.ranked]).tobytes()
-        gt = brute_force_gt(base, q[None, :], 3, metric=Metric.COSINE)
-        assert gt.tolist() == [want.ids()]
-        assert brute_force_gt(base, q[None, :] * 2.0**500, 3, metric=Metric.COSINE).tolist() == gt.tolist()
-        with pytest.raises(ValueError, match="query whose norm overflows float64"):
-            search(index, base, q * 2.0**520, **cosine)
-        with pytest.raises(ValueError, match="query whose norm overflows float64"):
-            brute_force_gt(base, q[None, :] * 2.0**520, 3, metric=Metric.COSINE)
+            search(index, store, base[0], shortlist_size=5, top=5)
 
     def test_store_returning_wrong_shape_rejected(self):
         rng, base, cb, spec, index = make_fixture(n=10)
@@ -334,18 +278,6 @@ class TestSearch:
         rng, base, cb, spec, index = make_fixture(n=10)
         with pytest.raises(ValueError, match="base vectors array must be 2-D"):
             search(index, base.ravel(), base[0], shortlist_size=5, top=3)
-
-    def test_zero_norm_cosine_rejected(self):
-        rng, base, cb, spec, index = make_fixture(n=10)
-        with pytest.raises(ValueError):
-            search(
-                index,
-                base,
-                np.zeros(base.shape[1], dtype=np.float32),
-                shortlist_size=5,
-                top=3,
-                metric=Metric.COSINE,
-            )
 
     @pytest.mark.parametrize(
         "call, bad, message",
@@ -392,8 +324,8 @@ class TestSearchMany:
         # ids and scores of the query block that search and search_ids share
         rng, base, cb, spec, index = make_fixture()
         queries = rng.standard_normal((16, base.shape[1])).astype(np.float32)
-        one = _search_block(index, base, queries, 30, 6, Metric.EUCLIDEAN, threads=1)
-        four = _search_block(index, base, queries, 30, 6, Metric.EUCLIDEAN, threads=4)
+        one = _search_block(index, base, queries, 30, 6, threads=1)
+        four = _search_block(index, base, queries, 30, 6, threads=4)
         for a, b in zip(one, four):
             assert a.tobytes() == b.tobytes()
 
@@ -412,17 +344,16 @@ class TestSearchMany:
         for shift in range(len(Q)):
             order = np.roll(np.arange(len(Q)), shift)
             for threads in (1, 2, None):
-                ids, scores = _search_block(index, base, Q[order], 20, 5, Metric.EUCLIDEAN, threads)
+                ids, scores = _search_block(index, base, Q[order], 20, 5, threads)
                 got = [tuple(zip(i.tolist(), s.tolist())) for i, s in zip(ids, scores)]
                 assert got == [want[j] for j in order], (shift, threads)
                 if shift == 0:
                     np.testing.assert_array_equal(search_ids(index, base, Q, 20, 5, threads=threads), ids)
         # einsum would sum the strided rows of a Fortran-ordered block in another order
-        ids, scores = _search_block(index, base, np.asfortranarray(Q), 20, 5, Metric.EUCLIDEAN, None)
+        ids, scores = _search_block(index, base, np.asfortranarray(Q), 20, 5, None)
         assert [tuple(zip(i.tolist(), s.tolist())) for i, s in zip(ids, scores)] == want
 
-    @pytest.mark.parametrize("metric", list(Metric))
-    def test_fortran_ordered_block_matches_search(self, metric):
+    def test_fortran_ordered_block_matches_search(self):
         """A query's row of a Fortran-ordered float64 block is summed as a
         C-ordered row, so its scores are search()'s bit for bit."""
         rng = np.random.default_rng(54)
@@ -431,9 +362,9 @@ class TestSearchMany:
         spec = EncoderSpec(Variant.N, n_nearest=3)
         index = build_index(encode_many(base, cb, spec), np.arange(3000), spec, cb)
         Q = np.asfortranarray(rng.standard_normal((64, 37)))
-        ids, scores = _search_block(index, base, Q, 500, 50, metric, 1)
+        ids, scores = _search_block(index, base, Q, 500, 50, 1)
         for q, i, sc in zip(Q, ids, scores):
-            assert search(index, base, np.ascontiguousarray(q), 500, 50, metric).ranked == tuple(
+            assert search(index, base, np.ascontiguousarray(q), 500, 50).ranked == tuple(
                 zip(i.tolist(), sc.tolist())
             )
 
@@ -498,6 +429,13 @@ class TestSearchMany:
         queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
         with pytest.raises(ValueError, match="threads must be at least 1"):
             search_ids(index, base, queries, shortlist_size=30, top=6, threads=threads)
+
+    def test_threads_is_keyword_only(self):
+        """A sixth positional argument, once a metric, is no thread count."""
+        rng, base, cb, spec, index = make_fixture()
+        queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
+        with pytest.raises(TypeError):
+            search_ids(index, base, queries, 30, 6, 2)
 
 
 class TestIndexIO:

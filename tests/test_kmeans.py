@@ -220,6 +220,15 @@ class TestTrain:
         with pytest.raises(ValueError):
             cb.centroids[0, 0] = 0.0
 
+    def test_from_centroids_leaves_the_callers_array_writable(self):
+        """The codebook freezes its own copy, with the same bytes."""
+        a = np.random.default_rng(30).standard_normal((3, 4)).astype(np.float32)
+        cb = Codebook.from_centroids(a)
+        assert cb.centroids is not a and a.flags.writeable and not cb.centroids.flags.writeable
+        assert cb.centroids.tobytes() == a.tobytes()
+        a[0, 0] = 7.0
+        assert cb.centroids[0, 0] != 7.0
+
     @pytest.mark.parametrize(
         "make",
         [

@@ -6,11 +6,11 @@ its float64 kernel run over every row, its keep rule at the cutoff, its
 query and row cast-error terms, the rows it keeps with and without a
 running cut and the exact seed distances its cut comes from, its cut map,
 a query whose float32 dot overflows, one kernel score per (query, row),
-brute_force_gt's independence from the query block, the base block (for
-both metrics), the base's input kind (array or VectorReader) and the query
-order, its allocation peak over a reader, a search re-rank that the exact
-walk cuts into several blocks, the independence of that kernel
-and of the cosine kernel from the rows scored with them, core._sq_distances over wide blocks, k-means++ seeding, Lloyd training,
+brute_force_gt's independence from the query block, the base block, the
+base's input kind (array or VectorReader) and the query order, its
+allocation peak over a reader, a search re-rank that the exact walk cuts
+into several blocks, the independence of that kernel from the rows scored
+with it, core._sq_distances over wide blocks, k-means++ seeding, Lloyd training,
 the assign step (kmeans._assign) and encode_many against inline copies of
 their earlier forms, which made one checked distance call per block where
 they now reach core._sq_distances directly, each against a naive
@@ -34,7 +34,6 @@ import multikmeans.index as index_mod
 import multikmeans.kmeans as km
 from multikmeans.core import (
     HashCode,
-    Metric,
     _row_source,
     _shifted_hamming,
     _sq_distances,
@@ -54,7 +53,6 @@ from multikmeans.encoder import (
 )
 from multikmeans.evaluate import brute_force_gt
 from multikmeans.index import (
-    _cosine_block,
     _direct_distances,
     _euclidean_screen,
     _exact_topk,
@@ -227,18 +225,13 @@ def test_sq_distances_match_whole_block_passes(seed, wide, b_dtype, data):
     assert got.tobytes() == parent_sq_distances(a, b, chunk_rows).tobytes()
 
 
-def naive_search(base, cand, q, top, metric):
-    """Scores as the re-rank computes them over the same candidate order,
-    ranked by a full sort of (score, id)."""
+def naive_search(base, cand, q, top):
+    """Distances as the re-rank computes them over the same candidate order,
+    ranked by a full sort of (distance, id)."""
     vecs = base[cand].astype(np.float64)
     q64 = q.astype(np.float64)
-    if metric is Metric.EUCLIDEAN:
-        scores = np.sqrt(np.einsum("nd,nd->n", vecs - q64, vecs - q64))
-        key = scores
-    else:
-        scores = np.clip((vecs @ q64) / (np.linalg.norm(vecs, axis=1) * np.linalg.norm(q64)), -1.0, 1.0)
-        key = -scores
-    order = sorted(range(cand.shape[0]), key=lambda j: (key[j], cand[j]))[:top]
+    scores = np.sqrt(np.einsum("nd,nd->n", vecs - q64, vecs - q64))
+    order = sorted(range(cand.shape[0]), key=lambda j: (scores[j], cand[j]))[:top]
     return cand[order], scores[order]
 
 
@@ -258,30 +251,29 @@ def stores(draw):
     queries = np.array(draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=1, max_size=3)))
     limit = draw(st.integers(1, n))
     top = draw(st.integers(1, limit))
-    metric = draw(st.sampled_from([Metric.EUCLIDEAN, Metric.COSINE]))
     suffix = draw(st.sampled_from([".fvecs", ".bvecs"]))
     threads = draw(st.sampled_from([1, 2]))
     cb = Codebook.from_centroids(cents.astype(np.float32))
-    return base, cb, spec, queries, limit, top, metric, suffix, threads
+    return base, cb, spec, queries, limit, top, suffix, threads
 
 
 @SETTINGS
 @given(stores())
 def test_search_over_reader_matches_full_sort(case):
-    base, cb, spec, queries, limit, top, metric, suffix, threads = case
+    base, cb, spec, queries, limit, top, suffix, threads = case
     index = build_index(encode_many(base.astype(np.float32), cb, spec), np.arange(len(base)), spec, cb)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "base" + suffix)
         write_vectors(path, base)
         with VectorReader(path) as reader:
-            got_ids = search_ids(index, reader, queries, limit, top, metric, threads)
-            got_scores = index_mod._search_block(index, reader, queries, limit, top, metric, threads)[1]
+            got_ids = search_ids(index, reader, queries, limit, top, threads=threads)
+            got_scores = index_mod._search_block(index, reader, queries, limit, top, threads)[1]
             for qi, q in enumerate(queries):
                 code = encode(q, cb, spec)
                 cand = shortlist(index, code, limit)
                 np.testing.assert_array_equal(cand, naive_shortlist(index.codes, code.words, limit))
-                want_ids, want_scores = naive_search(base, cand, q, top, metric)
-                res = search(index, reader, q, limit, top, metric)
+                want_ids, want_scores = naive_search(base, cand, q, top)
+                res = search(index, reader, q, limit, top)
                 np.testing.assert_array_equal([i for i, _ in res.ranked], want_ids)
                 np.testing.assert_array_equal([s for _, s in res.ranked], want_scores)
                 np.testing.assert_array_equal(got_ids[qi], want_ids)
@@ -328,7 +320,7 @@ def exhaustive_topk(rows, q64, ids, top):
 def walk_topk(rows, q64, ids, top):
     """One query's exact walk over the rows, as the search re-rank runs it:
     the `top` nearest ids by (distance, id) and their distances."""
-    return _exact_topk(_row_source(rows, "rows"), [q64], top, Metric.EUCLIDEAN, ids)[0]
+    return _exact_topk(_row_source(rows, "rows"), [q64], top, ids)[0]
 
 
 def screen_with_dots(rows, q64, ids):
@@ -459,37 +451,6 @@ def test_direct_distances_do_not_depend_on_the_other_rows(seed, d, n, dtype, dat
     sel = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)), dtype=np.int64)
     assert _direct_distances(rows[sel], q).tobytes() == full[sel].tobytes()
     assert _direct_distances(rows[::-1], q).tobytes() == full[::-1].tobytes()
-
-
-def _similarities(rows, q64, ids):
-    """_cosine_block's similarity for every row, in the rows' order."""
-    ((_, pos, keys),) = _cosine_block(rows, ids, [q64], rows.shape[0])
-    out = np.empty(rows.shape[0])
-    out[pos] = -keys
-    return out
-
-
-@SETTINGS
-@given(
-    st.integers(0, 2**32 - 1),
-    st.one_of(st.integers(1, 40), st.integers(100, 300)),
-    st.integers(1, 40),
-    st.sampled_from([np.float32, np.float64]),
-    st.data(),
-)
-def test_cosine_similarities_do_not_depend_on_the_other_rows(seed, d, n, dtype, data):
-    """A row's similarity keeps its bytes over any subset of the rows, any
-    repeats, the reversed order and any memory layout."""
-    rng = np.random.default_rng(seed)
-    rows = (rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
-    q = rng.standard_normal(d)
-    positions = np.arange(n)
-    full = _similarities(rows, q, positions)
-    sel = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)), dtype=np.int64)
-    assert _similarities(rows[sel], q, sel).tobytes() == full[sel].tobytes()
-    assert _similarities(rows[::-1], q, positions[::-1]).tobytes() == full[::-1].tobytes()
-    assert _similarities(np.asfortranarray(rows), q, positions).tobytes() == full.tobytes()
-    assert _similarities(np.repeat(rows, 2, axis=1)[:, ::2], q, positions).tobytes() == full.tobytes()
 
 
 @SETTINGS
@@ -1053,30 +1014,15 @@ def base_block_cases(draw):
     return base, queries, draw(st.one_of(st.just(n), st.integers(1, n)))
 
 
-def _every_row_ids(base, queries, k, metric):
-    """The ids of the metric's re-rank kernel run over every row."""
-    positions = np.arange(base.shape[0])
-    if metric is Metric.COSINE:
-        return np.array([keep for _, keep, _ in _cosine_block(base, positions, queries, k)])
-    return np.array([exhaustive_topk(base, q, positions, k)[0] for q in queries])
-
-
-def _cosine_defined(base) -> bool:
-    """Every row's float64 norm is finite: the overflow rows of
-    base_block_cases (1e300) are not, and cosine raises on them by design."""
-    with np.errstate(over="ignore"):
-        return bool(np.isfinite(np.linalg.norm(base.astype(np.float64), axis=1)).all())
-
-
-@settings(max_examples=300, deadline=None)  # 150 per metric
-@given(base_block_cases(), st.sampled_from(list(Metric)))
-def test_brute_force_gt_base_blocks_give_the_ids_of_every_row(case, metric):
+@settings(max_examples=150, deadline=None)
+@given(base_block_cases())
+def test_brute_force_gt_base_blocks_give_the_ids_of_every_row(case):
     """Any base block size gives the ids of the kernel over every row, from
     an array and, for a float32 base, from a VectorReader over its file."""
     base, queries, k = case
     n, d = base.shape
-    assume(metric is Metric.EUCLIDEAN or _cosine_defined(base))
-    want = _every_row_ids(base, queries, k, metric)
+    positions = np.arange(n)
+    want = np.array([exhaustive_topk(base, q, positions, k)[0] for q in queries])
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
         inputs = [base]
         if base.dtype == np.float32:
@@ -1084,26 +1030,20 @@ def test_brute_force_gt_base_blocks_give_the_ids_of_every_row(case, metric):
         for rows in _base_block_sizes(k):
             with mock.patch.object(index_mod, "_BLOCK_ELEMENTS", rows * d), np.errstate(over="ignore"):
                 for given_base in inputs:
-                    np.testing.assert_array_equal(brute_force_gt(given_base, queries, k, metric), want)
+                    np.testing.assert_array_equal(brute_force_gt(given_base, queries, k), want)
 
 
-@settings(max_examples=120, deadline=None)  # 60 per metric
-@given(base_block_cases(), st.sampled_from(list(Metric)), st.data())
-def test_brute_force_gt_names_the_first_nonfinite_row_in_any_block(case, metric, data):
-    """Non-finite rows past the first block, and for cosine zero-norm rows,
-    still raise the message that names the lowest bad id, from an array
-    and, for a float32 base, from a VectorReader over its file."""
+@settings(max_examples=60, deadline=None)
+@given(base_block_cases(), st.data())
+def test_brute_force_gt_names_the_first_nonfinite_row_in_any_block(case, data):
+    """Non-finite rows past the first block still raise the message that
+    names the lowest bad id, from an array and, for a float32 base, from a
+    VectorReader over its file."""
     base, queries, k = case
     n, d = base.shape
-    assume(metric is Metric.EUCLIDEAN or _cosine_defined(base))
     bad = sorted(set(data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3))))
-    zero = metric is Metric.COSINE and data.draw(st.booleans())
     for r in bad:
-        if zero:
-            base[r] = 0.0
-        else:
-            base[r, data.draw(st.integers(0, d - 1))] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
-    kind = "zero-norm" if zero else "non-finite"
+        base[r, data.draw(st.integers(0, d - 1))] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
         inputs = [base]
         if base.dtype == np.float32:
@@ -1111,15 +1051,15 @@ def test_brute_force_gt_names_the_first_nonfinite_row_in_any_block(case, metric,
         for rows in _base_block_sizes(k):
             with mock.patch.object(index_mod, "_BLOCK_ELEMENTS", rows * d), np.errstate(over="ignore"):
                 for given_base in inputs:
-                    with pytest.raises(ValueError, match=f"{kind} base vector id {bad[0]}$"):
-                        brute_force_gt(given_base, queries, k, metric)
+                    with pytest.raises(ValueError, match=f"non-finite base vector id {bad[0]}$"):
+                        brute_force_gt(given_base, queries, k)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(list(Metric)), st.integers(2, 5), st.sampled_from([np.float32, np.float64]))
-def test_rerank_over_several_blocks_matches_one_block(seed, metric, blocks, dtype):
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from([np.float32, np.float64]))
+def test_rerank_over_several_blocks_matches_one_block(seed, blocks, dtype):
     """A shortlist the exact walk cuts into 2-5 blocks ranks as one block
-    does: the same ids and score bytes, for both metrics, over an array and,
+    does: the same ids and score bytes, over an array and,
     for a float32 base, a VectorReader over its file. The base holds exact
     duplicates and near-ties an ulp apart, so ties straddle block edges, and
     top may exceed a block."""
@@ -1142,33 +1082,31 @@ def test_rerank_over_several_blocks_matches_one_block(seed, metric, blocks, dtyp
         if dtype is np.float32:
             stores.append(stack.enter_context(VectorReader(_fvecs_file(tmp, base))))
         for store in stores:
-            want_ids, want_scores = index_mod._search_block(index, store, queries, limit, top, metric, 1)
+            want_ids, want_scores = index_mod._search_block(index, store, queries, limit, top, 1)
             with mock.patch.object(index_mod, "_BLOCK_ELEMENTS", block_rows * d):
-                got_ids, got_scores = index_mod._search_block(index, store, queries, limit, top, metric, 1)
+                got_ids, got_scores = index_mod._search_block(index, store, queries, limit, top, 1)
             np.testing.assert_array_equal(got_ids, want_ids)
             assert got_scores.tobytes() == want_scores.tobytes()
 
 
 def test_brute_force_gt_over_a_reader_holds_blocks_not_the_base():
     """With blocks of N/8 rows, ground truth over a VectorReader allocates
-    less than half the base's bytes at its peak, for either metric: numpy
-    reports its data allocations to tracemalloc, and the reader's memory
-    map is not one."""
+    less than half the base's bytes at its peak: numpy reports its data
+    allocations to tracemalloc, and the reader's memory map is not one."""
     rng = np.random.default_rng(5)
     n, d = 4096, 64
     base = rng.standard_normal((n, d)).astype(np.float32)
     queries = base[:8] + rng.standard_normal((8, d)).astype(np.float32)
-    for metric in Metric:
-        with tempfile.TemporaryDirectory() as tmp, VectorReader(_fvecs_file(tmp, base)) as reader:
-            with mock.patch.object(index_mod, "_BLOCK_ELEMENTS", n // 8 * d):
-                tracemalloc.start()
-                try:
-                    gt = brute_force_gt(reader, queries, 10, metric)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-        assert peak < base.nbytes / 2, metric
-        np.testing.assert_array_equal(gt, brute_force_gt(base, queries, 10, metric))
+    with tempfile.TemporaryDirectory() as tmp, VectorReader(_fvecs_file(tmp, base)) as reader:
+        with mock.patch.object(index_mod, "_BLOCK_ELEMENTS", n // 8 * d):
+            tracemalloc.start()
+            try:
+                gt = brute_force_gt(reader, queries, 10)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peak < base.nbytes / 2
+    np.testing.assert_array_equal(gt, brute_force_gt(base, queries, 10))
 
 
 @SETTINGS
