@@ -22,6 +22,10 @@ WORD_BITS = 64
 # index._exact_topk (re-rank and brute_force_gt) and its screen's query
 # chunks, and dataio.generate_synthetic (each split's draw)
 _BLOCK_ELEMENTS = 1 << 23
+# elements (rows x dimension) each shard of a query's shortlist must gather
+# before index._search_block splits the query over worker threads: below it
+# the hand-off costs more than the split saves
+_SHARD_ELEMENTS = 1 << 17
 
 __all__ = ["FormatError", "HashCode", "pack_bits", "derive_seed"]
 

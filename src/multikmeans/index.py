@@ -9,9 +9,11 @@ ordering breaks ties by ascending id, so results are deterministic.
 from __future__ import annotations
 
 import os
+import queue
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +23,7 @@ from .core import (
     HashCode,
     WORD_BITS,
     _BLOCK_ELEMENTS,
+    _SHARD_ELEMENTS,
     _non_negative_integers,
     _row_ids,
     _row_source,
@@ -440,20 +443,34 @@ def _exact_topk(source, Q64, k: int, ids=None) -> list:
     return [(cand, dist) for dist, cand in run]
 
 
-def _nearest_codes(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndarray:
-    """Ids of the `limit` codes Hamming-nearest to one packed query row,
-    ordered by (distance, id); the caller has checked 1 <= limit <= size.
+def _nearest_keys(index: SearchIndex, words: np.ndarray, limit: int, start: int, stop: int) -> np.ndarray:
+    """The min(limit, stop - start) smallest packed keys of codes
+    start..stop-1 against one packed query row, unordered.
 
     Each code's key is its distance shifted above its row, which is its id,
-    so keys are unique and sort in (distance, id) order: one partition and a
-    sort of `limit` keys select the shortlist, with no tie set to break."""
-    shift = (index.size - 1).bit_length()
-    keys = _shifted_hamming(index.codes, words, shift, index._ranks.dtype)
-    keys |= index._ranks
-    keys.partition(limit - 1)
+    so keys are unique and sort in (distance, id) order."""
+    keys = _shifted_hamming(index.codes[start:stop], words, (index.size - 1).bit_length(), index._ranks.dtype)
+    keys |= index._ranks[start:stop]
+    if limit < keys.size:
+        keys.partition(limit - 1)
+    return keys[:limit]
+
+
+def _key_ids(index: SearchIndex, keys: np.ndarray, limit: int) -> np.ndarray:
+    """Ids of the `limit` smallest of `keys`, ordered by (distance, id): one
+    partition and a sort of `limit` keys, with no tie set to break. keys
+    may be one scan's, or the union of several ranges' _nearest_keys."""
+    if limit < keys.size:
+        keys.partition(limit - 1)
     nearest = np.sort(keys[:limit])
-    nearest &= (1 << shift) - 1
+    nearest &= (1 << (index.size - 1).bit_length()) - 1
     return nearest.astype(np.int64)
+
+
+def _nearest_codes(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndarray:
+    """Ids of the `limit` codes Hamming-nearest to one packed query row,
+    ordered by (distance, id); the caller has checked 1 <= limit <= size."""
+    return _key_ids(index, _nearest_keys(index, words, limit, 0, index.size), limit)
 
 
 def shortlist(index: SearchIndex, code: HashCode, limit: int) -> np.ndarray:
@@ -491,22 +508,115 @@ def _rerank_arrays(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on, search_ids' default thread count."""
+    """The CPUs this process may run on, the default thread count."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
+class _WorkerPool:
+    """Daemon threads that take tasks off one queue, started only as a call
+    needs them: the pool holds as many threads as the most tasks a call has
+    handed it, one fewer than that call's workers."""
+
+    def __init__(self):
+        self._tasks = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._threads = 0
+
+    def _serve(self) -> None:
+        _IN_POOL.active = True
+        while True:
+            task, slot, done = self._tasks.get()
+            done.put((slot, _attempt(task)))
+
+    def run(self, tasks: list) -> list:
+        """_run_tasks with the first task on the calling thread and the
+        rest on the pool's threads."""
+        with self._lock:
+            for _ in range(self._threads, len(tasks) - 1):
+                threading.Thread(target=self._serve, name="multikmeans-search", daemon=True).start()
+                self._threads += 1
+        done = queue.SimpleQueue()
+        for slot in range(1, len(tasks)):
+            self._tasks.put((tasks[slot], slot, done))
+        outcomes = [_attempt(tasks[0])] + [None] * (len(tasks) - 1)
+        for _ in range(1, len(tasks)):
+            slot, outcome = done.get()
+            outcomes[slot] = outcome
+        for _, exc in outcomes:
+            if exc is not None:
+                raise exc
+        return [value for value, _ in outcomes]
+
+
+def _attempt(task) -> tuple:
+    """(task(), None), or (None, the exception it raised): a pool thread
+    hands every failure back to the call that is waiting for it."""
+    try:
+        return task(), None
+    except BaseException as exc:
+        return None, exc
+
+
+_IN_POOL = threading.local()  # .active is set on the pool's own threads
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _worker_pool() -> _WorkerPool:
+    """The process's one worker pool, made on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = _WorkerPool()
+        return _POOL
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child, which has none of its threads."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_tasks(tasks: list) -> list:
+    """Each task's result, in task order; once all have finished, the
+    first failure in task order is raised. One task, or any task list that
+    a pool thread hands in (a store's take that searches), runs on the
+    calling thread, so no pool thread ever waits on the pool."""
+    if len(tasks) == 1 or getattr(_IN_POOL, "active", False):
+        return [task() for task in tasks]
+    return _worker_pool().run(tasks)
+
+
+def _count(x, name: str) -> int:
+    """x as an int, else TypeError naming `name`: a Python or numpy
+    integer, and not a bool."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(x).__name__}")
+    return int(x)
+
+
 def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top: int, threads: int | None):
     """The query path for a block of queries: encode, Hamming shortlist,
     exact re-rank. Returns (ids, scores), each shaped (len(Q), top).
 
-    min(threads, len(Q)) worker threads take every workers-th query each;
-    threads=None means _usable_cpus(). Every kernel on the path is
-    row-pure, so no result depends on the count or on a query's position."""
-    if threads is None:
-        threads = _usable_cpus()
+    With workers = min(threads, max(len(Q), usable CPUs)), threads=None
+    meaning _usable_cpus(), each query gets max(1, workers // len(Q))
+    shards, but no more than keeps L * d / shards >= _SHARD_ELEMENTS. One
+    shard per query: min(workers, len(Q)) workers take every workers-th
+    query each. More: each query's scan and re-rank are cut into shards of
+    contiguous codes and of shortlist rows, and the caller merges them.
+    Every kernel on the path is row-pure and every merge selects by
+    (distance, id), so no result depends on the count, the shards or a
+    query's position."""
+    threads = _usable_cpus() if threads is None else _count(threads, "threads")
+    shortlist_size, top = _count(shortlist_size, "shortlist_size"), _count(top, "top")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if not (1 <= top <= shortlist_size):
@@ -516,33 +626,86 @@ def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top:
     Q = as_matrix(Q, "queries")
     codes = encode_queries(Q, index.quantizer, index.spec)
     Q64 = np.ascontiguousarray(Q, dtype=np.float64)  # einsum sums a strided row in another order
-    n = Q.shape[0]
+    n, d = Q.shape
     ids = np.empty((n, top), dtype=np.int64)
     scores = np.empty((n, top), dtype=np.float64)
-    workers = min(threads, n)
+    workers = min(threads, max(n, _usable_cpus()))
+    shards = min(workers // n, shortlist_size, shortlist_size * d // _SHARD_ELEMENTS)
+    if shards > 1:
+        _search_shards(index, base_vectors, codes, Q64, shortlist_size, top, shards, ids, scores)
+        return ids, scores
+    workers = min(workers, n)
 
     def part(w: int) -> None:
         for i in range(w, n, workers):
             cand = _nearest_codes(index, codes[i], shortlist_size)
             ids[i], scores[i] = _rerank_arrays(Q64[i], cand, base_vectors, top)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(part, range(workers)))
-    else:
-        part(0)
+    _run_tasks([partial(part, w) for w in range(workers)])
     return ids, scores
 
 
-def search(index: SearchIndex, base_vectors, query, shortlist_size: int, top: int) -> SearchResult:
+def _search_shards(index: SearchIndex, base_vectors, codes, Q64, limit: int, top: int, shards: int, ids, scores):
+    """_search_block's split path: every query's scan and re-rank, each cut
+    into `shards` tasks, fill ids and scores.
+
+    A scan shard keeps the min(limit, range) smallest keys of its range of
+    codes; keys are unique, so the `limit` smallest of their union are
+    _nearest_codes'. A re-rank shard keeps the exact top of its slice of
+    the shortlist; the kernel scores each row alone, so _topk's
+    (distance, id) merge of those tops is one walk's result."""
+    n = Q64.shape[0]
+    ranges = [(index.size * s // shards, index.size * (s + 1) // shards) for s in range(shards)]
+    keys = _run_tasks([partial(_nearest_keys, index, codes[i], limit, a, b) for i in range(n) for a, b in ranges])
+    cands = [_key_ids(index, np.concatenate(keys[i * shards : (i + 1) * shards]), limit) for i in range(n)]
+    slices = [slice(limit * s // shards, limit * (s + 1) // shards) for s in range(shards)]
+    tops = _run_tasks([
+        partial(_rerank_arrays, Q64[i], cands[i][r], base_vectors, min(top, r.stop - r.start))
+        for i in range(n) for r in slices
+    ])
+    for i in range(n):
+        part = tops[i * shards : (i + 1) * shards]
+        cand = np.concatenate([c for c, _ in part])
+        dist = np.concatenate([d for _, d in part])
+        sel = _topk(dist, cand, top)
+        ids[i], scores[i] = cand[sel], dist[sel]
+
+
+def search(
+    index: SearchIndex,
+    base_vectors,
+    query,
+    shortlist_size: int,
+    top: int,
+    *,
+    threads: int | None = None,
+) -> SearchResult:
     """Hash the query, shortlist by Hamming distance, re-rank exactly.
 
     Scores are Euclidean distances, ascending; ties in either stage break
     by ascending id. base_vectors is a 2-D array indexed by id, or any
-    store with a take(ids) method. Runs on the calling thread.
+    store with a take(ids) method.
+
+    threads means what it means for search_ids: None (the default) is
+    one per CPU this process may run on, 1 the calling thread alone. A
+    query splits into min(threads, usable CPUs) shards while each shard
+    gathers at least _SHARD_ELEMENTS = 2^17 elements of the shortlist
+    (L * d / shards): each scans a contiguous range of codes for its own L
+    nearest keys, then each gathers and re-ranks a slice of the merged
+    shortlist. The caller runs one shard, one persistent pool's threads the
+    rest, and the caller merges them by (distance, id), so the count
+    changes no id or score. Lone-query throughput with two shards against
+    one, on a 2-core x86 machine (N = 200 000, d = 128, variant t,
+    top = 10, memory-mapped base; medians of 7 alternating passes over 200
+    queries):
+
+        L      1000   2000   3000   5000  10 000  20 000
+        gain   -7 %   +2 %  +12 %  +27 %   +42 %   +53 %
+
+    so at d = 128 a query splits from L = 2048 on.
     """
     v = as_vector(query, "query")
-    ids, scores = _search_block(index, base_vectors, v[None, :], shortlist_size, top, threads=1)
+    ids, scores = _search_block(index, base_vectors, v[None, :], shortlist_size, top, threads)
     ranked = tuple(zip(ids[0].tolist(), scores[0].tolist()))
     return SearchResult(ranked=ranked, metric="euclidean", shortlist_size=shortlist_size)
 
@@ -560,9 +723,11 @@ def search_ids(
 
     Same ordering rules as search(); meant for evaluation runs, where
     holding per-query score tuples would be wasteful. The queries are
-    spread over `threads` worker threads, at most one per query; None (the
-    default) means one per CPU this process may run on. The count changes
-    no result: row i is what search() returns for queries[i].
+    spread over `threads` worker threads, one query per worker at a time
+    while there are at least as many queries as workers, and split like
+    search()'s otherwise; None (the default) means one per CPU this
+    process may run on. The count changes no result: row i is what
+    search() returns for queries[i].
     """
     return _search_block(index, base_vectors, queries, shortlist_size, top, threads)[0]
 

@@ -1,6 +1,8 @@
 import io
 import os
 import struct
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -390,33 +392,30 @@ class TestSearchMany:
         assert calls == [base.shape]
 
     @pytest.mark.parametrize("threads, cpus, n, asked", [(10**6, 2, 3, [3]), (None, 5, 8, [5]), (None, 5, 3, [3]),
-                                                         (None, 1, 8, []), (2, 64, 1, [])])
+                                                         (None, 1, 8, []), (2, 64, 1, [2, 2])])
     def test_worker_count(self, monkeypatch, threads, cpus, n, asked):
-        """min(threads, queries) workers, threads=None meaning the usable
-        CPUs; one worker runs on the calling thread. The pool is replaced
-        by one that records its size and runs the workers inline."""
+        """workers = min(threads, max(queries, usable CPUs)), threads=None
+        meaning the usable CPUs, and max(1, workers // queries) shards a
+        query. With one shard, min(workers, queries) workers take query
+        stripes; a lone query here splits into a scan round and a re-rank
+        round of two tasks each (the shard budget is lifted). One task runs
+        on the calling thread and never reaches the pool, which is replaced
+        by one that records each call's task count and runs them inline."""
         rng, base, cb, spec, index = make_fixture()
         queries = rng.standard_normal((n, base.shape[1])).astype(np.float32)
         sizes = []
 
         class Inline:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            def run(self, tasks):
+                sizes.append(len(tasks))
+                return [task() for task in tasks]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(index_mod, "ThreadPoolExecutor", Inline)
+        monkeypatch.setattr(index_mod, "_worker_pool", Inline)
         monkeypatch.setattr(index_mod, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(index_mod, "_SHARD_ELEMENTS", 1)
         got = search_ids(index, base, queries, shortlist_size=30, top=6, threads=threads)
         assert sizes == asked
-        np.testing.assert_array_equal(got, [search(index, base, q, 30, 6).ids() for q in queries])
+        np.testing.assert_array_equal(got, [search(index, base, q, 30, 6, threads=1).ids() for q in queries])
 
     def test_usable_cpus(self, monkeypatch):
         assert index_mod._usable_cpus() == len(os.sched_getaffinity(0))
@@ -436,6 +435,173 @@ class TestSearchMany:
         queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
         with pytest.raises(TypeError):
             search_ids(index, base, queries, 30, 6, 2)
+
+
+class TestSearchArguments:
+    """threads, shortlist_size and top are checked for integers, numpy's
+    included and bool excluded, before any query is encoded."""
+
+    @pytest.fixture
+    def case(self, monkeypatch):
+        rng, base, cb, spec, index = make_fixture()
+        queries = rng.standard_normal((3, base.shape[1])).astype(np.float32)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a query was encoded")
+
+        monkeypatch.setattr(index_mod, "encode_queries", no_work)
+        return base, index, queries
+
+    @pytest.mark.parametrize("threads", [2.5, True, "2", np.float64(2.0)])
+    def test_threads_must_be_an_integer(self, case, threads):
+        base, index, queries = case
+        for call in (lambda: search_ids(index, base, queries, 30, 6, threads=threads),
+                     lambda: search(index, base, queries[0], 30, 6, threads=threads)):
+            with pytest.raises(TypeError, match=r"^threads must be an integer, got "):
+                call()
+
+    @pytest.mark.parametrize("name, shortlist_size, top", [
+        ("shortlist_size", 10.0, 3), ("shortlist_size", False, 1), ("top", 10, 3.0), ("top", 10, True),
+        ("shortlist_size", np.float32(10), 3), ("top", 10, "3"),
+    ])
+    def test_shortlist_and_top_must_be_integers(self, case, name, shortlist_size, top):
+        base, index, queries = case
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got "):
+            search(index, base, queries[0], shortlist_size, top)
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got "):
+            search_ids(index, base, queries, shortlist_size, top)
+
+    def test_numpy_integers_are_accepted(self):
+        rng, base, cb, spec, index = make_fixture()
+        q = rng.standard_normal(base.shape[1]).astype(np.float32)
+        want = search(index, base, q, 30, 6, threads=1)
+        got = search(index, base, q, np.int32(30), np.uint8(6), threads=np.int64(2))
+        assert got.ranked == want.ranked
+
+
+class TestWorkerPool:
+    """The pool that splits a query's shards and search_ids' stripes. The
+    shard budget is lifted and two CPUs are reported, so a lone query
+    splits in two on the test fixture."""
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        monkeypatch.setattr(index_mod, "_SHARD_ELEMENTS", 1)
+        monkeypatch.setattr(index_mod, "_usable_cpus", lambda: 2)
+        return make_fixture()
+
+    def test_repeated_calls_keep_the_pool_size(self, split, monkeypatch):
+        rng, base, cb, spec, index = split
+        queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
+        monkeypatch.setattr(index_mod, "_POOL", None)  # a fresh pool, whose threads this test counts
+        before = threading.active_count()
+        want = search_ids(index, base, queries, 30, 6, threads=1)
+        for i in range(50):
+            assert search(index, base, queries[i % 4], 30, 6).ids() == want[i % 4].tolist()
+            np.testing.assert_array_equal(search_ids(index, base, queries, 30, 6), want)
+            np.testing.assert_array_equal(search_ids(index, base, queries[:1], 30, 6, threads=3), want[:1])
+        assert index_mod._POOL._threads == 1  # two workers: the caller and one pool thread
+        assert threading.active_count() <= before + 1
+
+    def test_one_thread_never_reaches_the_pool(self, split, monkeypatch):
+        rng, base, cb, spec, index = split
+        queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
+
+        def no_pool():
+            raise AssertionError("threads=1 reached the pool")
+
+        monkeypatch.setattr(index_mod, "_worker_pool", no_pool)
+        search(index, base, queries[0], 30, 6, threads=1)
+        search_ids(index, base, queries, 30, 6, threads=1)
+        with pytest.raises(AssertionError, match="reached the pool"):
+            search(index, base, queries[0], 30, 6, threads=2)
+
+    def test_short_shortlist_stays_on_the_calling_thread(self, monkeypatch):
+        """At the default budget, L = 30 at d = 8 is far too short to split."""
+        rng, base, cb, spec, index = make_fixture()
+        monkeypatch.setattr(index_mod, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(index_mod, "_worker_pool", lambda: pytest.fail("a short shortlist was split"))
+        search(index, base, base[0], 30, 6, threads=2)
+
+    def test_split_runs_no_blas_product(self, split, monkeypatch):
+        rng, base, cb, spec, index = split
+        q = rng.standard_normal(base.shape[1]).astype(np.float32)
+        want = search(index, base, q, 30, 6, threads=1)
+        monkeypatch.setattr(np, "matmul", lambda *a, **k: pytest.fail("np.matmul on the query path"))
+        assert search(index, base, q, 30, 6, threads=2) == want
+
+    def test_worker_shard_failure_reaches_the_caller(self, split):
+        """take raises LookupError on a pool thread only; the next call,
+        on the same pool, succeeds."""
+        rng, base, cb, spec, index = split
+        q = rng.standard_normal(base.shape[1]).astype(np.float32)
+
+        class Store:
+            fail = True
+
+            def take(self, ids):
+                if self.fail and threading.current_thread() is not threading.main_thread():
+                    raise LookupError("no row on this thread")
+                return base[ids]
+
+        store = Store()
+        with pytest.raises(LookupError, match="no row on this thread"):
+            search(index, store, q, 30, 6, threads=2)
+        store.fail = False
+        assert search(index, store, q, 30, 6, threads=2) == search(index, base, q, 30, 6, threads=1)
+
+    def test_first_failing_shard_names_the_error(self, split):
+        """Two shards both hold a non-finite row: the caller raises the first
+        shard's error, the one the calling thread alone would raise."""
+        rng, base, cb, spec, index = split
+        q = base[0]
+        cand = shortlist(index, encode(q, cb, spec), 30)
+        bad = base.astype(np.float64)
+        bad[cand[[3, 20]]] = np.inf
+        with pytest.raises(ValueError) as one:
+            search(index, bad, q, 30, 6, threads=1)
+        with pytest.raises(ValueError) as two:
+            search(index, bad, q, 30, 6, threads=2)
+        assert str(two.value) == str(one.value) == f"euclidean re-rank is undefined for non-finite base vector id {cand[3]}"
+
+    def test_store_that_searches_in_a_shard_runs_inline(self, split):
+        """A pool task never waits on the pool: a search made from inside
+        a worker shard runs on that worker's thread."""
+        rng, base, cb, spec, index = split
+        q = rng.standard_normal(base.shape[1]).astype(np.float32)
+        inner = []
+
+        class Store:
+            def take(self, ids):
+                inner.append(search(index, base, q, 30, 6, threads=2))
+                return base[ids]
+
+        assert search(index, Store(), q, 30, 6, threads=2) == search(index, base, q, 30, 6, threads=1)
+        assert len(inner) == 2 and inner[0] == inner[1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+    def test_forked_child_can_search(self, split):
+        rng, base, cb, spec, index = split
+        q = rng.standard_normal(base.shape[1]).astype(np.float32)
+        want = search(index, base, q, 30, 6, threads=2)  # the parent's pool now has a thread
+        read_end, write_end = os.pipe()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork() of a threaded process
+            pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child reports through the pipe
+            code = 1
+            try:
+                got = search(index, base, q, 30, 6, threads=2)
+                os.write(write_end, repr(got.ranked).encode())
+                code = 0 if index_mod._POOL is not None and index_mod._POOL._threads == 1 else 2
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as f:
+            out = f.read()
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert out.decode() == repr(want.ranked)
 
 
 class TestIndexIO:

@@ -1,7 +1,7 @@
 """Property tests: the partitioned top-k selector, the narrow Hamming keys,
 the packed-key shortlist over multi-word codes and its key width rule, the
 search path over a memory-mapped VectorReader (single query, batched and
-threaded), VectorReader.take, the float32-screened Euclidean top-k against
+threaded), a lone query split into 1 to 5 shards, VectorReader.take, the float32-screened Euclidean top-k against
 its float64 kernel run over every row, its keep rule at the cutoff, its
 query and row cast-error terms, the rows it keeps with and without a
 running cut and the exact seed distances its cut comes from, its cut map,
@@ -278,6 +278,55 @@ def test_search_over_reader_matches_full_sort(case):
                 np.testing.assert_array_equal([s for _, s in res.ranked], want_scores)
                 np.testing.assert_array_equal(got_ids[qi], want_ids)
                 np.testing.assert_array_equal(got_scores[qi], want_scores)
+
+
+@st.composite
+def split_cases(draw):
+    """A small base of a few distinct rows of small ints, so codes repeat
+    (Hamming tie runs that cross shard cuts) and distances tie between
+    rows of different codes (ties the re-rank merge breaks by id), with
+    queries, a shard count of 1 to 5 and a store kind."""
+    dim = draw(st.integers(2, 4))
+    n_unique = draw(st.integers(2, 10))
+    n = draw(st.integers(max(n_unique, 5), 40))
+    cell = st.integers(0, 3)
+    unique = np.array(draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=n_unique, max_size=n_unique)))
+    base = unique[draw(st.lists(st.integers(0, n_unique - 1), min_size=n, max_size=n))]
+    k = draw(st.integers(2, 6))
+    cents = np.array(draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=k, max_size=k)))
+    spec = EncoderSpec(Variant.T) if draw(st.booleans()) else EncoderSpec(Variant.N, n_nearest=draw(st.integers(1, k)))
+    queries = np.array(draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=1, max_size=3)))
+    limit = draw(st.integers(1, n))
+    top = draw(st.integers(1, limit))
+    shards = draw(st.integers(1, 5))
+    reader = draw(st.booleans())
+    return base, Codebook.from_centroids(cents.astype(np.float32)), spec, queries, limit, top, shards, reader
+
+
+@SETTINGS
+@given(split_cases())
+def test_split_query_equals_one_thread(case):
+    """search(q, threads=t) equals search(q, threads=1) ids and distances
+    byte for byte, with the shard budget lifted and five CPUs reported, so
+    a lone query splits into min(t, limit) shards; search_ids' rows, whose
+    queries split or take stripes, equal search()."""
+    base, cb, spec, queries, limit, top, shards, reader = case
+    index = build_index(encode_many(base.astype(np.float32), cb, spec), np.arange(len(base)), spec, cb)
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(index_mod, "_SHARD_ELEMENTS", 1))
+        stack.enter_context(mock.patch.object(index_mod, "_usable_cpus", lambda: 5))
+        store = base
+        if reader:
+            path = os.path.join(stack.enter_context(tempfile.TemporaryDirectory()), "base.fvecs")
+            write_vectors(path, base)
+            store = stack.enter_context(VectorReader(path))
+        for q in queries:
+            one = index_mod._search_block(index, store, q[None, :], limit, top, 1)
+            many = index_mod._search_block(index, store, q[None, :], limit, top, shards)
+            assert [a.tobytes() for a in many] == [a.tobytes() for a in one]
+            assert search(index, store, q, limit, top, threads=shards) == search(index, store, q, limit, top, threads=1)
+        rows = [search(index, store, q, limit, top, threads=1).ids() for q in queries]
+        np.testing.assert_array_equal(search_ids(index, store, queries, limit, top, threads=shards), rows)
 
 
 @SETTINGS
