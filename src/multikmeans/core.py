@@ -24,7 +24,8 @@ WORD_BITS = 64
 _BLOCK_ELEMENTS = 1 << 23
 # elements (rows x dimension) each shard of a query's shortlist must gather
 # before index._search_block splits the query over worker threads: below it
-# the hand-off costs more than the split saves
+# the hand-off costs more than the split saves, as measured at N = 200 000
+# and d = 128 only (index.search)
 _SHARD_ELEMENTS = 1 << 17
 
 __all__ = ["FormatError", "HashCode", "pack_bits", "derive_seed"]

@@ -9,9 +9,9 @@ ordering breaks ties by ascending id, so results are deterministic.
 from __future__ import annotations
 
 import os
-import queue
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -515,69 +515,33 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _WorkerPool:
-    """Daemon threads that take tasks off one queue, started only as a call
-    needs them: the pool holds as many threads as the most tasks a call has
-    handed it, one fewer than that call's workers."""
-
-    def __init__(self):
-        self._tasks = queue.SimpleQueue()
-        self._lock = threading.Lock()
-        self._threads = 0
-
-    def _serve(self) -> None:
-        _IN_POOL.active = True
-        while True:
-            task, slot, done = self._tasks.get()
-            done.put((slot, _attempt(task)))
-
-    def run(self, tasks: list) -> list:
-        """_run_tasks with the first task on the calling thread and the
-        rest on the pool's threads."""
-        with self._lock:
-            for _ in range(self._threads, len(tasks) - 1):
-                threading.Thread(target=self._serve, name="multikmeans-search", daemon=True).start()
-                self._threads += 1
-        done = queue.SimpleQueue()
-        for slot in range(1, len(tasks)):
-            self._tasks.put((tasks[slot], slot, done))
-        outcomes = [_attempt(tasks[0])] + [None] * (len(tasks) - 1)
-        for _ in range(1, len(tasks)):
-            slot, outcome = done.get()
-            outcomes[slot] = outcome
-        for _, exc in outcomes:
-            if exc is not None:
-                raise exc
-        return [value for value, _ in outcomes]
-
-
-def _attempt(task) -> tuple:
-    """(task(), None), or (None, the exception it raised): a pool thread
-    hands every failure back to the call that is waiting for it."""
-    try:
-        return task(), None
-    except BaseException as exc:
-        return None, exc
-
-
 _IN_POOL = threading.local()  # .active is set on the pool's own threads
 _POOL = None
+_POOL_THREADS = 0
 _POOL_LOCK = threading.Lock()
 
 
-def _worker_pool() -> _WorkerPool:
-    """The process's one worker pool, made on first use."""
-    global _POOL
+def _mark_pool_thread() -> None:
+    """The executor's initializer: mark the new thread as the pool's."""
+    _IN_POOL.active = True
+
+
+def _worker_pool(threads: int) -> ThreadPoolExecutor:
+    """The process's one executor, made on first use and replaced by a
+    larger one when a call needs more than its threads; a replaced one's
+    idle threads exit once it is collected."""
+    global _POOL, _POOL_THREADS
     with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = _WorkerPool()
+        if _POOL_THREADS < threads:
+            _POOL = ThreadPoolExecutor(threads, "multikmeans-search", _mark_pool_thread)
+            _POOL_THREADS = threads
         return _POOL
 
 
 def _forget_pool() -> None:
-    """Drop the pool in a forked child, which has none of its threads."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
+    """Drop the executor in a forked child, which has none of its threads."""
+    global _POOL, _POOL_THREADS, _POOL_LOCK
+    _POOL, _POOL_THREADS, _POOL_LOCK = None, 0, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -585,13 +549,21 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_tasks(tasks: list) -> list:
-    """Each task's result, in task order; once all have finished, the
+    """Each task's result, in task order. The first task runs on the
+    calling thread and the rest on the pool; once all have finished, the
     first failure in task order is raised. One task, or any task list that
     a pool thread hands in (a store's take that searches), runs on the
-    calling thread, so no pool thread ever waits on the pool."""
+    calling thread alone, so no pool thread ever waits on the pool."""
     if len(tasks) == 1 or getattr(_IN_POOL, "active", False):
         return [task() for task in tasks]
-    return _worker_pool().run(tasks)
+    pool = _worker_pool(len(tasks) - 1)
+    futures = [pool.submit(task) for task in tasks[1:]]
+    try:
+        first = tasks[0]()
+    finally:
+        for future in futures:
+            future.exception()  # waits for it, raising nothing
+    return [first] + [future.result() for future in futures]
 
 
 def _count(x, name: str) -> int:
@@ -602,19 +574,29 @@ def _count(x, name: str) -> int:
     return int(x)
 
 
+def _shared_store(base_vectors) -> bool:
+    """Whether threads may read base_vectors at once: a 2-D array, or a
+    VectorReader, whose reads and takes share no file offset. Only such a
+    store's queries are split; any other store is read by one thread per
+    query."""
+    from .dataio import VectorReader  # dataio imports this module through evaluate
+
+    return isinstance(base_vectors, (np.ndarray, VectorReader))
+
+
 def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top: int, threads: int | None):
     """The query path for a block of queries: encode, Hamming shortlist,
     exact re-rank. Returns (ids, scores), each shaped (len(Q), top).
 
     With workers = min(threads, max(len(Q), usable CPUs)), threads=None
-    meaning _usable_cpus(), each query gets max(1, workers // len(Q))
-    shards, but no more than keeps L * d / shards >= _SHARD_ELEMENTS. One
-    shard per query: min(workers, len(Q)) workers take every workers-th
-    query each. More: each query's scan and re-rank are cut into shards of
-    contiguous codes and of shortlist rows, and the caller merges them.
-    Every kernel on the path is row-pure and every merge selects by
-    (distance, id), so no result depends on the count, the shards or a
-    query's position."""
+    meaning _usable_cpus(), each query of a _shared_store gets
+    max(1, workers // len(Q)) shards, but no more than keeps
+    L * d / shards >= _SHARD_ELEMENTS. One shard per query:
+    min(workers, len(Q)) workers take every workers-th query each. More:
+    each query's scan and re-rank are cut into shards of contiguous codes
+    and of shortlist rows, and the caller merges them. Every kernel on the
+    path is row-pure and every merge selects by (distance, id), so no
+    result depends on the count, the shards or a query's position."""
     threads = _usable_cpus() if threads is None else _count(threads, "threads")
     shortlist_size, top = _count(shortlist_size, "shortlist_size"), _count(top, "top")
     if threads < 1:
@@ -631,7 +613,7 @@ def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top:
     scores = np.empty((n, top), dtype=np.float64)
     workers = min(threads, max(n, _usable_cpus()))
     shards = min(workers // n, shortlist_size, shortlist_size * d // _SHARD_ELEMENTS)
-    if shards > 1:
+    if shards > 1 and _shared_store(base_vectors):
         _search_shards(index, base_vectors, codes, Q64, shortlist_size, top, shards, ids, scores)
         return ids, scores
     workers = min(workers, n)
@@ -671,41 +653,34 @@ def _search_shards(index: SearchIndex, base_vectors, codes, Q64, limit: int, top
         ids[i], scores[i] = cand[sel], dist[sel]
 
 
-def search(
-    index: SearchIndex,
-    base_vectors,
-    query,
-    shortlist_size: int,
-    top: int,
-    *,
-    threads: int | None = None,
-) -> SearchResult:
+def search(index: SearchIndex, base_vectors, query, shortlist_size: int, top: int) -> SearchResult:
     """Hash the query, shortlist by Hamming distance, re-rank exactly.
 
     Scores are Euclidean distances, ascending; ties in either stage break
     by ascending id. base_vectors is a 2-D array indexed by id, or any
-    store with a take(ids) method.
+    store with a take(ids) method. Any store other than an array or a
+    VectorReader is read on the calling thread alone.
 
-    threads means what it means for search_ids: None (the default) is
-    one per CPU this process may run on, 1 the calling thread alone. A
-    query splits into min(threads, usable CPUs) shards while each shard
-    gathers at least _SHARD_ELEMENTS = 2^17 elements of the shortlist
-    (L * d / shards): each scans a contiguous range of codes for its own L
-    nearest keys, then each gathers and re-ranks a slice of the merged
-    shortlist. The caller runs one shard, one persistent pool's threads the
-    rest, and the caller merges them by (distance, id), so the count
-    changes no id or score. Lone-query throughput with two shards against
-    one, on a 2-core x86 machine (N = 200 000, d = 128, variant t,
-    top = 10, memory-mapped base; medians of 7 alternating passes over 200
-    queries):
+    Over an array or a VectorReader, a query splits into one shard per
+    usable CPU while each shard gathers at least _SHARD_ELEMENTS = 2^17
+    elements of the shortlist (L * d / shards): each scans a contiguous
+    range of codes for its own L nearest keys, then each gathers and
+    re-ranks a slice of the merged shortlist. The calling thread runs one
+    shard and one persistent pool's threads the rest, and the caller
+    merges them by (distance, id), so the split changes no id or score.
+    Lone-query throughput with two shards against one, on a 2-core x86
+    machine (N = 200 000, d = 128, variant t, top = 10, memory-mapped
+    base; medians of 7 alternating passes over 200 queries):
 
         L      1000   2000   3000   5000  10 000  20 000
         gain   -7 %   +2 %  +12 %  +27 %   +42 %   +53 %
 
-    so at d = 128 a query splits from L = 2048 on.
+    so at d = 128 a query splits from L = 2048 on. The budget was set from
+    this one sweep: it counts only the gathered elements, not the N codes
+    the scan round also splits, and is unmeasured at other N or d.
     """
     v = as_vector(query, "query")
-    ids, scores = _search_block(index, base_vectors, v[None, :], shortlist_size, top, threads)
+    ids, scores = _search_block(index, base_vectors, v[None, :], shortlist_size, top, None)
     ranked = tuple(zip(ids[0].tolist(), scores[0].tolist()))
     return SearchResult(ranked=ranked, metric="euclidean", shortlist_size=shortlist_size)
 
@@ -727,7 +702,9 @@ def search_ids(
     while there are at least as many queries as workers, and split like
     search()'s otherwise; None (the default) means one per CPU this
     process may run on. The count changes no result: row i is what
-    search() returns for queries[i].
+    search() returns for queries[i]. With more than one worker, a store's
+    take(ids) is called from several threads at once; threads=1 keeps it
+    on the calling thread.
     """
     return _search_block(index, base_vectors, queries, shortlist_size, top, threads)[0]
 

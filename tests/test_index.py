@@ -3,6 +3,7 @@ import os
 import struct
 import threading
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import multikmeans.index as index_mod
 from multikmeans.cli import main
 from multikmeans.core import HashCode, FormatError, pack_bits
-from multikmeans.dataio import write_vectors
+from multikmeans.dataio import VectorReader, write_vectors
 from multikmeans.encoder import (
     DualCodebook,
     EncoderSpec,
@@ -406,16 +407,20 @@ class TestSearchMany:
         sizes = []
 
         class Inline:
-            def run(self, tasks):
-                sizes.append(len(tasks))
-                return [task() for task in tasks]
+            def __init__(self, threads):
+                sizes.append(threads + 1)  # the calling thread runs one task
+
+            def submit(self, task):
+                future = Future()
+                future.set_result(task())
+                return future
 
         monkeypatch.setattr(index_mod, "_worker_pool", Inline)
         monkeypatch.setattr(index_mod, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(index_mod, "_SHARD_ELEMENTS", 1)
         got = search_ids(index, base, queries, shortlist_size=30, top=6, threads=threads)
         assert sizes == asked
-        np.testing.assert_array_equal(got, [search(index, base, q, 30, 6, threads=1).ids() for q in queries])
+        np.testing.assert_array_equal(got, [search_ids(index, base, q[None], 30, 6, threads=1)[0] for q in queries])
 
     def test_usable_cpus(self, monkeypatch):
         assert index_mod._usable_cpus() == len(os.sched_getaffinity(0))
@@ -455,10 +460,8 @@ class TestSearchArguments:
     @pytest.mark.parametrize("threads", [2.5, True, "2", np.float64(2.0)])
     def test_threads_must_be_an_integer(self, case, threads):
         base, index, queries = case
-        for call in (lambda: search_ids(index, base, queries, 30, 6, threads=threads),
-                     lambda: search(index, base, queries[0], 30, 6, threads=threads)):
-            with pytest.raises(TypeError, match=r"^threads must be an integer, got "):
-                call()
+        with pytest.raises(TypeError, match=r"^threads must be an integer, got "):
+            search_ids(index, base, queries, 30, 6, threads=threads)
 
     @pytest.mark.parametrize("name, shortlist_size, top", [
         ("shortlist_size", 10.0, 3), ("shortlist_size", False, 1), ("top", 10, 3.0), ("top", 10, True),
@@ -474,9 +477,20 @@ class TestSearchArguments:
     def test_numpy_integers_are_accepted(self):
         rng, base, cb, spec, index = make_fixture()
         q = rng.standard_normal(base.shape[1]).astype(np.float32)
-        want = search(index, base, q, 30, 6, threads=1)
-        got = search(index, base, q, np.int32(30), np.uint8(6), threads=np.int64(2))
-        assert got.ranked == want.ranked
+        assert search(index, base, q, np.int32(30), np.uint8(6)) == search(index, base, q, 30, 6)
+        want = search_ids(index, base, q[None], 30, 6, threads=1)
+        np.testing.assert_array_equal(search_ids(index, base, q[None], np.int32(30), np.uint8(6), threads=np.int64(2)), want)
+
+
+def on_one_cpu(monkeypatch, *args):
+    """search(*args) as on a one-CPU machine, on the calling thread alone."""
+    with monkeypatch.context() as m:
+        m.setattr(index_mod, "_usable_cpus", lambda: 1)
+        return search(*args)
+
+
+def pool_threads() -> int:
+    return sum(t.name.startswith("multikmeans-search") for t in threading.enumerate())
 
 
 class TestWorkerPool:
@@ -490,67 +504,95 @@ class TestWorkerPool:
         monkeypatch.setattr(index_mod, "_usable_cpus", lambda: 2)
         return make_fixture()
 
+    @pytest.fixture
+    def reader(self, split, tmp_path):
+        """The fixture's base written to a file, for stores built on VectorReader."""
+        path = tmp_path / "base.fvecs"
+        write_vectors(path, split[1])
+        return path
+
     def test_repeated_calls_keep_the_pool_size(self, split, monkeypatch):
         rng, base, cb, spec, index = split
         queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
         monkeypatch.setattr(index_mod, "_POOL", None)  # a fresh pool, whose threads this test counts
+        monkeypatch.setattr(index_mod, "_POOL_THREADS", 0)
         before = threading.active_count()
         want = search_ids(index, base, queries, 30, 6, threads=1)
         for i in range(50):
             assert search(index, base, queries[i % 4], 30, 6).ids() == want[i % 4].tolist()
             np.testing.assert_array_equal(search_ids(index, base, queries, 30, 6), want)
             np.testing.assert_array_equal(search_ids(index, base, queries[:1], 30, 6, threads=3), want[:1])
-        assert index_mod._POOL._threads == 1  # two workers: the caller and one pool thread
+        assert index_mod._POOL_THREADS == 1  # two workers: the caller and one pool thread
         assert threading.active_count() <= before + 1
 
     def test_one_thread_never_reaches_the_pool(self, split, monkeypatch):
         rng, base, cb, spec, index = split
         queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
 
-        def no_pool():
+        def no_pool(threads):
             raise AssertionError("threads=1 reached the pool")
 
         monkeypatch.setattr(index_mod, "_worker_pool", no_pool)
-        search(index, base, queries[0], 30, 6, threads=1)
+        search_ids(index, base, queries[:1], 30, 6, threads=1)
         search_ids(index, base, queries, 30, 6, threads=1)
+        on_one_cpu(monkeypatch, index, base, queries[0], 30, 6)
         with pytest.raises(AssertionError, match="reached the pool"):
-            search(index, base, queries[0], 30, 6, threads=2)
+            search(index, base, queries[0], 30, 6)
 
     def test_short_shortlist_stays_on_the_calling_thread(self, monkeypatch):
         """At the default budget, L = 30 at d = 8 is far too short to split."""
         rng, base, cb, spec, index = make_fixture()
         monkeypatch.setattr(index_mod, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(index_mod, "_worker_pool", lambda: pytest.fail("a short shortlist was split"))
-        search(index, base, base[0], 30, 6, threads=2)
+        monkeypatch.setattr(index_mod, "_worker_pool", lambda threads: pytest.fail("a short shortlist was split"))
+        search(index, base, base[0], 30, 6)
+
+    def test_other_stores_stay_on_the_calling_thread(self, split, monkeypatch):
+        """A store that is neither an array nor a VectorReader is never
+        split: search() and a lone query of search_ids read it on the
+        calling thread, as one thread would."""
+        rng, base, cb, spec, index = split
+        q = rng.standard_normal(base.shape[1]).astype(np.float32)
+        seen = []
+
+        class Store:
+            def take(self, ids):
+                seen.append(threading.current_thread())
+                return base[ids]
+
+        monkeypatch.setattr(index_mod, "_worker_pool", lambda threads: pytest.fail("a store of unknown safety was split"))
+        assert search(index, Store(), q, 30, 6) == on_one_cpu(monkeypatch, index, base, q, 30, 6)
+        np.testing.assert_array_equal(search_ids(index, Store(), q[None], 30, 6, threads=2),
+                                      search_ids(index, base, q[None], 30, 6, threads=1))
+        assert seen == [threading.current_thread()] * 2
 
     def test_split_runs_no_blas_product(self, split, monkeypatch):
         rng, base, cb, spec, index = split
         q = rng.standard_normal(base.shape[1]).astype(np.float32)
-        want = search(index, base, q, 30, 6, threads=1)
+        want = on_one_cpu(monkeypatch, index, base, q, 30, 6)
         monkeypatch.setattr(np, "matmul", lambda *a, **k: pytest.fail("np.matmul on the query path"))
-        assert search(index, base, q, 30, 6, threads=2) == want
+        assert search(index, base, q, 30, 6) == want
 
-    def test_worker_shard_failure_reaches_the_caller(self, split):
+    def test_worker_shard_failure_reaches_the_caller(self, split, reader):
         """take raises LookupError on a pool thread only; the next call,
         on the same pool, succeeds."""
         rng, base, cb, spec, index = split
         q = rng.standard_normal(base.shape[1]).astype(np.float32)
 
-        class Store:
+        class Store(VectorReader):
             fail = True
 
             def take(self, ids):
                 if self.fail and threading.current_thread() is not threading.main_thread():
                     raise LookupError("no row on this thread")
-                return base[ids]
+                return super().take(ids)
 
-        store = Store()
-        with pytest.raises(LookupError, match="no row on this thread"):
-            search(index, store, q, 30, 6, threads=2)
-        store.fail = False
-        assert search(index, store, q, 30, 6, threads=2) == search(index, base, q, 30, 6, threads=1)
+        with Store(reader) as store:
+            with pytest.raises(LookupError, match="no row on this thread"):
+                search(index, store, q, 30, 6)
+            store.fail = False
+            assert search(index, store, q, 30, 6) == search(index, base, q, 30, 6)
 
-    def test_first_failing_shard_names_the_error(self, split):
+    def test_first_failing_shard_names_the_error(self, split, monkeypatch):
         """Two shards both hold a non-finite row: the caller raises the first
         shard's error, the one the calling thread alone would raise."""
         rng, base, cb, spec, index = split
@@ -559,31 +601,32 @@ class TestWorkerPool:
         bad = base.astype(np.float64)
         bad[cand[[3, 20]]] = np.inf
         with pytest.raises(ValueError) as one:
-            search(index, bad, q, 30, 6, threads=1)
+            on_one_cpu(monkeypatch, index, bad, q, 30, 6)
         with pytest.raises(ValueError) as two:
-            search(index, bad, q, 30, 6, threads=2)
+            search(index, bad, q, 30, 6)
         assert str(two.value) == str(one.value) == f"euclidean re-rank is undefined for non-finite base vector id {cand[3]}"
 
-    def test_store_that_searches_in_a_shard_runs_inline(self, split):
+    def test_store_that_searches_in_a_shard_runs_inline(self, split, reader):
         """A pool task never waits on the pool: a search made from inside
         a worker shard runs on that worker's thread."""
         rng, base, cb, spec, index = split
         q = rng.standard_normal(base.shape[1]).astype(np.float32)
         inner = []
 
-        class Store:
+        class Store(VectorReader):
             def take(self, ids):
-                inner.append(search(index, base, q, 30, 6, threads=2))
-                return base[ids]
+                inner.append(search(index, base, q, 30, 6))
+                return super().take(ids)
 
-        assert search(index, Store(), q, 30, 6, threads=2) == search(index, base, q, 30, 6, threads=1)
+        with Store(reader) as store:
+            assert search(index, store, q, 30, 6) == search(index, base, q, 30, 6)
         assert len(inner) == 2 and inner[0] == inner[1]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
     def test_forked_child_can_search(self, split):
         rng, base, cb, spec, index = split
         q = rng.standard_normal(base.shape[1]).astype(np.float32)
-        want = search(index, base, q, 30, 6, threads=2)  # the parent's pool now has a thread
+        want = search(index, base, q, 30, 6)  # the parent's pool now has a thread
         read_end, write_end = os.pipe()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork() of a threaded process
@@ -591,9 +634,9 @@ class TestWorkerPool:
         if pid == 0:  # pragma: no cover - the child reports through the pipe
             code = 1
             try:
-                got = search(index, base, q, 30, 6, threads=2)
+                got = search(index, base, q, 30, 6)
                 os.write(write_end, repr(got.ranked).encode())
-                code = 0 if index_mod._POOL is not None and index_mod._POOL._threads == 1 else 2
+                code = 0 if index_mod._POOL_THREADS == 1 and pool_threads() == 1 else 2
             finally:
                 os._exit(code)
         os.close(write_end)

@@ -306,27 +306,28 @@ def split_cases(draw):
 @SETTINGS
 @given(split_cases())
 def test_split_query_equals_one_thread(case):
-    """search(q, threads=t) equals search(q, threads=1) ids and distances
-    byte for byte, with the shard budget lifted and five CPUs reported, so
-    a lone query splits into min(t, limit) shards; search_ids' rows, whose
-    queries split or take stripes, equal search()."""
+    """A lone query split over t usable CPUs equals one thread's ids and
+    distances byte for byte, with the shard budget lifted, so it splits
+    into min(t, limit) shards; search() and search_ids' rows, whose
+    queries split or take stripes, equal it too."""
     base, cb, spec, queries, limit, top, shards, reader = case
     index = build_index(encode_many(base.astype(np.float32), cb, spec), np.arange(len(base)), spec, cb)
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(index_mod, "_SHARD_ELEMENTS", 1))
-        stack.enter_context(mock.patch.object(index_mod, "_usable_cpus", lambda: 5))
+        stack.enter_context(mock.patch.object(index_mod, "_usable_cpus", lambda: shards))
         store = base
         if reader:
             path = os.path.join(stack.enter_context(tempfile.TemporaryDirectory()), "base.fvecs")
             write_vectors(path, base)
             store = stack.enter_context(VectorReader(path))
+        rows = []
         for q in queries:
             one = index_mod._search_block(index, store, q[None, :], limit, top, 1)
-            many = index_mod._search_block(index, store, q[None, :], limit, top, shards)
+            many = index_mod._search_block(index, store, q[None, :], limit, top, None)
             assert [a.tobytes() for a in many] == [a.tobytes() for a in one]
-            assert search(index, store, q, limit, top, threads=shards) == search(index, store, q, limit, top, threads=1)
-        rows = [search(index, store, q, limit, top, threads=1).ids() for q in queries]
-        np.testing.assert_array_equal(search_ids(index, store, queries, limit, top, threads=shards), rows)
+            assert search(index, store, q, limit, top).ranked == tuple(zip(one[0][0].tolist(), one[1][0].tolist()))
+            rows.append(one[0][0])
+        np.testing.assert_array_equal(search_ids(index, store, queries, limit, top), rows)
 
 
 @SETTINGS
