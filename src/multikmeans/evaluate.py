@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 
 from .core import _row_ids, _row_source, as_matrix
-from .index import _exact_topk
+from .index import _count, _exact_topk
 
 __all__ = [
     "brute_force_gt",
@@ -26,12 +26,13 @@ def brute_force_gt(base, queries, k: int) -> np.ndarray:
 
     base is a 2-D array or a VectorReader (any object with read(start,
     count), dim and len). Rows rank by ascending Euclidean distance, equal
-    distances the lower id first, as in the search path's re-rank, which
-    runs the same exact walk, index._exact_topk, over one query's
-    shortlist. A base row holding inf or nan raises ValueError naming its
-    id (the lowest such id). The base is walked once, in blocks, so no
-    array ever holds all of a reader's rows.
+    distances the lower id first, as in the search path's re-rank, whose
+    screen and finish kernel index._exact_topk shares. k must be an
+    integer (not a bool), else TypeError. A base row holding inf or nan
+    raises ValueError naming its id (the lowest such id). The base is
+    walked once, in blocks, so no array ever holds all of a reader's rows.
     """
+    k = _count(k, "k")
     source = _row_source(base, "base")
     n, d, _ = source
     Q = as_matrix(queries, "queries")
@@ -43,7 +44,9 @@ def brute_force_gt(base, queries, k: int) -> np.ndarray:
 
 
 def recall_at_r(results, ground_truth, r: int) -> float:
-    """Fraction of queries whose true first neighbor is in the first r of its ranked ids."""
+    """Fraction of queries whose true first neighbor is in the first r of
+    its ranked ids. r must be an integer (not a bool), else TypeError."""
+    r = _count(r, "r")
     if r < 1:
         raise ValueError("r must be at least 1")
     gt = np.asarray(ground_truth, dtype=np.int64)
@@ -65,8 +68,10 @@ def average_precision(relevance, total_relevant: int) -> float:
     """Mean precision over the relevant ranks, normalized by total_relevant.
 
     A query with no relevant items scores 0 (with a warning), so aggregate
-    means stay defined.
+    means stay defined. total_relevant must be an integer (not a bool),
+    else TypeError.
     """
+    total_relevant = _count(total_relevant, "total_relevant")
     rel = np.asarray(relevance)
     if rel.ndim != 1 or rel.size == 0:
         raise ValueError("relevance must be a nonempty 1-D sequence")

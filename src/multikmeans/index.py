@@ -23,10 +23,10 @@ from .core import (
     HashCode,
     WORD_BITS,
     _BLOCK_ELEMENTS,
+    _CHUNK_ELEMENTS,
     _SHARD_ELEMENTS,
     _non_negative_integers,
     _row_ids,
-    _row_source,
     _shifted_hamming,
     as_matrix,
     as_vector,
@@ -155,8 +155,11 @@ def _direct_distances(rows, q64: np.ndarray) -> np.ndarray:
 
     The one exact kernel of the Euclidean re-rank and ground truth: a row's
     sum runs over that row alone, so its distance does not depend on which
-    other rows share the call."""
+    other rows share the call. rows is (..., d), q64 one query (d,) or any
+    shape that broadcasts against rows, such as one query per row; the
+    distances come back flat, one per row."""
     diff = np.asarray(rows, dtype=np.float64) - q64
+    diff = diff.reshape(-1, diff.shape[-1])
     return np.sqrt(np.einsum("nd,nd->n", diff, diff))
 
 
@@ -319,22 +322,31 @@ def _lower(lo, terms):
     return (np.sqrt(np.maximum(lo + beta_lo, 0.0)) - e) * (1.0 - h) - _TINY64
 
 
-def _lower_cut(T, terms) -> float:
+def _lower_cut(T, terms):
     """A screen value X such that every lo with _lower(lo, terms) <= T is at
     most X: _lower inverted in float64 and rounded outward, +inf when that
-    is not finite.
+    overflows. T and the terms may be scalars or per-query arrays.
 
     Undoing _lower's roundings one at a time (each moves its result by at
     most v, i.e. 2^-53, of its size) gives lo <= (1 + 12 v) w^2 - beta-
     for the real w = (T + 2^-500) / (1 - h) + e. The computed w^2 may fall
     11 v short of the real one, and the 32 v (w^2 + |beta-|) added here
-    covers both and the three roundings that evaluate X.
+    covers both and the three roundings that evaluate X. X is never nan:
+    T >= 0 and e >= 0 make w >= 0, and beta- is finite.
     """
     beta_lo, e, h = terms
     w = (T + _TINY64) / (1.0 - h) + e
     x = w * w
-    cut = (x - beta_lo) + 32.0 * _U64 * (x + abs(beta_lo))
-    return cut if cut < np.inf else np.inf
+    return (x - beta_lo) + 32.0 * _U64 * (x + abs(beta_lo))
+
+
+def _screen_values(dots, a_lo, out) -> np.ndarray:
+    """Each row's screen value lo = -2c + a (1 - G) of _lower, from its
+    float32 product c and its a_lo, written into the float64 array out."""
+    with np.errstate(invalid="ignore"):  # inf - inf: a row with no bound
+        np.multiply(dots, -2.0, out=out, dtype=np.float64)
+        out += a_lo
+    return out
 
 
 def _screened_rows(screen: _EuclideanScreen, query: _Query, top: int, dots, T: float):
@@ -360,10 +372,7 @@ def _screened_rows(screen: _EuclideanScreen, query: _Query, top: int, dots, T: f
     distances bit for bit.
     """
     terms = _screen_terms(screen, query)
-    lo = screen.lo
-    with np.errstate(invalid="ignore"):  # inf - inf: a row with no bound
-        np.multiply(dots, -2.0, out=lo, dtype=np.float64)
-        lo += screen.a_lo
+    lo = _screen_values(dots, screen.a_lo, screen.lo)
     if T < np.inf:
         near = np.flatnonzero(~(lo > _lower_cut(T, terms)))
         if not near.size:  # the common case once the running top-k is full
@@ -384,24 +393,23 @@ def _screened_rows(screen: _EuclideanScreen, query: _Query, top: int, dots, T: f
     return seeds, found
 
 
-def _exact_topk(source, Q64, k: int, ids=None) -> list:
-    """The exact top k of every float64 query in Q64 (a 2-D array, or a
-    list of vectors) over the rows of source: one (ids, distances) pair per
+def _exact_topk(source, Q64, k: int) -> list:
+    """Ground truth's walk: the exact top k of every float64 query in Q64
+    (a 2-D array) over the rows of source, one (ids, distances) pair per
     query, nearest first by (distance, id). Distances are float64
-    Euclidean; ids are row positions, or ids[row] when given. The search
-    re-rank runs it over one query's gathered shortlist, and brute_force_gt
-    over a whole base.
+    Euclidean; ids are row positions.
 
     source is core._row_source's (n, d, read) of a 2-D array or a
     VectorReader, walked once in blocks of _BLOCK_ELEMENTS // d rows, so
     no array ever holds all of a reader's rows. Each query keeps a running
     top-k of (distance, id), and _topk merges each block's kept rows in.
     A block's screen drops every row it proves farther than the running
-    k-th distance, and the screen's float32 products take
-    _BLOCK_ELEMENTS // (block rows) queries at a time. Every distance comes
-    from the row-pure _direct_distances, so the result is that of one
-    ranking over all rows, bit for bit, at any block size. A row holding
-    inf or nan raises ValueError naming its id.
+    k-th distance, and its float32 products come from one BLAS product per
+    _BLOCK_ELEMENTS // (block rows) queries; the screen holds for any
+    rounding, so a lone query takes one too. Every distance comes from the
+    row-pure _direct_distances, so the result is that of one ranking over
+    all rows, bit for bit, at any block size. A row holding inf or nan
+    raises ValueError naming its id.
     """
     n, d, read = source
     step = min(n, max(1, _BLOCK_ELEMENTS // d))
@@ -409,24 +417,13 @@ def _exact_topk(source, Q64, k: int, ids=None) -> list:
     run = [None] * len(qs)  # each query's running top-k (distances, ids), ascending by (distance, id)
     for s in range(0, n, step):
         rows = read(s, min(step, n - s))
-        block = np.arange(s, s + rows.shape[0]) if ids is None else ids[s : s + step]
+        block = np.arange(s, s + rows.shape[0])
         top = min(k, rows.shape[0])
         screen = _euclidean_screen(rows, block)
         chunk = max(1, _BLOCK_ELEMENTS // rows.shape[0])
         for c in range(0, len(qs), chunk):
-            # The one fork. A lone query, each search re-rank's, takes its dots
-            # from einsum, which wakes no BLAS thread and raises no
-            # floating-point warnings: a lone BLAS call can be faster, but
-            # OpenBLAS's threads would take the cores search_ids' workers run
-            # on (a BLAS product per query more than halved
-            # search_ids(threads=2)). brute_force_gt's several queries share
-            # one BLAS product. The screen holds for any rounding, so the fork
-            # changes no id or distance.
-            if len(qs) == 1:
-                dots = [np.einsum("nd,d->n", screen.rows32, qs[0].q32)]
-            else:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    dots = np.array([q.q32 for q in qs[c : c + chunk]]) @ screen.rows32.T
+            with np.errstate(over="ignore", invalid="ignore"):
+                dots = np.array([q.q32 for q in qs[c : c + chunk]]) @ screen.rows32.T
             for i, row_dots in enumerate(dots, start=c):
                 prev = run[i]
                 cut = np.inf if prev is None or prev[0].size < k else float(prev[0][-1])
@@ -499,12 +496,56 @@ def _gather(base_vectors, ids: np.ndarray) -> np.ndarray:
     return np.asarray(take(ids))
 
 
-def _rerank_arrays(q64: np.ndarray, cand_ids: np.ndarray, base_vectors, top: int):
-    """Exact top ids and scores among the candidates, ties by ascending id."""
-    vecs = _gather(base_vectors, cand_ids)
-    if vecs.ndim != 2 or vecs.shape[0] != cand_ids.shape[0] or vecs.shape[1] != q64.shape[0]:
-        raise ValueError(f"base store returned shape {vecs.shape} for {cand_ids.shape[0]} ids")
-    return _exact_topk(_row_source(vecs, "base store rows"), [q64], top, cand_ids)[0]
+def _rerank(base_vectors, Q64: np.ndarray, cands: np.ndarray, top: int):
+    """The re-rank of a chunk of m queries: the exact top `top` of each
+    float64 query in Q64 (m, d) over its own row of the shortlists cands
+    (m, L), 1 <= top <= L, nearest first by (distance, id). Returns (ids,
+    distances), each (m, top).
+
+    One gather fetches all m * L rows: the store's take(ids) receives them
+    in one call, and a shape it returns that is not (m * L, d) raises
+    ValueError counting the m * L ids. A row holding inf or nan raises
+    ValueError naming its id, the first in query order. One float32
+    einsum gives every query's products with its own rows. A lone query
+    then runs _screened_rows; in a chunk of several, its screen runs for
+    all m queries at once: each query takes as seeds the `top` rows of
+    least lo, scores them, and keeps every row with
+    lo <= _lower_cut(the largest seed distance). The rows' cast
+    error and a_max are taken over the whole chunk, which only widens each
+    query's bound: the proof in _lower holds for any larger e or a_max.
+    One lexsort by (query, distance, id) picks each query's top. Every
+    distance comes from the row-pure _direct_distances, so each query's
+    ids and distances are those of a re-rank of its rows alone, bit for
+    bit, however the queries are chunked.
+    """
+    m, L = cands.shape
+    flat = cands.ravel()
+    rows = _gather(base_vectors, flat)
+    if rows.ndim != 2 or rows.shape[0] != flat.size or rows.shape[1] != Q64.shape[1]:
+        raise ValueError(f"base store returned shape {rows.shape} for {flat.size} ids")
+    screen = _euclidean_screen(rows, flat)
+    qs = [_query_screen(q64) for q64 in Q64]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = np.einsum("mld,md->ml", screen.rows32.reshape(m, L, -1), np.array([q.q32 for q in qs]))
+    if m == 1:  # a lone query, as each split shard is: ground truth's per-query screen makes fewer numpy calls
+        keep, dist = _screened_rows(screen, qs[0], top, dots[0], np.inf)
+        sel = _topk(dist, flat[keep], top)
+        return flat[keep[sel]][None], dist[sel][None]
+    terms = tuple(np.array(t) for t in zip(*(_screen_terms(screen, q) for q in qs)))
+    lo = _screen_values(dots, screen.a_lo.reshape(m, L), screen.lo.reshape(m, L))
+    seeds = np.argpartition(lo, top - 1, axis=1)[:, :top] + (np.arange(m) * L)[:, None]
+    found = _direct_distances(rows[seeds], Q64[:, None, :])
+    keep = ~(lo > _lower_cut(found.reshape(m, top).max(axis=1), terms)[:, None]).ravel()
+    keep[seeds] = False
+    rest = np.flatnonzero(keep)
+    pos = np.concatenate((seeds.ravel(), rest))
+    dist = np.concatenate((found, _direct_distances(rows[rest], Q64[rest // L])))
+    query = pos // L
+    order = np.lexsort((flat[pos], dist, query))
+    counts = np.bincount(query, minlength=m)
+    starts = np.cumsum(counts) - counts
+    pick = order[starts[:, None] + np.arange(top)]
+    return flat[pos[pick]], dist[pick]
 
 
 def _usable_cpus() -> int:
@@ -592,11 +633,13 @@ def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top:
     meaning _usable_cpus(), each query of a _shared_store gets
     max(1, workers // len(Q)) shards, but no more than keeps
     L * d / shards >= _SHARD_ELEMENTS. One shard per query:
-    min(workers, len(Q)) workers take every workers-th query each. More:
-    each query's scan and re-rank are cut into shards of contiguous codes
-    and of shortlist rows, and the caller merges them. Every kernel on the
-    path is row-pure and every merge selects by (distance, id), so no
-    result depends on the count, the shards or a query's position."""
+    min(workers, len(Q)) workers take every workers-th query each, and
+    re-rank them in chunks of max(1, _CHUNK_ELEMENTS // (L * d)) queries,
+    one _rerank per chunk. More: each query's scan and re-rank are cut into
+    shards of contiguous codes and of shortlist rows, and the caller merges
+    them. Every kernel on the path is row-pure and every merge selects by
+    (distance, id), so no result depends on the count, the shards, the
+    chunks or a query's position."""
     threads = _usable_cpus() if threads is None else _count(threads, "threads")
     shortlist_size, top = _count(shortlist_size, "shortlist_size"), _count(top, "top")
     if threads < 1:
@@ -617,11 +660,13 @@ def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top:
         _search_shards(index, base_vectors, codes, Q64, shortlist_size, top, shards, ids, scores)
         return ids, scores
     workers = min(workers, n)
+    chunk = max(1, _CHUNK_ELEMENTS // (shortlist_size * d))
 
     def part(w: int) -> None:
-        for i in range(w, n, workers):
-            cand = _nearest_codes(index, codes[i], shortlist_size)
-            ids[i], scores[i] = _rerank_arrays(Q64[i], cand, base_vectors, top)
+        for c in range(w, n, workers * chunk):
+            sel = slice(c, c + workers * chunk, workers)
+            cands = np.array([_nearest_codes(index, codes[i], shortlist_size) for i in range(n)[sel]])
+            ids[sel], scores[sel] = _rerank(base_vectors, Q64[sel], cands, top)
 
     _run_tasks([partial(part, w) for w in range(workers)])
     return ids, scores
@@ -642,13 +687,13 @@ def _search_shards(index: SearchIndex, base_vectors, codes, Q64, limit: int, top
     cands = [_key_ids(index, np.concatenate(keys[i * shards : (i + 1) * shards]), limit) for i in range(n)]
     slices = [slice(limit * s // shards, limit * (s + 1) // shards) for s in range(shards)]
     tops = _run_tasks([
-        partial(_rerank_arrays, Q64[i], cands[i][r], base_vectors, min(top, r.stop - r.start))
+        partial(_rerank, base_vectors, Q64[i : i + 1], cands[i][None, r], min(top, r.stop - r.start))
         for i in range(n) for r in slices
     ])
     for i in range(n):
         part = tops[i * shards : (i + 1) * shards]
-        cand = np.concatenate([c for c, _ in part])
-        dist = np.concatenate([d for _, d in part])
+        cand = np.concatenate([c[0] for c, _ in part])
+        dist = np.concatenate([d[0] for _, d in part])
         sel = _topk(dist, cand, top)
         ids[i], scores[i] = cand[sel], dist[sel]
 
@@ -698,13 +743,21 @@ def search_ids(
 
     Same ordering rules as search(); meant for evaluation runs, where
     holding per-query score tuples would be wasteful. The queries are
-    spread over `threads` worker threads, one query per worker at a time
-    while there are at least as many queries as workers, and split like
-    search()'s otherwise; None (the default) means one per CPU this
+    spread over `threads` worker threads, each taking every threads-th
+    query while there are at least as many queries as workers, and split
+    like search()'s otherwise; None (the default) means one per CPU this
     process may run on. The count changes no result: row i is what
     search() returns for queries[i]. With more than one worker, a store's
     take(ids) is called from several threads at once; threads=1 keeps it
     on the calling thread.
+
+    A worker re-ranks its queries in chunks of m = max(1, 2^20 // (L * d))
+    (8 at L = 1000, d = 128), so a store's take(ids) receives a chunk's
+    m * L shortlisted ids, query after query, in one call. A store that
+    returns rows of the wrong shape raises "base store returned shape ...
+    for m * L ids"; a missing id anywhere in the chunk raises before any
+    of its rows is screened, so it wins over a non-finite row of an
+    earlier query of the same chunk.
     """
     return _search_block(index, base_vectors, queries, shortlist_size, top, threads)[0]
 

@@ -34,7 +34,7 @@ from multikmeans.evaluate import (
     recall_at_r,
 )
 from multikmeans.index import (
-    _rerank_arrays,
+    _rerank,
     build_index,
     load_index,
     save_index,
@@ -295,8 +295,8 @@ def test_retrieval_lift_over_random_shortlist():
     hits = 0
     for qi, q in enumerate(ds.queries):
         cand = rng.choice(len(ds.base), size=500, replace=False).astype(np.int64)
-        rids, _ = _rerank_arrays(q.astype(np.float64), cand, ds.base, 100)
-        hits += int((rids == ds.ground_truth[qi, 0]).any())
+        rids, _ = _rerank(ds.base, q.astype(np.float64)[None], cand[None], 100)
+        hits += int((rids[0] == ds.ground_truth[qi, 0]).any())
     baseline = hits / len(ds.queries)
     dt = time.perf_counter() - t0
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import multikmeans.evaluate as evaluate_mod
 from multikmeans.evaluate import (
     average_precision,
     brute_force_gt,
@@ -59,6 +60,28 @@ class TestBruteForceGT:
         base = np.ones((4, 3), dtype=np.float32)
         with pytest.raises(ValueError, match="dimension mismatch: base 3 vs queries 2"):
             brute_force_gt(base, np.ones((1, 2), dtype=np.float32), 1)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("k", lambda bad: brute_force_gt(np.ones((4, 2), dtype=np.float32), np.ones((1, 2), dtype=np.float32), bad)),
+    ("r", lambda bad: recall_at_r(np.array([[1, 2], [3, 4]]), np.array([[1], [3]]), bad)),
+    ("total_relevant", lambda bad: average_precision([1, 0], bad)),
+])
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(1.0), "1"])
+def test_counts_must_be_integers(name, call, bad, monkeypatch):
+    """k, r and total_relevant are checked for integers, numpy's included
+    and bool excluded, as search checks its counts: before ground truth
+    reads a block."""
+    monkeypatch.setattr(evaluate_mod, "_exact_topk", lambda *a: pytest.fail("the base was walked"))
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer, got "):
+        call(bad)
+
+
+def test_numpy_integer_counts_are_accepted():
+    base = np.eye(3, dtype=np.float32)
+    assert brute_force_gt(base, base[:1], np.int64(2)).tolist() == [[0, 1]]
+    assert recall_at_r([[0, 1]], [[1]], np.uint8(2)) == 1.0
+    assert average_precision([1, 0], np.int32(1)) == 1.0
 
 
 class TestRecallAtR:

@@ -371,6 +371,80 @@ class TestSearchMany:
                 zip(i.tolist(), sc.tolist())
             )
 
+    def test_each_take_fits_the_chunk_budget(self, monkeypatch):
+        """A worker gathers each chunk of its queries with one take of at
+        most _CHUNK_ELEMENTS // d rows, whole shortlists, and of one
+        shortlist when the budget holds less; the takes cover every
+        query's shortlist once."""
+        rng, base, cb, spec, index = make_fixture()
+        d = base.shape[1]
+        queries = rng.standard_normal((8, d)).astype(np.float32)
+        want = search_ids(index, base, queries, 30, 6, threads=1)
+        sizes = []
+
+        class Store:
+            def take(self, ids):
+                sizes.append(len(ids))
+                return base[ids]
+
+        for budget, takes in ((3 * 30 * d + 5, [90, 90, 60]), (30 * d - 1, [30] * 8), (8 * 30 * d, [240])):
+            sizes.clear()
+            monkeypatch.setattr(index_mod, "_CHUNK_ELEMENTS", budget)
+            np.testing.assert_array_equal(search_ids(index, Store(), queries, 30, 6, threads=1), want)
+            assert sizes == takes
+            assert all(rows * d <= max(budget, 30 * d) for rows in sizes)
+
+    def test_chunk_fault_names_what_one_query_would(self, monkeypatch):
+        """In a chunk of four queries with one fault, a non-finite row or a
+        missing id, search_ids raises the error, naming the same id, that
+        the first query holding it raises alone. A base of the wrong width
+        counts the chunk's ids, one take's worth."""
+        rng, base, cb, spec, index = make_fixture()
+        queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
+        monkeypatch.setattr(index_mod, "_CHUNK_ELEMENTS", 4 * 30 * base.shape[1])
+        cands = [shortlist(index, encode(q, cb, spec), 30) for q in queries]
+        first = next(i for i in cands[2] if i not in cands[0] and i not in cands[1])
+        bad = base.astype(np.float64)
+        bad[first] = np.nan
+        with pytest.raises(ValueError) as alone:
+            search(index, bad, queries[2], 30, 6)
+        with pytest.raises(ValueError) as chunk:
+            search_ids(index, bad, queries, 30, 6, threads=1)
+        assert str(chunk.value) == str(alone.value) == f"euclidean re-rank is undefined for non-finite base vector id {first}"
+        short = base[: index.size - 1]  # the last id is missing
+        holder = next(q for q, c in zip(queries, cands) if index.size - 1 in c)
+        with pytest.raises(LookupError) as alone:
+            search(index, short, holder, 30, 6)
+        with pytest.raises(LookupError) as chunk:
+            search_ids(index, short, queries, 30, 6, threads=1)
+        assert str(chunk.value) == str(alone.value) == f"base store has no vector for id {index.size - 1}"
+        with pytest.raises(ValueError, match=r"^base store returned shape \(120, 9\) for 120 ids$"):
+            search_ids(index, np.ones((index.size, 9)), queries, 30, 6, threads=1)
+
+    def test_missing_id_of_a_later_query_wins_in_its_chunk(self, monkeypatch):
+        """One take gathers the whole chunk, so a later query's missing id
+        raises LookupError before the screen reaches an earlier query's
+        non-finite row, which that query alone raises first."""
+        rng, base, cb, spec, index = make_fixture()
+        queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
+        monkeypatch.setattr(index_mod, "_CHUNK_ELEMENTS", 4 * 30 * base.shape[1])
+        cands = [set(shortlist(index, encode(q, cb, spec), 30).tolist()) for q in queries]
+        nonfinite = min(cands[0] - cands[3])
+        missing = min(cands[3] - cands[0])
+        bad = base.astype(np.float64)
+        bad[nonfinite] = np.inf
+
+        class Store:
+            def take(self, ids):
+                if missing in ids:
+                    raise LookupError(f"base store has no vector for id {missing}")
+                return bad[ids]
+
+        with pytest.raises(ValueError, match=f"non-finite base vector id {nonfinite}$"):
+            search(index, Store(), queries[0], 30, 6)
+        with pytest.raises(LookupError, match=f"no vector for id {missing}"):
+            search_ids(index, Store(), queries, 30, 6, threads=1)
+
     def test_query_path_never_reaches_matmul(self, monkeypatch):
         """Queries are hashed and re-ranked without a BLAS product, whose
         OpenBLAS threads spin on after it returns; a base block still takes

@@ -34,7 +34,6 @@ import multikmeans.index as index_mod
 import multikmeans.kmeans as km
 from multikmeans.core import (
     HashCode,
-    _row_source,
     _shifted_hamming,
     _sq_distances,
     as_matrix,
@@ -55,10 +54,10 @@ from multikmeans.evaluate import brute_force_gt
 from multikmeans.index import (
     _direct_distances,
     _euclidean_screen,
-    _exact_topk,
     _lower,
     _lower_cut,
     _query_screen,
+    _rerank,
     _screen_terms,
     _screened_rows,
     _topk,
@@ -368,9 +367,19 @@ def exhaustive_topk(rows, q64, ids, top):
 
 
 def walk_topk(rows, q64, ids, top):
-    """One query's exact walk over the rows, as the search re-rank runs it:
-    the `top` nearest ids by (distance, id) and their distances."""
-    return _exact_topk(_row_source(rows, "rows"), [q64], top, ids)[0]
+    """One query's re-rank over the rows, as a search runs it: each row sits
+    at its id in an array store and the shortlist is ids, in their order.
+    The query is re-ranked alone and in a chunk with a copy of itself,
+    which must agree byte for byte; the `top` nearest ids by
+    (distance, id) and their distances."""
+    store = np.zeros((int(ids.max()) + 1, rows.shape[1]), dtype=rows.dtype)
+    store[ids] = rows
+    got_ids, got_scores = _rerank(store, q64[None, :], ids[None, :], top)
+    pair_ids, pair_scores = _rerank(store, np.stack([q64, q64]), np.stack([ids, ids]), top)
+    for i, s in zip(pair_ids, pair_scores):
+        np.testing.assert_array_equal(i, got_ids[0])
+        assert s.tobytes() == got_scores[0].tobytes()
+    return got_ids[0], got_scores[0]
 
 
 def screen_with_dots(rows, q64, ids):
@@ -747,10 +756,11 @@ def test_encode_many_matches_one_checked_call_per_chunk(seed, n, d, variant, chu
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 40), st.data())
 def test_screened_topk_keeps_rows_tied_at_the_cutoff(seed, d, n, data):
     """With exact screen values and an identity cut map, lo is the kernel's
-    distance and the cut X = T, the running k-th distance of the blocks
-    before or the largest seed distance: a row whose lo equals the cut can
-    still be in the top (it is the top-th row itself, or tied with it and
-    has a lower id), so the keep rule must keep it."""
+    distance and the cut X = T, the largest seed distance (the re-rank and
+    ground truth) or the running k-th distance of the blocks before (ground
+    truth): a row whose lo equals the cut can still be in the top (it is
+    the top-th row itself, or tied with it and has a lower id), so the keep
+    rule must keep it."""
     rng = np.random.default_rng(seed)
     rows = rng.integers(-2, 3, size=(int(rng.integers(1, n + 1)), d)).astype(np.float32)
     rows = rows[rng.integers(0, rows.shape[0], size=n)]
@@ -774,9 +784,11 @@ def test_screened_topk_keeps_rows_tied_at_the_cutoff(seed, d, n, data):
         mock.patch.object(index_mod, "_BLOCK_ELEMENTS", block_rows * d),
     ):
         got_ids, got_scores = walk_topk(rows, q, ids, top)
+        gt = brute_force_gt(rows, q[None, :], top)
     want_pos, want_scores = exhaustive_topk(rows, q, ids, top)
     np.testing.assert_array_equal(got_ids, ids[want_pos])
     assert got_scores.tobytes() == want_scores.tobytes()
+    np.testing.assert_array_equal(gt[0], exhaustive_topk(rows, q, np.arange(n), top)[0])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -944,7 +956,8 @@ def test_screen_under_a_running_cut_keeps_every_row_it_cannot_rule_out(case, dat
 def test_no_query_row_pair_is_scored_twice(seed, d, n, block_rows, data):
     """The finish kernel scores each (query, row) pair at most once, in
     brute_force_gt over blocks of block_rows rows and in the search
-    re-rank, while the ids stay those of the kernel over every row."""
+    re-rank over chunks of block_rows queries, while the ids stay those of
+    the kernel over every row."""
     rng = np.random.default_rng(seed)
     base = (rng.standard_normal((n, d)) * 100.0).astype(np.float32)
     _nudge(base, rng, n)
@@ -956,15 +969,27 @@ def test_no_query_row_pair_is_scored_twice(seed, d, n, block_rows, data):
     cb = Codebook.from_centroids(rng.standard_normal((4, d)).astype(np.float32) * 100.0)
     spec = EncoderSpec(Variant.T)
     index = build_index(encode_many(base, cb, spec), np.arange(base.shape[0]), spec, cb)
+
+    def scored_pairs():
+        """(query, row) bytes of each row the kernel scored, whether it was
+        given one query or one per row; then the record is cleared."""
+        pairs = []
+        for (rows, q), _ in scored:
+            rows = np.asarray(rows)
+            qs = np.broadcast_to(q, rows.shape).reshape(-1, d)
+            pairs += [(a.tobytes(), b.tobytes()) for a, b in zip(qs, rows.reshape(-1, d))]
+        scored.clear()
+        return pairs
+
     with (
         mock.patch.object(index_mod, "_direct_distances", kernel),
         mock.patch.object(index_mod, "_BLOCK_ELEMENTS", block_rows * d),
+        mock.patch.object(index_mod, "_CHUNK_ELEMENTS", block_rows * base.shape[0] * d),
     ):
         gt = brute_force_gt(base, queries, k)
-        gt_pairs = [(q.tobytes(), row.tobytes()) for (rows, q), _ in scored for row in rows]
-        scored.clear()
+        gt_pairs = scored_pairs()
         got = search_ids(index, base, queries, base.shape[0], k, threads=1)
-        search_pairs = [(q.tobytes(), row.tobytes()) for (rows, q), _ in scored for row in rows]
+        search_pairs = scored_pairs()
     for pairs in (gt_pairs, search_pairs):
         assert len(pairs) == len(set(pairs))
     want = [exhaustive_topk(base, q, np.arange(base.shape[0]), k)[0] for q in queries]
@@ -1105,38 +1130,64 @@ def test_brute_force_gt_names_the_first_nonfinite_row_in_any_block(case, data):
                         brute_force_gt(given_base, queries, k)
 
 
+@st.composite
+def chunk_cases(draw):
+    """A base of a few distinct rows of small ints, copied, so codes tie at
+    the Hamming cut and distances at the exact one, with near-ties an ulp
+    apart (but in .bvecs, which holds bytes); a store kind: a float32
+    or float64 array, or an .fvecs or .bvecs VectorReader over its file.
+    The float64 base carries noise float32 cannot hold on some rows (a
+    non-zero cast error), and a float32 or float64 base at times a finite
+    row whose float32 norm overflows. Variant t or n; 5 or 7 queries, so
+    no chunk of 2 or 3 queries divides them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 6))
+    n_unique = draw(st.integers(2, 8))
+    n = draw(st.integers(max(n_unique, 8), 40))
+    unique = rng.integers(0, 4, size=(n_unique, d)).astype(np.float64)
+    base = unique[rng.integers(0, n_unique, size=n)]
+    store = draw(st.sampled_from(["float32", "float64", "fvecs", "bvecs"]))
+    if store == "float64":
+        base += rng.standard_normal((n, d)) * 1e-3 * rng.integers(0, 2, size=(n, 1))
+    if store != "bvecs" and draw(st.booleans()):
+        big = draw(st.sampled_from([3e19, 1e39] if store == "float64" else [3e19]))
+        base[rng.integers(0, n)] = rng.choice([-big, big], size=d)
+    if store != "float64":
+        base = base.astype(np.float32)
+    if store != "bvecs":
+        _nudge(base, rng, draw(st.integers(0, n // 4)))
+    k = draw(st.integers(2, 6))
+    cb = Codebook.from_centroids(rng.integers(0, 4, size=(k, d)).astype(np.float32))
+    spec = EncoderSpec(Variant.T) if draw(st.booleans()) else EncoderSpec(Variant.N, n_nearest=draw(st.integers(1, k)))
+    nq = draw(st.sampled_from([5, 7]))
+    queries = unique[rng.integers(0, n_unique, size=nq)] + rng.standard_normal((nq, d)) * rng.choice([0.0, 0.5], size=(nq, 1))
+    limit = draw(st.integers(1, n))
+    return base, store, cb, spec, queries, limit, draw(st.integers(1, limit))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from([np.float32, np.float64]))
-def test_rerank_over_several_blocks_matches_one_block(seed, blocks, dtype):
-    """A shortlist the exact walk cuts into 2-5 blocks ranks as one block
-    does: the same ids and score bytes, over an array and,
-    for a float32 base, a VectorReader over its file. The base holds exact
-    duplicates and near-ties an ulp apart, so ties straddle block edges, and
-    top may exceed a block."""
-    rng = np.random.default_rng(seed)
-    m, d = int(rng.integers(40, 120)), int(rng.integers(2, 9))
-    unique = rng.standard_normal((int(rng.integers(2, 12)), d)) * 10.0
-    base = unique[rng.integers(0, unique.shape[0], size=m)].astype(np.float32).astype(dtype)
-    _nudge(base, rng, m // 4)
-    if dtype is np.float64:
-        base += rng.standard_normal((m, d)) * 1e-3 * rng.integers(0, 2, size=(m, 1))
-    cb = Codebook.from_centroids(rng.standard_normal((6, d)).astype(np.float32) * 10.0)
-    spec = EncoderSpec(Variant.T)
-    index = build_index(encode_many(base, cb, spec), np.arange(m), spec, cb)
-    limit = int(rng.integers(blocks, m + 1))
-    top = int(rng.integers(1, limit + 1))
-    queries = base[rng.integers(0, m, size=3)] + rng.standard_normal((3, d)) * rng.choice([0.0, 1e-6, 1.0], size=(3, 1))
-    block_rows = -(-limit // blocks)  # cuts the shortlist into 2 to `blocks` blocks
+@given(chunk_cases())
+def test_chunked_rerank_equals_search(case):
+    """Chunks of 1, 2 and 3 queries and of the whole block, over 1, 2 and
+    the usable CPUs' workers, give each query search()'s ids and float64
+    scores bit for bit."""
+    base, store, cb, spec, queries, limit, top = case
+    n, d = base.shape
+    index = build_index(encode_many(base, cb, spec), np.arange(n), spec, cb)
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
-        stores = [base]
-        if dtype is np.float32:
-            stores.append(stack.enter_context(VectorReader(_fvecs_file(tmp, base))))
-        for store in stores:
-            want_ids, want_scores = index_mod._search_block(index, store, queries, limit, top, 1)
-            with mock.patch.object(index_mod, "_BLOCK_ELEMENTS", block_rows * d):
-                got_ids, got_scores = index_mod._search_block(index, store, queries, limit, top, 1)
-            np.testing.assert_array_equal(got_ids, want_ids)
-            assert got_scores.tobytes() == want_scores.tobytes()
+        if store in ("fvecs", "bvecs"):
+            path = os.path.join(tmp, "base." + store)
+            write_vectors(path, base.astype(np.uint8) if store == "bvecs" else base)
+            base = stack.enter_context(VectorReader(path))
+        want = [search(index, base, q, limit, top).ranked for q in queries]
+        want_ids = np.array([[i for i, _ in r] for r in want])
+        want_scores = np.array([[s for _, s in r] for r in want])
+        for per_chunk in (1, 2, 3, len(queries)):
+            with mock.patch.object(index_mod, "_CHUNK_ELEMENTS", per_chunk * limit * d):
+                for threads in (1, 2, None):
+                    ids, scores = index_mod._search_block(index, base, queries, limit, top, threads)
+                    np.testing.assert_array_equal(ids, want_ids)
+                    assert scores.tobytes() == want_scores.tobytes()
 
 
 def test_brute_force_gt_over_a_reader_holds_blocks_not_the_base():
