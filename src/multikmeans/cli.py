@@ -148,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seeds", default="0", help="comma-separated run seeds for query sampling")
     e.add_argument("--query-sample", type=int, default=None,
                    help="queries drawn per run (map mode samples per class); default all")
-    e.add_argument("--threads", type=int, default=None,
-                   help="search threads; default one per CPU this process may run on")
     e.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     e.set_defaults(func=cmd_eval)
 
@@ -461,8 +459,6 @@ def _map_mode(args, reader, queries, shortlist_size, config):
 def cmd_eval(args) -> int:
     seeds = [_seed_ok(s, "--seeds") for s in _ints_csv(args.seeds, "--seeds")]
     _positive(args.shortlist, "--shortlist")
-    if args.threads is not None:
-        _positive(args.threads, "--threads")
     if args.query_sample is not None:
         _positive(args.query_sample, "--query-sample")
     elif len(seeds) > 1:
@@ -488,7 +484,7 @@ def cmd_eval(args) -> int:
             "shortlist": shortlist_size,
             "seeds": seeds,
             "query_sample": args.query_sample,
-            "threads": args.threads,  # null unless given, so no report names the host's CPU count
+            "threads": None,  # search runs one worker per usable CPU; kept so earlier reports keep their bytes
         }
         t0 = time.perf_counter()
         setup = _recall_mode if args.mode == "recall" else _map_mode
@@ -500,7 +496,7 @@ def cmd_eval(args) -> int:
             scores = []
             for s in range(0, sel.shape[0], _EVAL_BLOCK):
                 rows = sel[s : s + _EVAL_BLOCK]
-                ids = search_ids(idx, reader, queries[rows], shortlist_size, depth, threads=args.threads)
+                ids = search_ids(idx, reader, queries[rows], shortlist_size, depth)
                 scores.append(score(rows, ids))
             per_run.append(
                 {"seed": seed, "query_count": int(sel.shape[0]), **run_record(np.concatenate(scores))}

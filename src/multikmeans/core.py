@@ -22,16 +22,6 @@ WORD_BITS = 64
 # index._exact_topk (brute_force_gt's walk over the base) and its screen's
 # query chunks, and dataio.generate_synthetic (each split's draw)
 _BLOCK_ELEMENTS = 1 << 23
-# elements (queries x L x dimension) one chunk of a search worker's queries
-# gathers for one index._rerank call, and at least one query: a chunk makes
-# one set of numpy calls for all its queries, so search_ids' threads queue
-# less on the GIL held between them (README, "Search cost")
-_CHUNK_ELEMENTS = 1 << 20
-# elements (rows x dimension) each shard of a query's shortlist must gather
-# before index._search_block splits the query over worker threads: below it
-# the hand-off costs more than the split saves, as measured at N = 200 000
-# and d = 128 only (index.search)
-_SHARD_ELEMENTS = 1 << 17
 
 __all__ = ["FormatError", "HashCode", "pack_bits", "derive_seed"]
 

@@ -23,8 +23,6 @@ from .core import (
     HashCode,
     WORD_BITS,
     _BLOCK_ELEMENTS,
-    _CHUNK_ELEMENTS,
-    _SHARD_ELEMENTS,
     _non_negative_integers,
     _row_ids,
     _shifted_hamming,
@@ -61,6 +59,16 @@ __all__ = [
 INDEX_MAGIC = b"MKMI"
 INDEX_VERSION = 2
 _INDEX_HEADER = struct.Struct("<IIQ")  # version, code_length, count
+# elements (queries x L x dimension) one chunk of a search worker's queries
+# gathers for one _rerank call, and at least one query: a chunk makes one set
+# of numpy calls for all its queries, so search_ids' workers queue less on
+# the GIL held between them (README, "Search cost")
+_CHUNK_ELEMENTS = 1 << 20
+# elements (rows x dimension) each shard of a query's shortlist must gather
+# before _search_block splits the query over worker threads: below it the
+# hand-off costs more than the split saves, as measured at N = 200 000 and
+# d = 128 only (search)
+_SHARD_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +195,6 @@ class _EuclideanScreen(NamedTuple):
     work array that every query's screen values overwrite."""
 
     rows: np.ndarray  # the rows as read, which the finish kernel scores
-    ids: np.ndarray  # the rows' ids, which break the seeds' ties in lo
     rows32: np.ndarray  # the rows as float32
     a_lo: np.ndarray  # a (1 - G) in float64, -inf where a is not finite
     a_max: float  # the largest finite a
@@ -203,6 +210,7 @@ def _euclidean_screen(rows, ids: np.ndarray) -> _EuclideanScreen:
     whose a is not finite are checked element by element: a finite row
     whose a overflows (a component past ~1.8e19, or a float64 one past the
     float32 range) is kept by every query and ranked by the finish kernel.
+    ids names the rows in that error only.
     """
     n, d = rows.shape
     G, h = _screen_margins(d)
@@ -232,7 +240,7 @@ def _euclidean_screen(rows, ids: np.ndarray) -> _EuclideanScreen:
     if not G < 0.5:  # d of ~2.8 million or more, where gamma_d is no longer small: no bound
         cast = np.inf
     a_max = float(np.max(a, where=finite, initial=0.0))
-    return _EuclideanScreen(rows, ids, rows32, a_lo, a_max, cast, np.empty(n))
+    return _EuclideanScreen(rows, rows32, a_lo, a_max, cast, np.empty(n))
 
 
 class _Query(NamedTuple):
@@ -357,19 +365,19 @@ def _screened_rows(screen: _EuclideanScreen, query: _Query, top: int, dots, T: f
     none. 1 <= top <= the screen's row count; `dots` are the float32
     products rows32 @ q32, in any summation order.
 
-    The cut comes from exact distances. The seeds, the `top` rows with the
-    smallest lo by _topk (ties by id, nan last) among those with
-    lo <= _lower_cut(T) (all rows when T = inf), are scored first, and T
-    becomes min(T, the largest of their distances). `top` real rows then
-    lie within T, so every row of the top has a finish distance f <= T;
-    its L = _lower(lo) <= f <= T; and as _lower is non-decreasing (a chain
-    of correctly rounded sqrt, max, sums with a constant and products by a
+    The cut comes from exact distances. The seeds, `top` rows of least lo
+    by np.argpartition (nan last) among those with lo <= _lower_cut(T)
+    (all rows when T = inf), are scored first, and T becomes min(T, the
+    largest of their distances). `top` real rows then lie within T, so
+    every row of the top has a finish distance f <= T; its
+    L = _lower(lo) <= f <= T; and as _lower is non-decreasing (a chain of
+    correctly rounded sqrt, max, sums with a constant and products by a
     positive constant), its lo <= X = _lower_cut(T). T is itself a finish
     distance, so it needs no rounding bound. Every row with lo <= X is
     kept; a lo of nan, which bounds nothing, is never above a cut. The
     kernel scores each row alone, so the top of the rows kept, with the
     rows scored elsewhere, is the top of all of them, ids and float64
-    distances bit for bit.
+    distances bit for bit, whichever `top` rows the seeds are.
     """
     terms = _screen_terms(screen, query)
     lo = _screen_values(dots, screen.a_lo, screen.lo)
@@ -379,9 +387,9 @@ def _screened_rows(screen: _EuclideanScreen, query: _Query, top: int, dots, T: f
             return None
         if near.size <= top:
             return near, _direct_distances(screen.rows[near], query.q64)
-        seeds = near[_topk(lo[near], screen.ids[near], top)]
+        seeds = near[np.argpartition(lo[near], top - 1)[:top]]
     else:
-        seeds = _topk(lo, screen.ids, top)
+        seeds = np.argpartition(lo, top - 1)[:top]
     found = _direct_distances(screen.rows[seeds], query.q64)
     T = min(T, float(found.max()))
     keep = ~(lo > _lower_cut(T, terms))
@@ -549,7 +557,7 @@ def _rerank(base_vectors, Q64: np.ndarray, cands: np.ndarray, top: int):
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on, the default thread count."""
+    """The CPUs this process may run on: search's worker count."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -558,7 +566,6 @@ def _usable_cpus() -> int:
 
 _IN_POOL = threading.local()  # .active is set on the pool's own threads
 _POOL = None
-_POOL_THREADS = 0
 _POOL_LOCK = threading.Lock()
 
 
@@ -567,22 +574,22 @@ def _mark_pool_thread() -> None:
     _IN_POOL.active = True
 
 
-def _worker_pool(threads: int) -> ThreadPoolExecutor:
-    """The process's one executor, made on first use and replaced by a
-    larger one when a call needs more than its threads; a replaced one's
-    idle threads exit once it is collected."""
-    global _POOL, _POOL_THREADS
+def _worker_pool() -> ThreadPoolExecutor:
+    """The process's one executor, made on first use with one thread per
+    usable CPU but the caller's. If the affinity mask widens later, a
+    call's tasks queue on these threads; as _run_tasks waits for every
+    task, no result changes."""
+    global _POOL
     with _POOL_LOCK:
-        if _POOL_THREADS < threads:
-            _POOL = ThreadPoolExecutor(threads, "multikmeans-search", _mark_pool_thread)
-            _POOL_THREADS = threads
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max(1, _usable_cpus() - 1), "multikmeans-search", _mark_pool_thread)
         return _POOL
 
 
 def _forget_pool() -> None:
     """Drop the executor in a forked child, which has none of its threads."""
-    global _POOL, _POOL_THREADS, _POOL_LOCK
-    _POOL, _POOL_THREADS, _POOL_LOCK = None, 0, threading.Lock()
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -597,7 +604,7 @@ def _run_tasks(tasks: list) -> list:
     calling thread alone, so no pool thread ever waits on the pool."""
     if len(tasks) == 1 or getattr(_IN_POOL, "active", False):
         return [task() for task in tasks]
-    pool = _worker_pool(len(tasks) - 1)
+    pool = _worker_pool()
     futures = [pool.submit(task) for task in tasks[1:]]
     try:
         first = tasks[0]()
@@ -618,21 +625,20 @@ def _count(x, name: str) -> int:
 def _shared_store(base_vectors) -> bool:
     """Whether threads may read base_vectors at once: a 2-D array, or a
     VectorReader, whose reads and takes share no file offset. Only such a
-    store's queries are split; any other store is read by one thread per
-    query."""
+    store is searched by _usable_cpus() workers; any other store is read on
+    the calling thread."""
     from .dataio import VectorReader  # dataio imports this module through evaluate
 
     return isinstance(base_vectors, (np.ndarray, VectorReader))
 
 
-def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top: int, threads: int | None):
+def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top: int):
     """The query path for a block of queries: encode, Hamming shortlist,
     exact re-rank. Returns (ids, scores), each shaped (len(Q), top).
 
-    With workers = min(threads, max(len(Q), usable CPUs)), threads=None
-    meaning _usable_cpus(), each query of a _shared_store gets
-    max(1, workers // len(Q)) shards, but no more than keeps
-    L * d / shards >= _SHARD_ELEMENTS. One shard per query:
+    With workers = _usable_cpus() for a _shared_store and 1 for any other
+    store, each query gets max(1, workers // len(Q)) shards, but no more
+    than keeps L * d / shards >= _SHARD_ELEMENTS. One shard per query:
     min(workers, len(Q)) workers take every workers-th query each, and
     re-rank them in chunks of max(1, _CHUNK_ELEMENTS // (L * d)) queries,
     one _rerank per chunk. More: each query's scan and re-rank are cut into
@@ -640,10 +646,7 @@ def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top:
     them. Every kernel on the path is row-pure and every merge selects by
     (distance, id), so no result depends on the count, the shards, the
     chunks or a query's position."""
-    threads = _usable_cpus() if threads is None else _count(threads, "threads")
     shortlist_size, top = _count(shortlist_size, "shortlist_size"), _count(top, "top")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     if not (1 <= top <= shortlist_size):
         raise ValueError(f"top={top} outside [1, shortlist={shortlist_size}]")
     if not (1 <= shortlist_size <= index.size):
@@ -654,9 +657,9 @@ def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top:
     n, d = Q.shape
     ids = np.empty((n, top), dtype=np.int64)
     scores = np.empty((n, top), dtype=np.float64)
-    workers = min(threads, max(n, _usable_cpus()))
+    workers = _usable_cpus() if _shared_store(base_vectors) else 1
     shards = min(workers // n, shortlist_size, shortlist_size * d // _SHARD_ELEMENTS)
-    if shards > 1 and _shared_store(base_vectors):
+    if shards > 1:
         _search_shards(index, base_vectors, codes, Q64, shortlist_size, top, shards, ids, scores)
         return ids, scores
     workers = min(workers, n)
@@ -725,31 +728,21 @@ def search(index: SearchIndex, base_vectors, query, shortlist_size: int, top: in
     the scan round also splits, and is unmeasured at other N or d.
     """
     v = as_vector(query, "query")
-    ids, scores = _search_block(index, base_vectors, v[None, :], shortlist_size, top, None)
+    ids, scores = _search_block(index, base_vectors, v[None, :], shortlist_size, top)
     ranked = tuple(zip(ids[0].tolist(), scores[0].tolist()))
     return SearchResult(ranked=ranked, metric="euclidean", shortlist_size=shortlist_size)
 
 
-def search_ids(
-    index: SearchIndex,
-    base_vectors,
-    queries,
-    shortlist_size: int,
-    top: int,
-    *,
-    threads: int | None = None,
-) -> np.ndarray:
+def search_ids(index: SearchIndex, base_vectors, queries, shortlist_size: int, top: int) -> np.ndarray:
     """Bulk search keeping only the ranked ids, shaped (len(queries), top).
 
     Same ordering rules as search(); meant for evaluation runs, where
-    holding per-query score tuples would be wasteful. The queries are
-    spread over `threads` worker threads, each taking every threads-th
-    query while there are at least as many queries as workers, and split
-    like search()'s otherwise; None (the default) means one per CPU this
-    process may run on. The count changes no result: row i is what
-    search() returns for queries[i]. With more than one worker, a store's
-    take(ids) is called from several threads at once; threads=1 keeps it
-    on the calling thread.
+    holding per-query score tuples would be wasteful. Over an array or a
+    VectorReader the queries are spread over one worker per usable CPU,
+    each taking every workers-th query while there are at least as many
+    queries as workers, and split like search()'s otherwise; any other
+    store is read on the calling thread. The worker count changes no
+    result: row i is what search() returns for queries[i].
 
     A worker re-ranks its queries in chunks of m = max(1, 2^20 // (L * d))
     (8 at L = 1000, d = 128), so a store's take(ids) receives a chunk's
@@ -759,7 +752,7 @@ def search_ids(
     of its rows is screened, so it wins over a non-finite row of an
     earlier query of the same chunk.
     """
-    return _search_block(index, base_vectors, queries, shortlist_size, top, threads)[0]
+    return _search_block(index, base_vectors, queries, shortlist_size, top)[0]
 
 
 def save_index(index: SearchIndex, path) -> None:

@@ -323,19 +323,19 @@ class TestSearchMany:
         for q, row in zip(queries, ids):
             assert row.tolist() == search(index, base, q, shortlist_size=30, top=6).ids()
 
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, monkeypatch):
         # ids and scores of the query block that search and search_ids share
         rng, base, cb, spec, index = make_fixture()
         queries = rng.standard_normal((16, base.shape[1])).astype(np.float32)
-        one = _search_block(index, base, queries, 30, 6, threads=1)
-        four = _search_block(index, base, queries, 30, 6, threads=4)
+        one = on_cpus(monkeypatch, 1, _search_block, index, base, queries, 30, 6)
+        four = on_cpus(monkeypatch, 4, _search_block, index, base, queries, 30, 6)
         for a, b in zip(one, four):
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("spec", BIT_RULES, ids=["t-arith", "t-geom", "n"])
-    def test_search_equals_its_row_near_code_flips(self, spec):
+    def test_search_equals_its_row_near_code_flips(self, spec, monkeypatch):
         """Queries within a few ulps of a flip of the rule keep their code at
-        every position of a search_ids block and at every thread count, so
+        every position of a search_ids block and at every CPU count, so
         search(q) returns that row's ids and scores bit for bit."""
         rng = np.random.default_rng(53)
         cb = random_codebook(rng, 10, 24)
@@ -346,14 +346,14 @@ class TestSearchMany:
         want = [search(index, base, q, shortlist_size=20, top=5).ranked for q in Q]
         for shift in range(len(Q)):
             order = np.roll(np.arange(len(Q)), shift)
-            for threads in (1, 2, None):
-                ids, scores = _search_block(index, base, Q[order], 20, 5, threads)
+            for cpus in (1, 2, 4):
+                ids, scores = on_cpus(monkeypatch, cpus, _search_block, index, base, Q[order], 20, 5)
                 got = [tuple(zip(i.tolist(), s.tolist())) for i, s in zip(ids, scores)]
-                assert got == [want[j] for j in order], (shift, threads)
+                assert got == [want[j] for j in order], (shift, cpus)
                 if shift == 0:
-                    np.testing.assert_array_equal(search_ids(index, base, Q, 20, 5, threads=threads), ids)
+                    np.testing.assert_array_equal(on_cpus(monkeypatch, cpus, search_ids, index, base, Q, 20, 5), ids)
         # einsum would sum the strided rows of a Fortran-ordered block in another order
-        ids, scores = _search_block(index, base, np.asfortranarray(Q), 20, 5, None)
+        ids, scores = _search_block(index, base, np.asfortranarray(Q), 20, 5)
         assert [tuple(zip(i.tolist(), s.tolist())) for i, s in zip(ids, scores)] == want
 
     def test_fortran_ordered_block_matches_search(self):
@@ -365,7 +365,7 @@ class TestSearchMany:
         spec = EncoderSpec(Variant.N, n_nearest=3)
         index = build_index(encode_many(base, cb, spec), np.arange(3000), spec, cb)
         Q = np.asfortranarray(rng.standard_normal((64, 37)))
-        ids, scores = _search_block(index, base, Q, 500, 50, 1)
+        ids, scores = _search_block(index, base, Q, 500, 50)
         for q, i, sc in zip(Q, ids, scores):
             assert search(index, base, np.ascontiguousarray(q), 500, 50).ranked == tuple(
                 zip(i.tolist(), sc.tolist())
@@ -379,7 +379,7 @@ class TestSearchMany:
         rng, base, cb, spec, index = make_fixture()
         d = base.shape[1]
         queries = rng.standard_normal((8, d)).astype(np.float32)
-        want = search_ids(index, base, queries, 30, 6, threads=1)
+        want = search_ids(index, base, queries, 30, 6)
         sizes = []
 
         class Store:
@@ -390,7 +390,7 @@ class TestSearchMany:
         for budget, takes in ((3 * 30 * d + 5, [90, 90, 60]), (30 * d - 1, [30] * 8), (8 * 30 * d, [240])):
             sizes.clear()
             monkeypatch.setattr(index_mod, "_CHUNK_ELEMENTS", budget)
-            np.testing.assert_array_equal(search_ids(index, Store(), queries, 30, 6, threads=1), want)
+            np.testing.assert_array_equal(search_ids(index, Store(), queries, 30, 6), want)
             assert sizes == takes
             assert all(rows * d <= max(budget, 30 * d) for rows in sizes)
 
@@ -398,10 +398,12 @@ class TestSearchMany:
         """In a chunk of four queries with one fault, a non-finite row or a
         missing id, search_ids raises the error, naming the same id, that
         the first query holding it raises alone. A base of the wrong width
-        counts the chunk's ids, one take's worth."""
+        counts the chunk's ids, one take's worth. One usable CPU keeps the
+        four queries on one worker."""
         rng, base, cb, spec, index = make_fixture()
         queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
         monkeypatch.setattr(index_mod, "_CHUNK_ELEMENTS", 4 * 30 * base.shape[1])
+        monkeypatch.setattr(index_mod, "_usable_cpus", lambda: 1)
         cands = [shortlist(index, encode(q, cb, spec), 30) for q in queries]
         first = next(i for i in cands[2] if i not in cands[0] and i not in cands[1])
         bad = base.astype(np.float64)
@@ -409,17 +411,17 @@ class TestSearchMany:
         with pytest.raises(ValueError) as alone:
             search(index, bad, queries[2], 30, 6)
         with pytest.raises(ValueError) as chunk:
-            search_ids(index, bad, queries, 30, 6, threads=1)
+            search_ids(index, bad, queries, 30, 6)
         assert str(chunk.value) == str(alone.value) == f"euclidean re-rank is undefined for non-finite base vector id {first}"
         short = base[: index.size - 1]  # the last id is missing
         holder = next(q for q, c in zip(queries, cands) if index.size - 1 in c)
         with pytest.raises(LookupError) as alone:
             search(index, short, holder, 30, 6)
         with pytest.raises(LookupError) as chunk:
-            search_ids(index, short, queries, 30, 6, threads=1)
+            search_ids(index, short, queries, 30, 6)
         assert str(chunk.value) == str(alone.value) == f"base store has no vector for id {index.size - 1}"
         with pytest.raises(ValueError, match=r"^base store returned shape \(120, 9\) for 120 ids$"):
-            search_ids(index, np.ones((index.size, 9)), queries, 30, 6, threads=1)
+            search_ids(index, np.ones((index.size, 9)), queries, 30, 6)
 
     def test_missing_id_of_a_later_query_wins_in_its_chunk(self, monkeypatch):
         """One take gathers the whole chunk, so a later query's missing id
@@ -443,7 +445,7 @@ class TestSearchMany:
         with pytest.raises(ValueError, match=f"non-finite base vector id {nonfinite}$"):
             search(index, Store(), queries[0], 30, 6)
         with pytest.raises(LookupError, match=f"no vector for id {missing}"):
-            search_ids(index, Store(), queries, 30, 6, threads=1)
+            search_ids(index, Store(), queries, 30, 6)
 
     def test_query_path_never_reaches_matmul(self, monkeypatch):
         """Queries are hashed and re-ranked without a BLAS product, whose
@@ -459,65 +461,62 @@ class TestSearchMany:
         with monkeypatch.context() as m:
             m.setattr(np, "matmul", no_blas)
             search(index, base, queries[0], shortlist_size=30, top=6)
-            for threads in (1, 2, None):
-                search_ids(index, base, queries, shortlist_size=30, top=6, threads=threads)
+            for cpus in (1, 2, 4):
+                on_cpus(monkeypatch, cpus, search_ids, index, base, queries, 30, 6)
         calls = []
         monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(a[0].shape) or matmul(*a, **k))
         encode_many(base, cb, spec)
         assert calls == [base.shape]
 
-    @pytest.mark.parametrize("threads, cpus, n, asked", [(10**6, 2, 3, [3]), (None, 5, 8, [5]), (None, 5, 3, [3]),
-                                                         (None, 1, 8, []), (2, 64, 1, [2, 2])])
-    def test_worker_count(self, monkeypatch, threads, cpus, n, asked):
-        """workers = min(threads, max(queries, usable CPUs)), threads=None
-        meaning the usable CPUs, and max(1, workers // queries) shards a
-        query. With one shard, min(workers, queries) workers take query
+    @pytest.mark.parametrize("cpus, n, asked", [(2, 3, [2]), (5, 8, [5]), (5, 3, [3]), (1, 8, []), (2, 1, [2, 2])])
+    def test_worker_count(self, monkeypatch, cpus, n, asked):
+        """workers = the usable CPUs, and max(1, workers // queries) shards
+        a query. With one shard, min(workers, queries) workers take query
         stripes; a lone query here splits into a scan round and a re-rank
         round of two tasks each (the shard budget is lifted). One task runs
         on the calling thread and never reaches the pool, which is replaced
         by one that records each call's task count and runs them inline."""
         rng, base, cb, spec, index = make_fixture()
         queries = rng.standard_normal((n, base.shape[1])).astype(np.float32)
+        want = [on_cpus(monkeypatch, 1, search_ids, index, base, q[None], 30, 6)[0] for q in queries]
         sizes = []
 
         class Inline:
-            def __init__(self, threads):
-                sizes.append(threads + 1)  # the calling thread runs one task
-
             def submit(self, task):
+                sizes[-1] += 1
                 future = Future()
                 future.set_result(task())
                 return future
 
-        monkeypatch.setattr(index_mod, "_worker_pool", Inline)
+        def inline_pool():
+            sizes.append(1)  # the calling thread runs one task
+            return Inline()
+
+        monkeypatch.setattr(index_mod, "_worker_pool", inline_pool)
         monkeypatch.setattr(index_mod, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(index_mod, "_SHARD_ELEMENTS", 1)
-        got = search_ids(index, base, queries, shortlist_size=30, top=6, threads=threads)
+        got = search_ids(index, base, queries, shortlist_size=30, top=6)
         assert sizes == asked
-        np.testing.assert_array_equal(got, [search_ids(index, base, q[None], 30, 6, threads=1)[0] for q in queries])
+        np.testing.assert_array_equal(got, want)
 
     def test_usable_cpus(self, monkeypatch):
         assert index_mod._usable_cpus() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity")  # as on a platform without it
         assert index_mod._usable_cpus() == (os.cpu_count() or 1)
 
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_rejects_threads_below_one(self, threads):
-        rng, base, cb, spec, index = make_fixture()
-        queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
-        with pytest.raises(ValueError, match="threads must be at least 1"):
-            search_ids(index, base, queries, shortlist_size=30, top=6, threads=threads)
-
-    def test_threads_is_keyword_only(self):
-        """A sixth positional argument, once a metric, is no thread count."""
+    def test_takes_no_thread_count(self):
+        """The usable CPUs set the worker count: neither a sixth positional
+        argument nor a threads keyword is accepted."""
         rng, base, cb, spec, index = make_fixture()
         queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
         with pytest.raises(TypeError):
             search_ids(index, base, queries, 30, 6, 2)
+        with pytest.raises(TypeError, match="threads"):
+            search_ids(index, base, queries, 30, 6, threads=2)
 
 
 class TestSearchArguments:
-    """threads, shortlist_size and top are checked for integers, numpy's
+    """shortlist_size and top are checked for integers, numpy's
     included and bool excluded, before any query is encoded."""
 
     @pytest.fixture
@@ -530,12 +529,6 @@ class TestSearchArguments:
 
         monkeypatch.setattr(index_mod, "encode_queries", no_work)
         return base, index, queries
-
-    @pytest.mark.parametrize("threads", [2.5, True, "2", np.float64(2.0)])
-    def test_threads_must_be_an_integer(self, case, threads):
-        base, index, queries = case
-        with pytest.raises(TypeError, match=r"^threads must be an integer, got "):
-            search_ids(index, base, queries, 30, 6, threads=threads)
 
     @pytest.mark.parametrize("name, shortlist_size, top", [
         ("shortlist_size", 10.0, 3), ("shortlist_size", False, 1), ("top", 10, 3.0), ("top", 10, True),
@@ -552,15 +545,20 @@ class TestSearchArguments:
         rng, base, cb, spec, index = make_fixture()
         q = rng.standard_normal(base.shape[1]).astype(np.float32)
         assert search(index, base, q, np.int32(30), np.uint8(6)) == search(index, base, q, 30, 6)
-        want = search_ids(index, base, q[None], 30, 6, threads=1)
-        np.testing.assert_array_equal(search_ids(index, base, q[None], np.int32(30), np.uint8(6), threads=np.int64(2)), want)
+        want = search_ids(index, base, q[None], 30, 6)
+        np.testing.assert_array_equal(search_ids(index, base, q[None], np.int32(30), np.uint8(6)), want)
+
+
+def on_cpus(monkeypatch, cpus, call, *args):
+    """call(*args) as on a machine with `cpus` usable CPUs."""
+    with monkeypatch.context() as m:
+        m.setattr(index_mod, "_usable_cpus", lambda: cpus)
+        return call(*args)
 
 
 def on_one_cpu(monkeypatch, *args):
     """search(*args) as on a one-CPU machine, on the calling thread alone."""
-    with monkeypatch.context() as m:
-        m.setattr(index_mod, "_usable_cpus", lambda: 1)
-        return search(*args)
+    return on_cpus(monkeypatch, 1, search, *args)
 
 
 def pool_threads() -> int:
@@ -586,29 +584,33 @@ class TestWorkerPool:
         return path
 
     def test_repeated_calls_keep_the_pool_size(self, split, monkeypatch):
+        """The pool is made once, with one thread per usable CPU but the
+        caller's, and every later call reuses it."""
         rng, base, cb, spec, index = split
         queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
         monkeypatch.setattr(index_mod, "_POOL", None)  # a fresh pool, whose threads this test counts
-        monkeypatch.setattr(index_mod, "_POOL_THREADS", 0)
-        before = threading.active_count()
-        want = search_ids(index, base, queries, 30, 6, threads=1)
+        before = set(threading.enumerate())
+        want = on_cpus(monkeypatch, 1, search_ids, index, base, queries, 30, 6)
+        np.testing.assert_array_equal(search_ids(index, base, queries, 30, 6), want)
+        pool = index_mod._POOL
         for i in range(50):
             assert search(index, base, queries[i % 4], 30, 6).ids() == want[i % 4].tolist()
             np.testing.assert_array_equal(search_ids(index, base, queries, 30, 6), want)
-            np.testing.assert_array_equal(search_ids(index, base, queries[:1], 30, 6, threads=3), want[:1])
-        assert index_mod._POOL_THREADS == 1  # two workers: the caller and one pool thread
-        assert threading.active_count() <= before + 1
+            np.testing.assert_array_equal(search_ids(index, base, queries[:1], 30, 6), want[:1])
+        assert pool is not None and index_mod._POOL is pool
+        new = [t for t in threading.enumerate() if t not in before and t.name.startswith("multikmeans-search")]
+        assert len(new) <= index_mod._usable_cpus() - 1
 
     def test_one_thread_never_reaches_the_pool(self, split, monkeypatch):
         rng, base, cb, spec, index = split
         queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
 
-        def no_pool(threads):
-            raise AssertionError("threads=1 reached the pool")
+        def no_pool():
+            raise AssertionError("one CPU reached the pool")
 
         monkeypatch.setattr(index_mod, "_worker_pool", no_pool)
-        search_ids(index, base, queries[:1], 30, 6, threads=1)
-        search_ids(index, base, queries, 30, 6, threads=1)
+        on_cpus(monkeypatch, 1, search_ids, index, base, queries[:1], 30, 6)
+        on_cpus(monkeypatch, 1, search_ids, index, base, queries, 30, 6)
         on_one_cpu(monkeypatch, index, base, queries[0], 30, 6)
         with pytest.raises(AssertionError, match="reached the pool"):
             search(index, base, queries[0], 30, 6)
@@ -617,7 +619,7 @@ class TestWorkerPool:
         """At the default budget, L = 30 at d = 8 is far too short to split."""
         rng, base, cb, spec, index = make_fixture()
         monkeypatch.setattr(index_mod, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(index_mod, "_worker_pool", lambda threads: pytest.fail("a short shortlist was split"))
+        monkeypatch.setattr(index_mod, "_worker_pool", lambda: pytest.fail("a short shortlist was split"))
         search(index, base, base[0], 30, 6)
 
     def test_other_stores_stay_on_the_calling_thread(self, split, monkeypatch):
@@ -633,11 +635,27 @@ class TestWorkerPool:
                 seen.append(threading.current_thread())
                 return base[ids]
 
-        monkeypatch.setattr(index_mod, "_worker_pool", lambda threads: pytest.fail("a store of unknown safety was split"))
+        monkeypatch.setattr(index_mod, "_worker_pool", lambda: pytest.fail("a store of unknown safety was split"))
         assert search(index, Store(), q, 30, 6) == on_one_cpu(monkeypatch, index, base, q, 30, 6)
-        np.testing.assert_array_equal(search_ids(index, Store(), q[None], 30, 6, threads=2),
-                                      search_ids(index, base, q[None], 30, 6, threads=1))
+        np.testing.assert_array_equal(search_ids(index, Store(), q[None], 30, 6),
+                                      on_cpus(monkeypatch, 1, search_ids, index, base, q[None], 30, 6))
         assert seen == [threading.current_thread()] * 2
+
+    def test_search_ids_reads_other_stores_on_the_calling_thread(self, split):
+        """A block of four queries over a store that is neither an array nor
+        a VectorReader takes no stripes on two CPUs: every take runs on the
+        calling thread."""
+        rng, base, cb, spec, index = split
+        queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
+        seen = []
+
+        class Store:
+            def take(self, ids):
+                seen.append(threading.current_thread())
+                return base[ids]
+
+        np.testing.assert_array_equal(search_ids(index, Store(), queries, 30, 6), search_ids(index, base, queries, 30, 6))
+        assert seen and seen == [threading.current_thread()] * len(seen)
 
     def test_split_runs_no_blas_product(self, split, monkeypatch):
         rng, base, cb, spec, index = split
@@ -710,7 +728,7 @@ class TestWorkerPool:
             try:
                 got = search(index, base, q, 30, 6)
                 os.write(write_end, repr(got.ranked).encode())
-                code = 0 if index_mod._POOL_THREADS == 1 and pool_threads() == 1 else 2
+                code = 0 if pool_threads() == index_mod._usable_cpus() - 1 else 2
             finally:
                 os._exit(code)
         os.close(write_end)

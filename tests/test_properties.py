@@ -251,22 +251,22 @@ def stores(draw):
     limit = draw(st.integers(1, n))
     top = draw(st.integers(1, limit))
     suffix = draw(st.sampled_from([".fvecs", ".bvecs"]))
-    threads = draw(st.sampled_from([1, 2]))
+    cpus = draw(st.sampled_from([1, 2]))
     cb = Codebook.from_centroids(cents.astype(np.float32))
-    return base, cb, spec, queries, limit, top, suffix, threads
+    return base, cb, spec, queries, limit, top, suffix, cpus
 
 
 @SETTINGS
 @given(stores())
 def test_search_over_reader_matches_full_sort(case):
-    base, cb, spec, queries, limit, top, suffix, threads = case
+    base, cb, spec, queries, limit, top, suffix, cpus = case
     index = build_index(encode_many(base.astype(np.float32), cb, spec), np.arange(len(base)), spec, cb)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "base" + suffix)
         write_vectors(path, base)
-        with VectorReader(path) as reader:
-            got_ids = search_ids(index, reader, queries, limit, top, threads=threads)
-            got_scores = index_mod._search_block(index, reader, queries, limit, top, threads)[1]
+        with VectorReader(path) as reader, mock.patch.object(index_mod, "_usable_cpus", lambda: cpus):
+            got_ids = search_ids(index, reader, queries, limit, top)
+            got_scores = index_mod._search_block(index, reader, queries, limit, top)[1]
             for qi, q in enumerate(queries):
                 code = encode(q, cb, spec)
                 cand = shortlist(index, code, limit)
@@ -321,8 +321,9 @@ def test_split_query_equals_one_thread(case):
             store = stack.enter_context(VectorReader(path))
         rows = []
         for q in queries:
-            one = index_mod._search_block(index, store, q[None, :], limit, top, 1)
-            many = index_mod._search_block(index, store, q[None, :], limit, top, None)
+            with mock.patch.object(index_mod, "_usable_cpus", lambda: 1):
+                one = index_mod._search_block(index, store, q[None, :], limit, top)
+            many = index_mod._search_block(index, store, q[None, :], limit, top)
             assert [a.tobytes() for a in many] == [a.tobytes() for a in one]
             assert search(index, store, q, limit, top).ranked == tuple(zip(one[0][0].tolist(), one[1][0].tolist()))
             rows.append(one[0][0])
@@ -985,10 +986,11 @@ def test_no_query_row_pair_is_scored_twice(seed, d, n, block_rows, data):
         mock.patch.object(index_mod, "_direct_distances", kernel),
         mock.patch.object(index_mod, "_BLOCK_ELEMENTS", block_rows * d),
         mock.patch.object(index_mod, "_CHUNK_ELEMENTS", block_rows * base.shape[0] * d),
+        mock.patch.object(index_mod, "_usable_cpus", lambda: 1),
     ):
         gt = brute_force_gt(base, queries, k)
         gt_pairs = scored_pairs()
-        got = search_ids(index, base, queries, base.shape[0], k, threads=1)
+        got = search_ids(index, base, queries, base.shape[0], k)
         search_pairs = scored_pairs()
     for pairs in (gt_pairs, search_pairs):
         assert len(pairs) == len(set(pairs))
@@ -1168,9 +1170,9 @@ def chunk_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(chunk_cases())
 def test_chunked_rerank_equals_search(case):
-    """Chunks of 1, 2 and 3 queries and of the whole block, over 1, 2 and
-    the usable CPUs' workers, give each query search()'s ids and float64
-    scores bit for bit."""
+    """Chunks of 1, 2 and 3 queries and of the whole block, over the
+    workers of 1, 2 and 4 usable CPUs, give each query search()'s ids and
+    float64 scores bit for bit."""
     base, store, cb, spec, queries, limit, top = case
     n, d = base.shape
     index = build_index(encode_many(base, cb, spec), np.arange(n), spec, cb)
@@ -1184,8 +1186,9 @@ def test_chunked_rerank_equals_search(case):
         want_scores = np.array([[s for _, s in r] for r in want])
         for per_chunk in (1, 2, 3, len(queries)):
             with mock.patch.object(index_mod, "_CHUNK_ELEMENTS", per_chunk * limit * d):
-                for threads in (1, 2, None):
-                    ids, scores = index_mod._search_block(index, base, queries, limit, top, threads)
+                for cpus in (1, 2, 4):
+                    with mock.patch.object(index_mod, "_usable_cpus", lambda: cpus):
+                        ids, scores = index_mod._search_block(index, base, queries, limit, top)
                     np.testing.assert_array_equal(ids, want_ids)
                     assert scores.tobytes() == want_scores.tobytes()
 

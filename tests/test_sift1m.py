@@ -45,9 +45,7 @@ def test_sift1m_threshold_variant_recall():
         hits = {1: 0, 100: 0, 1000: 0}
         for s in range(0, queries.shape[0], 256):
             block = queries[s : s + 256]
-            ids = search_ids(
-                index, reader, block, shortlist_size=10_000, top=1000, threads=4
-            )
+            ids = search_ids(index, reader, block, shortlist_size=10_000, top=1000)
             t = truth[s : s + 256]
             for r in hits:
                 hits[r] += int((ids[:, :r] == t).any(axis=1).sum())
