@@ -24,6 +24,7 @@ from .core import (
     WORD_BITS,
     _BLOCK_ELEMENTS,
     _non_negative_integers,
+    _numeric,
     _row_ids,
     _shifted_hamming,
     as_matrix,
@@ -243,38 +244,26 @@ def _euclidean_screen(rows, ids: np.ndarray) -> _EuclideanScreen:
     return _EuclideanScreen(rows, rows32, a_lo, a_max, cast, np.empty(n))
 
 
-class _Query(NamedTuple):
-    """The row-independent half of one query's screen in _lower, computed
-    once per query however many blocks of rows it screens."""
-
-    q64: np.ndarray
-    q32: np.ndarray  # q64 rounded to float32
-    b: float  # ||q32||^2, summed in float64
-    cast: float  # the cast-error bound ||q64 - q32||, 0.0 when q64 is exact in float32
-
-
-def _query_screen(q64: np.ndarray) -> _Query:
-    """q64's float32 rounding, squared norm and cast error (step 3 of the
-    proof in _lower)."""
-    h = _screen_margins(q64.shape[0])[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        q32 = q64.astype(np.float32)
-        q32_64 = q32.astype(np.float64)
-        b = float(q32_64 @ q32_64)
-        dq = q64 - q32_64
-        cast = float(np.sqrt(dq @ dq)) * (1.0 + h) + _TINY64 if dq.any() else 0.0
-    return _Query(q64, q32, b, cast)
-
-
-def _screen_terms(screen: _EuclideanScreen, query: _Query) -> tuple:
-    """The scalars (beta-, e, h) of one query over one screen's rows, which
-    _lower and _lower_cut map screen values with."""
-    d = query.q64.shape[0]
+def _screen_terms(screen: _EuclideanScreen, Q64: np.ndarray) -> tuple:
+    """The queries Q64 (m, d) rounded to float32, and their terms
+    (beta-, e, h) over the screen's rows, which _lower and _lower_cut map
+    screen values with: beta- and e one per query, h a scalar. A query's
+    b = ||q32||^2 and cast error ||q64 - q32|| (step 3 of the proof in
+    _lower) are summed in float64 over its own row, so its terms do not
+    depend on which queries share the call."""
+    d = Q64.shape[1]
     G, h = _screen_margins(d)
-    e = screen.cast + query.cast
-    if not (screen.a_max + d * _UNDERFLOW32) * query.b <= _FLT_MAX * _FLT_MAX / 4.0:
-        e = np.inf
-    return query.b * (1.0 - G) - 4.0 * d * _UNDERFLOW32, e, h
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q32 = Q64.astype(np.float32)
+        Q32_64 = Q32.astype(np.float64)
+        b = np.einsum("md,md->m", Q32_64, Q32_64)
+        dq = Q64 - Q32_64
+        cast = np.where(dq.any(axis=1), np.sqrt(np.einsum("md,md->m", dq, dq)) * (1.0 + h) + _TINY64, 0.0)
+    e = screen.cast + cast
+    e[~((screen.a_max + d * _UNDERFLOW32) * b <= _FLT_MAX * _FLT_MAX / 4.0)] = np.inf
+    beta_lo = b * (1.0 - G) - 4.0 * d * _UNDERFLOW32
+    beta_lo[e == np.inf] = 0.0  # b may be inf; with e = inf no row is ruled out whatever beta- is
+    return Q32, (beta_lo, e, h)
 
 
 def _lower(lo, terms):
@@ -323,8 +312,11 @@ def _lower(lo, terms):
     Cauchy-Schwarz no partial sum of c exceeds (1 + gamma_d) ||x'|| ||q'||,
     which stays below the float32 maximum M while (a_max + delta) b <=
     M^2 / 4 (a_max the largest finite a). A larger query sets e = inf: no
-    row is then ruled out. A row whose a overflows has no bound either; its
-    a (1 - G) is set to -inf, so its lo, -inf or nan, is never above a cut.
+    row is then ruled out. It also sets beta- = 0, as b is inf for a query
+    whose float32 rounding overflows, and _lower_cut's inf - inf would be
+    nan; L is -inf and the cut +inf either way. A row whose a overflows has
+    no bound either; its a (1 - G) is set to -inf, so its lo, -inf or nan,
+    is never above a cut.
     """
     beta_lo, e, h = terms
     return (np.sqrt(np.maximum(lo + beta_lo, 0.0)) - e) * (1.0 - h) - _TINY64
@@ -340,7 +332,8 @@ def _lower_cut(T, terms):
     for the real w = (T + 2^-500) / (1 - h) + e. The computed w^2 may fall
     11 v short of the real one, and the 32 v (w^2 + |beta-|) added here
     covers both and the three roundings that evaluate X. X is never nan:
-    T >= 0 and e >= 0 make w >= 0, and beta- is finite.
+    T >= 0 and e >= 0 make w >= 0, and beta- is finite (_screen_terms
+    sets it to 0 where e = inf).
     """
     beta_lo, e, h = terms
     w = (T + _TINY64) / (1.0 - h) + e
@@ -357,13 +350,14 @@ def _screen_values(dots, a_lo, out) -> np.ndarray:
     return out
 
 
-def _screened_rows(screen: _EuclideanScreen, query: _Query, top: int, dots, T: float):
+def _screened_rows(screen: _EuclideanScreen, q64: np.ndarray, terms, top: int, dots, T: float):
     """The positions of the screen's rows that may be among the `top`
-    nearest the query by (distance, id), and their finish distances, each
-    row scored once; None when no row may be. A finite T is a distance
-    within which `top` rows scored elsewhere lie; T = inf when there are
-    none. 1 <= top <= the screen's row count; `dots` are the float32
-    products rows32 @ q32, in any summation order.
+    nearest the query q64 by (distance, id), and their finish distances,
+    each row scored once; None when no row may be. terms are the query's
+    (beta-, e, h) from _screen_terms. A finite T is a distance within which
+    `top` rows scored elsewhere lie; T = inf when there are none.
+    1 <= top <= the screen's row count; `dots` are the float32 products
+    rows32 @ q32, in any summation order.
 
     The cut comes from exact distances. The seeds, `top` rows of least lo
     by np.argpartition (nan last) among those with lo <= _lower_cut(T)
@@ -379,25 +373,24 @@ def _screened_rows(screen: _EuclideanScreen, query: _Query, top: int, dots, T: f
     rows scored elsewhere, is the top of all of them, ids and float64
     distances bit for bit, whichever `top` rows the seeds are.
     """
-    terms = _screen_terms(screen, query)
     lo = _screen_values(dots, screen.a_lo, screen.lo)
     if T < np.inf:
         near = np.flatnonzero(~(lo > _lower_cut(T, terms)))
         if not near.size:  # the common case once the running top-k is full
             return None
         if near.size <= top:
-            return near, _direct_distances(screen.rows[near], query.q64)
+            return near, _direct_distances(screen.rows[near], q64)
         seeds = near[np.argpartition(lo[near], top - 1)[:top]]
     else:
         seeds = np.argpartition(lo, top - 1)[:top]
-    found = _direct_distances(screen.rows[seeds], query.q64)
+    found = _direct_distances(screen.rows[seeds], q64)
     T = min(T, float(found.max()))
     keep = ~(lo > _lower_cut(T, terms))
     keep[seeds] = False
     rest = np.flatnonzero(keep)
     if rest.size:
         seeds = np.concatenate((seeds, rest))
-        found = np.concatenate((found, _direct_distances(screen.rows[rest], query.q64)))
+        found = np.concatenate((found, _direct_distances(screen.rows[rest], q64)))
     return seeds, found
 
 
@@ -412,7 +405,8 @@ def _exact_topk(source, Q64, k: int) -> list:
     no array ever holds all of a reader's rows. Each query keeps a running
     top-k of (distance, id), and _topk merges each block's kept rows in.
     A block's screen drops every row it proves farther than the running
-    k-th distance, and its float32 products come from one BLAS product per
+    k-th distance. Its queries' half comes from one _screen_terms call for
+    all of them, and its float32 products from one BLAS product per
     _BLOCK_ELEMENTS // (block rows) queries; the screen holds for any
     rounding, so a lone query takes one too. Every distance comes from the
     row-pure _direct_distances, so the result is that of one ranking over
@@ -421,21 +415,21 @@ def _exact_topk(source, Q64, k: int) -> list:
     """
     n, d, read = source
     step = min(n, max(1, _BLOCK_ELEMENTS // d))
-    qs = [_query_screen(q64) for q64 in Q64]
-    run = [None] * len(qs)  # each query's running top-k (distances, ids), ascending by (distance, id)
+    run = [None] * len(Q64)  # each query's running top-k (distances, ids), ascending by (distance, id)
     for s in range(0, n, step):
         rows = read(s, min(step, n - s))
         block = np.arange(s, s + rows.shape[0])
         top = min(k, rows.shape[0])
         screen = _euclidean_screen(rows, block)
+        Q32, (beta_lo, e, h) = _screen_terms(screen, Q64)
         chunk = max(1, _BLOCK_ELEMENTS // rows.shape[0])
-        for c in range(0, len(qs), chunk):
+        for c in range(0, len(Q64), chunk):
             with np.errstate(over="ignore", invalid="ignore"):
-                dots = np.array([q.q32 for q in qs[c : c + chunk]]) @ screen.rows32.T
+                dots = Q32[c : c + chunk] @ screen.rows32.T
             for i, row_dots in enumerate(dots, start=c):
                 prev = run[i]
                 cut = np.inf if prev is None or prev[0].size < k else float(prev[0][-1])
-                kept = _screened_rows(screen, qs[i], top, row_dots, cut)
+                kept = _screened_rows(screen, Q64[i], (beta_lo[i], e[i], h), top, row_dots, cut)
                 if kept is None:
                     continue
                 keep, dist = kept
@@ -512,12 +506,14 @@ def _rerank(base_vectors, Q64: np.ndarray, cands: np.ndarray, top: int):
 
     One gather fetches all m * L rows: the store's take(ids) receives them
     in one call, and a shape it returns that is not (m * L, d) raises
-    ValueError counting the m * L ids. A row holding inf or nan raises
-    ValueError naming its id, the first in query order. One float32
-    einsum gives every query's products with its own rows. A lone query
-    then runs _screened_rows; in a chunk of several, its screen runs for
-    all m queries at once: each query takes as seeds the `top` rows of
-    least lo, scores them, and keeps every row with
+    ValueError counting the m * L ids, and rows that are not numeric
+    (bool, object, complex) raise ValueError after it. A row holding inf or
+    nan raises ValueError naming its id, the first in query order. One
+    _screen_terms call gives every query's half of the screen, and one
+    float32 einsum its products with its own rows. A lone query then runs
+    _screened_rows; in a chunk of several, its screen runs for all m
+    queries at once: each query takes as seeds the `top` rows of least lo,
+    scores them, and keeps every row with
     lo <= _lower_cut(the largest seed distance). The rows' cast
     error and a_max are taken over the whole chunk, which only widens each
     query's bound: the proof in _lower holds for any larger e or a_max.
@@ -531,19 +527,19 @@ def _rerank(base_vectors, Q64: np.ndarray, cands: np.ndarray, top: int):
     rows = _gather(base_vectors, flat)
     if rows.ndim != 2 or rows.shape[0] != flat.size or rows.shape[1] != Q64.shape[1]:
         raise ValueError(f"base store returned shape {rows.shape} for {flat.size} ids")
+    _numeric(rows, 2, "base store rows")
     screen = _euclidean_screen(rows, flat)
-    qs = [_query_screen(q64) for q64 in Q64]
+    Q32, (beta_lo, e, h) = _screen_terms(screen, Q64)
     with np.errstate(over="ignore", invalid="ignore"):
-        dots = np.einsum("mld,md->ml", screen.rows32.reshape(m, L, -1), np.array([q.q32 for q in qs]))
+        dots = np.einsum("mld,md->ml", screen.rows32.reshape(m, L, -1), Q32)
     if m == 1:  # a lone query, as each split shard is: ground truth's per-query screen makes fewer numpy calls
-        keep, dist = _screened_rows(screen, qs[0], top, dots[0], np.inf)
+        keep, dist = _screened_rows(screen, Q64[0], (beta_lo[0], e[0], h), top, dots[0], np.inf)
         sel = _topk(dist, flat[keep], top)
         return flat[keep[sel]][None], dist[sel][None]
-    terms = tuple(np.array(t) for t in zip(*(_screen_terms(screen, q) for q in qs)))
     lo = _screen_values(dots, screen.a_lo.reshape(m, L), screen.lo.reshape(m, L))
     seeds = np.argpartition(lo, top - 1, axis=1)[:, :top] + (np.arange(m) * L)[:, None]
     found = _direct_distances(rows[seeds], Q64[:, None, :])
-    keep = ~(lo > _lower_cut(found.reshape(m, top).max(axis=1), terms)[:, None]).ravel()
+    keep = ~(lo > _lower_cut(found.reshape(m, top).max(axis=1), (beta_lo, e, h))[:, None]).ravel()
     keep[seeds] = False
     rest = np.flatnonzero(keep)
     pos = np.concatenate((seeds.ravel(), rest))

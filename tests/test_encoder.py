@@ -250,9 +250,9 @@ class TestEncodeBatch:
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
-        reason="encode scores one row with a 1-row matrix product, whose last "
-        "bits differ from those of a many-row block, so a row within a few "
-        "ulps of a flip can take another code",
+        reason="encode scores a row with the row-pure einsum kernel, while "
+        "encode_many scores a block with one matrix product, whose last bits "
+        "differ, so a row within a few ulps of a flip can take another code",
     )
     @pytest.mark.parametrize("spec", BIT_RULES, ids=["t-arith", "t-geom", "n"])
     def test_encode_many_matches_single_near_code_flips(self, spec):

@@ -277,6 +277,28 @@ class TestSearch:
         with pytest.raises(ValueError, match=r"base store returned shape \(5, 7\) for 5 ids"):
             search(index, Narrow(), base[0], shortlist_size=5, top=3)
 
+    @pytest.mark.parametrize("call", ["search", "search_ids"])
+    @pytest.mark.parametrize("store", ["array", "take"])
+    @pytest.mark.parametrize("dtype", [bool, object, complex])
+    def test_base_rows_must_be_numeric(self, dtype, store, call):
+        # the index is built from numeric rows; the store serves them as another dtype
+        _, base, _, _, index = make_fixture(n=20)
+        rows = base.astype(dtype)
+
+        class Store:
+            def take(self, ids):
+                return rows[ids]
+
+        store = rows if store == "array" else Store()
+        calls = {
+            "search": lambda: search(index, store, base[0], shortlist_size=5, top=3),
+            "search_ids": lambda: search_ids(index, store, base[:3], shortlist_size=5, top=3),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"base store rows must be numeric, got dtype {rows.dtype}$"):
+                calls[call]()
+
     def test_base_array_must_be_2d(self):
         rng, base, cb, spec, index = make_fixture(n=10)
         with pytest.raises(ValueError, match="base vectors array must be 2-D"):

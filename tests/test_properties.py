@@ -3,9 +3,10 @@ the packed-key shortlist over multi-word codes and its key width rule, the
 search path over a memory-mapped VectorReader (single query, batched and
 threaded), a lone query split into 1 to 5 shards, VectorReader.take, the float32-screened Euclidean top-k against
 its float64 kernel run over every row, its keep rule at the cutoff, its
-query and row cast-error terms, the rows it keeps with and without a
-running cut and the exact seed distances its cut comes from, its cut map,
-a query whose float32 dot overflows, one kernel score per (query, row),
+query and row cast-error terms, each query's terms whichever queries
+share the call, the rows it keeps with and without a running cut and the
+exact seed distances its cut comes from, its cut map, a query whose
+float32 dot or norm overflows, one kernel score per (query, row),
 brute_force_gt's independence from the query block, the base block, the
 base's input kind (array or VectorReader) and the query order, its
 allocation peak over a reader, a search re-rank that the exact walk cuts
@@ -56,7 +57,6 @@ from multikmeans.index import (
     _euclidean_screen,
     _lower,
     _lower_cut,
-    _query_screen,
     _rerank,
     _screen_terms,
     _screened_rows,
@@ -384,10 +384,11 @@ def walk_topk(rows, q64, ids, top):
 
 
 def screen_with_dots(rows, q64, ids):
-    """The screen, the query's half and the float32 products the walk gives
-    _screened_rows for one query."""
-    screen, query = _euclidean_screen(rows, ids), _query_screen(q64)
-    return screen, query, np.einsum("nd,d->n", screen.rows32, query.q32)
+    """The screen, the query's terms and the float32 products the walk
+    gives _screened_rows for one query."""
+    screen = _euclidean_screen(rows, ids)
+    Q32, terms = _screen_terms(screen, q64[None, :])
+    return screen, terms, np.einsum("nd,d->n", screen.rows32, Q32[0])
 
 
 def screen_values(screen, dots):
@@ -454,9 +455,38 @@ def screen_cases(draw):
 def screen_lower_per_row(rows, q, ids):
     """Each row's L: the screen's scalar map applied element-wise to its
     per-row values lo."""
-    screen, query, dots = screen_with_dots(rows, q, ids)
+    screen, terms, dots = screen_with_dots(rows, q, ids)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _lower(screen_values(screen, dots), _screen_terms(screen, query))
+        return _lower(screen_values(screen, dots), terms)
+
+
+@SETTINGS
+@given(screen_cases(), st.data())
+def test_a_querys_screen_terms_are_its_own(case, data):
+    """Each row of _screen_terms over a block of queries, the float32
+    rounding, beta- and e, has the bytes of a call on that query alone,
+    whichever queries share the block: queries exact in float32, queries
+    it cannot hold, and queries whose float32 rounding overflows."""
+    rows, q, ids, _ = case
+    d = rows.shape[1]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kinds = data.draw(st.lists(st.sampled_from(["exact", "inexact", "overflow"]), min_size=1, max_size=9))
+    Q64 = q + rng.standard_normal((len(kinds), d)) * np.abs(q).max() * data.draw(st.sampled_from([0.0, 1e-6, 1.0]))
+    with np.errstate(over="ignore"):
+        for i, kind in enumerate(kinds):
+            if kind == "exact":
+                Q64[i] = Q64[i].astype(np.float32)
+            elif kind == "overflow":
+                Q64[i, rng.integers(0, d)] = rng.choice([-1.0, 1.0]) * data.draw(st.sampled_from([3.5e38, 1e39, 1e300]))
+    screen = _euclidean_screen(rows, ids)
+    Q32, (beta_lo, e, h) = _screen_terms(screen, Q64)
+    for i in range(len(kinds)):
+        one32, (one_beta, one_e, one_h) = _screen_terms(screen, Q64[i : i + 1])
+        assert one32.tobytes() == Q32[i : i + 1].tobytes()
+        assert one_beta.tobytes() == beta_lo[i : i + 1].tobytes()
+        assert one_e.tobytes() == e[i : i + 1].tobytes()
+        assert one_h == h
+    assert np.isfinite(beta_lo).all()
 
 
 @settings(max_examples=400, deadline=None)
@@ -863,6 +893,30 @@ def test_float64_row_past_the_float32_range_warns_nowhere():
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("big", [1e39, 1e300])
+def test_query_whose_float32_norm_overflows_warns_nowhere(big):
+    """A finite float64 query with a component past the float32 range has
+    b = ||q32||^2 = inf. Its terms set e = inf and beta- = 0, so the cut is
+    +inf rather than inf - inf = nan: search_ids on one CPU, which screens
+    both queries in one chunk, warns nowhere and returns search()'s rows,
+    and brute_force_gt ranks as the float64 kernel over every row does."""
+    rng = np.random.default_rng(13)
+    base = rng.standard_normal((50, 4))
+    queries = rng.standard_normal((2, 4))
+    queries[1, 2] = big
+    cb = Codebook.from_centroids(rng.standard_normal((4, 4)).astype(np.float32))
+    index = build_index(np.zeros((50, 1), dtype=np.uint64), np.arange(50), EncoderSpec(Variant.T), cb)
+    want = np.array([exhaustive_topk(base, q, np.arange(50), 10)[0] for q in queries])
+    with warnings.catch_warnings(), mock.patch.object(index_mod, "_usable_cpus", lambda: 1):
+        warnings.simplefilter("error")
+        got = search_ids(index, base, queries, 50, 10)
+        one = [search(index, base, q, 50, 10).ids() for q in queries]
+        gt = brute_force_gt(base, queries, 10)
+    np.testing.assert_array_equal(got, one)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(gt, want)
+
+
 def recorded(fn):
     """fn wrapped to record each call's arguments and result, and the list
     it records into."""
@@ -876,7 +930,7 @@ def recorded(fn):
     return record, calls
 
 
-def screened_with_spies(screen, query, top, dots, T0):
+def screened_with_spies(screen, q64, terms, top, dots, T0):
     """_screened_rows' kept positions and distances (empty for its None),
     each batch of rows the finish kernel scored (their distances), and the
     cut T of its last _lower_cut call, which is the one that chose the rows
@@ -884,7 +938,7 @@ def screened_with_spies(screen, query, top, dots, T0):
     kernel, scored = recorded(_direct_distances)
     cut, cuts = recorded(_lower_cut)
     with mock.patch.object(index_mod, "_direct_distances", kernel), mock.patch.object(index_mod, "_lower_cut", cut):
-        kept = _screened_rows(screen, query, top, dots, T0)
+        kept = _screened_rows(screen, q64, terms, top, dots, T0)
     kept, distances = (np.empty(0, dtype=np.int64), np.empty(0)) if kept is None else kept
     return kept, distances, [out for _, out in scored], cuts[-1][0][0]
 
@@ -909,8 +963,8 @@ def test_screen_keeps_every_row_it_cannot_rule_out(case, data):
         rows[rng.integers(0, n)] = rng.choice([-big, big], size=d)
     with np.errstate(over="ignore", invalid="ignore"):
         lower = screen_lower_per_row(rows, q, ids)
-        screen, query, dots = screen_with_dots(rows, q, ids)
-        kept, distances, scored, T = screened_with_spies(screen, query, top, dots, np.inf)
+        screen, terms, dots = screen_with_dots(rows, q, ids)
+        kept, distances, scored, T = screened_with_spies(screen, q, terms, top, dots, np.inf)
         got_ids, got_scores = walk_topk(rows, q, ids, top)
     want_pos, want_scores = exhaustive_topk(rows, q, ids, top)
     assert scored[0].size == top and T == scored[0].max()
@@ -939,9 +993,9 @@ def test_screen_under_a_running_cut_keeps_every_row_it_cannot_rule_out(case, dat
     assume(T0 < np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         lower = screen_lower_per_row(rows, q, ids)
-        screen, query, dots = screen_with_dots(rows, q, ids)
-        passed = ~(screen_values(screen, dots) > _lower_cut(T0, _screen_terms(screen, query)))
-        kept, distances, scored, T = screened_with_spies(screen, query, top, dots, T0)
+        screen, terms, dots = screen_with_dots(rows, q, ids)
+        passed = ~(screen_values(screen, dots) > _lower_cut(T0, terms))
+        kept, distances, scored, T = screened_with_spies(screen, q, terms, top, dots, T0)
     assert np.unique(kept).size == kept.size
     assert distances.tobytes() == _direct_distances(rows[kept], q).tobytes()
     if passed.sum() <= top:
