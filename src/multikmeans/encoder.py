@@ -148,11 +148,23 @@ def _bits_threshold(dists: np.ndarray, mean_kind: MeanKind) -> np.ndarray:
 
 
 def _bits_nearest(dists: np.ndarray, n: int) -> np.ndarray:
-    # stable argsort: equal distances rank the lower centroid index first
-    order = np.argsort(dists, axis=1, kind="stable")
-    bits = np.zeros(dists.shape, dtype=bool)
-    np.put_along_axis(bits, order[:, :n], True, axis=1)
-    return bits
+    """The bits of each row's first n centroids in a stable argsort of its
+    distances, which ranks nan last and equal distances by lower index,
+    from one partition: every distance below the row's n-th is set, then
+    the lowest-index ties at it fill the row up to n bits. Only rows with
+    more ties at the cut than room for them take the cumulative count."""
+    cut = np.partition(dists, n - 1, axis=1)[:, n - 1, None]
+    below = dists < cut
+    at = dists == cut
+    nan = np.flatnonzero(np.isnan(cut[:, 0]))
+    if nan.size:  # an n-th distance of nan: every number sorts before it, every nan ties with it
+        at[nan] = np.isnan(dists[nan])
+        below[nan] = ~at[nan]
+    room = n - np.count_nonzero(below, axis=1)
+    over = np.flatnonzero(np.count_nonzero(at, axis=1) > room)
+    if over.size:
+        at[over] &= np.cumsum(at[over], axis=1) <= room[over, None]
+    return below | at
 
 
 def code_length(spec: EncoderSpec, quantizer) -> int:

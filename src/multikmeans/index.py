@@ -30,6 +30,7 @@ from .core import (
     as_matrix,
     as_vector,
     atomic_write,
+    pack_bits,
     read_array,
     read_exact,
     words_for,
@@ -37,6 +38,7 @@ from .core import (
 from .encoder import (
     DualCodebook,
     EncoderSpec,
+    Variant,
     code_length,
     encode_queries,
     read_quantizer_record,
@@ -82,6 +84,8 @@ class SearchIndex:
     quantizer: Codebook | DualCodebook
     # the shortlist's tie-break: each row's number, its id, in the packed keys' dtype
     _ranks: np.ndarray = field(repr=False)
+    # _bit_planes of the codes when _plane_weight names their weight, else None
+    _planes: np.ndarray | None = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -143,9 +147,50 @@ def _own_index(packed: np.ndarray, spec: EncoderSpec, quantizer) -> SearchIndex:
     if tail and (packed[:, -1] >> np.uint64(tail)).any():
         raise ValueError("non-canonical padding: bits set past the code length")
     ranks = np.arange(packed.shape[0], dtype=_key_dtype(packed.shape[0], length))
-    for arr in (packed, ranks):
-        arr.setflags(write=False)
-    return SearchIndex(packed, length, spec, quantizer, ranks)
+    weight = _plane_weight(spec, width)
+    planes = None
+    if weight is not None and (np.bitwise_count(packed).sum(axis=1, dtype=np.int64) == weight).all():
+        planes = _bit_planes(packed, length)
+    for arr in (packed, ranks, planes):
+        if arr is not None:
+            arr.setflags(write=False)
+    return SearchIndex(packed, length, spec, quantizer, ranks, planes)
+
+
+def _plane_weight(spec: EncoderSpec, width: int) -> int | None:
+    """The weight w, n per codebook, that every code of an n or n2 spec
+    sets, when w <= 8 per code word: the rule under which an index whose
+    codes all have weight w keeps bit planes (_plane_shortlists). None for
+    any other spec. Shortlist µs per query of the XOR scan against the
+    planes, in chunks of 8 queries on one thread of a 2-core x86 machine
+    (the bench's seed-1 data: N = 200 000, d = 128, k = 64; L = 1000;
+    medians of 5 rounds of 256 queries, ids equal; the range of two runs):
+
+        code        XOR    planes
+        n = 1    521-582  135-140
+        n = 2    422-518  141-177
+        n = 4    422-531  167-222
+        n = 8    475-556  273-337
+        n = 16   465-539  569-687
+        n = 32   415-473  1612-1700
+        n2, 4+4  892-1027 299-331
+        n2, 8+8  924-959  619-629
+
+    so the planes win up to 8 bits per code word and lose from 16."""
+    if spec.variant not in (Variant.N, Variant.N2):
+        return None
+    weight = spec.n_nearest * (2 if spec.variant is Variant.N2 else 1)
+    return weight if weight <= 8 * width else None
+
+
+def _bit_planes(packed: np.ndarray, length: int) -> np.ndarray:
+    """(length, words_for(N)) uint64: plane j holds bit j of every code,
+    row i in bit i % 64 of word i // 64, with zero padding. Built one bit at
+    a time, so no (N, length) array of bits exists."""
+    planes = np.empty((length, words_for(packed.shape[0])), dtype=np.uint64)
+    for j in range(length):
+        planes[j] = pack_bits((packed[:, j // WORD_BITS] >> np.uint64(j % WORD_BITS)) & np.uint64(1))
+    return planes
 
 
 def _topk(keys: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
@@ -466,10 +511,95 @@ def _key_ids(index: SearchIndex, keys: np.ndarray, limit: int) -> np.ndarray:
     return nearest.astype(np.int64)
 
 
-def _nearest_codes(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndarray:
-    """Ids of the `limit` codes Hamming-nearest to one packed query row,
-    ordered by (distance, id); the caller has checked 1 <= limit <= size."""
-    return _key_ids(index, _nearest_keys(index, words, limit, 0, index.size), limit)
+def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, position) of every set bit of a 2-D uint64 bitset array, bit b
+    of word j at position 64 j + b, ordered by (row, position): flatnonzero
+    over the words, then over the bytes of the nonzero words, then over the
+    unpacked bits of the nonzero bytes: the same few numpy calls whatever
+    the density, where peeling one bit per word per round would make a
+    round of small calls, each taking the GIL, per bit of the fullest word."""
+    nz = np.flatnonzero(words)
+    octets = words.ravel()[nz].astype("<u8", copy=False).view(np.uint8)
+    nzb = np.flatnonzero(octets)
+    bits = np.flatnonzero(np.unpackbits(octets[nzb], bitorder="little"))
+    byte = nzb[bits // 8]
+    word = nz[byte // 8]
+    return word // words.shape[1], word % words.shape[1] * WORD_BITS + byte % 8 * 8 + bits % 8
+
+
+def _plane_shortlists(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndarray:
+    """The `limit` codes Hamming-nearest to each packed query row of words
+    (m, code words), ordered by (distance, id), as an (m, limit) id array:
+    one set of numpy calls for all m queries over the index's bit planes.
+
+    Every code has weight w, so a code's Hamming distance to a query q is
+    w + |q| - 2 s with s = popcount(code & q), and the order is (-s, id).
+    The level bitset A_t holds the rows that share at least t of the
+    query's bits: each of its bits j adds A_t |= A_(t-1) & plane j for t
+    descending, from A_0, every word all ones, and no level past w is
+    kept, as s <= w. With r the largest t such that |A_t| >= limit, the
+    shortlist is A_(r+1) ordered by (-s, id), s read from its codes, then
+    the lowest ids of A_r minus A_(r+1), cut after the word where their
+    cumulative popcount reaches the rest and trimmed to it. A_0's padding
+    bits past N lie after every row, so that trim never reaches them.
+    The level stack holds (w + 2) m N / 64 words; queries are taken in
+    groups that keep it within _CHUNK_ELEMENTS, one group at the bench
+    shape (8 queries, N = 200 000, w = 4)."""
+    planes = index._planes
+    m, nw = words.shape[0], planes.shape[1]
+    cap = _plane_weight(index.spec, words.shape[1])
+    step = max(1, _CHUNK_ELEMENTS // ((cap + 2) * nw))
+    if m > step:
+        return np.concatenate([_plane_shortlists(index, words[s : s + step], limit) for s in range(0, m, step)])
+    bits = np.unpackbits(np.ascontiguousarray(words, dtype="<u8").view(np.uint8), axis=1, bitorder="little")
+    query, bit = np.nonzero(bits)
+    weight = np.bincount(query, minlength=m)
+    p = int(weight.max())
+    cap = min(cap, p)
+    chosen = np.zeros((m, p), dtype=np.int64)  # each query's bits, then plane 0, zeroed below
+    chosen[query, np.arange(query.size) - (np.cumsum(weight) - weight)[query]] = bit
+    levels = np.zeros((cap + 2, m, nw), dtype=np.uint64)
+    levels[0] = ~np.uint64(0)
+    tmp = np.empty((m, nw), dtype=np.uint64)
+    for i in range(p):
+        plane = planes[chosen[:, i]]
+        plane[weight <= i] = 0
+        for t in range(min(i + 1, cap), 1, -1):
+            levels[t] |= np.bitwise_and(levels[t - 1], plane, out=tmp)
+        levels[1] |= plane
+    rows = np.arange(m)
+    r = (np.bitwise_count(levels[1 : cap + 1]).sum(axis=2, dtype=np.int64) >= limit).sum(axis=0)
+    near = levels[r + 1, rows]
+    q_near, ids_near = _set_bits(near)
+    shared = np.bitwise_count(index.codes[ids_near] & words[q_near]).sum(axis=1, dtype=np.int64)
+    near_count = np.bincount(q_near, minlength=m)
+    rest = limit - near_count
+    tie = levels[r, rows] & ~near
+    count = np.bitwise_count(tie)
+    tie[np.cumsum(count, axis=1, dtype=np.int64) - count >= rest[:, None]] = 0
+    q_tie, ids_tie = _set_bits(tie)
+    tie_count = np.bincount(q_tie, minlength=m)
+    # a row's slot in the flat (m, limit) output: its query's offset plus
+    # its rank among the query's rows, after its near_count for the tie
+    # set; a stable sort by (query, -s) keeps ascending ids within each s
+    out = np.empty(m * limit, dtype=np.int64)
+    order = np.argsort(q_near * (cap + 1) - shared, kind="stable")
+    out[np.arange(q_near.size) + (rows * limit - np.cumsum(near_count) + near_count)[q_near]] = ids_near[order]
+    slot = np.arange(q_tie.size) + (rows * limit + near_count - np.cumsum(tie_count) + tie_count)[q_tie]
+    keep = slot < (q_tie + 1) * limit
+    out[slot[keep]] = ids_tie[keep]
+    return out.reshape(m, limit)
+
+
+def _shortlists(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndarray:
+    """Ids of the `limit` codes Hamming-nearest to each packed query row of
+    words (m, code words), ordered by (distance, id), as an (m, limit)
+    array; the caller has checked 1 <= limit <= size. An index with bit
+    planes runs _plane_shortlists once for all m queries, any other the
+    XOR scan once per query."""
+    if index._planes is not None:
+        return _plane_shortlists(index, words, limit)
+    return np.array([_key_ids(index, _nearest_keys(index, w, limit, 0, index.size), limit) for w in words])
 
 
 def shortlist(index: SearchIndex, code: HashCode, limit: int) -> np.ndarray:
@@ -481,7 +611,7 @@ def shortlist(index: SearchIndex, code: HashCode, limit: int) -> np.ndarray:
         raise ValueError(f"code length {code.length} does not match index {index.code_length}")
     if not (1 <= limit <= index.size):
         raise ValueError(f"shortlist size {limit} outside [1, {index.size}]")
-    return _nearest_codes(index, code.words, limit)
+    return _shortlists(index, code.words[None], limit)[0]
 
 
 def _gather(base_vectors, ids: np.ndarray) -> np.ndarray:
@@ -636,12 +766,13 @@ def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top:
     store, each query gets max(1, workers // len(Q)) shards, but no more
     than keeps L * d / shards >= _SHARD_ELEMENTS. One shard per query:
     min(workers, len(Q)) workers take every workers-th query each, and
-    re-rank them in chunks of max(1, _CHUNK_ELEMENTS // (L * d)) queries,
-    one _rerank per chunk. More: each query's scan and re-rank are cut into
-    shards of contiguous codes and of shortlist rows, and the caller merges
-    them. Every kernel on the path is row-pure and every merge selects by
-    (distance, id), so no result depends on the count, the shards, the
-    chunks or a query's position."""
+    shortlist and re-rank them in chunks of max(1, _CHUNK_ELEMENTS //
+    (L * d)) queries, one _shortlists and one _rerank per chunk. More: each
+    query's re-rank, and its scan on an index without bit planes, are cut
+    into shards of shortlist rows and of contiguous codes, and the caller
+    merges them. Every kernel on the path is row-pure and every merge
+    selects by (distance, id), so no result depends on the count, the
+    shards, the chunks or a query's position."""
     shortlist_size, top = _count(shortlist_size, "shortlist_size"), _count(top, "top")
     if not (1 <= top <= shortlist_size):
         raise ValueError(f"top={top} outside [1, shortlist={shortlist_size}]")
@@ -664,8 +795,7 @@ def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top:
     def part(w: int) -> None:
         for c in range(w, n, workers * chunk):
             sel = slice(c, c + workers * chunk, workers)
-            cands = np.array([_nearest_codes(index, codes[i], shortlist_size) for i in range(n)[sel]])
-            ids[sel], scores[sel] = _rerank(base_vectors, Q64[sel], cands, top)
+            ids[sel], scores[sel] = _rerank(base_vectors, Q64[sel], _shortlists(index, codes[sel], shortlist_size), top)
 
     _run_tasks([partial(part, w) for w in range(workers)])
     return ids, scores
@@ -673,17 +803,22 @@ def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top:
 
 def _search_shards(index: SearchIndex, base_vectors, codes, Q64, limit: int, top: int, shards: int, ids, scores):
     """_search_block's split path: every query's scan and re-rank, each cut
-    into `shards` tasks, fill ids and scores.
+    into `shards` tasks, fill ids and scores. An index with bit planes
+    takes every query's shortlist from one _plane_shortlists call on the
+    calling thread, and splits the re-rank only.
 
     A scan shard keeps the min(limit, range) smallest keys of its range of
     codes; keys are unique, so the `limit` smallest of their union are
-    _nearest_codes'. A re-rank shard keeps the exact top of its slice of
+    _shortlists'. A re-rank shard keeps the exact top of its slice of
     the shortlist; the kernel scores each row alone, so _topk's
     (distance, id) merge of those tops is one walk's result."""
     n = Q64.shape[0]
-    ranges = [(index.size * s // shards, index.size * (s + 1) // shards) for s in range(shards)]
-    keys = _run_tasks([partial(_nearest_keys, index, codes[i], limit, a, b) for i in range(n) for a, b in ranges])
-    cands = [_key_ids(index, np.concatenate(keys[i * shards : (i + 1) * shards]), limit) for i in range(n)]
+    if index._planes is not None:
+        cands = _shortlists(index, codes, limit)
+    else:
+        ranges = [(index.size * s // shards, index.size * (s + 1) // shards) for s in range(shards)]
+        keys = _run_tasks([partial(_nearest_keys, index, codes[i], limit, a, b) for i in range(n) for a, b in ranges])
+        cands = [_key_ids(index, np.concatenate(keys[i * shards : (i + 1) * shards]), limit) for i in range(n)]
     slices = [slice(limit * s // shards, limit * (s + 1) // shards) for s in range(shards)]
     tops = _run_tasks([
         partial(_rerank, base_vectors, Q64[i : i + 1], cands[i][None, r], min(top, r.stop - r.start))
@@ -722,6 +857,16 @@ def search(index: SearchIndex, base_vectors, query, shortlist_size: int, top: in
     so at d = 128 a query splits from L = 2048 on. The budget was set from
     this one sweep: it counts only the gathered elements, not the N codes
     the scan round also splits, and is unmeasured at other N or d.
+
+    The shortlist comes from one of two kernels, with the same ids. An n or
+    n2 index whose codes all set w = n bits per codebook, at most 8 per
+    64-bit code word (_plane_weight, with its measured table), keeps one
+    bitset of N bits per code bit, its bit planes: as many bytes as the
+    codes, held in memory and not in the index file. Its shortlist is the
+    rows sharing the most bits with the query, then the lowest ids, found
+    by AND/OR over the query's planes (_plane_shortlists); a split query
+    takes it whole and splits its re-rank only. Every other index runs the
+    XOR/popcount scan over all N codes with one packed-key partition.
     """
     v = as_vector(query, "query")
     ids, scores = _search_block(index, base_vectors, v[None, :], shortlist_size, top)
@@ -740,12 +885,14 @@ def search_ids(index: SearchIndex, base_vectors, queries, shortlist_size: int, t
     store is read on the calling thread. The worker count changes no
     result: row i is what search() returns for queries[i].
 
-    A worker re-ranks its queries in chunks of m = max(1, 2^20 // (L * d))
-    (8 at L = 1000, d = 128), so a store's take(ids) receives a chunk's
-    m * L shortlisted ids, query after query, in one call. A store that
-    returns rows of the wrong shape raises "base store returned shape ...
-    for m * L ids"; a missing id anywhere in the chunk raises before any
-    of its rows is screened, so it wins over a non-finite row of an
+    A worker shortlists and re-ranks its queries in chunks of
+    m = max(1, 2^20 // (L * d)) (8 at L = 1000, d = 128). On an index with
+    bit planes (see search()) one kernel call shortlists a whole chunk;
+    any other index scans once per query. A store's take(ids) receives a
+    chunk's m * L shortlisted ids, query after query, in one call. A store
+    that returns rows of the wrong shape raises "base store returned shape
+    ... for m * L ids"; a missing id anywhere in the chunk raises before
+    any of its rows is screened, so it wins over a non-finite row of an
     earlier query of the same chunk.
     """
     return _search_block(index, base_vectors, queries, shortlist_size, top)[0]

@@ -160,6 +160,8 @@ class TestBuildIndex:
             index.codes[0, 0] = np.uint64(0)
         with pytest.raises(ValueError):
             index._ranks[0] = 5
+        with pytest.raises(ValueError):
+            index._planes[0, 0] = np.uint64(0)
         with pytest.raises(AttributeError):
             index.ids = np.arange(10)
         np.testing.assert_array_equal(index.ids, np.arange(10))
@@ -490,15 +492,14 @@ class TestSearchMany:
         encode_many(base, cb, spec)
         assert calls == [base.shape]
 
-    @pytest.mark.parametrize("cpus, n, asked", [(2, 3, [2]), (5, 8, [5]), (5, 3, [3]), (1, 8, []), (2, 1, [2, 2])])
-    def test_worker_count(self, monkeypatch, cpus, n, asked):
-        """workers = the usable CPUs, and max(1, workers // queries) shards
-        a query. With one shard, min(workers, queries) workers take query
-        stripes; a lone query here splits into a scan round and a re-rank
-        round of two tasks each (the shard budget is lifted). One task runs
-        on the calling thread and never reaches the pool, which is replaced
-        by one that records each call's task count and runs them inline."""
-        rng, base, cb, spec, index = make_fixture()
+    @staticmethod
+    def task_counts(monkeypatch, index, cpus, n):
+        """The task count of each call to the pool when search_ids runs n
+        queries on `cpus` usable CPUs with the shard budget lifted. One task
+        runs on the calling thread and never reaches the pool, which is
+        replaced by one that records each call's task count and runs them
+        inline. The ids are checked against one CPU's."""
+        rng, base = make_fixture()[:2]
         queries = rng.standard_normal((n, base.shape[1])).astype(np.float32)
         want = [on_cpus(monkeypatch, 1, search_ids, index, base, q[None], 30, 6)[0] for q in queries]
         sizes = []
@@ -517,9 +518,28 @@ class TestSearchMany:
         monkeypatch.setattr(index_mod, "_worker_pool", inline_pool)
         monkeypatch.setattr(index_mod, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(index_mod, "_SHARD_ELEMENTS", 1)
-        got = search_ids(index, base, queries, shortlist_size=30, top=6)
-        assert sizes == asked
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(search_ids(index, base, queries, shortlist_size=30, top=6), want)
+        return sizes
+
+    @pytest.mark.parametrize("cpus, n, asked", [(2, 3, [2]), (5, 8, [5]), (5, 3, [3]), (1, 8, []), (2, 1, [2])])
+    def test_worker_count(self, monkeypatch, cpus, n, asked):
+        """workers = the usable CPUs, and max(1, workers // queries) shards
+        a query. With one shard, min(workers, queries) workers take query
+        stripes; a lone query here takes one shortlist from the fixture's
+        bit planes and splits its re-rank into a round of two tasks."""
+        index = make_fixture()[4]
+        assert index._planes is not None
+        assert self.task_counts(monkeypatch, index, cpus, n) == asked
+
+    def test_worker_count_of_a_split_scan(self, monkeypatch):
+        """An index with no bit planes (variant t) splits a lone query's
+        Hamming scan too: a scan round and a re-rank round of two tasks
+        each."""
+        _, base, cb, _, _ = make_fixture()
+        spec = EncoderSpec(Variant.T)
+        index = build_index(encode_many(base, cb, spec), np.arange(len(base)), spec, cb)
+        assert index._planes is None
+        assert self.task_counts(monkeypatch, index, 2, 1) == [2, 2]
 
     def test_usable_cpus(self, monkeypatch):
         assert index_mod._usable_cpus() == len(os.sched_getaffinity(0))
@@ -535,6 +555,85 @@ class TestSearchMany:
             search_ids(index, base, queries, 30, 6, 2)
         with pytest.raises(TypeError, match="threads"):
             search_ids(index, base, queries, 30, 6, threads=2)
+
+
+class TestShortlistKernels:
+    """Which shortlist kernel serves an index: the bit planes for an n or n2
+    index whose codes all have weight n per codebook, at most 8 per code
+    word; the XOR scan for every other index, with the same ids."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Counts of calls to the plane kernel and to the XOR scan."""
+        calls = {"_plane_shortlists": 0, "_nearest_keys": 0}
+        for name in calls:
+            def counted(*args, name=name, kernel=getattr(index_mod, name)):
+                calls[name] += 1
+                return kernel(*args)
+            monkeypatch.setattr(index_mod, name, counted)
+        return calls
+
+    @staticmethod
+    def naive(index, words, limit):
+        ham = np.bitwise_count(index.codes ^ words).sum(axis=1, dtype=np.int64)
+        return np.lexsort((np.arange(index.size), ham))[:limit]
+
+    def test_other_indexes_keep_the_xor_scan(self, monkeypatch):
+        """A t index; an n index built from hand-made codes of mixed
+        weight; n = 16 on k = 64, 16 bits in one code word."""
+        rng, base, cb, _, _ = make_fixture(n=150, k=12)
+        wide = Codebook.from_centroids(rng.standard_normal((64, base.shape[1])).astype(np.float32))
+        t, n4, n16 = EncoderSpec(Variant.T), EncoderSpec(Variant.N, n_nearest=4), EncoderSpec(Variant.N, n_nearest=16)
+        cases = [
+            (encode_many(base, cb, t), cb, t),
+            (pack_bits(rng.random((150, cb.k)) < 0.3), cb, n4),
+            (encode_many(base, wide, n16), wide, n16),
+        ]
+        queries = rng.standard_normal((5, base.shape[1])).astype(np.float32)
+        calls = self.spy(monkeypatch)
+        for codes, quantizer, spec in cases:
+            index = build_index(codes, np.arange(150), spec, quantizer)
+            assert index._planes is None
+            for limit in (1, 37, 150):
+                for q in queries:
+                    code = encode(q, quantizer, spec)
+                    np.testing.assert_array_equal(shortlist(index, code, limit), self.naive(index, code.words, limit))
+                on_cpus(monkeypatch, 1, search_ids, index, base, queries, limit, 1)
+        assert calls["_plane_shortlists"] == 0 and calls["_nearest_keys"] == 3 * 3 * 10
+
+    def test_plane_kernel_runs_once_per_chunk(self, monkeypatch):
+        """Five queries in chunks of two take three kernel calls and no
+        XOR scan, with the ids of a full (Hamming, id) sort."""
+        rng, base, cb, spec, index = make_fixture()
+        assert index._planes is not None and index._planes.shape == (cb.k, 4)
+        queries = rng.standard_normal((5, base.shape[1])).astype(np.float32)
+        want = [search(index, base, q, 30, 6).ids() for q in queries]
+        calls = self.spy(monkeypatch)
+        monkeypatch.setattr(index_mod, "_CHUNK_ELEMENTS", 2 * 30 * base.shape[1])
+        np.testing.assert_array_equal(on_cpus(monkeypatch, 1, search_ids, index, base, queries, 30, 6), want)
+        assert calls == {"_plane_shortlists": 3, "_nearest_keys": 0}
+        for q in queries:
+            code = encode(q, cb, spec)
+            np.testing.assert_array_equal(shortlist(index, code, 30), self.naive(index, code.words, 30))
+
+    def test_lone_query_on_a_plane_index_splits_only_its_rerank(self, monkeypatch):
+        """At L = 10 000 and d = 32 a lone search() splits in two on two
+        CPUs: one kernel call gives the shortlist, two re-rank shards share
+        it, and the result is one CPU's, scores bit for bit."""
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((12_000, 32)).astype(np.float32)
+        cb = Codebook.from_centroids(rng.standard_normal((16, 32)).astype(np.float32))
+        spec = EncoderSpec(Variant.N, n_nearest=2)
+        index = build_index(encode_many(base, cb, spec), np.arange(len(base)), spec, cb)
+        q = rng.standard_normal(32).astype(np.float32)
+        want = on_one_cpu(monkeypatch, index, base, q, 10_000, 10)
+        calls = self.spy(monkeypatch)
+        reranks = []
+        rerank = index_mod._rerank
+        monkeypatch.setattr(index_mod, "_rerank", lambda *a: reranks.append(a[2].shape) or rerank(*a))
+        assert on_cpus(monkeypatch, 2, search, index, base, q, 10_000, 10) == want
+        assert calls == {"_plane_shortlists": 1, "_nearest_keys": 0}
+        assert reranks == [(1, 5000), (1, 5000)]
 
 
 class TestSearchArguments:

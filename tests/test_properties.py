@@ -1,5 +1,8 @@
 """Property tests: the partitioned top-k selector, the narrow Hamming keys,
 the packed-key shortlist over multi-word codes and its key width rule, the
+bit-plane shortlist of n and n2 indexes for chunks of queries and for
+hand-made codes of any weight, the partitioned n-nearest bit rule against
+a stable argsort, the
 search path over a memory-mapped VectorReader (single query, batched and
 threaded), a lone query split into 1 to 5 shards, VectorReader.take, the float32-screened Euclidean top-k against
 its float64 kernel run over every row, its keep rule at the cutoff, its
@@ -1273,3 +1276,96 @@ def test_brute_force_gt_reversed_queries_give_reversed_rows(case):
     """The screen's work arrays carry nothing from one query to the next."""
     base, queries, k = case
     np.testing.assert_array_equal(brute_force_gt(base, queries[::-1], k), brute_force_gt(base, queries, k)[::-1])
+
+
+def nearest_bits_reference(dists, n):
+    """The n-bit rule as it was: the first n of a stable argsort per row."""
+    bits = np.zeros(dists.shape, dtype=bool)
+    np.put_along_axis(bits, np.argsort(dists, axis=1, kind="stable")[:, :n], True, axis=1)
+    return bits
+
+
+@st.composite
+def tied_distances(draw):
+    """Distance rows with heavy ties: a few small values, duplicated
+    columns (duplicate centroids), and at times inf, nan or whole rows of
+    nan, as distances that overflow give."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, k = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    dists = rng.integers(0, draw(st.integers(1, 4)), size=(rows, k)).astype(np.float64)
+    if k > 1 and draw(st.booleans()):
+        dists[:, rng.integers(0, k, size=k // 2)] = dists[:, rng.integers(0, k, size=k // 2)]
+    for value in (np.inf, np.nan):
+        if draw(st.booleans()):
+            dists[rng.random((rows, k)) < draw(st.sampled_from([0.1, 0.5, 1.0]))] = value
+    if draw(st.booleans()):
+        dists[rng.integers(0, rows)] = np.nan
+    return dists, draw(st.integers(1, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_distances())
+def test_nearest_bits_match_a_stable_argsort(case):
+    """The partition bit rule sets the bits a stable argsort's first n
+    name: ties at the n-th distance go to the lower centroid indices, and
+    nan sorts after inf, so a row of nan gets its lowest n indices."""
+    dists, n = case
+    np.testing.assert_array_equal(_bits_nearest(dists, n), nearest_bits_reference(dists, n))
+
+
+@st.composite
+def plane_cases(draw):
+    """An n or n2 index whose N rows repeat a few codes of weight n per
+    codebook, so Hamming ties abound; N on either side of the 64-row word
+    edge; n2 with k = 40, codes of 80 bits over 2 words. A chunk of 1-9
+    queries of the same rule, some equal to the first, and a limit of 1,
+    N, or a cut boundary of the first query (the row count within a
+    distance) or one off it."""
+    dual = draw(st.booleans())
+    k = 40 if dual else draw(st.integers(6, 12))
+    n_nearest = draw(st.integers(1, min(8, k)))
+    n = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def codes(count):
+        return np.concatenate([rng.random((count, k)).argsort(axis=1) < n_nearest for _ in range(1 + dual)], axis=1)
+
+    unique = codes(draw(st.integers(1, 6)))
+    base = unique[rng.integers(0, len(unique), size=n)]
+    m = draw(st.integers(1, 9))
+    queries = codes(m)
+    queries[rng.random(m) < 0.3] = queries[0]
+    cents = rng.standard_normal((2, k, 2)).astype(np.float32)
+    quantizer = DualCodebook(*map(Codebook.from_centroids, cents)) if dual else Codebook.from_centroids(cents[0])
+    spec = EncoderSpec(Variant.N2 if dual else Variant.N, n_nearest=n_nearest)
+    codes_packed = pack_bits(base)
+    ham = popcount_reference(codes_packed, pack_bits(queries[0]))
+    cut = int((ham <= draw(st.sampled_from(sorted(set(ham.tolist()))))).sum())
+    limit = draw(st.sampled_from([1, n, cut, max(1, cut - 1), min(n, cut + 1)]))
+    return build_index(codes_packed, np.arange(n), spec, quantizer), pack_bits(queries), limit
+
+
+@settings(max_examples=150, deadline=None)
+@given(plane_cases(), st.sampled_from([None, 1, 3]))
+def test_plane_shortlists_match_a_full_sort(case, group):
+    """The bit-plane kernel against a full (Hamming, id) sort, for a chunk
+    of queries at once, in groups of 1 or 3 queries too; then hand-made
+    codes of any weight, 0 and every bit included: one at a time through
+    shortlist(), which runs the kernel as a chunk of one, and all four as
+    one chunk of mixed weights."""
+    index, words, limit = case
+    assert index._planes is not None
+    levels = index_mod._plane_weight(index.spec, words.shape[1]) + 2
+    budget = index_mod._CHUNK_ELEMENTS if group is None else group * levels * index._planes.shape[1]
+    with mock.patch.object(index_mod, "_CHUNK_ELEMENTS", budget):
+        got = index_mod._shortlists(index, words, limit)
+    assert got.shape == (len(words), limit)
+    for row, w in zip(got, words):
+        np.testing.assert_array_equal(row, naive_shortlist(index.codes, w, limit))
+    length = index.code_length
+    rng = np.random.default_rng(int(words[0, 0]) + limit)
+    mixed = pack_bits(np.array([rng.permutation(length) < w for w in (0, 1, rng.integers(0, length + 1), length)]))
+    for q, row in zip(mixed, index_mod._shortlists(index, mixed, limit)):
+        want = naive_shortlist(index.codes, q, limit)
+        np.testing.assert_array_equal(shortlist(index, HashCode(q, length), limit), want)
+        np.testing.assert_array_equal(row, want)
