@@ -222,16 +222,15 @@ def cmd_train(args) -> int:
     if not args.tol >= 0:
         raise ConfigError(f"--tol must be non-negative, got {args.tol}")
     _seed_ok(args.seed)
-    dual = variant in (Variant.T2, Variant.N2)
-    if dual and (args.k % 2 or args.k < 4):
+    if variant.dual and (args.k % 2 or args.k < 4):
         raise ConfigError(f"variant {variant.value} needs an even --k of at least 4 (2 per codebook), got {args.k}")
     data = read_vectors(args.learning)
     params = TrainParams(max_iters=args.max_iters, rel_tol=args.tol, seed=args.seed)
     t0 = time.perf_counter()
-    quantizer = train_dual_codebook(data, args.k // 2, params) if dual else train(data, args.k, params)
+    quantizer = train_dual_codebook(data, args.k // 2, params) if variant.dual else train(data, args.k, params)
     save_quantizer(quantizer, args.out)
     dt = time.perf_counter() - t0
-    if dual:
+    if variant.dual:
         for name, cb in (("first", quantizer.first), ("second", quantizer.second)):
             m = cb.train_meta
             print(
@@ -251,10 +250,9 @@ def cmd_train(args) -> int:
 def _encoder_spec(args, quantizer) -> EncoderSpec:
     """Build the EncoderSpec for the index command, checking flag pairings."""
     variant = Variant(args.variant)
-    dual = variant in (Variant.T2, Variant.N2)
-    if dual != isinstance(quantizer, DualCodebook):
-        raise ConfigError(f"variant {variant.value} needs a {'dual' if dual else 'single'} codebook file")
-    if variant in (Variant.T, Variant.T2):
+    if variant.dual != isinstance(quantizer, DualCodebook):
+        raise ConfigError(f"variant {variant.value} needs a {'dual' if variant.dual else 'single'} codebook file")
+    if not variant.nearest:
         if args.n is not None:
             raise ConfigError(f"--n does not apply to variant {variant.value}")
         mean = MeanKind(args.mean) if args.mean else MeanKind.ARITHMETIC
@@ -264,7 +262,7 @@ def _encoder_spec(args, quantizer) -> EncoderSpec:
     if args.n is None:
         raise ConfigError(f"variant {variant.value} needs --n")
     n = args.n
-    if variant is Variant.N2:
+    if variant.dual:
         if n % 2:
             raise ConfigError(f"variant n2 splits --n across two codebooks; need even --n, got {n}")
         n //= 2
@@ -280,11 +278,7 @@ def cmd_index(args) -> int:
     quantizer = load_quantizer(args.codebook)
     spec = _encoder_spec(args, quantizer)
     t0 = time.perf_counter()
-    with VectorReader(args.base) as reader:
-        if reader.dim != quantizer.dim:
-            raise ValueError(
-                f"base file dimension {reader.dim} does not match codebook dimension {quantizer.dim}"
-            )
+    with _open_base(args.base, quantizer, 0, "codebook") as reader:
         codes = encode_many(reader, quantizer, spec)  # read in encode blocks, so never all in memory
         idx = build_index(codes, np.arange(reader.count, dtype=np.int64), spec, quantizer)
     save_index(idx, args.out)
@@ -297,17 +291,17 @@ def cmd_index(args) -> int:
     return 0
 
 
-def _open_base(path: str, idx):
-    """Open the base file behind idx; its dimension and count must fit the index."""
+def _open_base(path: str, quantizer, size: int, what: str):
+    """Open a base file: its dimension must be the quantizer's, which the
+    error calls the `what` dimension, and it must hold at least `size`
+    vectors, the index's size (0 when building one)."""
     reader = VectorReader(path)
-    if reader.dim != idx.quantizer.dim:
+    if reader.dim != quantizer.dim:
         reader.close()
-        raise ValueError(
-            f"base file dimension {reader.dim} does not match index dimension {idx.quantizer.dim}"
-        )
-    if reader.count < idx.size:
+        raise ValueError(f"base file dimension {reader.dim} does not match {what} dimension {quantizer.dim}")
+    if reader.count < size:
         reader.close()
-        raise ValueError(f"base file holds {reader.count} vectors but index expects {idx.size}")
+        raise ValueError(f"base file holds {reader.count} vectors but index expects {size}")
     return reader
 
 
@@ -322,7 +316,7 @@ def cmd_query(args) -> int:
     _positive(args.top, "--top")
     _positive(args.shortlist, "--shortlist")
     idx = load_index(args.index)
-    with _open_base(args.base, idx) as reader:
+    with _open_base(args.base, idx.quantizer, idx.size, "index") as reader:
         with VectorReader(args.query_file) as queries:
             if not 0 <= args.query_row < queries.count:
                 raise ConfigError(f"--query-row {args.query_row} outside [0, {queries.count})")
@@ -466,7 +460,7 @@ def cmd_eval(args) -> int:
     idx = load_index(args.index)
     shortlist_size = _clamp(args.shortlist, idx.size, "shortlist", "index size")
 
-    with _open_base(args.base, idx) as reader:
+    with _open_base(args.base, idx.quantizer, idx.size, "index") as reader:
         queries = read_vectors(args.queries)
         config = {
             "command": "eval",

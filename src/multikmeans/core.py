@@ -203,6 +203,23 @@ def _non_negative_integers(x, name: str) -> np.ndarray:
     return arr
 
 
+def _count(x, name: str) -> int:
+    """x as an int, else TypeError naming `name`: a Python or numpy
+    integer, and not a bool. The one statement of an integer argument."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(x).__name__}")
+    return int(x)
+
+
+def _seed(x, name: str) -> int:
+    """x as a seed: an integer by _count, in [0, 2^64), else ValueError
+    naming `name`. The one statement of the seed range."""
+    seed = _count(x, name)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
+    return seed
+
+
 def _row_ids(ids, n: int, name: str, missing: str) -> np.ndarray:
     """ids as int64 row numbers of an n-row store. ids must be 1-D and,
     unless empty, integers, else ValueError naming `name`; an id outside
@@ -304,9 +321,8 @@ def derive_seed(seed: int, tag: int) -> int:
 
     Keeps independent pipeline stages (training split, sub-codebook
     training, query sampling, synthetic data streams) on distinct PCG64
-    streams even when the user supplies a single seed.
+    streams even when the user supplies a single seed. seed must pass
+    _seed and tag _count.
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(tag),))
+    ss = np.random.SeedSequence(entropy=_seed(seed, "seed"), spawn_key=(_count(tag, "tag"),))
     return int(ss.generate_state(1, dtype=np.uint64)[0])

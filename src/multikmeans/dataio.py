@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK_ELEMENTS, FormatError, _row_ids, as_matrix, atomic_write, derive_seed, read_exact
+from .core import _BLOCK_ELEMENTS, FormatError, _row_ids, _seed, as_matrix, atomic_write, derive_seed, read_exact
 from .evaluate import brute_force_gt
 
 __all__ = [
@@ -260,7 +260,8 @@ class VectorReader:
             done += got
 
     def __getitem__(self, i: int):
-        return self.take(np.asarray([int(i)]))[0]
+        """Record i, checked by take: a float or bool i raises ValueError."""
+        return self.take(np.asarray([i]))[0]
 
     def close(self) -> None:
         """Release the map and the descriptor; later reads raise ValueError."""
@@ -338,8 +339,7 @@ class SyntheticSpec:
         for name in ("cluster_spread", "center_scale"):
             if not (0.0 < getattr(self, name) <= f32_max):
                 raise ValueError(f"{name} must be positive and at most {f32_max:.7g}")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        _seed(self.seed, "seed")
         if self.n_queries < 1:
             raise ValueError("need at least 1 query")
         if self.n_learning is None:

@@ -21,6 +21,7 @@ from .core import (
     _BLOCK_ELEMENTS,
     FormatError,
     HashCode,
+    _count,
     _row_source,
     _sq_distances,
     as_matrix,
@@ -60,10 +61,23 @@ _SECOND_STREAM = 3
 
 
 class Variant(str, Enum):
+    """The four bit rules, and the one statement of which is which."""
+
     T = "t"
     N = "n"
     T2 = "t2"
     N2 = "n2"
+
+    @property
+    def dual(self) -> bool:
+        """Whether codes concatenate two codebooks' bits: t2 and n2."""
+        return self in (Variant.T2, Variant.N2)
+
+    @property
+    def nearest(self) -> bool:
+        """Whether codes set the bits of the n nearest centroids: n and n2;
+        t and t2 set those within a mean distance."""
+        return self in (Variant.N, Variant.N2)
 
 
 class MeanKind(str, Enum):
@@ -84,7 +98,8 @@ class EncoderSpec:
 
     mean_kind matters for the threshold variants (the nearest-count ones
     keep ARITHMETIC); n_nearest counts bits per codebook for the
-    nearest-count variants (so an n2 code sets 2*n_nearest bits in total).
+    nearest-count variants (so an n2 code sets 2*n_nearest bits in total),
+    and must be an integer (not a bool), else TypeError, for every variant.
     """
 
     variant: Variant
@@ -94,12 +109,12 @@ class EncoderSpec:
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
         object.__setattr__(self, "mean_kind", MeanKind(self.mean_kind))
-        if self.variant in (Variant.N, Variant.N2):
-            if self.n_nearest < 1:
+        n_nearest = _count(self.n_nearest, "n_nearest")
+        if self.variant.nearest:
+            if n_nearest < 1:
                 raise ValueError(f"variant {self.variant.value} needs n_nearest >= 1")
             object.__setattr__(self, "mean_kind", MeanKind.ARITHMETIC)
-        else:
-            object.__setattr__(self, "n_nearest", 0)
+        object.__setattr__(self, "n_nearest", n_nearest if self.variant.nearest else 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +186,7 @@ def code_length(spec: EncoderSpec, quantizer) -> int:
     """Bits per code for this spec/quantizer pair; validates the pairing."""
     if not isinstance(spec, EncoderSpec):
         raise TypeError(f"spec must be an EncoderSpec, not {type(spec).__name__}")
-    dual = spec.variant in (Variant.T2, Variant.N2)
+    dual = spec.variant.dual
     if not isinstance(quantizer, DualCodebook if dual else Codebook):
         raise TypeError(f"variant {spec.variant.value} requires a {'dual' if dual else 'single'} codebook")
     # n_nearest is 0 for the threshold variants, so they always pass
@@ -231,11 +246,10 @@ def _encode_block(block, centroids, spec: EncoderSpec, row_pure: bool) -> np.nda
     x_sq = np.einsum("nd,nd->n", X64, X64)
     dists = [_sq_distances(X64, x_sq, C64, c_sq, row_pure=row_pure) for C64, c_sq in centroids]
     del X64  # freed before the bit rules allocate theirs
-    threshold = spec.variant in (Variant.T, Variant.T2)
     parts = []
     for d in dists:
         np.sqrt(d, out=d)
-        parts.append(_bits_threshold(d, spec.mean_kind) if threshold else _bits_nearest(d, spec.n_nearest))
+        parts.append(_bits_nearest(d, spec.n_nearest) if spec.variant.nearest else _bits_threshold(d, spec.mean_kind))
     return pack_bits(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
 
 
@@ -276,7 +290,7 @@ def read_spec_record(f) -> EncoderSpec:
     if mtag not in _TAG_MEANS:
         raise FormatError(f"unknown mean tag {mtag}", offset=start + 1)
     variant = _TAG_VARIANTS[vtag]
-    if variant in (Variant.N, Variant.N2) and n_nearest < 1:
+    if variant.nearest and n_nearest < 1:
         raise FormatError(f"variant {variant.value} stored with n_nearest={n_nearest}", offset=start + 2)
     return EncoderSpec(variant, _TAG_MEANS[mtag], n_nearest)
 

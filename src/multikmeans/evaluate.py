@@ -10,8 +10,8 @@ import warnings
 
 import numpy as np
 
-from .core import _row_ids, _row_source, as_matrix
-from .index import _count, _exact_topk
+from .core import _count, _row_ids, _row_source, as_matrix
+from .index import _exact_topk
 
 __all__ = [
     "brute_force_gt",

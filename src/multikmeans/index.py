@@ -23,6 +23,7 @@ from .core import (
     HashCode,
     WORD_BITS,
     _BLOCK_ELEMENTS,
+    _count,
     _non_negative_integers,
     _numeric,
     _row_ids,
@@ -38,7 +39,6 @@ from .core import (
 from .encoder import (
     DualCodebook,
     EncoderSpec,
-    Variant,
     code_length,
     encode_queries,
     read_quantizer_record,
@@ -177,9 +177,9 @@ def _plane_weight(spec: EncoderSpec, width: int) -> int | None:
         n2, 8+8  924-959  619-629
 
     so the planes win up to 8 bits per code word and lose from 16."""
-    if spec.variant not in (Variant.N, Variant.N2):
+    if not spec.variant.nearest:
         return None
-    weight = spec.n_nearest * (2 if spec.variant is Variant.N2 else 1)
+    weight = spec.n_nearest * (2 if spec.variant.dual else 1)
     return weight if weight <= 8 * width else None
 
 
@@ -531,9 +531,12 @@ def _plane_shortlists(index: SearchIndex, words: np.ndarray, limit: int) -> np.n
     """The `limit` codes Hamming-nearest to each packed query row of words
     (m, code words), ordered by (distance, id), as an (m, limit) id array:
     one set of numpy calls for all m queries over the index's bit planes.
+    Every query and every code has weight w, _plane_weight's: _shortlists
+    sends only such chunks here, as encode_queries makes under an n or n2
+    spec, so each query's bits are a (w,) row with no padding.
 
-    Every code has weight w, so a code's Hamming distance to a query q is
-    w + |q| - 2 s with s = popcount(code & q), and the order is (-s, id).
+    A code's Hamming distance to a query is then 2 w - 2 s with
+    s = popcount(code & q), and the order is (-s, id).
     The level bitset A_t holds the rows that share at least t of the
     query's bits: each of its bits j adds A_t |= A_(t-1) & plane j for t
     descending, from A_0, every word all ones, and no level past w is
@@ -547,28 +550,22 @@ def _plane_shortlists(index: SearchIndex, words: np.ndarray, limit: int) -> np.n
     shape (8 queries, N = 200 000, w = 4)."""
     planes = index._planes
     m, nw = words.shape[0], planes.shape[1]
-    cap = _plane_weight(index.spec, words.shape[1])
-    step = max(1, _CHUNK_ELEMENTS // ((cap + 2) * nw))
+    w = _plane_weight(index.spec, words.shape[1])
+    step = max(1, _CHUNK_ELEMENTS // ((w + 2) * nw))
     if m > step:
         return np.concatenate([_plane_shortlists(index, words[s : s + step], limit) for s in range(0, m, step)])
     bits = np.unpackbits(np.ascontiguousarray(words, dtype="<u8").view(np.uint8), axis=1, bitorder="little")
-    query, bit = np.nonzero(bits)
-    weight = np.bincount(query, minlength=m)
-    p = int(weight.max())
-    cap = min(cap, p)
-    chosen = np.zeros((m, p), dtype=np.int64)  # each query's bits, then plane 0, zeroed below
-    chosen[query, np.arange(query.size) - (np.cumsum(weight) - weight)[query]] = bit
-    levels = np.zeros((cap + 2, m, nw), dtype=np.uint64)
+    chosen = np.nonzero(bits)[1].reshape(m, w)  # each query's w bits, ascending
+    levels = np.zeros((w + 2, m, nw), dtype=np.uint64)
     levels[0] = ~np.uint64(0)
     tmp = np.empty((m, nw), dtype=np.uint64)
-    for i in range(p):
+    for i in range(w):
         plane = planes[chosen[:, i]]
-        plane[weight <= i] = 0
-        for t in range(min(i + 1, cap), 1, -1):
+        for t in range(i + 1, 1, -1):
             levels[t] |= np.bitwise_and(levels[t - 1], plane, out=tmp)
         levels[1] |= plane
     rows = np.arange(m)
-    r = (np.bitwise_count(levels[1 : cap + 1]).sum(axis=2, dtype=np.int64) >= limit).sum(axis=0)
+    r = (np.bitwise_count(levels[1 : w + 1]).sum(axis=2, dtype=np.int64) >= limit).sum(axis=0)
     near = levels[r + 1, rows]
     q_near, ids_near = _set_bits(near)
     shared = np.bitwise_count(index.codes[ids_near] & words[q_near]).sum(axis=1, dtype=np.int64)
@@ -583,7 +580,7 @@ def _plane_shortlists(index: SearchIndex, words: np.ndarray, limit: int) -> np.n
     # its rank among the query's rows, after its near_count for the tie
     # set; a stable sort by (query, -s) keeps ascending ids within each s
     out = np.empty(m * limit, dtype=np.int64)
-    order = np.argsort(q_near * (cap + 1) - shared, kind="stable")
+    order = np.argsort(q_near * (w + 1) - shared, kind="stable")
     out[np.arange(q_near.size) + (rows * limit - np.cumsum(near_count) + near_count)[q_near]] = ids_near[order]
     slot = np.arange(q_tie.size) + (rows * limit + near_count - np.cumsum(tie_count) + tie_count)[q_tie]
     keep = slot < (q_tie + 1) * limit
@@ -594,21 +591,28 @@ def _plane_shortlists(index: SearchIndex, words: np.ndarray, limit: int) -> np.n
 def _shortlists(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndarray:
     """Ids of the `limit` codes Hamming-nearest to each packed query row of
     words (m, code words), ordered by (distance, id), as an (m, limit)
-    array; the caller has checked 1 <= limit <= size. An index with bit
-    planes runs _plane_shortlists once for all m queries, any other the
-    XOR scan once per query."""
-    if index._planes is not None:
+    array; the caller has checked 1 <= limit <= size. The one place that
+    picks a kernel: on an index with bit planes, a chunk whose queries all
+    have the codes' weight w runs _plane_shortlists once for all m
+    queries; any other chunk, or any index without planes, runs the XOR
+    scan once per query, with the same ids."""
+    weight = _plane_weight(index.spec, words.shape[1])
+    if index._planes is not None and (np.bitwise_count(words).sum(axis=1, dtype=np.int64) == weight).all():
         return _plane_shortlists(index, words, limit)
     return np.array([_key_ids(index, _nearest_keys(index, w, limit, 0, index.size), limit) for w in words])
 
 
 def shortlist(index: SearchIndex, code: HashCode, limit: int) -> np.ndarray:
     """The `limit` index entries Hamming-nearest to `code`, ordered by
-    (distance, id). Requires 1 <= limit <= index.size."""
+    (distance, id). limit must be an integer (not a bool), else TypeError,
+    and 1 <= limit <= index.size. A code of the index's weight w on an
+    index with bit planes runs the plane kernel, any other code the XOR
+    scan (_shortlists); both give the ids of a full (distance, id) sort."""
     if not isinstance(code, HashCode):
         raise TypeError("shortlist expects a HashCode query")
     if code.length != index.code_length:
         raise ValueError(f"code length {code.length} does not match index {index.code_length}")
+    limit = _count(limit, "limit")
     if not (1 <= limit <= index.size):
         raise ValueError(f"shortlist size {limit} outside [1, {index.size}]")
     return _shortlists(index, code.words[None], limit)[0]
@@ -740,14 +744,6 @@ def _run_tasks(tasks: list) -> list:
     return [first] + [future.result() for future in futures]
 
 
-def _count(x, name: str) -> int:
-    """x as an int, else TypeError naming `name`: a Python or numpy
-    integer, and not a bool."""
-    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {type(x).__name__}")
-    return int(x)
-
-
 def _shared_store(base_vectors) -> bool:
     """Whether threads may read base_vectors at once: a 2-D array, or a
     VectorReader, whose reads and takes share no file offset. Only such a
@@ -862,8 +858,9 @@ def search(index: SearchIndex, base_vectors, query, shortlist_size: int, top: in
     n2 index whose codes all set w = n bits per codebook, at most 8 per
     64-bit code word (_plane_weight, with its measured table), keeps one
     bitset of N bits per code bit, its bit planes: as many bytes as the
-    codes, held in memory and not in the index file. Its shortlist is the
-    rows sharing the most bits with the query, then the lowest ids, found
+    codes, held in memory and not in the index file. A query, encoded
+    under the same spec, has weight w too, and its shortlist is the rows
+    sharing the most bits with it, then the lowest ids, found
     by AND/OR over the query's planes (_plane_shortlists); a split query
     takes it whole and splits its re-rank only. Every other index runs the
     XOR/popcount scan over all N codes with one packed-key partition.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK_ELEMENTS, FormatError, _sq_distances, as_matrix, read_exact
+from .core import _BLOCK_ELEMENTS, FormatError, _count, _seed, _sq_distances, as_matrix, read_exact
 
 __all__ = [
     "TrainParams",
@@ -30,19 +30,20 @@ _HEADER = struct.Struct("<IIIQ")  # version, k, dim, seed
 
 @dataclass(frozen=True)
 class TrainParams:
-    """Stopping rule and RNG seed for codebook training."""
+    """Stopping rule and RNG seed for codebook training. max_iters must pass
+    core._count and seed core._seed: an integer (not a bool), else
+    TypeError, and a seed in [0, 2^64), else ValueError."""
 
     max_iters: int = 100
     rel_tol: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        if _count(self.max_iters, "max_iters") < 1:
             raise ValueError("max_iters must be at least 1")
         if not (self.rel_tol >= 0.0):
             raise ValueError("rel_tol must be non-negative")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        _seed(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,9 @@ class Codebook:
 
     @classmethod
     def from_centroids(cls, centroids, seed: int = 0) -> "Codebook":
-        return cls(centroids, TrainMeta(iterations=None, objective=None, seed=seed))
+        """A codebook of given centroids; seed, which its file records,
+        must pass core._seed."""
+        return cls(centroids, TrainMeta(iterations=None, objective=None, seed=_seed(seed, "seed")))
 
     @property
     def k(self) -> int:
@@ -93,7 +96,7 @@ def _training_input(data, k: int):
     """(X, X64, x_sq) for seeding or training k centroids: the checked
     data, the data widened to float64, and its squared norms."""
     X = as_matrix(data)
-    if k < 2:
+    if _count(k, "k") < 2:
         raise ValueError("k must be at least 2")
     if X.shape[0] < k:
         raise ValueError(f"need at least k={k} points, got {X.shape[0]}")
@@ -107,9 +110,10 @@ def kmeanspp_seed(data, k: int, seed: int = 0) -> np.ndarray:
     The first pick is uniform; each later pick lands on a data point with
     probability proportional to its squared distance to the nearest centroid
     chosen so far. If the remaining mass is all zero (duplicate points), the
-    next pick is uniform over indices not selected yet.
+    next pick is uniform over indices not selected yet. k must pass
+    core._count and seed core._seed.
     """
-    return _kmeanspp_seed(*_training_input(data, k), k, seed)
+    return _kmeanspp_seed(*_training_input(data, k), k, _seed(seed, "seed"))
 
 
 def _kmeanspp_seed(X: np.ndarray, X64: np.ndarray, x_sq: np.ndarray, k: int, seed: int) -> np.ndarray:

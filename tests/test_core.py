@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from multikmeans.core import (
     pack_bits,
     words_for,
 )
-from multikmeans.dataio import VectorReader, write_vectors
-from multikmeans.encoder import EncoderSpec, Variant, encode_many
-from multikmeans.evaluate import label_relevance
-from multikmeans.index import _gather, build_index, search
-from multikmeans.kmeans import Codebook
+from multikmeans.dataio import SyntheticSpec, VectorReader, write_vectors
+from multikmeans.encoder import EncoderSpec, Variant, encode, encode_many
+from multikmeans.evaluate import average_precision, brute_force_gt, label_relevance, recall_at_r
+from multikmeans.index import _gather, build_index, search, search_ids, shortlist
+from multikmeans.kmeans import Codebook, TrainParams, kmeanspp_seed
 
 
 # packed words that a uint64 cast would truncate or wrap, and the error each gives
@@ -218,6 +219,33 @@ class TestDeriveSeed:
             derive_seed(-1, 0)
 
 
+# each seed argument, called with s: core._seed behind every one
+SEED_CALLERS = {
+    "TrainParams": lambda s: TrainParams(seed=s),
+    "SyntheticSpec": lambda s: SyntheticSpec(n_clusters=2, points_per_cluster=1, dim=2, seed=s),
+    "derive_seed": lambda s: derive_seed(s, 1),
+    "kmeanspp_seed": lambda s: kmeanspp_seed(np.eye(3), 2, s),
+    "Codebook.from_centroids": lambda s: Codebook.from_centroids(np.eye(2), s),
+}
+
+
+@pytest.mark.parametrize("caller", list(SEED_CALLERS))
+def test_seed_range_through_each_caller(caller):
+    """A seed outside [0, 2^64) raises ValueError and a float TypeError,
+    where derive_seed once took 2^64 and truncated 1.5 to 1,
+    kmeanspp_seed seeded from int(1.5), and a codebook made from
+    centroids took either and failed to save with struct.error; both ends
+    of the range pass."""
+    call = SEED_CALLERS[caller]
+    for bad in (-1, 2**64, np.int64(-1)):
+        with pytest.raises(ValueError, match="^seed must fit in an unsigned 64-bit integer$"):
+            call(bad)
+    with pytest.raises(TypeError, match="^seed must be an integer, got float$"):
+        call(1.5)
+    for good in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        call(good)
+
+
 # the library modules whose __all__ together make the package's exports
 LIBRARY_MODULES = ("core", "dataio", "encoder", "evaluate", "index", "kmeans")
 
@@ -304,3 +332,49 @@ def test_row_id_check_through_each_caller(tmp_path, caller, case):
             search(index, base, longer[-1], N_ROWS + 1, 1)
         else:
             _gather(base, ids)
+
+
+@pytest.fixture(scope="module")
+def count_case():
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((40, 4)).astype(np.float32)
+    cb = Codebook.from_centroids(base[:6])
+    spec = EncoderSpec(Variant.N, n_nearest=2)
+    index = build_index(encode_many(base, cb, spec), np.arange(40), spec, cb)
+    return SimpleNamespace(base=base, cb=cb, spec=spec, index=index)
+
+
+# every public count or seed parameter: (caller, parameter) -> a call with
+# x in that parameter's place and valid values elsewhere
+COUNT_CALLERS = {
+    ("search", "shortlist_size"): lambda f, x: search(f.index, f.base, f.base[0], x, 1),
+    ("search", "top"): lambda f, x: search(f.index, f.base, f.base[0], 4, x),
+    ("search_ids", "shortlist_size"): lambda f, x: search_ids(f.index, f.base, f.base[:3], x, 1),
+    ("search_ids", "top"): lambda f, x: search_ids(f.index, f.base, f.base[:3], 4, x),
+    ("shortlist", "limit"): lambda f, x: shortlist(f.index, encode(f.base[0], f.cb, f.spec), x),
+    ("brute_force_gt", "k"): lambda f, x: brute_force_gt(f.base, f.base[:3], x),
+    ("recall_at_r", "r"): lambda f, x: recall_at_r([[0, 1, 2]], [[0]], x),
+    ("average_precision", "total_relevant"): lambda f, x: average_precision([1, 0, 1], x),
+    ("EncoderSpec", "n_nearest"): lambda f, x: EncoderSpec(Variant.N, n_nearest=x),
+    ("TrainParams", "max_iters"): lambda f, x: TrainParams(max_iters=x),
+    ("TrainParams", "seed"): lambda f, x: TrainParams(seed=x),
+    ("kmeanspp_seed", "k"): lambda f, x: kmeanspp_seed(f.base, x),
+    ("kmeanspp_seed", "seed"): lambda f, x: kmeanspp_seed(f.base, 2, x),
+    ("derive_seed", "seed"): lambda f, x: derive_seed(x, 1),
+    ("derive_seed", "tag"): lambda f, x: derive_seed(1, x),
+}
+
+
+@pytest.mark.parametrize("entry", list(COUNT_CALLERS), ids="-".join)
+@pytest.mark.parametrize("value", [True, 2.0, np.float64(2.0), "2"], ids=repr)
+def test_count_check_through_each_caller(count_case, entry, value):
+    """core._count behind each caller: a bool, a float (numpy's too) or a
+    string raises TypeError naming the parameter, where EncoderSpec,
+    TrainParams and shortlist once took some of them. numpy signed and
+    unsigned integers pass, with the result of the same Python int."""
+    call = COUNT_CALLERS[entry]
+    with pytest.raises(TypeError, match=rf"^{entry[1]} must be an integer, got {type(value).__name__}$"):
+        call(count_case, value)
+    want = call(count_case, 2)
+    for ok in (np.int64(2), np.uint64(2)):
+        np.testing.assert_equal(call(count_case, ok), want)

@@ -239,6 +239,16 @@ class TestVectorReader:
             np.testing.assert_array_equal(reader[11], data[11])
             assert len(reader) == 20
 
+    @pytest.mark.parametrize("i, dtype", [(1.5, "float64"), (True, "bool"), (np.float32(1), "float32")])
+    def test_getitem_checks_its_id_as_take_does(self, tmp_path, i, dtype):
+        """reader[i] goes through take's id check, where a cast once read
+        row 1 for 1.5 and True; numpy integers still index."""
+        path, data = self.make_file(tmp_path)
+        with VectorReader(path) as reader:
+            with pytest.raises(ValueError, match=rf"^ids must be integers, got dtype {dtype}$"):
+                reader[i]
+            np.testing.assert_array_equal(reader[np.uint64(3)], data[3])
+
     def test_take_rejects_2d_ids(self, tmp_path):
         path, _ = self.make_file(tmp_path)
         with VectorReader(path) as reader:

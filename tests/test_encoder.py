@@ -64,6 +64,11 @@ class TestEncoderSpec:
         spec = EncoderSpec("t", "geom")
         assert spec.variant is Variant.T and spec.mean_kind is MeanKind.GEOMETRIC
 
+    def test_variant_table(self):
+        """The one statement of which rule is dual and which is nearest."""
+        table = {v.value: (v.dual, v.nearest) for v in Variant}
+        assert table == {"t": (False, False), "n": (False, True), "t2": (True, False), "n2": (True, True)}
+
     def test_threshold_variants_ignore_n(self):
         assert EncoderSpec(Variant.T, n_nearest=7).n_nearest == 0
 

@@ -616,6 +616,39 @@ class TestShortlistKernels:
             code = encode(q, cb, spec)
             np.testing.assert_array_equal(shortlist(index, code, 30), self.naive(index, code.words, 30))
 
+    def test_chunk_of_another_weight_takes_the_xor_scan(self, monkeypatch):
+        """_shortlists picks the kernel per chunk: on a plane index four
+        encoded queries, all of weight w = 4, take one plane-kernel call;
+        the same chunk with one hand-made code of weight 5 takes the XOR
+        scan for each query. Both give the ids of a full (Hamming, id)
+        sort."""
+        rng, base, cb, spec, index = make_fixture()
+        words = encode_many(rng.standard_normal((4, base.shape[1])).astype(np.float32), cb, spec)
+        mixed = words.copy()
+        mixed[2] = pack_bits(rng.permutation(cb.k) < 5)
+        calls = self.spy(monkeypatch)
+        for chunk, want in ((words, {"_plane_shortlists": 1, "_nearest_keys": 0}),
+                            (mixed, {"_plane_shortlists": 0, "_nearest_keys": 4})):
+            calls.update(dict.fromkeys(calls, 0))
+            got = index_mod._shortlists(index, chunk, 30)
+            assert calls == want
+            for row, w in zip(got, chunk):
+                np.testing.assert_array_equal(row, self.naive(index, w, 30))
+
+    @pytest.mark.parametrize("limit, name", [(True, "bool"), (2.5, "float")])
+    def test_limit_must_be_an_integer_on_both_kernels(self, limit, name):
+        """shortlist()'s limit is checked before either kernel runs, where
+        the XOR scan once took True as 1 and the planes raised numpy's
+        errors."""
+        _, base, cb, spec, planes = make_fixture()
+        t = EncoderSpec(Variant.T)
+        xor = build_index(encode_many(base, cb, t), np.arange(len(base)), t, cb)
+        assert planes._planes is not None and xor._planes is None
+        for index in (planes, xor):
+            code = encode(base[0], cb, index.spec)
+            with pytest.raises(TypeError, match=rf"^limit must be an integer, got {name}$"):
+                shortlist(index, code, limit)
+
     def test_lone_query_on_a_plane_index_splits_only_its_rerank(self, monkeypatch):
         """At L = 10 000 and d = 32 a lone search() splits in two on two
         CPUs: one kernel call gives the shortlist, two re-rank shards share

@@ -1351,8 +1351,11 @@ def test_plane_shortlists_match_a_full_sort(case, group):
     """The bit-plane kernel against a full (Hamming, id) sort, for a chunk
     of queries at once, in groups of 1 or 3 queries too; then hand-made
     codes of any weight, 0 and every bit included: one at a time through
-    shortlist(), which runs the kernel as a chunk of one, and all four as
-    one chunk of mixed weights."""
+    shortlist(), and all four as one chunk of mixed weights. The plane
+    kernel takes only chunks whose codes all have the index's weight w, so
+    _shortlists sends such a code, alone, to the kernel and every other
+    code, and the mixed chunk, to the XOR scan; the ids must be the sort's
+    either way."""
     index, words, limit = case
     assert index._planes is not None
     levels = index_mod._plane_weight(index.spec, words.shape[1]) + 2
