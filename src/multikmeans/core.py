@@ -17,11 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 WORD_BITS = 64
-# elements per block, cut into rows in one place per walk: kmeans._assign_work
-# (Lloyd assign), encoder._encode_rows (encode_many and encode_queries),
+# elements per block (8 MB of float64), cut into rows in one place per walk:
+# kmeans._assign_work (Lloyd assign: a block's float64 rows and distances),
+# encoder._encode_rows (encode_many and encode_queries: the same two),
 # index._exact_topk (brute_force_gt's walk over the base) and its screen's
-# query chunks, and dataio.generate_synthetic (each split's draw)
-_BLOCK_ELEMENTS = 1 << 23
+# query chunks, and dataio.generate_synthetic (each split's draw). Each
+# walk's transients stay within a few blocks whatever the data's size.
+_BLOCK_ELEMENTS = 1 << 20
 
 __all__ = ["FormatError", "HashCode", "pack_bits", "derive_seed"]
 

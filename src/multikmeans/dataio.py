@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK_ELEMENTS, FormatError, _row_ids, _seed, as_matrix, atomic_write, derive_seed, read_exact
+from .core import _BLOCK_ELEMENTS, FormatError, _count, _row_ids, _seed, as_matrix, atomic_write, derive_seed, read_exact
 from .evaluate import brute_force_gt
 
 __all__ = [
@@ -316,7 +316,8 @@ class SyntheticSpec:
     query, and learning points are centers plus isotropic Gaussian noise of
     scale cluster_spread. Queries and learning points cycle through the
     clusters round-robin. n_learning defaults to a quarter of the base size
-    (at least 2 points per cluster).
+    (at least 2 points per cluster). The counts (n_clusters,
+    points_per_cluster, dim, n_queries, n_learning) must pass core._count.
     """
 
     n_clusters: int
@@ -329,6 +330,10 @@ class SyntheticSpec:
     n_learning: int | None = None
 
     def __post_init__(self):
+        for name in ("n_clusters", "points_per_cluster", "dim", "n_queries"):
+            _count(getattr(self, name), name)
+        if self.n_learning is not None:
+            _count(self.n_learning, "n_learning")
         if self.n_clusters < 2:
             raise ValueError("need at least 2 clusters")
         if self.points_per_cluster < 1:
@@ -368,9 +373,9 @@ def generate_synthetic(spec: SyntheticSpec, gt_depth: int = 100) -> SyntheticDat
     set is reproducible independently of how many queries are requested.
     Each split is drawn _BLOCK_ELEMENTS // dim rows at a time straight into
     its float32 array; a stream's draws do not depend on how they are cut,
-    so neither do the bytes.
+    so neither do the bytes. gt_depth must pass core._count.
     """
-    if gt_depth < 1:
+    if _count(gt_depth, "gt_depth") < 1:
         raise ValueError("gt_depth must be at least 1")
     centers = np.random.default_rng(derive_seed(spec.seed, _CENTERS_STREAM)).uniform(
         -spec.center_scale, spec.center_scale, size=(spec.n_clusters, spec.dim)

@@ -64,6 +64,7 @@ class Codebook:
     train_meta: TrainMeta
 
     def __post_init__(self):
+        _seed(self.train_meta.seed, "seed")  # the codebook file records it
         c = as_matrix(self.centroids, "centroids")
         if c.shape[0] < 2:
             raise ValueError("a codebook needs at least 2 centroids")
@@ -142,28 +143,38 @@ def _kmeanspp_seed(X: np.ndarray, X64: np.ndarray, x_sq: np.ndarray, k: int, see
     return X[chosen]
 
 
-def _assign_work(n: int, k: int):
-    """The arrays _assign fills for n points and k centroids: distances of
-    one block of _BLOCK_ELEMENTS // k points (at most n), labels and
-    nearest squared distances."""
+def _assign_work(X, k: int):
+    """The arrays _assign fills for the rows of X and k centroids: one
+    block of _BLOCK_ELEMENTS // (d + k) rows (at most n) widened to
+    float64, or None when X is float64 already, the block's distances,
+    labels and nearest squared distances. A block's float64 rows and
+    distances thus stay within _BLOCK_ELEMENTS values whatever n is."""
+    n, d = X.shape
+    rows = min(n, max(1, _BLOCK_ELEMENTS // (d + k)))
     return (
-        np.empty((min(n, max(1, _BLOCK_ELEMENTS // k)), k), dtype=np.float64),
+        None if X.dtype == np.float64 else np.empty((rows, d), dtype=np.float64),
+        np.empty((rows, k), dtype=np.float64),
         np.empty(n, dtype=np.int64),
         np.empty(n, dtype=np.float64),
     )
 
 
-def _assign(X64, x_sq, C64, c_sq, work):
+def _assign(X, x_sq, C64, c_sq, work):
     """Nearest-centroid labels (int64) and squared distances (float64) of
-    the rows of X64, ties to the lowest index, in blocks of as many points
-    as work's distance buffer has rows (_assign_work sizes it). X64's rows
-    are finite and as wide as C64's, and x_sq and c_sq hold their squared
-    norms. work, from _assign_work, is reused across calls; the labels and
-    distances returned live in it."""
-    d2, labels, d2min = work
-    n, chunk_rows = X64.shape[0], d2.shape[0]
+    the rows of X, ties to the lowest index, in blocks of as many rows as
+    work's distance buffer has (_assign_work sizes it). Each block is
+    widened to float64 in work's one block buffer, or scored in place when
+    X is float64 already. X's rows are finite and as wide as C64's, and
+    x_sq and c_sq hold their float64 squared norms. work, from
+    _assign_work(X, k), is reused across calls; the labels and distances
+    returned live in it."""
+    wide, d2, labels, d2min = work
+    n, chunk_rows = X.shape[0], d2.shape[0]
     for s in range(0, n, chunk_rows):
-        blk = X64[s : s + chunk_rows]
+        blk = X[s : s + chunk_rows]
+        if wide is not None:
+            wide[: blk.shape[0]] = blk
+            blk = wide[: blk.shape[0]]
         dist = _sq_distances(blk, x_sq[s : s + chunk_rows], C64, c_sq, out=d2[: blk.shape[0]])
         lab = labels[s : s + chunk_rows]
         np.argmin(dist, axis=1, out=lab)
@@ -180,20 +191,26 @@ def train(data, k: int, params: TrainParams = TrainParams()) -> "Codebook":
     update is reseeded to the point farthest from its currently assigned
     centroid, so k never shrinks.
 
-    The data is checked, widened and squared once, and each sweep reuses
-    buffers allocated here. A new centroid is the mean of its cluster's
-    points summed in data order by np.add.reduceat, one component at a
-    time over a contiguous row of the transposed data: the first point
-    plus numpy's pairwise sum of the rest, bit for bit what reduceat over
-    the label-sorted rows gives. A slice sum over axis 0, or np.bincount
-    with weights, adds in sequence and differs in the last bits.
+    The data is checked and squared once. Its float64 copy lives through
+    the seeding only, whose picks score every point at once; each sweep
+    widens one block at a time (_assign) and reuses buffers allocated
+    here. A new centroid is the mean of its cluster's points summed in
+    data order by np.add.reduceat, one component at a time over a
+    contiguous row of the transposed data: the first point plus numpy's
+    pairwise sum of the rest, bit for bit what reduceat over the
+    label-sorted rows gives. A slice sum over axis 0, or np.bincount with
+    weights, adds in sequence and differs in the last bits. The labels
+    are sorted on the narrowest unsigned type that holds k - 1, where
+    numpy's stable sort is a radix sort with the same order.
     """
     X, X64, x_sq = _training_input(data, k)
     C = np.array(_kmeanspp_seed(X, X64, x_sq, k, params.seed), dtype=np.float64)
+    del X64
     n, d = X.shape
-    work = _assign_work(n, k)
+    work = _assign_work(X, k)
+    label_type = np.min_scalar_type(k - 1)
     # gathered in X's own dtype, then widened: the same values as a gather
-    # of X64, from half the bytes when X is float32
+    # of the float64 rows, from half the bytes when X is float32
     XT = np.ascontiguousarray(X.T)
     gathered = np.empty(n, dtype=X.dtype)
     column = gathered if X.dtype == np.float64 else np.empty(n, dtype=np.float64)
@@ -205,7 +222,7 @@ def train(data, k: int, params: TrainParams = TrainParams()) -> "Codebook":
         # non-finite norm
         if not np.isfinite(c_sq).all():
             as_matrix(C, "centroids")
-        return _assign(X64, x_sq, C, c_sq, work)
+        return _assign(X, x_sq, C, c_sq, work)
 
     history: list[float] = []
     prev = None
@@ -217,12 +234,14 @@ def train(data, k: int, params: TrainParams = TrainParams()) -> "Codebook":
             break
         prev = obj
         counts = np.bincount(labels, minlength=k)
-        order = np.argsort(labels, kind="stable")
+        order = np.argsort(labels.astype(label_type), kind="stable")
         nz = np.flatnonzero(counts)
         starts = (np.cumsum(counts) - counts)[nz]
         sums = sumsT[:, : nz.size]
         for j in range(d):
-            np.take(XT[j], order, out=gathered)
+            # order holds valid row ids; "clip" lets take write into out
+            # directly, where "raise" fills a buffer and copies it over
+            np.take(XT[j], order, out=gathered, mode="clip")
             if column is not gathered:
                 column[:] = gathered
             np.add.reduceat(column, starts, out=sums[j])
@@ -230,7 +249,7 @@ def train(data, k: int, params: TrainParams = TrainParams()) -> "Codebook":
         empties = np.flatnonzero(counts == 0)
         if empties.size:
             farthest = np.argsort(-d2min, kind="stable")[: empties.size]
-            C[empties] = X64[farthest]
+            C[empties] = X[farthest]
     else:
         _, d2min = assign()
         history.append(float(d2min.sum()))

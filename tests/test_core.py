@@ -19,7 +19,7 @@ from multikmeans.dataio import SyntheticSpec, VectorReader, write_vectors
 from multikmeans.encoder import EncoderSpec, Variant, encode, encode_many
 from multikmeans.evaluate import average_precision, brute_force_gt, label_relevance, recall_at_r
 from multikmeans.index import _gather, build_index, search, search_ids, shortlist
-from multikmeans.kmeans import Codebook, TrainParams, kmeanspp_seed
+from multikmeans.kmeans import Codebook, TrainMeta, TrainParams, kmeanspp_seed
 
 
 # packed words that a uint64 cast would truncate or wrap, and the error each gives
@@ -226,6 +226,7 @@ SEED_CALLERS = {
     "derive_seed": lambda s: derive_seed(s, 1),
     "kmeanspp_seed": lambda s: kmeanspp_seed(np.eye(3), 2, s),
     "Codebook.from_centroids": lambda s: Codebook.from_centroids(np.eye(2), s),
+    "Codebook": lambda s: Codebook(np.eye(2), TrainMeta(iterations=None, objective=None, seed=s)),
 }
 
 
@@ -234,8 +235,8 @@ def test_seed_range_through_each_caller(caller):
     """A seed outside [0, 2^64) raises ValueError and a float TypeError,
     where derive_seed once took 2^64 and truncated 1.5 to 1,
     kmeanspp_seed seeded from int(1.5), and a codebook made from
-    centroids took either and failed to save with struct.error; both ends
-    of the range pass."""
+    centroids, or built directly, took either and failed to save with
+    struct.error; both ends of the range pass."""
     call = SEED_CALLERS[caller]
     for bad in (-1, 2**64, np.int64(-1)):
         with pytest.raises(ValueError, match="^seed must fit in an unsigned 64-bit integer$"):

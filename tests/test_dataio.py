@@ -536,6 +536,18 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError, match="need at least 1 learning point"):
             SyntheticSpec(n_clusters=2, points_per_cluster=5, dim=4, n_learning=0)
 
+    @pytest.mark.parametrize("field", ["n_clusters", "points_per_cluster", "dim", "n_queries", "n_learning"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_counts_must_be_integers(self, field, value):
+        # a float was truncated or rounded up by the draws' shapes before
+        kwargs = {"n_clusters": 2, "points_per_cluster": 3, "dim": 2, field: value}
+        with pytest.raises(TypeError, match=f"{field} must be an integer, got (float|bool)"):
+            SyntheticSpec(**kwargs)
+
+    def test_counts_accept_numpy_integers(self):
+        spec = SyntheticSpec(np.int64(2), np.uint8(3), np.int32(2), n_queries=np.int16(2), n_learning=np.int64(4))
+        assert generate_synthetic(spec, gt_depth=np.int64(2)).ground_truth.shape == (2, 2)
+
     @pytest.mark.parametrize("field", ["cluster_spread", "center_scale"])
     @pytest.mark.parametrize("value", [np.inf, np.nan, 1e308, 9e307, 3.5e38, 0.0, -1.0])
     def test_scales_must_be_positive_and_fit_float32(self, field, value):
@@ -565,6 +577,12 @@ class TestGenerateSynthetic:
         spec = SyntheticSpec(n_clusters=2, points_per_cluster=3, dim=4, n_queries=2)
         with pytest.raises(ValueError, match="gt_depth must be at least 1"):
             generate_synthetic(spec, gt_depth=0)
+
+    @pytest.mark.parametrize("depth", [2.0, 2.5, True])
+    def test_gt_depth_must_be_an_integer(self, depth):
+        spec = SyntheticSpec(n_clusters=2, points_per_cluster=3, dim=4, n_queries=2)
+        with pytest.raises(TypeError, match="gt_depth must be an integer"):
+            generate_synthetic(spec, gt_depth=depth)
 
     def test_gt_depth_clamped_to_base_size(self):
         spec = SyntheticSpec(n_clusters=2, points_per_cluster=3, dim=4, n_queries=2)

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -297,6 +298,24 @@ class TestEncodeBatch:
         assert all(rows * (d + bits) <= budget for rows, _ in shapes)
         assert sum(rows for rows, _ in shapes) == 47 * (1 if variant is Variant.T else 2)
         assert [rows for rows, _ in shapes][-1] == 7
+
+    @pytest.mark.parametrize("n", [20_000, 80_000])
+    def test_peak_memory_is_blocks_not_rows(self, n):
+        """encode_many allocates at most 16 MB at its peak, whatever the
+        number of rows: a block's float64 rows and distances (8 MB at most)
+        and its bit rule's arrays, plus the packed output. The float64 rows
+        of all 80 000 rows alone would take 41 MB."""
+        rng = np.random.default_rng(52)
+        cb = random_codebook(rng, 32, 64)
+        X = rng.standard_normal((n, 64)).astype(np.float32)
+        for spec in BIT_RULES:
+            tracemalloc.start()
+            try:
+                encode_many(X, cb, spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * 2**20, spec
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(50)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -89,10 +90,12 @@ class TestSeeding:
 
 
 def assign(data, centroids):
-    """kmeans._assign on checked inputs: (labels, squared distances)."""
-    X64, C64 = np.asarray(data, dtype=np.float64), np.asarray(centroids, dtype=np.float64)
-    work = km._assign_work(X64.shape[0], C64.shape[0])
-    return km._assign(X64, np.einsum("nd,nd->n", X64, X64), C64, np.einsum("md,md->m", C64, C64), work)
+    """kmeans._assign on checked inputs, in their own dtype: (labels,
+    squared distances)."""
+    X, C64 = np.asarray(data), np.asarray(centroids, dtype=np.float64)
+    X64 = X.astype(np.float64)
+    work = km._assign_work(X, C64.shape[0])
+    return km._assign(X, np.einsum("nd,nd->n", X64, X64), C64, np.einsum("md,md->m", C64, C64), work)
 
 
 class TestObjective:
@@ -190,20 +193,37 @@ class TestTrain:
 
     def test_each_assign_call_fits_the_budget(self, monkeypatch):
         """Every block the assign step scores holds at most
-        _BLOCK_ELEMENTS // k points; the seeding scores all points against
-        one pick at a time."""
+        _BLOCK_ELEMENTS // (d + k) points, its float64 rows and distances
+        together; the seeding scores all points against one pick at a time."""
         rng = np.random.default_rng(31)
         data = rng.standard_normal((95, 3)).astype(np.float32)
-        monkeypatch.setattr(km, "_BLOCK_ELEMENTS", 20 * 6 + 5)  # 20 points per block for k = 6
+        budget = 20 * (3 + 6) + 5  # 20 points per block for d = 3, k = 6
+        monkeypatch.setattr(km, "_BLOCK_ELEMENTS", budget)
         kernel = mock.MagicMock(wraps=km._sq_distances)
         monkeypatch.setattr(km, "_sq_distances", kernel)
         cb = train(data, 6, TrainParams(max_iters=3, rel_tol=0.0))
-        shapes = [(c.args[0].shape[0], c.args[2].shape[0]) for c in kernel.call_args_list]
-        seeding = [s for s in shapes if s[1] == 1]
-        assign = [s for s in shapes if s[1] != 1]
-        assert seeding == [(95, 1)] * 6
-        assert all(rows * k <= 20 * 6 + 5 and k == 6 for rows, k in assign)
-        assert [rows for rows, _ in assign] == [20, 20, 20, 20, 15] * (cb.train_meta.iterations + 1)
+        calls = [(c.args[0].shape, c.args[0].dtype, c.args[2].shape[0]) for c in kernel.call_args_list]
+        seeding = [(shape, k) for shape, _, k in calls if k == 1]
+        assign = [(shape, dtype, k) for shape, dtype, k in calls if k != 1]
+        assert seeding == [((95, 3), 1)] * 6
+        assert all(rows * (d + k) <= budget and k == 6 and dtype == np.float64 for (rows, d), dtype, k in assign)
+        assert [rows for (rows, _), _, _ in assign] == [20, 20, 20, 20, 15] * (cb.train_meta.iterations + 1)
+
+    def test_peak_memory_is_the_float64_copy_plus_blocks(self):
+        """train allocates at most 3x a float32 learning set's bytes at its
+        peak: the float64 copy that the seeding scores at once (2x), while
+        each sweep holds the transposed data (1x) and blocks of the shared
+        budget. numpy reports its data allocations to tracemalloc, so the
+        figure is deterministic; a float64 copy kept through the sweeps
+        beside the transposed copy and the distances reads above 4x."""
+        X = np.random.default_rng(35).standard_normal((80_000, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            train(X, 32, TrainParams(max_iters=3, rel_tol=0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * X.nbytes
 
     def test_validation(self):
         data = np.zeros((3, 2), dtype=np.float32)

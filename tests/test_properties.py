@@ -737,16 +737,16 @@ def test_train_reseeds_empty_clusters_like_the_trainer_it_replaced(seed):
     st.sampled_from([None, 1, 2, 3, 7, 33, 1000]),
 )
 def test_assign_nearest_matches_one_checked_call_per_block(seed, n, d, k, dtype, chunk_rows):
-    """Labels and distances bit for bit, whatever the block size; the
-    matrix product's bits depend on how many rows share it, so a change in
-    the blocking shows."""
+    """Labels and distances bit for bit, whatever the block size, with each
+    block widened from X's own dtype; the matrix product's bits depend on
+    how many rows share it, so a change in the blocking shows."""
     rng = np.random.default_rng(seed)
     X = (rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 4)).astype(dtype)
     C = X[rng.integers(0, n, size=k)].astype(np.float64) + rng.standard_normal((k, d)) * rng.choice([0.0, 1.0])
     X64 = X.astype(np.float64)
-    with mock.patch.object(km, "_BLOCK_ELEMENTS", chunk_rows * k) if chunk_rows else contextlib.nullcontext():
-        work = km._assign_work(n, k)
-        got = km._assign(X64, np.einsum("nd,nd->n", X64, X64), C, np.einsum("md,md->m", C, C), work)
+    with mock.patch.object(km, "_BLOCK_ELEMENTS", chunk_rows * (d + k)) if chunk_rows else contextlib.nullcontext():
+        work = km._assign_work(X, k)
+        got = km._assign(X, np.einsum("nd,nd->n", X64, X64), C, np.einsum("md,md->m", C, C), work)
     want = parent_assign_nearest(X, C, chunk_rows=chunk_rows)
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
