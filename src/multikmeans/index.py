@@ -67,11 +67,6 @@ _INDEX_HEADER = struct.Struct("<IIQ")  # version, code_length, count
 # of numpy calls for all its queries, so search_ids' workers queue less on
 # the GIL held between them (README, "Search cost")
 _CHUNK_ELEMENTS = 1 << 20
-# elements (rows x dimension) each shard of a query's shortlist must gather
-# before _search_block splits the query over worker threads: below it the
-# hand-off costs more than the split saves, as measured at N = 200 000 and
-# d = 128 only (search)
-_SHARD_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,27 +482,19 @@ def _exact_topk(source, Q64, k: int) -> list:
     return [(cand, dist) for dist, cand in run]
 
 
-def _nearest_keys(index: SearchIndex, words: np.ndarray, limit: int, start: int, stop: int) -> np.ndarray:
-    """The min(limit, stop - start) smallest packed keys of codes
-    start..stop-1 against one packed query row, unordered.
-
-    Each code's key is its distance shifted above its row, which is its id,
-    so keys are unique and sort in (distance, id) order."""
-    keys = _shifted_hamming(index.codes[start:stop], words, (index.size - 1).bit_length(), index._ranks.dtype)
-    keys |= index._ranks[start:stop]
-    if limit < keys.size:
-        keys.partition(limit - 1)
-    return keys[:limit]
-
-
-def _key_ids(index: SearchIndex, keys: np.ndarray, limit: int) -> np.ndarray:
-    """Ids of the `limit` smallest of `keys`, ordered by (distance, id): one
-    partition and a sort of `limit` keys, with no tie set to break. keys
-    may be one scan's, or the union of several ranges' _nearest_keys."""
+def _scan_ids(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndarray:
+    """Ids of the `limit` codes Hamming-nearest to one packed query row,
+    ordered by (distance, id): the XOR scan. Each code's key is its
+    distance shifted above its row, which is its id, so keys are unique
+    and sort in (distance, id) order: one partition and a sort of `limit`
+    keys, with no tie set to break."""
+    shift = (index.size - 1).bit_length()
+    keys = _shifted_hamming(index.codes, words, shift, index._ranks.dtype)
+    keys |= index._ranks
     if limit < keys.size:
         keys.partition(limit - 1)
     nearest = np.sort(keys[:limit])
-    nearest &= (1 << (index.size - 1).bit_length()) - 1
+    nearest &= (1 << shift) - 1
     return nearest.astype(np.int64)
 
 
@@ -599,7 +586,7 @@ def _shortlists(index: SearchIndex, words: np.ndarray, limit: int) -> np.ndarray
     weight = _plane_weight(index.spec, words.shape[1])
     if index._planes is not None and (np.bitwise_count(words).sum(axis=1, dtype=np.int64) == weight).all():
         return _plane_shortlists(index, words, limit)
-    return np.array([_key_ids(index, _nearest_keys(index, w, limit, 0, index.size), limit) for w in words])
+    return np.array([_scan_ids(index, w, limit) for w in words])
 
 
 def shortlist(index: SearchIndex, code: HashCode, limit: int) -> np.ndarray:
@@ -644,12 +631,12 @@ def _rerank(base_vectors, Q64: np.ndarray, cands: np.ndarray, top: int):
     (bool, object, complex) raise ValueError after it. A row holding inf or
     nan raises ValueError naming its id, the first in query order. One
     _screen_terms call gives every query's half of the screen, and one
-    float32 einsum its products with its own rows. A lone query then runs
-    _screened_rows; in a chunk of several, its screen runs for all m
-    queries at once: each query takes as seeds the `top` rows of least lo,
-    scores them, and keeps every row with
-    lo <= _lower_cut(the largest seed distance). The rows' cast
-    error and a_max are taken over the whole chunk, which only widens each
+    float32 einsum its products with its own rows. A lone query (search(),
+    or a one-row search_ids) then runs _screened_rows; in a chunk of
+    several, its screen runs for all m queries at once: each query takes
+    as seeds the `top` rows of least lo, scores them, and keeps every row
+    with lo <= _lower_cut(the largest seed distance). The rows' cast error
+    and a_max are taken over the whole chunk, which only widens each
     query's bound: the proof in _lower holds for any larger e or a_max.
     One lexsort by (query, distance, id) picks each query's top. Every
     distance comes from the row-pure _direct_distances, so each query's
@@ -666,7 +653,7 @@ def _rerank(base_vectors, Q64: np.ndarray, cands: np.ndarray, top: int):
     Q32, (beta_lo, e, h) = _screen_terms(screen, Q64)
     with np.errstate(over="ignore", invalid="ignore"):
         dots = np.einsum("mld,md->ml", screen.rows32.reshape(m, L, -1), Q32)
-    if m == 1:  # a lone query, as each split shard is: ground truth's per-query screen makes fewer numpy calls
+    if m == 1:  # a lone query: ground truth's per-query screen makes fewer numpy calls
         keep, dist = _screened_rows(screen, Q64[0], (beta_lo[0], e[0], h), top, dots[0], np.inf)
         sel = _topk(dist, flat[keep], top)
         return flat[keep[sel]][None], dist[sel][None]
@@ -727,11 +714,12 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_tasks(tasks: list) -> list:
-    """Each task's result, in task order. The first task runs on the
-    calling thread and the rest on the pool; once all have finished, the
-    first failure in task order is raised. One task, or any task list that
-    a pool thread hands in (a store's take that searches), runs on the
-    calling thread alone, so no pool thread ever waits on the pool."""
+    """Each task's result, in task order: _search_block's stripes, one
+    per worker. The first task runs on the calling thread and the rest on
+    the pool; once all have finished, the first failure in task order is
+    raised. One task, as a lone query makes, or any task list that a pool
+    thread hands in (a store's take that searches), runs on the calling
+    thread alone, so no pool thread ever waits on the pool."""
     if len(tasks) == 1 or getattr(_IN_POOL, "active", False):
         return [task() for task in tasks]
     pool = _worker_pool()
@@ -747,8 +735,8 @@ def _run_tasks(tasks: list) -> list:
 def _shared_store(base_vectors) -> bool:
     """Whether threads may read base_vectors at once: a 2-D array, or a
     VectorReader, whose reads and takes share no file offset. Only such a
-    store is searched by _usable_cpus() workers; any other store is read on
-    the calling thread."""
+    store is searched by up to _usable_cpus() workers; any other store is
+    read on the calling thread."""
     from .dataio import VectorReader  # dataio imports this module through evaluate
 
     return isinstance(base_vectors, (np.ndarray, VectorReader))
@@ -759,16 +747,12 @@ def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top:
     exact re-rank. Returns (ids, scores), each shaped (len(Q), top).
 
     With workers = _usable_cpus() for a _shared_store and 1 for any other
-    store, each query gets max(1, workers // len(Q)) shards, but no more
-    than keeps L * d / shards >= _SHARD_ELEMENTS. One shard per query:
-    min(workers, len(Q)) workers take every workers-th query each, and
-    shortlist and re-rank them in chunks of max(1, _CHUNK_ELEMENTS //
-    (L * d)) queries, one _shortlists and one _rerank per chunk. More: each
-    query's re-rank, and its scan on an index without bit planes, are cut
-    into shards of shortlist rows and of contiguous codes, and the caller
-    merges them. Every kernel on the path is row-pure and every merge
-    selects by (distance, id), so no result depends on the count, the
-    shards, the chunks or a query's position."""
+    store, min(workers, len(Q)) workers take every workers-th query each
+    (a stripe), and shortlist and re-rank them in chunks of max(1,
+    _CHUNK_ELEMENTS // (L * d)) queries, one _shortlists and one _rerank
+    per chunk; a lone query runs every stage on the calling thread. Every
+    kernel on the path is row-pure, so no result depends on the worker
+    count, the chunks or a query's position."""
     shortlist_size, top = _count(shortlist_size, "shortlist_size"), _count(top, "top")
     if not (1 <= top <= shortlist_size):
         raise ValueError(f"top={top} outside [1, shortlist={shortlist_size}]")
@@ -780,12 +764,7 @@ def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top:
     n, d = Q.shape
     ids = np.empty((n, top), dtype=np.int64)
     scores = np.empty((n, top), dtype=np.float64)
-    workers = _usable_cpus() if _shared_store(base_vectors) else 1
-    shards = min(workers // n, shortlist_size, shortlist_size * d // _SHARD_ELEMENTS)
-    if shards > 1:
-        _search_shards(index, base_vectors, codes, Q64, shortlist_size, top, shards, ids, scores)
-        return ids, scores
-    workers = min(workers, n)
+    workers = min(_usable_cpus() if _shared_store(base_vectors) else 1, n)
     chunk = max(1, _CHUNK_ELEMENTS // (shortlist_size * d))
 
     def part(w: int) -> None:
@@ -797,62 +776,13 @@ def _search_block(index: SearchIndex, base_vectors, Q, shortlist_size: int, top:
     return ids, scores
 
 
-def _search_shards(index: SearchIndex, base_vectors, codes, Q64, limit: int, top: int, shards: int, ids, scores):
-    """_search_block's split path: every query's scan and re-rank, each cut
-    into `shards` tasks, fill ids and scores. An index with bit planes
-    takes every query's shortlist from one _plane_shortlists call on the
-    calling thread, and splits the re-rank only.
-
-    A scan shard keeps the min(limit, range) smallest keys of its range of
-    codes; keys are unique, so the `limit` smallest of their union are
-    _shortlists'. A re-rank shard keeps the exact top of its slice of
-    the shortlist; the kernel scores each row alone, so _topk's
-    (distance, id) merge of those tops is one walk's result."""
-    n = Q64.shape[0]
-    if index._planes is not None:
-        cands = _shortlists(index, codes, limit)
-    else:
-        ranges = [(index.size * s // shards, index.size * (s + 1) // shards) for s in range(shards)]
-        keys = _run_tasks([partial(_nearest_keys, index, codes[i], limit, a, b) for i in range(n) for a, b in ranges])
-        cands = [_key_ids(index, np.concatenate(keys[i * shards : (i + 1) * shards]), limit) for i in range(n)]
-    slices = [slice(limit * s // shards, limit * (s + 1) // shards) for s in range(shards)]
-    tops = _run_tasks([
-        partial(_rerank, base_vectors, Q64[i : i + 1], cands[i][None, r], min(top, r.stop - r.start))
-        for i in range(n) for r in slices
-    ])
-    for i in range(n):
-        part = tops[i * shards : (i + 1) * shards]
-        cand = np.concatenate([c[0] for c, _ in part])
-        dist = np.concatenate([d[0] for _, d in part])
-        sel = _topk(dist, cand, top)
-        ids[i], scores[i] = cand[sel], dist[sel]
-
-
 def search(index: SearchIndex, base_vectors, query, shortlist_size: int, top: int) -> SearchResult:
     """Hash the query, shortlist by Hamming distance, re-rank exactly.
 
     Scores are Euclidean distances, ascending; ties in either stage break
     by ascending id. base_vectors is a 2-D array indexed by id, or any
-    store with a take(ids) method. Any store other than an array or a
-    VectorReader is read on the calling thread alone.
-
-    Over an array or a VectorReader, a query splits into one shard per
-    usable CPU while each shard gathers at least _SHARD_ELEMENTS = 2^17
-    elements of the shortlist (L * d / shards): each scans a contiguous
-    range of codes for its own L nearest keys, then each gathers and
-    re-ranks a slice of the merged shortlist. The calling thread runs one
-    shard and one persistent pool's threads the rest, and the caller
-    merges them by (distance, id), so the split changes no id or score.
-    Lone-query throughput with two shards against one, on a 2-core x86
-    machine (N = 200 000, d = 128, variant t, top = 10, memory-mapped
-    base; medians of 7 alternating passes over 200 queries):
-
-        L      1000   2000   3000   5000  10 000  20 000
-        gain   -7 %   +2 %  +12 %  +27 %   +42 %   +53 %
-
-    so at d = 128 a query splits from L = 2048 on. The budget was set from
-    this one sweep: it counts only the gathered elements, not the N codes
-    the scan round also splits, and is unmeasured at other N or d.
+    store with a take(ids) method. A lone query runs every stage on the
+    calling thread and never reaches the worker pool.
 
     The shortlist comes from one of two kernels, with the same ids. An n or
     n2 index whose codes all set w = n bits per codebook, at most 8 per
@@ -861,9 +791,9 @@ def search(index: SearchIndex, base_vectors, query, shortlist_size: int, top: in
     codes, held in memory and not in the index file. A query, encoded
     under the same spec, has weight w too, and its shortlist is the rows
     sharing the most bits with it, then the lowest ids, found
-    by AND/OR over the query's planes (_plane_shortlists); a split query
-    takes it whole and splits its re-rank only. Every other index runs the
-    XOR/popcount scan over all N codes with one packed-key partition.
+    by AND/OR over the query's planes (_plane_shortlists). Every other
+    index runs the XOR/popcount scan over all N codes with one packed-key
+    partition (_scan_ids).
     """
     v = as_vector(query, "query")
     ids, scores = _search_block(index, base_vectors, v[None, :], shortlist_size, top)
@@ -876,11 +806,11 @@ def search_ids(index: SearchIndex, base_vectors, queries, shortlist_size: int, t
 
     Same ordering rules as search(); meant for evaluation runs, where
     holding per-query score tuples would be wasteful. Over an array or a
-    VectorReader the queries are spread over one worker per usable CPU,
-    each taking every workers-th query while there are at least as many
-    queries as workers, and split like search()'s otherwise; any other
-    store is read on the calling thread. The worker count changes no
-    result: row i is what search() returns for queries[i].
+    VectorReader the queries are spread over min(usable CPUs, queries)
+    workers, each taking every workers-th query, so one query runs on the
+    calling thread as search()'s does; any other store is read on the
+    calling thread. The worker count changes no result: row i is what
+    search() returns for queries[i].
 
     A worker shortlists and re-ranks its queries in chunks of
     m = max(1, 2^20 // (L * d)) (8 at L = 1000, d = 128). On an index with

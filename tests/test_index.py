@@ -495,10 +495,10 @@ class TestSearchMany:
     @staticmethod
     def task_counts(monkeypatch, index, cpus, n):
         """The task count of each call to the pool when search_ids runs n
-        queries on `cpus` usable CPUs with the shard budget lifted. One task
-        runs on the calling thread and never reaches the pool, which is
-        replaced by one that records each call's task count and runs them
-        inline. The ids are checked against one CPU's."""
+        queries on `cpus` usable CPUs. One task runs on the calling thread
+        and never reaches the pool, which is replaced by one that records
+        each call's task count and runs them inline. The ids are checked
+        against one CPU's."""
         rng, base = make_fixture()[:2]
         queries = rng.standard_normal((n, base.shape[1])).astype(np.float32)
         want = [on_cpus(monkeypatch, 1, search_ids, index, base, q[None], 30, 6)[0] for q in queries]
@@ -517,29 +517,15 @@ class TestSearchMany:
 
         monkeypatch.setattr(index_mod, "_worker_pool", inline_pool)
         monkeypatch.setattr(index_mod, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(index_mod, "_SHARD_ELEMENTS", 1)
         np.testing.assert_array_equal(search_ids(index, base, queries, shortlist_size=30, top=6), want)
         return sizes
 
-    @pytest.mark.parametrize("cpus, n, asked", [(2, 3, [2]), (5, 8, [5]), (5, 3, [3]), (1, 8, []), (2, 1, [2])])
+    @pytest.mark.parametrize("cpus, n, asked", [(2, 3, [2]), (5, 8, [5]), (5, 3, [3]), (1, 8, []), (2, 1, [])])
     def test_worker_count(self, monkeypatch, cpus, n, asked):
-        """workers = the usable CPUs, and max(1, workers // queries) shards
-        a query. With one shard, min(workers, queries) workers take query
-        stripes; a lone query here takes one shortlist from the fixture's
-        bit planes and splits its re-rank into a round of two tasks."""
+        """min(usable CPUs, queries) workers take query stripes, in one
+        round of tasks; a lone query runs on the calling thread alone."""
         index = make_fixture()[4]
-        assert index._planes is not None
         assert self.task_counts(monkeypatch, index, cpus, n) == asked
-
-    def test_worker_count_of_a_split_scan(self, monkeypatch):
-        """An index with no bit planes (variant t) splits a lone query's
-        Hamming scan too: a scan round and a re-rank round of two tasks
-        each."""
-        _, base, cb, _, _ = make_fixture()
-        spec = EncoderSpec(Variant.T)
-        index = build_index(encode_many(base, cb, spec), np.arange(len(base)), spec, cb)
-        assert index._planes is None
-        assert self.task_counts(monkeypatch, index, 2, 1) == [2, 2]
 
     def test_usable_cpus(self, monkeypatch):
         assert index_mod._usable_cpus() == len(os.sched_getaffinity(0))
@@ -565,7 +551,7 @@ class TestShortlistKernels:
     @staticmethod
     def spy(monkeypatch):
         """Counts of calls to the plane kernel and to the XOR scan."""
-        calls = {"_plane_shortlists": 0, "_nearest_keys": 0}
+        calls = {"_plane_shortlists": 0, "_scan_ids": 0}
         for name in calls:
             def counted(*args, name=name, kernel=getattr(index_mod, name)):
                 calls[name] += 1
@@ -599,7 +585,7 @@ class TestShortlistKernels:
                     code = encode(q, quantizer, spec)
                     np.testing.assert_array_equal(shortlist(index, code, limit), self.naive(index, code.words, limit))
                 on_cpus(monkeypatch, 1, search_ids, index, base, queries, limit, 1)
-        assert calls["_plane_shortlists"] == 0 and calls["_nearest_keys"] == 3 * 3 * 10
+        assert calls["_plane_shortlists"] == 0 and calls["_scan_ids"] == 3 * 3 * 10
 
     def test_plane_kernel_runs_once_per_chunk(self, monkeypatch):
         """Five queries in chunks of two take three kernel calls and no
@@ -611,7 +597,7 @@ class TestShortlistKernels:
         calls = self.spy(monkeypatch)
         monkeypatch.setattr(index_mod, "_CHUNK_ELEMENTS", 2 * 30 * base.shape[1])
         np.testing.assert_array_equal(on_cpus(monkeypatch, 1, search_ids, index, base, queries, 30, 6), want)
-        assert calls == {"_plane_shortlists": 3, "_nearest_keys": 0}
+        assert calls == {"_plane_shortlists": 3, "_scan_ids": 0}
         for q in queries:
             code = encode(q, cb, spec)
             np.testing.assert_array_equal(shortlist(index, code, 30), self.naive(index, code.words, 30))
@@ -627,8 +613,8 @@ class TestShortlistKernels:
         mixed = words.copy()
         mixed[2] = pack_bits(rng.permutation(cb.k) < 5)
         calls = self.spy(monkeypatch)
-        for chunk, want in ((words, {"_plane_shortlists": 1, "_nearest_keys": 0}),
-                            (mixed, {"_plane_shortlists": 0, "_nearest_keys": 4})):
+        for chunk, want in ((words, {"_plane_shortlists": 1, "_scan_ids": 0}),
+                            (mixed, {"_plane_shortlists": 0, "_scan_ids": 4})):
             calls.update(dict.fromkeys(calls, 0))
             got = index_mod._shortlists(index, chunk, 30)
             assert calls == want
@@ -648,25 +634,6 @@ class TestShortlistKernels:
             code = encode(base[0], cb, index.spec)
             with pytest.raises(TypeError, match=rf"^limit must be an integer, got {name}$"):
                 shortlist(index, code, limit)
-
-    def test_lone_query_on_a_plane_index_splits_only_its_rerank(self, monkeypatch):
-        """At L = 10 000 and d = 32 a lone search() splits in two on two
-        CPUs: one kernel call gives the shortlist, two re-rank shards share
-        it, and the result is one CPU's, scores bit for bit."""
-        rng = np.random.default_rng(3)
-        base = rng.standard_normal((12_000, 32)).astype(np.float32)
-        cb = Codebook.from_centroids(rng.standard_normal((16, 32)).astype(np.float32))
-        spec = EncoderSpec(Variant.N, n_nearest=2)
-        index = build_index(encode_many(base, cb, spec), np.arange(len(base)), spec, cb)
-        q = rng.standard_normal(32).astype(np.float32)
-        want = on_one_cpu(monkeypatch, index, base, q, 10_000, 10)
-        calls = self.spy(monkeypatch)
-        reranks = []
-        rerank = index_mod._rerank
-        monkeypatch.setattr(index_mod, "_rerank", lambda *a: reranks.append(a[2].shape) or rerank(*a))
-        assert on_cpus(monkeypatch, 2, search, index, base, q, 10_000, 10) == want
-        assert calls == {"_plane_shortlists": 1, "_nearest_keys": 0}
-        assert reranks == [(1, 5000), (1, 5000)]
 
 
 class TestSearchArguments:
@@ -720,27 +687,26 @@ def pool_threads() -> int:
 
 
 class TestWorkerPool:
-    """The pool that splits a query's shards and search_ids' stripes. The
-    shard budget is lifted and two CPUs are reported, so a lone query
-    splits in two on the test fixture."""
+    """The pool that runs search_ids' stripes. Two CPUs are reported, so a
+    block of two or more queries takes two stripes, the second on the
+    pool; a lone query runs on the calling thread."""
 
     @pytest.fixture
-    def split(self, monkeypatch):
-        monkeypatch.setattr(index_mod, "_SHARD_ELEMENTS", 1)
+    def two_cpus(self, monkeypatch):
         monkeypatch.setattr(index_mod, "_usable_cpus", lambda: 2)
         return make_fixture()
 
     @pytest.fixture
-    def reader(self, split, tmp_path):
+    def reader(self, two_cpus, tmp_path):
         """The fixture's base written to a file, for stores built on VectorReader."""
         path = tmp_path / "base.fvecs"
-        write_vectors(path, split[1])
+        write_vectors(path, two_cpus[1])
         return path
 
-    def test_repeated_calls_keep_the_pool_size(self, split, monkeypatch):
+    def test_repeated_calls_keep_the_pool_size(self, two_cpus, monkeypatch):
         """The pool is made once, with one thread per usable CPU but the
         caller's, and every later call reuses it."""
-        rng, base, cb, spec, index = split
+        rng, base, cb, spec, index = two_cpus
         queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
         monkeypatch.setattr(index_mod, "_POOL", None)  # a fresh pool, whose threads this test counts
         before = set(threading.enumerate())
@@ -755,8 +721,8 @@ class TestWorkerPool:
         new = [t for t in threading.enumerate() if t not in before and t.name.startswith("multikmeans-search")]
         assert len(new) <= index_mod._usable_cpus() - 1
 
-    def test_one_thread_never_reaches_the_pool(self, split, monkeypatch):
-        rng, base, cb, spec, index = split
+    def test_one_thread_never_reaches_the_pool(self, two_cpus, monkeypatch):
+        rng, base, cb, spec, index = two_cpus
         queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
 
         def no_pool():
@@ -767,21 +733,33 @@ class TestWorkerPool:
         on_cpus(monkeypatch, 1, search_ids, index, base, queries, 30, 6)
         on_one_cpu(monkeypatch, index, base, queries[0], 30, 6)
         with pytest.raises(AssertionError, match="reached the pool"):
-            search(index, base, queries[0], 30, 6)
+            search_ids(index, base, queries, 30, 6)
 
-    def test_short_shortlist_stays_on_the_calling_thread(self, monkeypatch):
-        """At the default budget, L = 30 at d = 8 is far too short to split."""
-        rng, base, cb, spec, index = make_fixture()
-        monkeypatch.setattr(index_mod, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(index_mod, "_worker_pool", lambda: pytest.fail("a short shortlist was split"))
-        search(index, base, base[0], 30, 6)
+    @pytest.mark.parametrize("cpus", [2, 5])
+    def test_lone_query_stays_on_the_calling_thread(self, monkeypatch, cpus):
+        """search() and a one-row search_ids run every stage on the calling
+        thread, whatever the CPU count, on a shortlist of L * d = 640 000
+        elements, 4.9 times the 2^17 at which a lone query was once split
+        over the CPUs; an index with bit planes and one without alike."""
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((12_000, 64)).astype(np.float32)
+        cb = Codebook.from_centroids(rng.standard_normal((16, 64)).astype(np.float32))
+        q = rng.standard_normal(64).astype(np.float32)
+        for spec in (EncoderSpec(Variant.N, n_nearest=2), EncoderSpec(Variant.T)):
+            index = build_index(encode_many(base, cb, spec), np.arange(len(base)), spec, cb)
+            want = on_one_cpu(monkeypatch, index, base, q, 10_000, 10)
+            with monkeypatch.context() as m:
+                m.setattr(index_mod, "_usable_cpus", lambda: cpus)
+                m.setattr(index_mod, "_worker_pool", lambda: pytest.fail("a lone query reached the pool"))
+                assert search(index, base, q, 10_000, 10) == want
+                np.testing.assert_array_equal(search_ids(index, base, q[None], 10_000, 10), [want.ids()])
 
-    def test_other_stores_stay_on_the_calling_thread(self, split, monkeypatch):
-        """A store that is neither an array nor a VectorReader is never
-        split: search() and a lone query of search_ids read it on the
-        calling thread, as one thread would."""
-        rng, base, cb, spec, index = split
-        q = rng.standard_normal(base.shape[1]).astype(np.float32)
+    def test_other_stores_stay_on_the_calling_thread(self, two_cpus, monkeypatch):
+        """A store that is neither an array nor a VectorReader never takes
+        stripes: search() and a block of queries of search_ids read it on
+        the calling thread, as one thread would."""
+        rng, base, cb, spec, index = two_cpus
+        queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
         seen = []
 
         class Store:
@@ -789,17 +767,17 @@ class TestWorkerPool:
                 seen.append(threading.current_thread())
                 return base[ids]
 
-        monkeypatch.setattr(index_mod, "_worker_pool", lambda: pytest.fail("a store of unknown safety was split"))
-        assert search(index, Store(), q, 30, 6) == on_one_cpu(monkeypatch, index, base, q, 30, 6)
-        np.testing.assert_array_equal(search_ids(index, Store(), q[None], 30, 6),
-                                      on_cpus(monkeypatch, 1, search_ids, index, base, q[None], 30, 6))
-        assert seen == [threading.current_thread()] * 2
+        monkeypatch.setattr(index_mod, "_worker_pool", lambda: pytest.fail("a store of unknown safety took stripes"))
+        assert search(index, Store(), queries[0], 30, 6) == on_one_cpu(monkeypatch, index, base, queries[0], 30, 6)
+        np.testing.assert_array_equal(search_ids(index, Store(), queries, 30, 6),
+                                      on_cpus(monkeypatch, 1, search_ids, index, base, queries, 30, 6))
+        assert seen and seen == [threading.current_thread()] * len(seen)
 
-    def test_search_ids_reads_other_stores_on_the_calling_thread(self, split):
+    def test_search_ids_reads_other_stores_on_the_calling_thread(self, two_cpus):
         """A block of four queries over a store that is neither an array nor
         a VectorReader takes no stripes on two CPUs: every take runs on the
         calling thread."""
-        rng, base, cb, spec, index = split
+        rng, base, cb, spec, index = two_cpus
         queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
         seen = []
 
@@ -811,18 +789,19 @@ class TestWorkerPool:
         np.testing.assert_array_equal(search_ids(index, Store(), queries, 30, 6), search_ids(index, base, queries, 30, 6))
         assert seen and seen == [threading.current_thread()] * len(seen)
 
-    def test_split_runs_no_blas_product(self, split, monkeypatch):
-        rng, base, cb, spec, index = split
-        q = rng.standard_normal(base.shape[1]).astype(np.float32)
-        want = on_one_cpu(monkeypatch, index, base, q, 30, 6)
+    def test_split_runs_no_blas_product(self, two_cpus, monkeypatch):
+        """A block split into two stripes takes no np.matmul on either thread."""
+        rng, base, cb, spec, index = two_cpus
+        queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
+        want = on_cpus(monkeypatch, 1, search_ids, index, base, queries, 30, 6)
         monkeypatch.setattr(np, "matmul", lambda *a, **k: pytest.fail("np.matmul on the query path"))
-        assert search(index, base, q, 30, 6) == want
+        np.testing.assert_array_equal(search_ids(index, base, queries, 30, 6), want)
 
-    def test_worker_shard_failure_reaches_the_caller(self, split, reader):
-        """take raises LookupError on a pool thread only; the next call,
-        on the same pool, succeeds."""
-        rng, base, cb, spec, index = split
-        q = rng.standard_normal(base.shape[1]).astype(np.float32)
+    def test_worker_shard_failure_reaches_the_caller(self, two_cpus, reader):
+        """take raises LookupError on a pool thread only, in the second
+        stripe; the next call, on the same pool, succeeds."""
+        rng, base, cb, spec, index = two_cpus
+        queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
 
         class Store(VectorReader):
             fail = True
@@ -834,45 +813,50 @@ class TestWorkerPool:
 
         with Store(reader) as store:
             with pytest.raises(LookupError, match="no row on this thread"):
-                search(index, store, q, 30, 6)
+                search_ids(index, store, queries, 30, 6)
             store.fail = False
-            assert search(index, store, q, 30, 6) == search(index, base, q, 30, 6)
+            np.testing.assert_array_equal(search_ids(index, store, queries, 30, 6), search_ids(index, base, queries, 30, 6))
 
-    def test_first_failing_shard_names_the_error(self, split, monkeypatch):
-        """Two shards both hold a non-finite row: the caller raises the first
-        shard's error, the one the calling thread alone would raise."""
-        rng, base, cb, spec, index = split
-        q = base[0]
-        cand = shortlist(index, encode(q, cb, spec), 30)
+    def test_first_failing_shard_names_the_error(self, two_cpus, monkeypatch):
+        """Both stripes hold a non-finite row, each in its own query's
+        shortlist only: the caller raises the first stripe's error, the one
+        the calling thread alone would raise."""
+        rng, base, cb, spec, index = two_cpus
+        queries = rng.standard_normal((2, base.shape[1])).astype(np.float32)
+        cands = [shortlist(index, encode(q, cb, spec), 30) for q in queries]
+        first, second = min(set(cands[0]) - set(cands[1])), min(set(cands[1]) - set(cands[0]))
         bad = base.astype(np.float64)
-        bad[cand[[3, 20]]] = np.inf
+        bad[[first, second]] = np.inf
         with pytest.raises(ValueError) as one:
-            on_one_cpu(monkeypatch, index, bad, q, 30, 6)
+            on_cpus(monkeypatch, 1, search_ids, index, bad, queries, 30, 6)
         with pytest.raises(ValueError) as two:
-            search(index, bad, q, 30, 6)
-        assert str(two.value) == str(one.value) == f"euclidean re-rank is undefined for non-finite base vector id {cand[3]}"
+            search_ids(index, bad, queries, 30, 6)
+        assert str(two.value) == str(one.value) == f"euclidean re-rank is undefined for non-finite base vector id {first}"
 
-    def test_store_that_searches_in_a_shard_runs_inline(self, split, reader):
-        """A pool task never waits on the pool: a search made from inside
-        a worker shard runs on that worker's thread."""
-        rng, base, cb, spec, index = split
-        q = rng.standard_normal(base.shape[1]).astype(np.float32)
+    def test_store_that_searches_in_a_shard_runs_inline(self, two_cpus, reader):
+        """A pool task never waits on the pool: a block search made from
+        inside the pool's stripe runs on that worker's thread."""
+        rng, base, cb, spec, index = two_cpus
+        queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
+        want = search_ids(index, base, queries, 30, 6)
         inner = []
 
         class Store(VectorReader):
             def take(self, ids):
-                inner.append(search(index, base, q, 30, 6))
+                inner.append((threading.current_thread(), search_ids(index, base, queries, 30, 6)))
                 return super().take(ids)
 
         with Store(reader) as store:
-            assert search(index, store, q, 30, 6) == search(index, base, q, 30, 6)
-        assert len(inner) == 2 and inner[0] == inner[1]
+            np.testing.assert_array_equal(search_ids(index, store, queries, 30, 6), want)
+        assert len(inner) == 2 and len({thread for thread, _ in inner}) == 2
+        for _, got in inner:
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
-    def test_forked_child_can_search(self, split):
-        rng, base, cb, spec, index = split
-        q = rng.standard_normal(base.shape[1]).astype(np.float32)
-        want = search(index, base, q, 30, 6)  # the parent's pool now has a thread
+    def test_forked_child_can_search(self, two_cpus):
+        rng, base, cb, spec, index = two_cpus
+        queries = rng.standard_normal((4, base.shape[1])).astype(np.float32)
+        want = search_ids(index, base, queries, 30, 6)  # the parent's pool now has a thread
         read_end, write_end = os.pipe()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork() of a threaded process
@@ -880,8 +864,8 @@ class TestWorkerPool:
         if pid == 0:  # pragma: no cover - the child reports through the pipe
             code = 1
             try:
-                got = search(index, base, q, 30, 6)
-                os.write(write_end, repr(got.ranked).encode())
+                got = search_ids(index, base, queries, 30, 6)
+                os.write(write_end, got.tobytes())
                 code = 0 if pool_threads() == index_mod._usable_cpus() - 1 else 2
             finally:
                 os._exit(code)
@@ -890,7 +874,7 @@ class TestWorkerPool:
             out = f.read()
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
-        assert out.decode() == repr(want.ranked)
+        assert out == want.tobytes()
 
 
 class TestIndexIO:

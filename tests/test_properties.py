@@ -4,7 +4,7 @@ bit-plane shortlist of n and n2 indexes for chunks of queries and for
 hand-made codes of any weight, the partitioned n-nearest bit rule against
 a stable argsort, the
 search path over a memory-mapped VectorReader (single query, batched and
-threaded), a lone query split into 1 to 5 shards, VectorReader.take, the float32-screened Euclidean top-k against
+threaded), search_ids striped over 1 to 5 workers, VectorReader.take, the float32-screened Euclidean top-k against
 its float64 kernel run over every row, its keep rule at the cutoff, its
 query and row cast-error terms, each query's terms whichever queries
 share the call, the rows it keeps with and without a running cut and the
@@ -283,11 +283,11 @@ def test_search_over_reader_matches_full_sort(case):
 
 
 @st.composite
-def split_cases(draw):
+def stripe_cases(draw):
     """A small base of a few distinct rows of small ints, so codes repeat
-    (Hamming tie runs that cross shard cuts) and distances tie between
-    rows of different codes (ties the re-rank merge breaks by id), with
-    queries, a shard count of 1 to 5 and a store kind."""
+    (Hamming tie runs) and distances tie between rows of different codes
+    (ties the re-rank breaks by id), with 1 to 6 queries, a CPU count of 1
+    to 5 and a store kind."""
     dim = draw(st.integers(2, 4))
     n_unique = draw(st.integers(2, 10))
     n = draw(st.integers(max(n_unique, 5), 40))
@@ -297,40 +297,36 @@ def split_cases(draw):
     k = draw(st.integers(2, 6))
     cents = np.array(draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=k, max_size=k)))
     spec = EncoderSpec(Variant.T) if draw(st.booleans()) else EncoderSpec(Variant.N, n_nearest=draw(st.integers(1, k)))
-    queries = np.array(draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=1, max_size=3)))
+    queries = np.array(draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=1, max_size=6)))
     limit = draw(st.integers(1, n))
     top = draw(st.integers(1, limit))
-    shards = draw(st.integers(1, 5))
+    cpus = draw(st.integers(1, 5))
     reader = draw(st.booleans())
-    return base, Codebook.from_centroids(cents.astype(np.float32)), spec, queries, limit, top, shards, reader
+    return base, Codebook.from_centroids(cents.astype(np.float32)), spec, queries, limit, top, cpus, reader
 
 
 @SETTINGS
-@given(split_cases())
-def test_split_query_equals_one_thread(case):
-    """A lone query split over t usable CPUs equals one thread's ids and
-    distances byte for byte, with the shard budget lifted, so it splits
-    into min(t, limit) shards; search() and search_ids' rows, whose
-    queries split or take stripes, equal it too."""
-    base, cb, spec, queries, limit, top, shards, reader = case
+@given(stripe_cases())
+def test_stripes_equal_one_thread(case):
+    """search_ids striped over t usable CPUs, min(t, queries) workers,
+    equals one thread's ids and distances byte for byte, and each row is
+    what search() returns for its query."""
+    base, cb, spec, queries, limit, top, cpus, reader = case
     index = build_index(encode_many(base.astype(np.float32), cb, spec), np.arange(len(base)), spec, cb)
     with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(index_mod, "_SHARD_ELEMENTS", 1))
-        stack.enter_context(mock.patch.object(index_mod, "_usable_cpus", lambda: shards))
         store = base
         if reader:
             path = os.path.join(stack.enter_context(tempfile.TemporaryDirectory()), "base.fvecs")
             write_vectors(path, base)
             store = stack.enter_context(VectorReader(path))
-        rows = []
-        for q in queries:
-            with mock.patch.object(index_mod, "_usable_cpus", lambda: 1):
-                one = index_mod._search_block(index, store, q[None, :], limit, top)
-            many = index_mod._search_block(index, store, q[None, :], limit, top)
-            assert [a.tobytes() for a in many] == [a.tobytes() for a in one]
-            assert search(index, store, q, limit, top).ranked == tuple(zip(one[0][0].tolist(), one[1][0].tolist()))
-            rows.append(one[0][0])
-        np.testing.assert_array_equal(search_ids(index, store, queries, limit, top), rows)
+        with mock.patch.object(index_mod, "_usable_cpus", lambda: 1):
+            one = index_mod._search_block(index, store, queries, limit, top)
+        with mock.patch.object(index_mod, "_usable_cpus", lambda: cpus):
+            many = index_mod._search_block(index, store, queries, limit, top)
+            np.testing.assert_array_equal(search_ids(index, store, queries, limit, top), one[0])
+            for q, ids, scores in zip(queries, *one):
+                assert search(index, store, q, limit, top).ranked == tuple(zip(ids.tolist(), scores.tolist()))
+        assert [a.tobytes() for a in many] == [a.tobytes() for a in one]
 
 
 @SETTINGS
